@@ -33,6 +33,7 @@ from .states import (
 BLOCK_SIZE = 1 << 16
 GRID_NODES = 4096
 GRID_MASS_TOL = 1e-6
+SEARCH_SLICE = 1 << 13
 
 # Purpose ids keep streams for different simulators independent at equal seeds.
 PURPOSE_HOMODYNE = 1
@@ -40,14 +41,12 @@ PURPOSE_PHOTOCOUNT = 2
 PURPOSE_HETERODYNE = 3
 PURPOSE_FIXED_PHASE = 4
 
-_U64 = np.uint64((1 << 64) - 1)
-
 
 def block_generator(seed: int, purpose: int, block: int) -> np.random.Generator:
     """Philox generator for one sample block; key = (seed, purpose << 48 | block)."""
-    key = np.array(
-        [np.uint64(seed) & _U64, np.uint64((purpose << 48) | block)], dtype=np.uint64
-    )
+    if not 0 <= seed < 1 << 64:
+        raise ValidationError(f"seed must lie in [0, 2**64), got {seed}")
+    key = np.array([np.uint64(seed), np.uint64((purpose << 48) | block)], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
 
 
@@ -94,10 +93,21 @@ class Dataset:
 class QuadratureGridSampler:
     """Inverse-CDF sampler for number-basis states on a fixed x grid.
 
-    The conditional CDF at phase phi is assembled from the Fourier components
-    of the density in phi (one component per off-diagonal of rho), so Fock and
-    diagonal mixed states reduce to a single phase-independent lookup while
-    coherence-bearing states use a per-sample bisection over the grid.
+    The CDF at phase phi is Re sum_d w_d C_d(x) with w_0 = 1 and
+    w_d = 2 exp(i d phi), one Fourier band C_d per non-zero off-diagonal d of
+    rho. The bands live in a node-major real table with columns Re C_0,
+    2 Re C_d and -2 Im C_d for each band d > 0 (scaling by 2 is exact), so the
+    CDF at one node is that node's row dotted with the weights
+    [1, cos(d phi), sin(d phi)], built by angle addition from one
+    cos(phi), sin(phi) pair.
+
+    Fock and diagonal mixed states have C_0 only and take one
+    phase-independent lookup. Coherence-bearing states take a branchless
+    binary search per sample: power-of-two steps over the table, padded with
+    +inf rows up to a power of two so that no step leaves it, one row gather
+    and one select per step, then linear interpolation between the
+    bracketing nodes. At one fixed phase the bands are combined into a single
+    CDF that searchsorted inverts.
     """
 
     def __init__(self, state: StateSpec, halfwidth: float | None = None, nodes: int = GRID_NODES):
@@ -123,9 +133,8 @@ class QuadratureGridSampler:
             g = np.einsum("n,nx,nx->x", band, psi[: dim - d], psi[d:dim])
             cdf = np.concatenate(([0.0], np.cumsum(0.5 * (g[1:] + g[:-1]) * dx)))
             cdfs.append(cdf)
-        self.offsets = np.array(offsets)
-        self.cdfs = np.stack(cdfs)
-        self.mass = float(self.cdfs[0][-1].real)
+        cdfs = np.stack(cdfs)
+        self.mass = float(cdfs[0][-1].real)
         if self.mass < 1.0 - GRID_MASS_TOL:
             needed = self.halfwidth * math.sqrt(
                 max(2.0, -math.log(max(1.0 - self.mass, 1e-300)) / math.log(10.0))
@@ -134,29 +143,74 @@ class QuadratureGridSampler:
                 f"quadrature grid |x| <= {self.halfwidth:.2f} holds only mass {self.mass:.9f}; "
                 f"a halfwidth of about {needed:.1f} is required"
             )
-        self.phase_dependent = bool((self.offsets > 0).any())
+        self.bands = offsets[1:]
+        self.phase_dependent = bool(self.bands)
+        # Steps top, top/2, ..., 1 reach every lower node 0..nodes-2; candidates
+        # run up to 2 top - 1, so the table has at least 2 top rows.
+        self._top_step = 1 << (max(nodes - 2, 1).bit_length() - 1)
+        self.table = np.zeros((max(nodes, 2 * self._top_step), 1 + 2 * len(self.bands)))
+        self.table[:nodes, 0] = cdfs[0].real
+        self.table[:nodes, 1 : 1 + len(self.bands)] = 2.0 * cdfs[1:].real.T
+        self.table[:nodes, 1 + len(self.bands) :] = -2.0 * cdfs[1:].imag.T
+        self.table[nodes:, 0] = np.inf
 
-    def _cdf_at(self, idx: np.ndarray, weights: np.ndarray) -> np.ndarray:
-        gathered = self.cdfs[:, idx]
-        return np.einsum("ds,ds->s", weights, gathered).real
+    def _weights(self, phi: np.ndarray) -> np.ndarray:
+        """Sample-major rows [1, cos(d phi)..., sin(d phi)...] over the bands d."""
+        cos, sin = {1: np.cos(phi)}, {1: np.sin(phi)}
+        for d in range(2, self.bands[-1] + 1):
+            cos[d] = cos[d - 1] * cos[1] - sin[d - 1] * sin[1]
+            sin[d] = sin[d - 1] * cos[1] + cos[d - 1] * sin[1]
+        weights = np.empty((phi.size, self.table.shape[1]))
+        weights[:, 0] = 1.0
+        for j, d in enumerate(self.bands, start=1):
+            weights[:, j] = cos[d]
+            weights[:, j + len(self.bands)] = sin[d]
+        return weights
+
+    def _interpolate(self, target, lo, flo, fhi) -> np.ndarray:
+        t = np.clip((target - flo) / np.maximum(fhi - flo, 1e-300), 0.0, 1.0)
+        return self.xgrid[lo] + t * (self.xgrid[lo + 1] - self.xgrid[lo])
+
+    def _search(self, phi: np.ndarray, target: np.ndarray):
+        """Lower bracketing node of each target at its phase, with the CDF there and one node up."""
+        weights = self._weights(phi)
+
+        def cdf(idx):
+            return np.einsum("sk,sk->s", np.take(self.table, idx, axis=0), weights)
+
+        lo = np.zeros(phi.size, dtype=np.intp)
+        step = self._top_step
+        while step:
+            cand = lo + step
+            lo = np.where(cdf(cand) <= target, cand, lo)
+            step >>= 1
+        lo = np.minimum(lo, self.xgrid.size - 2)
+        return lo, cdf(lo), cdf(lo + 1)
+
+    def _lookup(self, phi: float, target: np.ndarray):
+        """As _search, for targets that all share the phase phi."""
+        cdf = self.table[: self.xgrid.size] @ self._weights(np.array([float(phi)]))[0]
+        lo = np.minimum(np.searchsorted(cdf, target, side="right") - 1, self.xgrid.size - 2)
+        return lo, cdf[lo], cdf[lo + 1]
 
     def sample(self, phi: np.ndarray, u: np.ndarray) -> np.ndarray:
+        """Outcomes x at phases phi for uniform deviates u in [0, 1)."""
         target = u * self.mass
         if not self.phase_dependent:
-            return np.interp(target, self.cdfs[0].real, self.xgrid)
-        weights = np.exp(1j * np.outer(self.offsets, phi))
-        weights[1:] *= 2.0
-        lo = np.zeros(phi.size, dtype=np.intp)
-        hi = np.full(phi.size, self.xgrid.size - 1, dtype=np.intp)
-        while int((hi - lo).max()) > 1:
-            mid = (lo + hi) // 2
-            below = self._cdf_at(mid, weights) <= target
-            lo = np.where(below, mid, lo)
-            hi = np.where(below, hi, mid)
-        flo = self._cdf_at(lo, weights)
-        fhi = self._cdf_at(hi, weights)
-        t = np.clip((target - flo) / np.maximum(fhi - flo, 1e-300), 0.0, 1.0)
-        return self.xgrid[lo] + t * (self.xgrid[hi] - self.xgrid[lo])
+            return np.interp(target, self.table[: self.xgrid.size, 0], self.xgrid)
+        # Slices small enough that the gathered rows and weights stay in cache.
+        x = np.empty(target.size)
+        for start in range(0, target.size, SEARCH_SLICE):
+            part = slice(start, start + SEARCH_SLICE)
+            x[part] = self._interpolate(target[part], *self._search(phi[part], target[part]))
+        return x
+
+    def sample_fixed_phase(self, phi: float, u: np.ndarray) -> np.ndarray:
+        """Outcomes x at the single phase phi for uniform deviates u in [0, 1)."""
+        target = u * self.mass
+        if not self.phase_dependent:
+            return np.interp(target, self.table[: self.xgrid.size, 0], self.xgrid)
+        return self._interpolate(target, *self._lookup(phi, target))
 
 
 def _coherent_mean(beta: complex, phi: np.ndarray) -> np.ndarray:
@@ -218,7 +272,7 @@ def sample_fixed_phase(
             mu = (state.beta * np.exp(-1j * phi)).real
             x = mu + rng.normal(0.0, 0.5, count)
         else:
-            x = sampler.sample(np.full(count, float(phi)), rng.random(count))
+            x = sampler.sample_fixed_phase(phi, rng.random(count))
         if eta < 1.0:
             x = x + rng.normal(0.0, math.sqrt(smearing_variance(eta)), count)
         out[start : start + count] = x

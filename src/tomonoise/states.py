@@ -15,7 +15,6 @@ from dataclasses import dataclass
 from typing import Union
 
 import numpy as np
-from scipy.special import gammainc, gammaln
 
 from .errors import NumericRangeError, ValidationError
 
@@ -211,6 +210,8 @@ def photon_distribution(state: StateSpec, dim: int) -> tuple[np.ndarray, float]:
             tail = 1.0
         return probs, tail
     if isinstance(state, Coherent):
+        from scipy.special import gammainc, gammaln  # deferred: costs ~0.3 s of start-up
+
         lam = abs(state.beta) ** 2
         if lam == 0.0:
             probs = np.zeros(dim)
@@ -267,6 +268,8 @@ def _ideal_pdf(state: StateSpec, phi: float, x: np.ndarray) -> np.ndarray:
         psi = hermite_functions(state.n, x)
         return psi[state.n] ** 2
     if isinstance(state, Coherent):
+        from scipy.special import gammaln  # deferred: costs ~0.3 s of start-up
+
         b = state.beta
         lam = abs(b) ** 2
         n = np.arange(dim)

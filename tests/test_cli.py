@@ -1,8 +1,13 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import tomonoise
 from tomonoise.cli import main
 
 
@@ -140,6 +145,14 @@ class TestErrorsAndExitCodes:
                      "--seed", "1", "--out", "/nonexistent/dir/x.csv"])
         assert code == 5
 
+    @pytest.mark.parametrize("seed, code", [(-1, 2), (0, 0), (2**64 - 1, 0), (2**64, 2)])
+    def test_seed_range(self, tmp_path, capsys, seed, code):
+        assert main(["simulate", "--state", '{"type":"fock","n":1}', "--n", "10",
+                     "--seed", str(seed), "--out", str(tmp_path / "x.csv")]) == code
+        if code:
+            lines = capsys.readouterr().err.strip().splitlines()
+            assert len(lines) == 1 and json.loads(lines[0])["error"] == "config"
+
     def test_missing_out_is_config_error(self, coherent_state_file):
         assert main(["simulate", "--state-file", coherent_state_file, "--n", "10",
                      "--seed", "1"]) == 2
@@ -159,3 +172,21 @@ class TestConfigFile:
         assert resolved["eta"] == 0.9
         meta, rows = read_result_rows(out)
         assert "# eta=0.9" in meta and len(rows) == 500
+
+
+def test_cli_start_up_leaves_scipy_out(tmp_path):
+    # scipy.special costs about 0.3 s of start-up; only the coherent photon-number and
+    # density formulas need it, and they import it when called. Coherent comparisons
+    # do not reach them.
+    env = dict(os.environ, PYTHONPATH=str(Path(tomonoise.__file__).parents[1]))
+    code = (
+        "import sys, tomonoise.cli\n"
+        "assert 'scipy' not in sys.modules, 'import'\n"
+        "for obs in ('intensity', 'real_field', 'complex_amplitude', 'phase'):\n"
+        "    assert tomonoise.cli.main(['compare', '--state', '{\"type\":\"coherent\",\"beta\":[1,0]}',\n"
+        "        '--observable', obs, '--n', '100', '--seed', '1', '--out', sys.argv[1]]) == 0\n"
+        "    assert 'scipy' not in sys.modules, obs\n"
+    )
+    run = subprocess.run([sys.executable, "-c", code, str(tmp_path / "c.json")], env=env,
+                         capture_output=True, text=True)
+    assert run.returncode == 0, run.stderr

@@ -1,0 +1,180 @@
+"""The coherence-bearing grid sampler against the complex bisection it replaced.
+
+BisectionSampler is the earlier QuadratureGridSampler for states with
+coherences, its arithmetic unchanged; its weights and its bisection loop sit
+in methods of their own so tests can read the bracketing node. The table search must pick the same bracket wherever the CDF is
+strictly increasing and land within 1e-9 of the bisection everywhere.
+"""
+
+import math
+
+import numpy as np
+import pytest
+from hypothesis import assume, given
+from hypothesis import strategies as st
+from scipy.integrate import cumulative_trapezoid
+from scipy.stats import kstest
+
+from conftest import small_density_matrices
+from tomonoise import Mixed, normal_moment, quadrature_pdf, sample_fixed_phase, sample_homodyne
+from tomonoise.homodyne import GRID_NODES, QuadratureGridSampler
+from tomonoise.kernels import kernel_monomial
+from tomonoise.states import hermite_functions, state_dim
+
+X_TOL = 1e-9
+
+
+class BisectionSampler:
+    """Reference: per-sample bisection over complex band CDFs, combined by einsum."""
+
+    def __init__(self, state, halfwidth=None, nodes=GRID_NODES):
+        dim = state_dim(state)
+        self.halfwidth = float(halfwidth) if halfwidth is not None else 3.0 + 2.0 * math.sqrt(dim)
+        self.xgrid = np.linspace(-self.halfwidth, self.halfwidth, nodes)
+        dx = self.xgrid[1] - self.xgrid[0]
+        psi = hermite_functions(dim - 1, self.xgrid)
+        rho = state.rho
+        offsets = [
+            d for d in range(dim) if np.max(np.abs(np.diagonal(rho, offset=d))) > 0.0
+        ]
+        cdfs = []
+        for d in offsets:
+            band = np.diagonal(rho, offset=d)
+            g = np.einsum("n,nx,nx->x", band, psi[: dim - d], psi[d:dim])
+            cdf = np.concatenate(([0.0], np.cumsum(0.5 * (g[1:] + g[:-1]) * dx)))
+            cdfs.append(cdf)
+        self.offsets = np.array(offsets)
+        self.cdfs = np.stack(cdfs)
+        self.mass = float(self.cdfs[0][-1].real)
+
+    def _cdf_at(self, idx, weights):
+        gathered = self.cdfs[:, idx]
+        return np.einsum("ds,ds->s", weights, gathered).real
+
+    def _weights(self, phi):
+        weights = np.exp(1j * np.outer(self.offsets, phi))
+        weights[1:] *= 2.0
+        return weights
+
+    def bracket(self, phi, target):
+        weights = self._weights(phi)
+        lo = np.zeros(phi.size, dtype=np.intp)
+        hi = np.full(phi.size, self.xgrid.size - 1, dtype=np.intp)
+        while int((hi - lo).max()) > 1:
+            mid = (lo + hi) // 2
+            below = self._cdf_at(mid, weights) <= target
+            lo = np.where(below, mid, lo)
+            hi = np.where(below, hi, mid)
+        return lo, hi
+
+    def sample(self, phi, u):
+        target = u * self.mass
+        weights = self._weights(phi)
+        lo, hi = self.bracket(phi, target)
+        flo = self._cdf_at(lo, weights)
+        fhi = self._cdf_at(hi, weights)
+        t = np.clip((target - flo) / np.maximum(fhi - flo, 1e-300), 0.0, 1.0)
+        return self.xgrid[lo] + t * (self.xgrid[hi] - self.xgrid[lo])
+
+
+def assert_matches_bisection(state, phi, u, nodes=GRID_NODES, fixed=None):
+    """Compare brackets and outcomes; `fixed` is a shared phase for the fixed-phase path.
+
+    Returns the fraction of samples whose bracket lies where the CDF rises strictly.
+    """
+    new = QuadratureGridSampler(state, nodes=nodes)
+    ref = BisectionSampler(state, nodes=nodes)
+    assert new.phase_dependent
+    target = u * new.mass
+    if fixed is None:
+        lo_new = new._search(phi, target)[0]
+        x_new = new.sample(phi, u)
+    else:
+        phi = np.full(u.size, fixed)
+        lo_new = new._lookup(fixed, target)[0]
+        x_new = new.sample_fixed_phase(fixed, u)
+    lo_ref, hi_ref = ref.bracket(phi, target)
+    assert np.array_equal(hi_ref, lo_ref + 1)
+    # strictly increasing CDF over the nodes around the reference bracket
+    weights = ref._weights(phi)
+    around = [ref._cdf_at(np.clip(lo_ref + k, 0, nodes - 1), weights) for k in (-1, 0, 1, 2)]
+    rising = np.all(np.diff(around, axis=0) > 0.0, axis=0)
+    np.testing.assert_array_equal(lo_new[rising], lo_ref[rising])
+    np.testing.assert_allclose(x_new, ref.sample(phi, u), rtol=0.0, atol=X_TOL)
+    return rising.mean()
+
+
+def mixed6(seed):
+    """A dim-6 pure state mixed with the identity: every band of rho is non-zero."""
+    rng = np.random.default_rng(seed)
+    v = rng.normal(size=6) + 1j * rng.normal(size=6)
+    v /= np.linalg.norm(v)
+    p = rng.uniform(0.2, 0.4)
+    return Mixed((1.0 - p) * np.outer(v, v.conj()) + p * np.eye(6) / 6.0)
+
+
+def deviates(seed, n):
+    rng = np.random.default_rng(seed)
+    return rng.uniform(0.0, math.pi, n), rng.random(n)
+
+
+class TestAgainstBisection:
+    @given(small_density_matrices(), st.integers(0, 2**31 - 1))
+    def test_random_states_with_coherences(self, rho, seed):
+        assume(np.max(np.abs(np.triu(rho, 1))) > 1e-6)
+        assert assert_matches_bisection(Mixed(rho), *deviates(seed, 4096)) > 0.99
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_dim6_family(self, seed):
+        assert assert_matches_bisection(mixed6(seed), *deviates(seed, 1 << 17)) > 0.99
+
+    @pytest.mark.parametrize("nodes", [3000, 4097])
+    def test_grid_size_not_a_power_of_two(self, nodes):
+        assert assert_matches_bisection(mixed6(4), *deviates(nodes, 1 << 15), nodes=nodes) > 0.99
+
+    @pytest.mark.parametrize("phi", [0.0, 1.1, np.nextafter(math.pi, 0.0)])
+    def test_fixed_phase(self, phi):
+        _, u = deviates(5, 1 << 16)
+        assert assert_matches_bisection(mixed6(5), None, u, fixed=phi) > 0.99
+
+    def test_extreme_deviates(self):
+        u = np.array([0.0, 1e-300, 1e-12, 0.5, 1.0 - 1e-6])
+        phi = np.linspace(0.0, 3.0, u.size)
+        assert_matches_bisection(mixed6(6), phi, u)
+        # Near u = 1 the density is so small that a last-bit change of the CDF moves x by
+        # more than 1e-9 (by 7e-6 at 1 - 1e-12), and above that the CDF is flat to
+        # rounding; the outcome must still rise with u and stay on the grid.
+        sampler = QuadratureGridSampler(mixed6(6))
+        tops = [sampler.sample(phi, np.full(u.size, v)) for v in (1 - 1e-6, 1 - 1e-12, 1 - 2**-53)]
+        assert np.all(np.diff(tops, axis=0) >= 0.0)
+        assert np.all(tops[-1] <= sampler.xgrid[-1])
+
+
+class TestEveryBand:
+    """A dim-6 state with all five off-diagonal bands non-zero, at n = 4e5."""
+
+    state = mixed6(7)
+
+    def test_bands_all_present(self):
+        assert QuadratureGridSampler(self.state).bands == [1, 2, 3, 4, 5]
+
+    @pytest.fixture(scope="class")
+    def dataset(self):
+        return sample_homodyne(self.state, 1.0, 400_000, 31)
+
+    @pytest.mark.parametrize(
+        "n, m", [(n, m) for n in range(6) for m in range(6) if 0 < n + m <= 5]
+    )
+    def test_monomial_means(self, dataset, n, m):
+        vals = kernel_monomial(n, m, 1.0, dataset.x, dataset.phi)
+        exact = normal_moment(self.state, n, m)
+        for part, target in ((vals.real, exact.real), (vals.imag, exact.imag)):
+            stderr = part.std() / math.sqrt(part.size)
+            assert abs(part.mean() - target) < 4.0 * stderr + 1e-12
+
+    @pytest.mark.parametrize("phi", [0.0, 1.1, 2.6])
+    def test_fixed_phase_ks(self, phi):
+        xs = sample_fixed_phase(self.state, 1.0, 200_000, 32, phi=phi)
+        grid = np.linspace(-10.0, 10.0, 40_001)
+        cdf = cumulative_trapezoid(quadrature_pdf(self.state, phi, 1.0, grid), grid, initial=0.0)
+        assert kstest(xs, lambda x: np.interp(x, grid, cdf)).pvalue > 1e-3

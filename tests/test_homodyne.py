@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -153,3 +154,47 @@ class TestIo:
         back = load_dataset_json(path)
         assert np.array_equal(back.x, ds.x) and np.array_equal(back.phi, ds.phi)
         assert back.eta == ds.eta
+
+
+def sha256(*arrays):
+    digest = hashlib.sha256()
+    for a in arrays:
+        digest.update(np.ascontiguousarray(a, dtype="<f8").tobytes())
+    return digest.hexdigest()
+
+
+class TestPinnedBytes:
+    """Phase-independent and closed-form paths keep the bytes recorded before the table search.
+
+    These are the inputs of the Fock dataset runs and the coherent comparisons.
+    Hashes were recorded with numpy 2.4 on x86-64.
+    """
+
+    N = BLOCK_SIZE + 123
+
+    @pytest.mark.parametrize(
+        "state, digest",
+        [
+            (Fock(3), "01c789d5ab2d914b05deeac16fbb43430bf44d5a8bd09cd7805f56847e4ac44f"),
+            (
+                Mixed(np.diag([0.5, 0.3, 0.2])),
+                "855dd1f07268179df7d14c7184be7223149f3a8d808abcdb121a4432f651cecd",
+            ),
+            (Coherent(1.5 + 0.5j), "4215278172de7a458051b710bfac04455d3128161f890fe5df6dcafd79aeacc9"),
+        ],
+        ids=["fock3", "diagonal", "coherent"],
+    )
+    def test_sample_homodyne(self, state, digest):
+        ds = sample_homodyne(state, 0.8, self.N, 17)
+        assert sha256(ds.x, ds.phi) == digest
+
+    @pytest.mark.parametrize(
+        "state, digest",
+        [
+            (Fock(3), "a80ffab7c8e59a53076ceba1d8b18c2547afca43b0d7848a9771f4791679ff0e"),
+            (Coherent(1.5 + 0.5j), "c37d211c0f009456f551626570c658c269ae362e86e8c69a62e46fe00b6c971f"),
+        ],
+        ids=["fock3", "coherent"],
+    )
+    def test_sample_fixed_phase(self, state, digest):
+        assert sha256(sample_fixed_phase(state, 0.8, self.N, 17, phi=0.7)) == digest
