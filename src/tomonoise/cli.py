@@ -6,8 +6,9 @@ timestamp, lives there and never in result files. Values from --config win
 over conflicting command-line flags, with a warning on stderr.
 
 Exit codes: 0 success, 2 config error, 3 capability error, 4 numeric-range
-error, 5 I/O error. TOMONOISE_MAX_WORKERS caps worker threads (recorded in the
-resolved config; all current code paths are single-threaded).
+error, 5 I/O error. Sample blocks are generated on as many threads as the
+process has CPUs; TOMONOISE_MAX_WORKERS (a positive integer) lowers that count,
+and the count used is recorded in the resolved config as max_workers.
 """
 
 from __future__ import annotations
@@ -15,7 +16,6 @@ from __future__ import annotations
 import argparse
 import datetime
 import json
-import os
 import sys
 from dataclasses import asdict, dataclass
 from pathlib import Path
@@ -33,6 +33,7 @@ from .homodyne import (
     sample_homodyne,
     save_dataset_csv,
     save_dataset_json,
+    worker_count,
 )
 from .kernels import ComplexAmplitude, observable_from_json, observable_to_json
 from .noise import empirical_comparison, sweep, write_sweep_csv
@@ -170,8 +171,7 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
     cfg.nbar_grid = (
         _parse_grid(merged["nbar_grid"]) if merged.get("nbar_grid") else DEFAULTS["nbar_grid"]
     )
-    env_workers = os.environ.get("TOMONOISE_MAX_WORKERS")
-    cfg.max_workers = int(env_workers) if env_workers else None
+    cfg.max_workers = worker_count()
     if not cfg.out:
         raise ValidationError("an output path is required (--out)")
     return cfg

@@ -9,16 +9,17 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
 from .errors import CapabilityError, ValidationError
+from .estimators import StreamingMoments, accumulate
 from .homodyne import (
-    BLOCK_SIZE,
     PURPOSE_HETERODYNE,
     PURPOSE_PHOTOCOUNT,
     block_generator,
+    run_blocks,
+    write_csv,
 )
 from .states import (
     Coherent,
@@ -83,8 +84,8 @@ def simulate_photocount(state: StateSpec, eta: float, n: int, seed: int) -> Phot
         probs, _ = photon_distribution(state, state_dim(state))
         cdf = np.cumsum(probs / probs.sum())
     counts = np.empty(n, dtype=np.int64)
-    for block, start in enumerate(range(0, n, BLOCK_SIZE)):
-        k = min(BLOCK_SIZE, n - start)
+
+    def fill(block, start, k):
         rng = block_generator(seed, PURPOSE_PHOTOCOUNT, block)
         if isinstance(state, Coherent):
             true = rng.poisson(abs(state.beta) ** 2, k)
@@ -93,6 +94,8 @@ def simulate_photocount(state: StateSpec, eta: float, n: int, seed: int) -> Phot
         else:
             true = np.searchsorted(cdf, rng.random(k)).astype(np.int64)
         counts[start : start + k] = true if eta == 1.0 else rng.binomial(true, eta)
+
+    run_blocks(n, fill)
     return PhotocountRecord(counts, eta, int(seed), state_tag(state))
 
 
@@ -133,12 +136,14 @@ def simulate_heterodyne(state: StateSpec, eta: float, n: int, seed: int) -> Hete
     n = int(n)
     sigma = math.sqrt(1.0 / (2.0 * eta))
     alphas = np.empty(n, dtype=complex)
-    for block, start in enumerate(range(0, n, BLOCK_SIZE)):
-        k = min(BLOCK_SIZE, n - start)
+
+    def fill(block, start, k):
         rng = block_generator(seed, PURPOSE_HETERODYNE, block)
         alphas[start : start + k] = (
             state.beta + rng.normal(0.0, sigma, k) + 1j * rng.normal(0.0, sigma, k)
         )
+
+    run_blocks(n, fill)
     return HeterodyneRecord(alphas, eta, int(seed), state_tag(state))
 
 
@@ -160,27 +165,15 @@ def heterodyne_phase_variance(record: HeterodyneRecord) -> float:
     """Population variance of arg(alpha) over a heterodyne record."""
     if record.n < 1:
         raise ValidationError("empty heterodyne record")
-    w = np.angle(record.alphas)
-    return float(np.mean(w * w) - np.mean(w) ** 2)
-
-
-_META_KEYS = ("state", "eta", "seed", "n")
-
-
-def _write_record(path, tag: str, eta: float, seed: int, header: str, rows: np.ndarray, fmt: str):
-    path = Path(path)
-    with path.open("w") as fh:
-        fh.write(f"# state={tag}\n# eta={eta!r}\n# seed={seed}\n# n={rows.shape[0]}\n")
-        fh.write(header + "\n")
-        np.savetxt(fh, rows, fmt=fmt, delimiter=",")
+    acc = StreamingMoments()
+    accumulate(acc.update, record.n, lambda sl: np.angle(record.alphas[sl]))
+    return acc.population_variance
 
 
 def save_photocount_csv(record: PhotocountRecord, path) -> None:
-    _write_record(
-        path, record.state_tag, record.eta, record.seed, "m", record.counts[:, None], "%d"
-    )
+    write_csv(path, record.state_tag, record.eta, record.seed, "m", [record.counts], "%d")
 
 
 def save_heterodyne_csv(record: HeterodyneRecord, path) -> None:
-    rows = np.column_stack([record.alphas.real, record.alphas.imag])
-    _write_record(path, record.state_tag, record.eta, record.seed, "re,im", rows, "%.17g")
+    columns = [record.alphas.real, record.alphas.imag]
+    write_csv(path, record.state_tag, record.eta, record.seed, "re,im", columns, "%.17g")

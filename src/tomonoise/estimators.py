@@ -38,10 +38,8 @@ class StreamingMoments:
         values = np.asarray(values, dtype=float)
         if values.size == 0:
             return
-        part = StreamingMoments(
-            values.size, float(values.mean()), float(((values - values.mean()) ** 2).sum())
-        )
-        self.merge(part)
+        mean = values.mean()
+        self.merge(StreamingMoments(values.size, float(mean), float(((values - mean) ** 2).sum())))
 
     def merge(self, other: "StreamingMoments") -> "StreamingMoments":
         if other.count == 0:
@@ -147,15 +145,22 @@ def estimate_from_json(obj) -> Estimate:
     return Estimate(float(obj["value"]), float(obj["stderr"]), int(obj["n"]))
 
 
-def _real_kernel_chunks(data: Dataset, obs: Observable):
+def accumulate(update, n: int, values) -> None:
+    """Call update(values(sl)) for each CHUNK-long slice sl of range(n), in order.
+
+    No temporary grows beyond one chunk, and chunks are visited in order, so
+    moments merged from them are reproducible to the bit.
+    """
+    for start in range(0, n, CHUNK):
+        update(values(slice(start, start + CHUNK)))
+
+
+def _real_kernel(data: Dataset, obs: Observable):
     if not is_real_observable(obs):
         raise TypeError(
             f"observable {obs!r} has a complex-valued kernel; use estimate_complex"
         )
-    for start in range(0, data.n, CHUNK):
-        sl = slice(start, start + CHUNK)
-        vals = kernel_observable(obs, data.eta, data.x[sl], data.phi[sl])
-        yield np.asarray(vals).real
+    return lambda sl: np.asarray(kernel_observable(obs, data.eta, data.x[sl], data.phi[sl])).real
 
 
 def estimate_mean(data: Dataset, obs: Observable) -> Estimate:
@@ -163,8 +168,7 @@ def estimate_mean(data: Dataset, obs: Observable) -> Estimate:
     if data.n < 1:
         raise ValidationError("cannot estimate from an empty dataset")
     acc = StreamingMoments()
-    for vals in _real_kernel_chunks(data, obs):
-        acc.update(vals)
+    accumulate(acc.update, data.n, _real_kernel(data, obs))
     return Estimate(acc.mean, acc.stderr, acc.count)
 
 
@@ -178,9 +182,11 @@ def estimate_complex(data: Dataset) -> ComplexEstimate:
     if data.n < 1:
         raise ValidationError("cannot estimate from an empty dataset")
     acc = ComplexStreamingMoments()
-    for start in range(0, data.n, CHUNK):
-        sl = slice(start, start + CHUNK)
-        acc.update(kernel_observable(ComplexAmplitude(), data.eta, data.x[sl], data.phi[sl]))
+    accumulate(
+        acc.update,
+        data.n,
+        lambda sl: kernel_observable(ComplexAmplitude(), data.eta, data.x[sl], data.phi[sl]),
+    )
     plus, minus = acc.covariance_eigenvalues
     return ComplexEstimate(acc.mean, plus, minus, acc.count)
 
@@ -190,8 +196,7 @@ def empirical_kernel_variance(data: Dataset, obs: Observable) -> float:
     if data.n < 1:
         raise ValidationError("cannot estimate from an empty dataset")
     acc = StreamingMoments()
-    for vals in _real_kernel_chunks(data, obs):
-        acc.update(vals)
+    accumulate(acc.update, data.n, _real_kernel(data, obs))
     return acc.population_variance
 
 
@@ -223,8 +228,9 @@ def phase_kernel_distribution(data: Dataset, bins: int) -> PhaseHistogram:
         raise ValidationError(f"need at least 8 bins, got {bins}")
     counts = np.zeros(int(bins))
     edges = np.linspace(-math.pi, math.pi, int(bins) + 1)
-    for start in range(0, data.n, CHUNK):
-        sl = slice(start, start + CHUNK)
-        w = kernel_observable(Phase(), data.eta, data.x[sl], data.phi[sl])
-        counts += np.histogram(w, bins=edges)[0]
+    accumulate(
+        lambda w: np.add(counts, np.histogram(w, bins=edges)[0], out=counts),
+        data.n,
+        lambda sl: kernel_observable(Phase(), data.eta, data.x[sl], data.phi[sl]),
+    )
     return PhaseHistogram(counts / data.n, edges)

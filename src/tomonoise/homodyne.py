@@ -3,15 +3,17 @@
 Sampling model: phi ~ Uniform[0, pi), then x from the ideal (eta = 1)
 quadrature density at that phase, then additive Gaussian noise of variance
 (1 - eta)/(4 eta) when eta < 1. Streams come from counter-based Philox
-generators keyed by (seed, purpose, block index), so generation over disjoint
-sample blocks can run in any order (or in parallel) and still concatenate to
-the single-threaded sequence.
+generators keyed by (seed, purpose, block index), and every generator fills
+its output block by block through `run_blocks`. Blocks run on a small thread
+pool (numpy's generators and ufuncs release the interpreter lock), each block
+writes only its own slice, so the output is the same for any thread count.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import os
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -34,6 +36,9 @@ BLOCK_SIZE = 1 << 16
 GRID_NODES = 4096
 GRID_MASS_TOL = 1e-6
 SEARCH_SLICE = 1 << 13
+# Rows formatted per write: 4096 rows keep their strings in cache and their
+# temporaries near 0.7 MB (65536-row slices were slower and held 10 MB).
+CSV_ROWS = 1 << 12
 
 # Purpose ids keep streams for different simulators independent at equal seeds.
 PURPOSE_HOMODYNE = 1
@@ -48,6 +53,46 @@ def block_generator(seed: int, purpose: int, block: int) -> np.random.Generator:
         raise ValidationError(f"seed must lie in [0, 2**64), got {seed}")
     key = np.array([np.uint64(seed), np.uint64((purpose << 48) | block)], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
+
+
+def worker_count() -> int:
+    """Threads for block generation: the CPUs this process may use, at most TOMONOISE_MAX_WORKERS."""
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    text = os.environ.get("TOMONOISE_MAX_WORKERS", "").strip()
+    if not text:
+        return cpus
+    error = ValidationError(f"TOMONOISE_MAX_WORKERS must be a positive integer, got {text!r}")
+    try:
+        workers = int(text)
+    except ValueError:
+        raise error from None
+    if workers < 1:
+        raise error
+    return min(workers, cpus)
+
+
+def run_blocks(n: int, fill) -> None:
+    """Call fill(block, start, count) once for every BLOCK_SIZE block of range(n).
+
+    Blocks run on up to worker_count() threads, in no fixed order, so fill must
+    draw only from its block's own generator and write only its own slice.
+    One worker or one block runs plain serial.
+    """
+    starts = range(0, n, BLOCK_SIZE)
+
+    def one(block: int) -> None:
+        fill(block, starts[block], min(BLOCK_SIZE, n - starts[block]))
+
+    workers = min(worker_count(), len(starts))
+    if workers <= 1:
+        for block in range(len(starts)):
+            one(block)
+        return
+    from concurrent.futures import ThreadPoolExecutor  # kept out of start-up
+
+    with ThreadPoolExecutor(workers) as pool:
+        for _ in pool.map(one, range(len(starts))):
+            pass  # reading every result re-raises an exception from its block
 
 
 @dataclass(frozen=True)
@@ -72,7 +117,10 @@ class Dataset:
         if self.x.ndim != 1 or self.x.shape != self.phi.shape or self.x.size < 1:
             raise ValidationError("dataset needs matching 1-D x and phi arrays with n >= 1")
         _check_eta(self.eta)
-        if self.phi.min() < 0.0 or self.phi.max() >= math.pi:
+        # min and max propagate NaN, so these two checks reject every non-finite value.
+        if not (np.isfinite(self.x.min()) and np.isfinite(self.x.max())):
+            raise ValidationError("outcomes x must be finite")
+        if not (0.0 <= self.phi.min() and self.phi.max() < math.pi):
             raise ValidationError("phases must lie in [0, pi)")
 
     @property
@@ -246,11 +294,12 @@ def sample_homodyne(state: StateSpec, eta: float, n: int, seed: int) -> Dataset:
     sampler = None if isinstance(state, Coherent) else QuadratureGridSampler(state)
     xs = np.empty(n)
     phis = np.empty(n)
-    for block, start in enumerate(range(0, n, BLOCK_SIZE)):
-        count = min(BLOCK_SIZE, n - start)
-        x, phi = _sample_block(state, eta, seed, block, count, sampler)
-        xs[start : start + count] = x
-        phis[start : start + count] = phi
+
+    def fill(block, start, count):
+        sl = slice(start, start + count)
+        xs[sl], phis[sl] = _sample_block(state, eta, seed, block, count, sampler)
+
+    run_blocks(n, fill)
     return Dataset(xs, phis, eta, state_tag(state), int(seed))
 
 
@@ -265,8 +314,8 @@ def sample_fixed_phase(
     n = int(n)
     sampler = None if isinstance(state, Coherent) else QuadratureGridSampler(state)
     out = np.empty(n)
-    for block, start in enumerate(range(0, n, BLOCK_SIZE)):
-        count = min(BLOCK_SIZE, n - start)
+
+    def fill(block, start, count):
         rng = block_generator(seed, PURPOSE_FIXED_PHASE, block)
         if isinstance(state, Coherent):
             mu = (state.beta * np.exp(-1j * phi)).real
@@ -276,45 +325,52 @@ def sample_fixed_phase(
         if eta < 1.0:
             x = x + rng.normal(0.0, math.sqrt(smearing_variance(eta)), count)
         out[start : start + count] = x
+
+    run_blocks(n, fill)
     return out
+
+
+def write_csv(path, tag: str, eta: float, seed: int, header: str, columns, fmt: str) -> None:
+    """`# key=value` metadata lines, a header line, then one row per sample.
+
+    A row is fmt for each column, comma-joined, applied to Python floats or
+    ints; that gives the bytes np.savetxt writes for the same fmt.
+    """
+    row = ",".join([fmt] * len(columns)) + "\n"
+    n = columns[0].size
+    with Path(path).open("w") as fh:
+        fh.write(f"# state={tag}\n# eta={eta!r}\n# seed={seed}\n# n={n}\n{header}\n")
+        for start in range(0, n, CSV_ROWS):
+            part = (column[start : start + CSV_ROWS].tolist() for column in columns)
+            fh.write("".join(map(row.__mod__, zip(*part))))
 
 
 def save_dataset_csv(dataset: Dataset, path) -> None:
     """CSV with `# key=value` metadata lines, an `x,phi` header, then one row per sample."""
-    path = Path(path)
-    with path.open("w") as fh:
-        fh.write(f"# state={dataset.state_tag}\n")
-        fh.write(f"# eta={dataset.eta!r}\n")
-        fh.write(f"# seed={dataset.seed}\n")
-        fh.write(f"# n={dataset.n}\n")
-        fh.write("x,phi\n")
-        np.savetxt(fh, np.column_stack([dataset.x, dataset.phi]), fmt="%.17g", delimiter=",")
+    columns = [dataset.x, dataset.phi]
+    write_csv(path, dataset.state_tag, dataset.eta, dataset.seed, "x,phi", columns, "%.17g")
 
 
 def load_dataset_csv(path) -> Dataset:
     path = Path(path)
     meta = {}
-    with path.open() as fh:
-        pos = fh.tell()
-        line = fh.readline()
-        while line.startswith("#"):
-            key, _, value = line[1:].strip().partition("=")
-            meta[key.strip()] = value.strip()
-            pos = fh.tell()
-            line = fh.readline()
-        if line.strip() != "x,phi":
-            raise ValidationError(f"{path}: expected 'x,phi' header, got {line.strip()!r}")
-        data = np.loadtxt(fh, delimiter=",", ndmin=2)
     try:
-        return Dataset(
-            data[:, 0],
-            data[:, 1],
-            float(meta["eta"]),
-            meta.get("state", "unknown"),
-            int(meta.get("seed", 0)),
-        )
+        with path.open() as fh:
+            line = fh.readline()
+            while line.startswith("#"):
+                key, _, value = line[1:].strip().partition("=")
+                meta[key.strip()] = value.strip()
+                line = fh.readline()
+            if line.strip() != "x,phi":
+                raise ValidationError(f"{path}: expected 'x,phi' header, got {line.strip()!r}")
+            data = np.loadtxt(fh, delimiter=",", ndmin=2)
+        x, phi = data[:, 0], data[:, 1]
+        eta, seed = float(meta["eta"]), int(meta.get("seed", 0))
     except KeyError as exc:
         raise ValidationError(f"{path}: missing metadata line {exc}") from exc
+    except (ValueError, IndexError) as exc:
+        raise ValidationError(f"{path}: malformed dataset CSV: {exc}") from exc
+    return Dataset(x, phi, eta, meta.get("state", "unknown"), seed)
 
 
 def dataset_to_json(dataset: Dataset) -> dict:
@@ -328,15 +384,15 @@ def dataset_to_json(dataset: Dataset) -> dict:
 
 
 def dataset_from_json(obj) -> Dataset:
-    if isinstance(obj, str):
-        obj = json.loads(obj)
     try:
+        if isinstance(obj, str):
+            obj = json.loads(obj)
         samples = np.asarray(obj["samples"], dtype=float)
-        return Dataset(
-            samples[:, 0], samples[:, 1], float(obj["eta"]), obj["state_tag"], int(obj["seed"])
-        )
-    except (KeyError, IndexError, TypeError) as exc:
+        x, phi = samples[:, 0], samples[:, 1]
+        eta, tag, seed = float(obj["eta"]), obj["state_tag"], int(obj["seed"])
+    except (KeyError, IndexError, TypeError, ValueError) as exc:
         raise ValidationError(f"malformed dataset JSON: {exc}") from exc
+    return Dataset(x, phi, eta, tag, seed)
 
 
 def save_dataset_json(dataset: Dataset, path) -> None:
@@ -344,4 +400,4 @@ def save_dataset_json(dataset: Dataset, path) -> None:
 
 
 def load_dataset_json(path) -> Dataset:
-    return dataset_from_json(json.loads(Path(path).read_text()))
+    return dataset_from_json(Path(path).read_text())

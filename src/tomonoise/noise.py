@@ -28,6 +28,7 @@ from .errors import CapabilityError, NumericRangeError, ValidationError
 from .estimators import (
     ComplexStreamingMoments,
     StreamingMoments,
+    accumulate,
     empirical_kernel_variance,
     estimate_complex,
 )
@@ -207,18 +208,19 @@ def _empirical_tomographic_variance(obs, data) -> float:
 
 def _empirical_direct_variance(obs, state, eta, n, seed) -> float:
     if isinstance(obs, Intensity):
-        rec = simulate_photocount(state, eta, n, seed)
+        counts = simulate_photocount(state, eta, n, seed).counts
         acc = StreamingMoments()
-        acc.update(rec.counts / eta)
+        accumulate(acc.update, counts.size, lambda sl: counts[sl] / eta)
         return acc.population_variance
     if isinstance(obs, RealField):
+        x = sample_fixed_phase(state, eta, n, seed)
         acc = StreamingMoments()
-        acc.update(sample_fixed_phase(state, eta, n, seed))
+        accumulate(acc.update, x.size, lambda sl: x[sl])
         return acc.population_variance
     rec = simulate_heterodyne(state, eta, n, seed)
     if isinstance(obs, ComplexAmplitude):
         acc = ComplexStreamingMoments()
-        acc.update(rec.alphas)
+        accumulate(acc.update, rec.n, lambda sl: rec.alphas[sl])
         plus, minus = acc.covariance_eigenvalues
         return 0.5 * (plus + minus)
     if isinstance(obs, Phase):
@@ -235,8 +237,8 @@ def empirical_comparison(
     purposes). Complex-amplitude and phase comparisons need a coherent state
     because the direct side is heterodyne.
     """
-    data = sample_homodyne(state, eta, n, seed)
-    tomo = _empirical_tomographic_variance(obs, data)
+    # The homodyne record is freed here, before the direct side draws its own.
+    tomo = _empirical_tomographic_variance(obs, sample_homodyne(state, eta, n, seed))
     direct = _empirical_direct_variance(obs, state, eta, n, seed)
     lin, db = _ratios(tomo, direct)
     return NoiseComparison(

@@ -153,6 +153,39 @@ class TestErrorsAndExitCodes:
             lines = capsys.readouterr().err.strip().splitlines()
             assert len(lines) == 1 and json.loads(lines[0])["error"] == "config"
 
+    @pytest.mark.parametrize("workers", ["abc", "0"])
+    def test_bad_max_workers(self, tmp_path, capsys, monkeypatch, workers):
+        monkeypatch.setenv("TOMONOISE_MAX_WORKERS", workers)
+        assert main(["simulate", "--state", '{"type":"fock","n":1}', "--n", "10",
+                     "--out", str(tmp_path / "x.csv")]) == 2
+        lines = capsys.readouterr().err.strip().splitlines()
+        assert len(lines) == 1 and "TOMONOISE_MAX_WORKERS" in json.loads(lines[0])["message"]
+
+    def test_max_workers_recorded(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("TOMONOISE_MAX_WORKERS", "1")
+        out = tmp_path / "x.csv"
+        assert main(["simulate", "--state", '{"type":"fock","n":1}', "--n", "10",
+                     "--out", str(out)]) == 0
+        assert json.loads((tmp_path / "x.csv.config.json").read_text())["max_workers"] == 1
+
+    @pytest.mark.parametrize(
+        "name, text",
+        [
+            ("eta.csv", "# state=x\n# eta=abc\n# seed=1\n# n=1\nx,phi\n0.1,0.2\n"),
+            ("nan.csv", "# state=x\n# eta=0.8\n# seed=1\n# n=1\nx,phi\nnan,0.2\n"),
+            ("cut.json", '{"state_tag": "x", "eta": 0.8, "seed": 1, "samples": [[0.1, 0.2]'),
+        ],
+        ids=["csv-bad-eta", "csv-nan-row", "json-truncated"],
+    )
+    def test_bad_dataset_file(self, tmp_path, capsys, name, text):
+        data = tmp_path / name
+        data.write_text(text)
+        assert main(["estimate", "--data", str(data), "--observable", "intensity",
+                     "--out", str(tmp_path / "e.json")]) == 2
+        lines = capsys.readouterr().err.strip().splitlines()
+        assert len(lines) == 1 and json.loads(lines[0])["error"] == "config"
+        assert not (tmp_path / "e.json").exists()
+
     def test_missing_out_is_config_error(self, coherent_state_file):
         assert main(["simulate", "--state-file", coherent_state_file, "--n", "10",
                      "--seed", "1"]) == 2

@@ -20,7 +20,7 @@ from tomonoise import (
     phase_kernel_distribution,
     sample_homodyne,
 )
-from tomonoise.estimators import ComplexStreamingMoments, StreamingMoments
+from tomonoise.estimators import CHUNK, ComplexStreamingMoments, StreamingMoments, accumulate
 
 
 def phi_average(f, nodes=200):
@@ -241,3 +241,30 @@ class TestAccumulators:
         assert merged.mean == pytest.approx(seq.mean, rel=1e-12)
         assert merged.m2 == pytest.approx(seq.m2, rel=1e-12)
         assert abs(merged.c2 - seq.c2) < 1e-12 * abs(seq.c2) + 1e-12
+
+    def test_update_keeps_two_pass_chunk_moments(self, rng):
+        # the chunk formula before the mean was computed once per chunk
+        values = rng.normal(3.0, 2.0, 70_001)
+        acc = StreamingMoments()
+        acc.update(values)
+        assert acc.mean == float(values.mean())
+        assert acc.m2 == float(((values - values.mean()) ** 2).sum())
+
+    def test_accumulate_visits_chunks_in_order(self):
+        seen = []
+        accumulate(seen.append, 2 * CHUNK + 3, lambda sl: (sl.start, sl.stop))
+        assert seen == [(0, CHUNK), (CHUNK, 2 * CHUNK), (2 * CHUNK, 3 * CHUNK)]
+
+
+def test_estimates_pinned():
+    # recorded before the chunk loops moved into accumulate, with numpy 2.4 on x86-64
+    ds = sample_homodyne(Fock(3), 0.8, CHUNK + 123, 17)
+    est = estimate_mean(ds, Intensity())
+    assert (est.value.hex(), est.stderr.hex()) == ("0x1.7f95713b2976cp+1", "0x1.703aab8eb57fap-7")
+    amp = estimate_complex(ds)
+    assert [v.hex() for v in (amp.value.real, amp.value.imag, amp.noise_plus, amp.noise_minus)] == [
+        "0x1.0bd758ef1f032p-8",
+        "-0x1.1c01403ddbf7ap-6",
+        "0x1.d1005e0723402p+1",
+        "0x1.ce201fbb87026p+1",
+    ]

@@ -1,5 +1,7 @@
 import hashlib
 import math
+import os
+import sys
 
 import numpy as np
 import pytest
@@ -19,9 +21,19 @@ from tomonoise import (
     sample_homodyne,
     save_dataset_csv,
     save_dataset_json,
+    simulate_heterodyne,
+    simulate_photocount,
 )
+from tomonoise import homodyne
+from tomonoise.direct import save_heterodyne_csv, save_photocount_csv
 from tomonoise.errors import NumericRangeError
-from tomonoise.homodyne import BLOCK_SIZE, QuadratureGridSampler, _sample_block
+from tomonoise.homodyne import (
+    BLOCK_SIZE,
+    QuadratureGridSampler,
+    _sample_block,
+    run_blocks,
+    worker_count,
+)
 
 
 def plus_state():
@@ -111,6 +123,13 @@ class TestDatasetContainer:
         with pytest.raises(ValidationError):
             Dataset(np.array([0.1]), np.array([3.5]), 1.0, "x", 0)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_values(self, bad):
+        with pytest.raises(ValidationError, match="finite"):
+            Dataset(np.array([0.1, bad]), np.array([0.2, 0.3]), 1.0, "x", 0)
+        with pytest.raises(ValidationError, match="phases"):
+            Dataset(np.array([0.1, 0.2]), np.array([0.2, bad]), 1.0, "x", 0)
+
     def test_sequence_protocol(self):
         ds = sample_homodyne(Fock(0), 1.0, 10, 3)
         assert len(ds) == 10
@@ -156,17 +175,23 @@ class TestIo:
         assert back.eta == ds.eta
 
 
-def sha256(*arrays):
+def sha256(*arrays, dtype="<f8"):
     digest = hashlib.sha256()
     for a in arrays:
-        digest.update(np.ascontiguousarray(a, dtype="<f8").tobytes())
+        digest.update(np.ascontiguousarray(a, dtype=dtype).tobytes())
     return digest.hexdigest()
+
+
+def file_sha256(path):
+    return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
 class TestPinnedBytes:
     """Phase-independent and closed-form paths keep the bytes recorded before the table search.
 
     These are the inputs of the Fock dataset runs and the coherent comparisons.
+    The direct simulators and the CSV writers keep the bytes recorded before the
+    thread pool of run_blocks and the joined-row writer replaced their loops and np.savetxt.
     Hashes were recorded with numpy 2.4 on x86-64.
     """
 
@@ -198,3 +223,99 @@ class TestPinnedBytes:
     )
     def test_sample_fixed_phase(self, state, digest):
         assert sha256(sample_fixed_phase(state, 0.8, self.N, 17, phi=0.7)) == digest
+
+    @pytest.mark.parametrize(
+        "state, eta, digest",
+        [
+            (Coherent(1.5 + 0.5j), 0.8, "217170c475fab9184c6c70e8fd059504c35cd5e58765b3b14f2979da58bb9d19"),
+            (Coherent(1.5 + 0.5j), 1.0, "511e88821962fe43ebe144c4dbeefbbf2773b599c16ae5cd15d1bde697d62a45"),
+            (Fock(3), 0.8, "43f65b8c56f1338c9eec409020f5002b6bb6ac029f5656f642befba8dfe63908"),
+            (
+                Mixed(np.diag([0.5, 0.3, 0.2])),
+                0.8,
+                "e8f7613c9ed68a57e72e0d93785af4549660710533f4d06ccb839d60c3545572",
+            ),
+        ],
+        ids=["coherent", "coherent-eta1", "fock3", "diagonal"],
+    )
+    def test_simulate_photocount(self, state, eta, digest):
+        assert sha256(simulate_photocount(state, eta, self.N, 17).counts, dtype="<i8") == digest
+
+    def test_simulate_heterodyne(self):
+        alphas = simulate_heterodyne(Coherent(1.5 + 0.5j), 0.8, self.N, 17).alphas
+        digest = "334914e931d96a7fbe252aba02702c496994cd3fd8c50f56b113f1ef9862b4ad"
+        assert sha256(alphas, dtype="<c16") == digest
+
+    def test_csv_files(self, tmp_path):
+        state, path = Coherent(1.5 + 0.5j), tmp_path / "r.csv"
+        save_dataset_csv(sample_homodyne(state, 0.8, 20_000, 17), path)
+        assert file_sha256(path) == "09e69a420e0a17e0fbfdbd8101a6091b394b314d794b3e86b6aa8935eac01217"
+        save_photocount_csv(simulate_photocount(state, 0.8, 20_000, 17), path)
+        assert file_sha256(path) == "e33cf55c1f7e1c7cebf265b1b68a3692a15ade971c19e1fd44a6070679f11a70"
+        save_heterodyne_csv(simulate_heterodyne(state, 0.8, 20_000, 17), path)
+        assert file_sha256(path) == "7e21565e7b163a6c568bc366dec4a68f35dfa8062470959e53592b9f474e8dd6"
+
+
+def _generator_digests():
+    n = 3 * BLOCK_SIZE + 5
+    state = plus_state()
+    ds = sample_homodyne(state, 0.8, n, 23)
+    return [
+        sha256(ds.x, ds.phi),
+        sha256(sample_homodyne(Coherent(1.0 - 0.5j), 0.8, n, 23).x),
+        sha256(sample_fixed_phase(state, 0.8, n, 23, phi=0.4)),
+        sha256(simulate_photocount(Coherent(2.0), 0.8, n, 23).counts, dtype="<i8"),
+        sha256(simulate_heterodyne(Coherent(2.0), 0.8, n, 23).alphas, dtype="<c16"),
+    ]
+
+
+class TestRunBlocks:
+    def test_output_independent_of_worker_count(self, monkeypatch):
+        monkeypatch.setenv("TOMONOISE_MAX_WORKERS", "1")
+        serial = _generator_digests()
+        monkeypatch.setenv("TOMONOISE_MAX_WORKERS", "2")
+        assert _generator_digests() == serial
+        # More threads than cores, switching as often as the interpreter allows,
+        # so that blocks interleave however they can.
+        monkeypatch.setattr(homodyne, "worker_count", lambda: 8)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            assert _generator_digests() == serial
+        finally:
+            sys.setswitchinterval(interval)
+
+    @pytest.mark.parametrize("workers", [1, 3])
+    def test_each_block_filled_once(self, monkeypatch, workers):
+        monkeypatch.setattr(homodyne, "worker_count", lambda: workers)
+        n = 4 * BLOCK_SIZE + 7
+        calls = []
+        run_blocks(n, lambda block, start, count: calls.append((block, start, count)))
+        expected = [(b, b * BLOCK_SIZE, BLOCK_SIZE) for b in range(4)] + [(4, 4 * BLOCK_SIZE, 7)]
+        assert sorted(calls) == expected
+
+    def test_block_error_reaches_caller(self, monkeypatch):
+        monkeypatch.setattr(homodyne, "worker_count", lambda: 2)
+
+        def fill(block, start, count):
+            if block == 2:
+                raise NumericRangeError("block 2")
+
+        with pytest.raises(NumericRangeError, match="block 2"):
+            run_blocks(3 * BLOCK_SIZE, fill)
+
+    def test_worker_count(self, monkeypatch):
+        cpus = len(os.sched_getaffinity(0))
+        monkeypatch.delenv("TOMONOISE_MAX_WORKERS", raising=False)
+        assert worker_count() == cpus
+        monkeypatch.setenv("TOMONOISE_MAX_WORKERS", "1")
+        assert worker_count() == 1
+        # A huge request is capped at the CPUs the process may use; no pool is started here.
+        monkeypatch.setenv("TOMONOISE_MAX_WORKERS", str(10**9))
+        assert worker_count() == cpus
+
+    @pytest.mark.parametrize("value", ["abc", "0", "-3", "1.5"])
+    def test_worker_count_rejects(self, monkeypatch, value):
+        monkeypatch.setenv("TOMONOISE_MAX_WORKERS", value)
+        with pytest.raises(ValidationError, match="TOMONOISE_MAX_WORKERS"):
+            worker_count()

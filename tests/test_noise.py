@@ -1,4 +1,6 @@
+import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -16,9 +18,15 @@ from tomonoise import (
     analytic_comparison,
     empirical_comparison,
     noise_ratio_coherent,
+    sample_fixed_phase,
+    simulate_heterodyne,
+    simulate_photocount,
     sweep,
 )
 from tomonoise.errors import NumericRangeError, ValidationError
+from tomonoise.estimators import ComplexStreamingMoments, StreamingMoments
+from tomonoise.homodyne import BLOCK_SIZE
+from tomonoise.kernels import observable_name
 from tomonoise.noise import (
     SWEEP_COLUMNS,
     direct_variance_analytic,
@@ -200,3 +208,71 @@ class TestSweep:
     def test_phase_single_point_near_asymptote(self):
         rows = sweep([Phase()], [24.0], [1.0], "empirical", n=10**6, seed=10)
         assert rows[0].ratio_linear == pytest.approx(2 * math.pi, rel=0.05)
+
+
+class TestStreamingComparison:
+    """The comparison streams its direct side per chunk and keeps the homodyne side's bytes."""
+
+    N = BLOCK_SIZE + 123
+
+    @pytest.mark.parametrize(
+        "obs, tomo_hex",
+        [
+            (Intensity(), "0x1.4746bea83a39cp+3"),
+            (RealField(), "0x1.e2024f8c446b3p+0"),
+            (ComplexAmplitude(), "0x1.e0a26ffffcb3cp+0"),
+            (Phase(), "0x1.f2d76a5fc3deap-1"),
+        ],
+        ids=["intensity", "real_field", "complex_amplitude", "phase"],
+    )
+    def test_tomographic_variance_pinned(self, obs, tomo_hex):
+        # recorded before blocks ran on threads, with numpy 2.4 on x86-64
+        row = empirical_comparison(obs, Coherent(1.5 + 0.5j), 0.8, self.N, 17)
+        assert row.tomographic_variance == float.fromhex(tomo_hex)
+
+    def test_direct_variance_matches_whole_array_formula(self):
+        # The formulas below are the whole-array ones the chunked accumulation replaced.
+        state, eta, n, seed = Coherent(1.5 + 0.5j), 0.8, 3 * BLOCK_SIZE + 5, 29
+        ref = {}
+        acc = StreamingMoments()
+        acc.update(simulate_photocount(state, eta, n, seed).counts / eta)
+        ref["intensity"] = acc.population_variance
+        acc = StreamingMoments()
+        acc.update(sample_fixed_phase(state, eta, n, seed))
+        ref["real_field"] = acc.population_variance
+        alphas = simulate_heterodyne(state, eta, n, seed).alphas
+        acc = ComplexStreamingMoments()
+        acc.update(alphas)
+        plus, minus = acc.covariance_eigenvalues
+        ref["complex_amplitude"] = 0.5 * (plus + minus)
+        w = np.angle(alphas)
+        ref["phase"] = float(np.mean(w * w) - np.mean(w) ** 2)
+        for obs in ALL_OBS:
+            got = empirical_comparison(obs, state, eta, n, seed).direct_variance
+            expected = ref[observable_name(obs)]
+            assert abs(got - expected) <= 1e-12 * abs(expected), observable_name(obs)
+
+    def test_result_independent_of_worker_count(self, monkeypatch):
+        n = 3 * BLOCK_SIZE + 5
+        rows = {}
+        for workers in ("1", ""):
+            monkeypatch.setenv("TOMONOISE_MAX_WORKERS", workers)
+            rows[workers] = [
+                json.dumps(empirical_comparison(obs, Coherent(2.0), 0.8, n, 31).to_json())
+                for obs in ALL_OBS
+            ]
+        assert rows["1"] == rows[""]
+
+    def test_peak_memory_per_sample(self, monkeypatch):
+        # Two threads, as on the reference machine: each holds one block of temporaries.
+        monkeypatch.setenv("TOMONOISE_MAX_WORKERS", "2")
+        n = 2**20
+        tracemalloc.start()
+        try:
+            empirical_comparison(ComplexAmplitude(), Coherent(2), 0.8, n, 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # Holding the homodyne record through whole-array heterodyne moments
+        # took about 61 bytes a sample.
+        assert peak < 24 * n + 4 * 2**20
