@@ -22,7 +22,6 @@ from .estimators import (
 )
 from .homodyne import (
     Dataset,
-    QuadratureSample,
     load_dataset_csv,
     load_dataset_json,
     sample_fixed_phase,

@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import datetime
 import json
+import math
 import sys
 from dataclasses import asdict, dataclass
 from pathlib import Path
@@ -35,7 +36,7 @@ from .homodyne import (
     save_dataset_json,
     worker_count,
 )
-from .kernels import ComplexAmplitude, observable_from_json, observable_to_json
+from .kernels import is_real_observable, observable_from_json, observable_to_json
 from .noise import empirical_comparison, sweep, write_sweep_csv
 from .states import state_from_json, state_to_json
 
@@ -113,17 +114,33 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+#: Most points a min:max:step grid may expand to.
+MAX_GRID_POINTS = 100_000
+
+
 def _parse_grid(text) -> list[float]:
-    if isinstance(text, (list, tuple)):
-        return [float(v) for v in text]
-    text = str(text)
-    if ":" in text:
-        lo, hi, step = (float(v) for v in text.split(":"))
-        if step <= 0 or hi < lo:
-            raise ValidationError(f"bad grid range {text!r}")
-        count = int(round((hi - lo) / step)) + 1
-        return [lo + k * step for k in range(count)]
-    return [float(v) for v in text.split(",")]
+    """Finite numbers from a list, a comma list, or a min:max:step range."""
+    try:
+        if isinstance(text, (list, tuple)):
+            values = [float(v) for v in text]
+        elif ":" in str(text):
+            lo, hi, step = (float(v) for v in str(text).split(":"))
+            count = int(round((hi - lo) / step)) + 1 if step > 0 and hi >= lo else 0
+            if not 0 < count <= MAX_GRID_POINTS:
+                raise ValidationError(
+                    f"bad grid range {text!r}: need step > 0, max >= min and at most "
+                    f"{MAX_GRID_POINTS} points"
+                )
+            values = [lo + k * step for k in range(count)]
+        else:
+            values = [float(v) for v in str(text).split(",")]
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ValidationError(
+            f"grid {text!r} is not a comma list of numbers or a min:max:step range"
+        ) from exc
+    if not all(math.isfinite(v) for v in values):
+        raise ValidationError(f"grid {text!r} holds a non-finite value")
+    return values
 
 
 def resolve_config(args: argparse.Namespace) -> RunConfig:
@@ -204,10 +221,10 @@ def run(cfg: RunConfig) -> None:
         loader = load_dataset_json if cfg.data.endswith(".json") else load_dataset_csv
         ds = loader(cfg.data)
         obs = observable_from_json(cfg.observable)
-        if isinstance(obs, ComplexAmplitude):
-            payload = complex_estimate_to_json(estimate_complex(ds))
-        else:
+        if is_real_observable(obs):
             payload = estimate_to_json(estimate_mean(ds, obs))
+        else:
+            payload = complex_estimate_to_json(estimate_complex(ds, obs))
         Path(cfg.out).write_text(json.dumps(payload, indent=2) + "\n")
     elif cfg.command == "compare":
         if cfg.state is None or cfg.observable is None:

@@ -18,7 +18,7 @@ from .homodyne import (
     PURPOSE_HETERODYNE,
     PURPOSE_PHOTOCOUNT,
     block_generator,
-    run_blocks,
+    generate,
     write_csv,
 )
 from .states import (
@@ -73,8 +73,14 @@ class HeterodyneRecord:
         return self.alphas.size
 
 
-def simulate_photocount(state: StateSpec, eta: float, n: int, seed: int) -> PhotocountRecord:
-    """Draw true photon numbers, then thin each binomially with success probability eta."""
+def simulate_photocount(
+    state: StateSpec, eta: float, n: int, seed: int, reduce=None
+) -> PhotocountRecord | None:
+    """Draw true photon numbers, then thin each binomially with success probability eta.
+
+    With reduce, each block goes to reduce(counts) instead (see
+    homodyne.generate), and None is returned.
+    """
     validate_state(state)
     _check_eta(eta)
     if int(n) != n or n < 1:
@@ -83,9 +89,8 @@ def simulate_photocount(state: StateSpec, eta: float, n: int, seed: int) -> Phot
     if isinstance(state, Mixed):
         probs, _ = photon_distribution(state, state_dim(state))
         cdf = np.cumsum(probs / probs.sum())
-    counts = np.empty(n, dtype=np.int64)
 
-    def fill(block, start, k):
+    def draw(block, k):
         rng = block_generator(seed, PURPOSE_PHOTOCOUNT, block)
         if isinstance(state, Coherent):
             true = rng.poisson(abs(state.beta) ** 2, k)
@@ -93,10 +98,10 @@ def simulate_photocount(state: StateSpec, eta: float, n: int, seed: int) -> Phot
             true = np.full(k, state.n, dtype=np.int64)
         else:
             true = np.searchsorted(cdf, rng.random(k)).astype(np.int64)
-        counts[start : start + k] = true if eta == 1.0 else rng.binomial(true, eta)
+        return (true if eta == 1.0 else rng.binomial(true, eta),)
 
-    run_blocks(n, fill)
-    return PhotocountRecord(counts, eta, int(seed), state_tag(state))
+    columns = generate(n, draw, reduce, (np.int64,))
+    return None if columns is None else PhotocountRecord(columns[0], eta, int(seed), state_tag(state))
 
 
 def intensity_variance_direct(state: StateSpec, eta: float) -> float:
@@ -117,12 +122,16 @@ def quadrature_variance_direct(state: StateSpec, eta: float) -> float:
     return (x2 - a1.real**2) + smearing_variance(eta)
 
 
-def simulate_heterodyne(state: StateSpec, eta: float, n: int, seed: int) -> HeterodyneRecord:
+def simulate_heterodyne(
+    state: StateSpec, eta: float, n: int, seed: int, reduce=None
+) -> HeterodyneRecord | None:
     """Joint two-quadrature detection of a coherent state.
 
     Each outcome is alpha = beta + g with g complex Gaussian of per-quadrature
     variance 1/(2 eta), so mean |alpha|^2 - |beta|^2 = 1/eta. Only coherent
-    states are supported; for anything else use amplitude_noise_direct.
+    states are supported; for anything else use amplitude_noise_direct. With
+    reduce, each block goes to reduce(alphas) instead (see homodyne.generate),
+    and None is returned.
     """
     validate_state(state)
     _check_eta(eta)
@@ -135,16 +144,13 @@ def simulate_heterodyne(state: StateSpec, eta: float, n: int, seed: int) -> Hete
         raise ValidationError(f"sample count must be a positive integer, got {n}")
     n = int(n)
     sigma = math.sqrt(1.0 / (2.0 * eta))
-    alphas = np.empty(n, dtype=complex)
 
-    def fill(block, start, k):
+    def draw(block, k):
         rng = block_generator(seed, PURPOSE_HETERODYNE, block)
-        alphas[start : start + k] = (
-            state.beta + rng.normal(0.0, sigma, k) + 1j * rng.normal(0.0, sigma, k)
-        )
+        return (state.beta + rng.normal(0.0, sigma, k) + 1j * rng.normal(0.0, sigma, k),)
 
-    run_blocks(n, fill)
-    return HeterodyneRecord(alphas, eta, int(seed), state_tag(state))
+    columns = generate(n, draw, reduce, (complex,))
+    return None if columns is None else HeterodyneRecord(columns[0], eta, int(seed), state_tag(state))
 
 
 def amplitude_noise_direct(state: StateSpec, eta: float) -> tuple[float, float]:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .homodyne import Dataset
+from .homodyne import BLOCK_SIZE, Dataset
 from .kernels import (
     ComplexAmplitude,
     Observable,
@@ -23,7 +23,9 @@ from .kernels import (
     kernel_observable,
 )
 
-CHUNK = 1 << 16
+#: One chunk is one generator block, so moments updated block by block as a
+#: generator streams them equal moments accumulated over its whole record.
+CHUNK = BLOCK_SIZE
 
 
 @dataclass
@@ -155,49 +157,56 @@ def accumulate(update, n: int, values) -> None:
         update(values(slice(start, start + CHUNK)))
 
 
-def _real_kernel(data: Dataset, obs: Observable):
+def kernel_reducer(acc, obs: Observable, eta: float):
+    """reduce(x, phi): update the moments acc with obs's kernel on one block of samples.
+
+    A StreamingMoments gets the real part of the kernel, a
+    ComplexStreamingMoments the complex values.
+    """
+    if isinstance(acc, StreamingMoments):
+        return lambda x, phi: acc.update(np.asarray(kernel_observable(obs, eta, x, phi)).real)
+    return lambda x, phi: acc.update(kernel_observable(obs, eta, x, phi))
+
+
+def _kernel_moments(data: Dataset, obs: Observable, acc):
+    """acc updated with obs's kernel over the whole dataset, CHUNK samples at a time."""
+    if data.n < 1:
+        raise ValidationError("cannot estimate from an empty dataset")
+    reduce = kernel_reducer(acc, obs, data.eta)
+    accumulate(lambda block: reduce(*block), data.n, lambda sl: (data.x[sl], data.phi[sl]))
+    return acc
+
+
+def _require_real(obs: Observable) -> None:
     if not is_real_observable(obs):
         raise TypeError(
             f"observable {obs!r} has a complex-valued kernel; use estimate_complex"
         )
-    return lambda sl: np.asarray(kernel_observable(obs, data.eta, data.x[sl], data.phi[sl])).real
 
 
 def estimate_mean(data: Dataset, obs: Observable) -> Estimate:
     """Sample mean of a real-valued kernel with its standard error."""
-    if data.n < 1:
-        raise ValidationError("cannot estimate from an empty dataset")
-    acc = StreamingMoments()
-    accumulate(acc.update, data.n, _real_kernel(data, obs))
+    _require_real(obs)
+    acc = _kernel_moments(data, obs, StreamingMoments())
     return Estimate(acc.mean, acc.stderr, acc.count)
 
 
-def estimate_complex(data: Dataset) -> ComplexEstimate:
-    """Mean of the complex-amplitude kernel 2 x exp(i phi) plus its noise pair.
+def estimate_complex(data: Dataset, obs: Observable = ComplexAmplitude()) -> ComplexEstimate:
+    """Mean of a complex kernel, by default 2 x exp(i phi) for a, plus its noise pair.
 
     noise_plus/minus are the eigenvalues of the covariance matrix of the
     kernel values, i.e. (spread of |w|^2 about the mean) split by the modulus
     of the pseudo-variance.
     """
-    if data.n < 1:
-        raise ValidationError("cannot estimate from an empty dataset")
-    acc = ComplexStreamingMoments()
-    accumulate(
-        acc.update,
-        data.n,
-        lambda sl: kernel_observable(ComplexAmplitude(), data.eta, data.x[sl], data.phi[sl]),
-    )
+    acc = _kernel_moments(data, obs, ComplexStreamingMoments())
     plus, minus = acc.covariance_eigenvalues
     return ComplexEstimate(acc.mean, plus, minus, acc.count)
 
 
 def empirical_kernel_variance(data: Dataset, obs: Observable) -> float:
     """Population variance of the (real) kernel over the dataset."""
-    if data.n < 1:
-        raise ValidationError("cannot estimate from an empty dataset")
-    acc = StreamingMoments()
-    accumulate(acc.update, data.n, _real_kernel(data, obs))
-    return acc.population_variance
+    _require_real(obs)
+    return _kernel_moments(data, obs, StreamingMoments()).population_variance
 
 
 @dataclass

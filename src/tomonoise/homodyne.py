@@ -7,6 +7,8 @@ generators keyed by (seed, purpose, block index), and every generator fills
 its output block by block through `run_blocks`. Blocks run on a small thread
 pool (numpy's generators and ufuncs release the interpreter lock), each block
 writes only its own slice, so the output is the same for any thread count.
+Given a `reduce` callable, a generator hands each block to it on the calling
+thread, in block order, instead of keeping a record of size n.
 """
 
 from __future__ import annotations
@@ -14,6 +16,7 @@ from __future__ import annotations
 import json
 import math
 import os
+import warnings
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -71,34 +74,58 @@ def worker_count() -> int:
     return min(workers, cpus)
 
 
-def run_blocks(n: int, fill) -> None:
+def run_blocks(n: int, fill, consume=None) -> None:
     """Call fill(block, start, count) once for every BLOCK_SIZE block of range(n).
 
-    Blocks run on up to worker_count() threads, in no fixed order, so fill must
-    draw only from its block's own generator and write only its own slice.
-    One worker or one block runs plain serial.
+    Blocks run on up to worker_count() threads in no fixed order, at most two
+    per thread in flight, so fill must draw only from its block's own
+    generator and write only its own slice. When consume is given,
+    consume(fill's result) runs on the calling thread once per block, in block
+    order, while later blocks are being filled. One worker or one block runs
+    plain serial.
     """
     starts = range(0, n, BLOCK_SIZE)
 
-    def one(block: int) -> None:
-        fill(block, starts[block], min(BLOCK_SIZE, n - starts[block]))
+    def one(block: int):
+        return fill(block, starts[block], min(BLOCK_SIZE, n - starts[block]))
 
+    done = consume or (lambda result: None)
     workers = min(worker_count(), len(starts))
     if workers <= 1:
         for block in range(len(starts)):
-            one(block)
+            done(one(block))
         return
     from concurrent.futures import ThreadPoolExecutor  # kept out of start-up
 
+    pending = []
     with ThreadPoolExecutor(workers) as pool:
-        for _ in pool.map(one, range(len(starts))):
-            pass  # reading every result re-raises an exception from its block
+        for block in range(len(starts)):
+            pending.append(pool.submit(one, block))
+            if len(pending) == 2 * workers:
+                done(pending.pop(0).result())  # re-raises an exception from its block
+        while pending:
+            done(pending.pop(0).result())
 
 
-@dataclass(frozen=True)
-class QuadratureSample:
-    x: float
-    phi: float
+def generate(n: int, draw, reduce, dtypes):
+    """Run draw(block, count), which returns a tuple of arrays, for every block of range(n).
+
+    Without reduce, the blocks fill one new length-n array per dtype, and the
+    arrays are returned. With reduce, reduce(*arrays) gets each block's arrays
+    on the calling thread in block order, nothing of size n is allocated, and
+    None is returned.
+    """
+    if reduce is not None:
+        run_blocks(n, lambda block, start, count: draw(block, count), lambda arrays: reduce(*arrays))
+        return None
+    outs = [np.empty(n, dtype=dtype) for dtype in dtypes]
+
+    def fill(block, start, count):
+        for out, values in zip(outs, draw(block, count)):
+            out[start : start + count] = values
+
+    run_blocks(n, fill)
+    return outs
 
 
 @dataclass
@@ -129,13 +156,6 @@ class Dataset:
 
     def __len__(self) -> int:
         return self.n
-
-    def __getitem__(self, i: int) -> QuadratureSample:
-        return QuadratureSample(float(self.x[i]), float(self.phi[i]))
-
-    def __iter__(self):
-        for xi, pi in zip(self.x, self.phi):
-            yield QuadratureSample(float(xi), float(pi))
 
 
 class QuadratureGridSampler:
@@ -284,38 +304,42 @@ def _sample_block(
     return x, phi
 
 
-def sample_homodyne(state: StateSpec, eta: float, n: int, seed: int) -> Dataset:
-    """Draw n phase-scanned homodyne samples; identical inputs give identical output."""
+def sample_homodyne(state: StateSpec, eta: float, n: int, seed: int, reduce=None) -> Dataset | None:
+    """Draw n phase-scanned homodyne samples; identical inputs give identical output.
+
+    With reduce, each block goes to reduce(x, phi) instead (see generate), and
+    None is returned.
+    """
     validate_state(state)
     _check_eta(eta)
     if int(n) != n or n < 1:
         raise ValidationError(f"sample count must be a positive integer, got {n}")
     n = int(n)
     sampler = None if isinstance(state, Coherent) else QuadratureGridSampler(state)
-    xs = np.empty(n)
-    phis = np.empty(n)
 
-    def fill(block, start, count):
-        sl = slice(start, start + count)
-        xs[sl], phis[sl] = _sample_block(state, eta, seed, block, count, sampler)
+    def draw(block, count):
+        return _sample_block(state, eta, seed, block, count, sampler)
 
-    run_blocks(n, fill)
-    return Dataset(xs, phis, eta, state_tag(state), int(seed))
+    columns = generate(n, draw, reduce, (float, float))
+    return None if columns is None else Dataset(*columns, eta, state_tag(state), int(seed))
 
 
 def sample_fixed_phase(
-    state: StateSpec, eta: float, n: int, seed: int, phi: float = 0.0
-) -> np.ndarray:
-    """Homodyne outcomes at one fixed local-oscillator phase (direct x measurement)."""
+    state: StateSpec, eta: float, n: int, seed: int, phi: float = 0.0, reduce=None
+) -> np.ndarray | None:
+    """Homodyne outcomes at one fixed local-oscillator phase (direct x measurement).
+
+    With reduce, each block goes to reduce(x) instead (see generate), and None
+    is returned.
+    """
     validate_state(state)
     _check_eta(eta)
     if int(n) != n or n < 1:
         raise ValidationError(f"sample count must be a positive integer, got {n}")
     n = int(n)
     sampler = None if isinstance(state, Coherent) else QuadratureGridSampler(state)
-    out = np.empty(n)
 
-    def fill(block, start, count):
+    def draw(block, count):
         rng = block_generator(seed, PURPOSE_FIXED_PHASE, block)
         if isinstance(state, Coherent):
             mu = (state.beta * np.exp(-1j * phi)).real
@@ -324,10 +348,10 @@ def sample_fixed_phase(
             x = sampler.sample_fixed_phase(phi, rng.random(count))
         if eta < 1.0:
             x = x + rng.normal(0.0, math.sqrt(smearing_variance(eta)), count)
-        out[start : start + count] = x
+        return (x,)
 
-    run_blocks(n, fill)
-    return out
+    columns = generate(n, draw, reduce, (float,))
+    return None if columns is None else columns[0]
 
 
 def write_csv(path, tag: str, eta: float, seed: int, header: str, columns, fmt: str) -> None:
@@ -363,7 +387,12 @@ def load_dataset_csv(path) -> Dataset:
                 line = fh.readline()
             if line.strip() != "x,phi":
                 raise ValidationError(f"{path}: expected 'x,phi' header, got {line.strip()!r}")
-            data = np.loadtxt(fh, delimiter=",", ndmin=2)
+            with warnings.catch_warnings():
+                # loadtxt warns on a file without rows; that case is an error below
+                warnings.simplefilter("ignore", UserWarning)
+                data = np.loadtxt(fh, delimiter=",", ndmin=2)
+        if data.shape[0] == 0:
+            raise ValidationError(f"{path}: dataset CSV holds no samples")
         x, phi = data[:, 0], data[:, 1]
         eta, seed = float(meta["eta"]), int(meta.get("seed", 0))
     except KeyError as exc:
@@ -388,6 +417,8 @@ def dataset_from_json(obj) -> Dataset:
         if isinstance(obj, str):
             obj = json.loads(obj)
         samples = np.asarray(obj["samples"], dtype=float)
+        if samples.size == 0:
+            raise ValidationError("dataset JSON holds no samples")
         x, phi = samples[:, 0], samples[:, 1]
         eta, tag, seed = float(obj["eta"]), obj["state_tag"], int(obj["seed"])
     except (KeyError, IndexError, TypeError, ValueError) as exc:

@@ -8,6 +8,11 @@ outcome cloud, which makes the added noise exactly nbar/2 for every state and
 efficiency. Analytic phase entries use the bright-state limits, variance
 pi^2/12 for tomography and 1/(2 eta nbar) for heterodyne, and are marked
 asymptotic below PHASE_ASYMPTOTIC_NBAR.
+
+A comparison whose direct variance is zero (the intensity of a Fock state at
+eta = 1, or any empirical comparison with n = 1) has no ratio. It raises
+CapabilityError naming the zero variance, rather than reporting infinite
+ratios, which strict JSON cannot carry.
 """
 
 from __future__ import annotations
@@ -17,7 +22,14 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Sequence
 
-from .direct import (
+import numpy as np
+
+from . import estimators
+
+# heterodyne_phase_variance, empirical_kernel_variance and estimate_complex are
+# not called here, but the traced benchmark replay (perfbench/tracing.py) wraps
+# them on this module, so they stay importable from it.
+from .direct import (  # noqa: F401
     heterodyne_phase_variance,
     intensity_variance_direct,
     quadrature_variance_direct,
@@ -25,10 +37,9 @@ from .direct import (
     simulate_photocount,
 )
 from .errors import CapabilityError, NumericRangeError, ValidationError
-from .estimators import (
+from .estimators import (  # noqa: F401
     ComplexStreamingMoments,
     StreamingMoments,
-    accumulate,
     empirical_kernel_variance,
     estimate_complex,
 )
@@ -94,6 +105,12 @@ class NoiseComparison:
 
 
 def _ratios(tomo: float, direct: float) -> tuple[float, float]:
+    if direct <= 0.0:  # zero, or below it by rounding
+        # inf ratios would not survive strict JSON, so there is no row to write
+        raise CapabilityError(
+            f"the direct variance is zero ({direct:.3g}), so the noise ratios are undefined "
+            f"(tomographic variance {tomo:.17g})"
+        )
     r = tomo / direct
     return math.sqrt(r), 10.0 * math.log10(r)
 
@@ -199,33 +216,36 @@ def noise_ratio_coherent(obs: Observable, nbar: float, eta: float) -> float:
     raise CapabilityError(f"no closed-form noise ratio for observable {obs!r}")
 
 
-def _empirical_tomographic_variance(obs, data) -> float:
-    if isinstance(obs, ComplexAmplitude):
-        est = estimate_complex(data)
-        return 0.5 * (est.noise_plus + est.noise_minus)
-    return empirical_kernel_variance(data, obs)
-
-
-def _empirical_direct_variance(obs, state, eta, n, seed) -> float:
-    if isinstance(obs, Intensity):
-        counts = simulate_photocount(state, eta, n, seed).counts
-        acc = StreamingMoments()
-        accumulate(acc.update, counts.size, lambda sl: counts[sl] / eta)
-        return acc.population_variance
-    if isinstance(obs, RealField):
-        x = sample_fixed_phase(state, eta, n, seed)
-        acc = StreamingMoments()
-        accumulate(acc.update, x.size, lambda sl: x[sl])
-        return acc.population_variance
-    rec = simulate_heterodyne(state, eta, n, seed)
-    if isinstance(obs, ComplexAmplitude):
-        acc = ComplexStreamingMoments()
-        accumulate(acc.update, rec.n, lambda sl: rec.alphas[sl])
+def _variance(acc) -> float:
+    """Population variance of a real stream; mean covariance eigenvalue of a complex one."""
+    if isinstance(acc, ComplexStreamingMoments):
         plus, minus = acc.covariance_eigenvalues
         return 0.5 * (plus + minus)
-    if isinstance(obs, Phase):
-        return heterodyne_phase_variance(rec)
-    raise CapabilityError(f"no direct simulator for observable {obs!r}")
+    return acc.population_variance
+
+
+def _direct_variance(obs: Observable, state: StateSpec, eta: float, n: int, seed: int) -> float:
+    if isinstance(obs, Intensity):
+        acc = StreamingMoments()
+        simulate_photocount(state, eta, n, seed, reduce=lambda counts: acc.update(counts / eta))
+    elif isinstance(obs, RealField):
+        acc = StreamingMoments()
+        sample_fixed_phase(state, eta, n, seed, reduce=acc.update)
+    elif isinstance(obs, ComplexAmplitude):
+        acc = ComplexStreamingMoments()
+        simulate_heterodyne(state, eta, n, seed, reduce=acc.update)
+    elif isinstance(obs, Phase):
+        acc = StreamingMoments()
+        simulate_heterodyne(state, eta, n, seed, reduce=lambda alphas: acc.update(np.angle(alphas)))
+    else:
+        raise CapabilityError(f"no direct simulator for observable {obs!r}")
+    return _variance(acc)
+
+
+def _tomographic_variance(obs: Observable, state: StateSpec, eta: float, n: int, seed: int) -> float:
+    acc = ComplexStreamingMoments() if isinstance(obs, ComplexAmplitude) else StreamingMoments()
+    sample_homodyne(state, eta, n, seed, reduce=estimators.kernel_reducer(acc, obs, eta))
+    return _variance(acc)
 
 
 def empirical_comparison(
@@ -235,11 +255,14 @@ def empirical_comparison(
 
     The tomographic and direct streams are independent (distinct generator
     purposes). Complex-amplitude and phase comparisons need a coherent state
-    because the direct side is heterodyne.
+    because the direct side is heterodyne. Both sides stream: each block's
+    kernel values or direct outcomes are merged into running moments as it
+    is generated, so memory does not grow with n.
     """
-    # The homodyne record is freed here, before the direct side draws its own.
-    tomo = _empirical_tomographic_variance(obs, sample_homodyne(state, eta, n, seed))
-    direct = _empirical_direct_variance(obs, state, eta, n, seed)
+    # The direct side goes first: an observable or state it cannot simulate
+    # fails before any homodyne sampling.
+    direct = _direct_variance(obs, state, eta, n, seed)
+    tomo = _tomographic_variance(obs, state, eta, n, seed)
     lin, db = _ratios(tomo, direct)
     return NoiseComparison(
         observable=observable_name(obs),
@@ -318,6 +341,8 @@ def sweep(
         raise ValidationError(f"mode must be 'analytic' or 'empirical', got {mode!r}")
     if mode == "empirical" and (n is None or seed is None):
         raise ValidationError("empirical sweep needs n and seed")
+    if not all(float(nbar) >= 0.0 for nbar in nbar_grid):
+        raise ValidationError(f"mean photon numbers must be nonnegative, got {list(nbar_grid)}")
     rows = []
     for obs in observables:
         for eta in eta_list:

@@ -1,11 +1,17 @@
+import contextlib
+import io
 import json
 import math
 import os
 import subprocess
 import sys
+import tempfile
+import warnings
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import tomonoise
 from tomonoise.cli import main
@@ -223,3 +229,142 @@ def test_cli_start_up_leaves_scipy_out(tmp_path):
     run = subprocess.run([sys.executable, "-c", code, str(tmp_path / "c.json")], env=env,
                          capture_output=True, text=True)
     assert run.returncode == 0, run.stderr
+
+
+class TestErrorContract:
+    """Inputs that used to escape with a traceback now exit 2, 3 or 4 with one JSON line."""
+
+    @pytest.mark.parametrize(
+        "name, text",
+        [
+            ("empty.csv", "# state=x\n# eta=0.8\n# seed=1\n# n=0\nx,phi\n"),
+            ("empty.json", '{"state_tag": "x", "eta": 0.8, "seed": 1, "samples": []}'),
+        ],
+        ids=["csv", "json"],
+    )
+    def test_dataset_without_samples(self, tmp_path, capsys, name, text):
+        data = tmp_path / name
+        data.write_text(text)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["estimate", "--data", str(data), "--observable", "intensity",
+                         "--out", str(tmp_path / "e.json")]) == 2
+        lines = capsys.readouterr().err.strip().splitlines()
+        assert len(lines) == 1 and "holds no samples" in json.loads(lines[0])["message"]
+
+    @pytest.mark.parametrize(
+        "obs",
+        [
+            {"observable": "monomial", "n": 0, "m": 1},
+            {"observable": "polynomial", "terms": [{"n": 0, "m": 1, "c": [0.0, 1.0]}]},
+        ],
+        ids=["monomial", "polynomial"],
+    )
+    def test_complex_kernel_estimate(self, tmp_path, obs):
+        # <a> of a coherent state with beta = 2, through a kernel that is not real
+        data = tmp_path / "d.csv"
+        assert main(["simulate", "--state", '{"type":"coherent","beta":[2,0]}', "--n", "50000",
+                     "--seed", "3", "--out", str(data)]) == 0
+        out = tmp_path / "e.json"
+        assert main(["estimate", "--data", str(data), "--observable", json.dumps(obs),
+                     "--out", str(out)]) == 0
+        est = json.loads(out.read_text())
+        coefficient = complex(*obs["terms"][0]["c"]) if "terms" in obs else 1.0
+        value = complex(*est["value"]) / coefficient
+        assert value == pytest.approx(2.0, abs=0.05)
+        assert est["noise_plus"] >= est["noise_minus"] >= 0 and est["n"] == 50000
+
+    @pytest.mark.parametrize("flag", ["--nbar-grid", "--eta-list"])
+    def test_non_numeric_grid(self, tmp_path, capsys, flag):
+        assert main(["sweep", flag, "1,x", "--out", str(tmp_path / "s.csv")]) == 2
+        lines = capsys.readouterr().err.strip().splitlines()
+        assert len(lines) == 1 and json.loads(lines[0])["error"] == "config"
+
+    def test_zero_direct_variance(self, tmp_path, capsys):
+        assert main(["compare", "--state", '{"type":"fock","n":2}', "--observable", "intensity",
+                     "--n", "1000", "--out", str(tmp_path / "c.json")]) == 3
+        lines = capsys.readouterr().err.strip().splitlines()
+        assert len(lines) == 1 and "direct variance is zero" in json.loads(lines[0])["message"]
+        with pytest.raises(tomonoise.CapabilityError, match="direct variance is zero"):
+            tomonoise.analytic_comparison(tomonoise.Intensity(), tomonoise.Fock(2), 1.0)
+
+
+# Probe families of the error contract, mixed with valid inputs.
+FUZZ_STATES = [
+    '{"type":"coherent","beta":[1.2,-0.4]}', '{"type":"fock","n":2}', '{"type":"fock","n":0}',
+    '{"type":"mixed","dim":2,"rho":[[0.5,0],[0.3,0.1],[0.3,-0.1],[0.5,0]]}',
+    '{"type":"fock","n":-1}', '{"type":"coherent"}', "not json", '{"type":"squeezed"}',
+]
+FUZZ_OBSERVABLES = [
+    "intensity", "real_field", "complex_amplitude", "phase", "bogus",
+    '{"observable":"monomial","n":0,"m":1}', '{"observable":"monomial","n":2,"m":2}',
+    '{"observable":"monomial","n":30,"m":30}', '{"observable":"monomial","n":0}',
+    '{"observable":"polynomial","terms":[{"n":1,"m":0,"c":[1,0]},{"n":0,"m":1,"c":[1,0]}]}',
+    '{"observable":"polynomial","terms":[{"n":0,"m":1,"c":[0,1]}]}',
+]
+FUZZ_DATA = {
+    "valid.csv": None, "valid.json": None,
+    "header.csv": "# state=x\n# eta=0.8\n# seed=1\n# n=0\nx,phi\n",
+    "empty.json": '{"state_tag": "x", "eta": 0.8, "seed": 1, "samples": []}',
+    "eta.csv": "# state=x\n# eta=abc\n# seed=1\n# n=1\nx,phi\n0.1,0.2\n",
+    "nan.csv": "# state=x\n# eta=0.8\n# seed=1\n# n=1\nx,phi\nnan,0.2\n",
+    "cut.json": '{"state_tag": "x", "eta": 0.8, "seed": 1, "samples": [[0.1, 0.2]',
+    "missing.csv": None,
+}
+
+
+@pytest.fixture(scope="module")
+def fuzz_data(tmp_path_factory):
+    root = tmp_path_factory.mktemp("fuzz")
+    ds = tomonoise.sample_homodyne(tomonoise.Fock(1), 0.8, 300, 5)
+    tomonoise.save_dataset_csv(ds, root / "valid.csv")
+    tomonoise.save_dataset_json(ds, root / "valid.json")
+    for name, text in FUZZ_DATA.items():
+        if text is not None:
+            (root / name).write_text(text)
+    return root
+
+
+@st.composite
+def cli_argv(draw, data_dir):
+    command = draw(st.sampled_from(["simulate", "estimate", "compare", "sweep"]))
+    seed = draw(st.sampled_from([0, 7, -1, 2**64]) | st.integers(0, 2**64 - 1))
+    n = draw(st.integers(-1, 400))
+    if command == "sweep":
+        return [
+            "sweep", "--mode", draw(st.sampled_from(["analytic", "empirical"])),
+            # joined with "=", since argparse takes "-1,2" after a space for an option
+            "--nbar-grid=" + draw(st.sampled_from(["1,x", "0.5,2", "1:3:1", "1:2", "3:1:1", "0", "-1,2", "nan"])),
+            "--eta-list", draw(st.sampled_from(["0.5,1", "1,x", "2", "0.7"])),
+            "--observables", draw(st.sampled_from(["all", "intensity,phase", "real_field", "bogus"])),
+            "--n", str(n), "--seed", str(seed),
+        ]
+    if command == "estimate":
+        data = data_dir / draw(st.sampled_from(sorted(FUZZ_DATA)))
+        return ["estimate", "--data", str(data), "--observable", draw(st.sampled_from(FUZZ_OBSERVABLES))]
+    argv = [command, "--state", draw(st.sampled_from(FUZZ_STATES)),
+            "--eta", draw(st.sampled_from(["1.0", "0.8", "0.3", "0", "1.5", "nan"])),
+            "--n", str(n), "--seed", str(seed)]
+    if command == "compare":
+        argv += ["--observable", draw(st.sampled_from(FUZZ_OBSERVABLES))]
+    return argv
+
+
+@settings(max_examples=150)
+@given(data=st.data())
+def test_cli_fuzz_exit_codes(fuzz_data, data):
+    argv = data.draw(cli_argv(fuzz_data))
+    with tempfile.TemporaryDirectory() as out_dir:
+        out = Path(out_dir) / data.draw(st.sampled_from(["out.json", "out.csv"]))
+        stderr = io.StringIO()
+        with warnings.catch_warnings(record=True) as caught, contextlib.redirect_stderr(stderr):
+            warnings.simplefilter("always")
+            code = main([*argv, "--out", str(out)])
+    assert code in (0, 2, 3, 4, 5), argv
+    assert not caught, [str(w.message) for w in caught]
+    lines = stderr.getvalue().splitlines()
+    if code:
+        assert len(lines) == 1, lines
+        assert json.loads(lines[0])["exit"] == code
+    else:
+        assert lines == []

@@ -1,5 +1,7 @@
 import json
 import math
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -19,10 +21,12 @@ from tomonoise import (
     empirical_comparison,
     noise_ratio_coherent,
     sample_fixed_phase,
+    sample_homodyne,
     simulate_heterodyne,
     simulate_photocount,
     sweep,
 )
+from tomonoise import estimators, homodyne
 from tomonoise.errors import NumericRangeError, ValidationError
 from tomonoise.estimators import ComplexStreamingMoments, StreamingMoments
 from tomonoise.homodyne import BLOCK_SIZE
@@ -211,7 +215,7 @@ class TestSweep:
 
 
 class TestStreamingComparison:
-    """The comparison streams its direct side per chunk and keeps the homodyne side's bytes."""
+    """The comparison streams both sides block by block and keeps the parent's bytes."""
 
     N = BLOCK_SIZE + 123
 
@@ -229,6 +233,21 @@ class TestStreamingComparison:
         # recorded before blocks ran on threads, with numpy 2.4 on x86-64
         row = empirical_comparison(obs, Coherent(1.5 + 0.5j), 0.8, self.N, 17)
         assert row.tomographic_variance == float.fromhex(tomo_hex)
+
+    @pytest.mark.parametrize(
+        "obs, direct_hex",
+        [
+            (Intensity(), "0x1.90c4ea48d806bp+1"),
+            (RealField(), "0x1.3f0abbea1e57cp-2"),
+            (ComplexAmplitude(), "0x1.3ee2d8907b8b4p-1"),
+            (Phase(), "0x1.77fdefb58085fp-2"),
+        ],
+        ids=["intensity", "real_field", "complex_amplitude", "phase"],
+    )
+    def test_direct_variance_pinned(self, obs, direct_hex):
+        # recorded before the direct side streamed through reduce, with numpy 2.4 on x86-64
+        row = empirical_comparison(obs, Coherent(1.5 + 0.5j), 0.8, 3 * BLOCK_SIZE + 5, 17)
+        assert row.direct_variance == float.fromhex(direct_hex)
 
     def test_direct_variance_matches_whole_array_formula(self):
         # The formulas below are the whole-array ones the chunked accumulation replaced.
@@ -276,3 +295,76 @@ class TestStreamingComparison:
         # Holding the homodyne record through whole-array heterodyne moments
         # took about 61 bytes a sample.
         assert peak < 24 * n + 4 * 2**20
+
+    @pytest.mark.parametrize("obs", ALL_OBS, ids=observable_name)
+    def test_peak_memory_independent_of_n(self, monkeypatch, obs):
+        # Both sides stream, so only the blocks in flight are held, whatever n is.
+        # One worker makes the peak exact: with two, the interleaving of the threads
+        # alone moved it by up to 2.7 MB between runs of the same n.
+        def peak(n):
+            tracemalloc.start()
+            try:
+                empirical_comparison(obs, Coherent(2), 0.8, n, 1)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        monkeypatch.setenv("TOMONOISE_MAX_WORKERS", "1")
+        small, large = peak(2**20), peak(2**22)
+        assert large <= small + 2 * 2**20, (small, large)
+        # Two workers hold at most four blocks in flight, not 16 bytes a sample (64 MB).
+        monkeypatch.setenv("TOMONOISE_MAX_WORKERS", "2")
+        assert peak(2**22) < 16 * 2**20
+
+    def test_reduction_on_calling_thread_in_block_order(self, monkeypatch):
+        def on_main_thread(fn):
+            def wrapper(*args, **kwargs):
+                assert threading.current_thread() is threading.main_thread(), fn.__qualname__
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        monkeypatch.setattr(estimators, "kernel_observable", on_main_thread(estimators.kernel_observable))
+        for cls in (StreamingMoments, ComplexStreamingMoments):
+            monkeypatch.setattr(cls, "update", on_main_thread(cls.update))
+        state, eta, n, seed = Coherent(1.0 - 0.5j), 0.8, 3 * BLOCK_SIZE + 5, 23
+        generators = {
+            "sample_homodyne": lambda reduce=None: sample_homodyne(state, eta, n, seed, reduce=reduce),
+            "sample_fixed_phase": lambda reduce=None: sample_fixed_phase(state, eta, n, seed, reduce=reduce),
+            "simulate_photocount": lambda reduce=None: simulate_photocount(state, eta, n, seed, reduce=reduce),
+            "simulate_heterodyne": lambda reduce=None: simulate_heterodyne(state, eta, n, seed, reduce=reduce),
+        }
+        ds = generators["sample_homodyne"]()
+        whole = {
+            "sample_homodyne": [ds.x, ds.phi],
+            "sample_fixed_phase": [generators["sample_fixed_phase"]()],
+            "simulate_photocount": [generators["simulate_photocount"]().counts],
+            "simulate_heterodyne": [generators["simulate_heterodyne"]().alphas],
+        }
+
+        def check():
+            for name, generate in generators.items():
+                blocks = []
+
+                def reduce(*arrays):
+                    assert threading.current_thread() is threading.main_thread()
+                    blocks.append(arrays)
+
+                assert generate(reduce) is None
+                assert [len(b[0]) for b in blocks] == [BLOCK_SIZE] * 3 + [5], name
+                for column, parts in zip(whole[name], zip(*blocks)):
+                    assert np.array_equal(np.concatenate(parts), column), name
+            return [json.dumps(empirical_comparison(obs, state, eta, n, seed).to_json()) for obs in ALL_OBS]
+
+        monkeypatch.setenv("TOMONOISE_MAX_WORKERS", "1")
+        serial = check()
+        monkeypatch.setenv("TOMONOISE_MAX_WORKERS", "2")
+        assert check() == serial
+        # More threads than cores, switching as often as the interpreter allows.
+        monkeypatch.setattr(homodyne, "worker_count", lambda: 8)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            assert check() == serial
+        finally:
+            sys.setswitchinterval(interval)
