@@ -6,9 +6,12 @@ timestamp, lives there and never in result files. Values from --config win
 over conflicting command-line flags, with a warning on stderr.
 
 Exit codes: 0 success, 2 config error, 3 capability error, 4 numeric-range
-error, 5 I/O error. Sample blocks are generated on as many threads as the
-process has CPUs; TOMONOISE_MAX_WORKERS (a positive integer) lowers that count,
-and the count used is recorded in the resolved config as max_workers.
+error, 5 I/O error; every error is one JSON line on stderr. Usage errors (an
+unknown flag, a missing subcommand, a flag value argparse cannot read) and
+config-file values of the wrong type are config errors. Sample blocks are
+generated on as many threads as the process has CPUs; TOMONOISE_MAX_WORKERS
+(a positive integer) lowers that count, and the count used is recorded in the
+resolved config as max_workers.
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ import datetime
 import json
 import math
 import sys
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 from .errors import CapabilityError, NumericRangeError, ValidationError
@@ -42,19 +45,12 @@ from .states import state_from_json, state_to_json
 
 _OBSERVABLE_NAMES = ("intensity", "real_field", "complex_amplitude", "phase")
 
-DEFAULTS = {
-    "eta": 1.0,
-    "n": 10000,
-    "seed": 0,
-    "mode": "analytic",
-    "observables": "all",
-    "eta_list": [1.0],
-    "nbar_grid": [0.5, 1.0, 2.0, 4.0, 8.0, 16.0],
-}
 
 
 @dataclass
 class RunConfig:
+    """A resolved run; the field defaults are the CLI defaults."""
+
     command: str
     state: dict | None = None
     observable: dict | None = None
@@ -65,13 +61,20 @@ class RunConfig:
     data: str | None = None
     mode: str = "analytic"
     observables: str = "all"
-    eta_list: list | None = None
-    nbar_grid: list | None = None
+    eta_list: list = field(default_factory=lambda: [1.0])
+    nbar_grid: list = field(default_factory=lambda: [0.5, 1.0, 2.0, 4.0, 8.0, 16.0])
     max_workers: int | None = None
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors raise ValidationError, so they leave like every config error."""
+
+    def error(self, message):
+        raise ValidationError(f"{self.prog}: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="tomonoise",
         description="Homodyne-tomography noise toolkit: data synthesis, kernel "
         "estimation, and tomographic-vs-direct noise comparisons.",
@@ -138,9 +141,29 @@ def _parse_grid(text) -> list[float]:
         raise ValidationError(
             f"grid {text!r} is not a comma list of numbers or a min:max:step range"
         ) from exc
-    if not all(math.isfinite(v) for v in values):
-        raise ValidationError(f"grid {text!r} holds a non-finite value")
+    if not values or not all(math.isfinite(v) for v in values):
+        raise ValidationError(f"grid {text!r} is empty or holds a non-finite value")
     return values
+
+
+def _text(value) -> str:
+    if not isinstance(value, str):
+        raise TypeError(f"expected a string, got {value!r}")
+    return value
+
+
+#: How the value of each plain config key is read; an unset key keeps its RunConfig default.
+_READERS = {
+    "eta": float, "n": int, "seed": int, "out": _text, "data": _text, "mode": _text,
+    "observables": _text, "eta_list": _parse_grid, "nbar_grid": _parse_grid,
+}
+
+
+def _read(key: str, value, reader):
+    try:
+        return reader(value)
+    except (TypeError, ValueError, OverflowError, ValidationError) as exc:
+        raise ValidationError(f"{key}: {exc}") from exc
 
 
 def resolve_config(args: argparse.Namespace) -> RunConfig:
@@ -167,27 +190,16 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
             merged[key] = flag_val
 
     cfg = RunConfig(command=args.command)
+    for key, reader in _READERS.items():
+        if merged.get(key) is not None:
+            setattr(cfg, key, _read(key, merged[key], reader))
     state_json = merged.get("state")
-    if merged.get("state_file"):
-        state_json = json.loads(Path(merged["state_file"]).read_text())
+    if merged.get("state_file") is not None:
+        state_json = Path(_read("state_file", merged["state_file"], _text)).read_text()
     if state_json is not None:
         cfg.state = state_to_json(state_from_json(state_json))
     if merged.get("observable") is not None:
         cfg.observable = observable_to_json(observable_from_json(merged["observable"]))
-    for key in ("eta", "n", "seed", "mode", "observables"):
-        if merged.get(key) is not None:
-            setattr(cfg, key, merged[key])
-        else:
-            setattr(cfg, key, DEFAULTS[key])
-    cfg.eta = float(cfg.eta)
-    cfg.n = int(cfg.n)
-    cfg.seed = int(cfg.seed)
-    cfg.out = merged.get("out") or ""
-    cfg.data = merged.get("data")
-    cfg.eta_list = _parse_grid(merged["eta_list"]) if merged.get("eta_list") else DEFAULTS["eta_list"]
-    cfg.nbar_grid = (
-        _parse_grid(merged["nbar_grid"]) if merged.get("nbar_grid") else DEFAULTS["nbar_grid"]
-    )
     cfg.max_workers = worker_count()
     if not cfg.out:
         raise ValidationError("an output path is required (--out)")
@@ -258,10 +270,9 @@ def _fail(kind: str, code: int, exc: Exception) -> int:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
-        run(resolve_config(args))
-    except ValidationError as exc:
+        run(resolve_config(build_parser().parse_args(argv)))
+    except (ValidationError, UnicodeDecodeError) as exc:  # the latter from an input file
         return _fail("config", 2, exc)
     except CapabilityError as exc:
         return _fail("capability", 3, exc)

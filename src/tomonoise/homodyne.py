@@ -24,10 +24,12 @@ import numpy as np
 
 from .errors import NumericRangeError, ValidationError
 from .states import (
+    HERMITE_REACH,
     Coherent,
     Fock,
     StateSpec,
     _check_eta,
+    coherent_mean,
     hermite_functions,
     smearing_variance,
     state_dim,
@@ -204,12 +206,10 @@ class QuadratureGridSampler:
         cdfs = np.stack(cdfs)
         self.mass = float(cdfs[0][-1].real)
         if self.mass < 1.0 - GRID_MASS_TOL:
-            needed = self.halfwidth * math.sqrt(
-                max(2.0, -math.log(max(1.0 - self.mass, 1e-300)) / math.log(10.0))
-            )
             raise NumericRangeError(
                 f"quadrature grid |x| <= {self.halfwidth:.2f} holds only mass {self.mass:.9f}; "
-                f"a halfwidth of about {needed:.1f} is required"
+                f"the number-basis recurrence resolves only |x| <= {HERMITE_REACH:.1f}, so a wider "
+                "halfwidth helps only below that"
             )
         self.bands = offsets[1:]
         self.phase_dependent = bool(self.bands)
@@ -281,8 +281,19 @@ class QuadratureGridSampler:
         return self._interpolate(target, *self._lookup(phi, target))
 
 
-def _coherent_mean(beta: complex, phi: np.ndarray) -> np.ndarray:
-    return (beta * np.exp(-1j * phi)).real
+def _outcomes(state: StateSpec, eta: float, rng, phi, count: int, invert) -> np.ndarray:
+    """count outcomes at phase(s) phi: the ideal quadrature, then the efficiency smear.
+
+    A coherent state's ideal outcome is coherent_mean plus N(0, 1/4); any
+    other state's is invert(phi, u), a grid sampler method, at uniform u.
+    """
+    if isinstance(state, Coherent):
+        x = coherent_mean(state.beta, phi) + rng.normal(0.0, 0.5, count)
+    else:
+        x = invert(phi, rng.random(count))
+    if eta < 1.0:
+        x = x + rng.normal(0.0, math.sqrt(smearing_variance(eta)), count)
+    return x
 
 
 def _sample_block(
@@ -295,13 +306,7 @@ def _sample_block(
 ) -> tuple[np.ndarray, np.ndarray]:
     rng = block_generator(seed, PURPOSE_HOMODYNE, block)
     phi = rng.uniform(0.0, math.pi, count)
-    if isinstance(state, Coherent):
-        x = _coherent_mean(state.beta, phi) + rng.normal(0.0, 0.5, count)
-    else:
-        x = sampler.sample(phi, rng.random(count))
-    if eta < 1.0:
-        x = x + rng.normal(0.0, math.sqrt(smearing_variance(eta)), count)
-    return x, phi
+    return _outcomes(state, eta, rng, phi, count, sampler and sampler.sample), phi
 
 
 def sample_homodyne(state: StateSpec, eta: float, n: int, seed: int, reduce=None) -> Dataset | None:
@@ -337,18 +342,11 @@ def sample_fixed_phase(
     if int(n) != n or n < 1:
         raise ValidationError(f"sample count must be a positive integer, got {n}")
     n = int(n)
-    sampler = None if isinstance(state, Coherent) else QuadratureGridSampler(state)
+    invert = None if isinstance(state, Coherent) else QuadratureGridSampler(state).sample_fixed_phase
 
     def draw(block, count):
         rng = block_generator(seed, PURPOSE_FIXED_PHASE, block)
-        if isinstance(state, Coherent):
-            mu = (state.beta * np.exp(-1j * phi)).real
-            x = mu + rng.normal(0.0, 0.5, count)
-        else:
-            x = sampler.sample_fixed_phase(phi, rng.random(count))
-        if eta < 1.0:
-            x = x + rng.normal(0.0, math.sqrt(smearing_variance(eta)), count)
-        return (x,)
+        return (_outcomes(state, eta, rng, phi, count, invert),)
 
     columns = generate(n, draw, reduce, (float,))
     return None if columns is None else columns[0]

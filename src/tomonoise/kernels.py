@@ -244,9 +244,9 @@ def observable_from_json(obj) -> Observable:
     if not isinstance(obj, dict) or "observable" not in obj:
         raise ValidationError("observable JSON must be an object with an 'observable' field")
     kind = obj["observable"]
-    if kind in _NAMED:
-        return _NAMED[kind]
     try:
+        if kind in _NAMED:
+            return _NAMED[kind]
         if kind == "monomial":
             return Monomial(int(obj["n"]), int(obj["m"]))
         if kind == "polynomial":
@@ -255,6 +255,6 @@ def observable_from_json(obj) -> Observable:
                 for t in obj["terms"]
             }
             return Polynomial.from_coeffs(coeffs)
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ValidationError(f"malformed observable JSON: {exc}") from exc
     raise ValidationError(f"unknown observable {kind!r}")

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import dataclass
 from typing import Union
 
@@ -27,6 +28,10 @@ DIAGONAL_FLOOR = -1e-12
 EIGENVALUE_FLOOR = -1e-10
 
 _GAUSS_HERMITE_NODES = 64
+
+#: |x| beyond which exp(-x^2), the seed of the Hermite recurrence, leaves the
+#: normal floats (about 26.6); no number-basis density resolves more.
+HERMITE_REACH = math.sqrt(-math.log(sys.float_info.min))
 
 
 def smearing_variance(eta: float) -> float:
@@ -105,26 +110,11 @@ def validate_state(state: StateSpec, strict: bool = False) -> None:
             raise ValidationError(f"rho is not positive semidefinite: min eigenvalue = {lo:.3e}")
 
 
-def state_dim(state: StateSpec) -> int:
-    """Number-basis truncation used by samplers and moment formulas.
-
-    Coherent states get max(20, ceil(|beta|^2 + 8|beta| + 10)), which keeps the
-    neglected photon-number tail below 1e-10.
-    """
+def state_dim(state: Fock | Mixed) -> int:
+    """Number-basis dimension of a Fock or mixed state, used by the samplers."""
     if isinstance(state, Fock):
         return state.n + 1
-    if isinstance(state, Mixed):
-        return state.dim
-    b = abs(state.beta)
-    return max(20, math.ceil(b * b + 8.0 * b + 10.0))
-
-
-def _pdf_dim(state: StateSpec) -> int:
-    # Larger truncation for density evaluation: amplitude tail below ~1e-15.
-    if isinstance(state, Coherent):
-        b = abs(state.beta)
-        return max(32, math.ceil(b * b + 12.0 * b + 30.0))
-    return state_dim(state)
+    return state.dim
 
 
 def state_tag(state: StateSpec) -> str:
@@ -168,7 +158,7 @@ def state_from_json(obj) -> StateSpec:
                 raise ValidationError(f"mixed rho must have dim^2 = {dim * dim} entries, got {len(flat)}")
             rho = np.array([complex(re, im) for re, im in flat]).reshape(dim, dim)
             return Mixed(rho)
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ValidationError(f"malformed state JSON: {exc}") from exc
     raise ValidationError(f"unknown state type {kind!r}")
 
@@ -178,7 +168,8 @@ def hermite_functions(nmax: int, x) -> np.ndarray:
 
     psi_n are orthonormal on the real line and satisfy
     psi_0(x) = (2/pi)^(1/4) exp(-x^2). Evaluated with the normalized
-    three-term recurrence, which stays in range for n up to a few hundred.
+    three-term recurrence from that seed, so only |x| <= HERMITE_REACH is
+    resolved, which reaches the support of psi_n up to n of a few hundred.
     Returns an array of shape (nmax + 1, len(x)).
     """
     x = np.atleast_1d(np.asarray(x, dtype=float))
@@ -261,46 +252,39 @@ def mean_photon(state: StateSpec) -> float:
     return normal_moment(state, 1, 1).real
 
 
-def _ideal_pdf(state: StateSpec, phi: float, x: np.ndarray) -> np.ndarray:
-    # Quadrature density at unit efficiency, via the truncated number basis.
-    dim = _pdf_dim(state)
-    if isinstance(state, Fock):
-        psi = hermite_functions(state.n, x)
-        return psi[state.n] ** 2
-    if isinstance(state, Coherent):
-        from scipy.special import gammaln  # deferred: costs ~0.3 s of start-up
+def coherent_mean(beta: complex, phi):
+    """Mean Re(beta exp(-i phi)) of a coherent state's quadrature at phase phi."""
+    return (beta * np.exp(-1j * phi)).real
 
-        b = state.beta
-        lam = abs(b) ** 2
-        n = np.arange(dim)
-        if lam == 0.0:
-            amp = np.zeros(dim, dtype=complex)
-            amp[0] = 1.0
-        else:
-            logmag = -0.5 * lam + n * math.log(abs(b)) - 0.5 * gammaln(n + 1.0)
-            amp = np.exp(logmag) * np.exp(1j * n * np.angle(b))
-        amp = amp * np.exp(-1j * n * phi)
-        psi = hermite_functions(dim - 1, x)
-        u = amp @ psi
-        return np.abs(u) ** 2
-    phases = np.exp(-1j * phi * np.arange(dim))
+
+def _ideal_pdf(state: Fock | Mixed, phi: float, x: np.ndarray) -> np.ndarray:
+    # Quadrature density at unit efficiency, via the truncated number basis.
+    if isinstance(state, Fock):
+        return hermite_functions(state.n, x)[state.n] ** 2
+    phases = np.exp(-1j * phi * np.arange(state.dim))
     rotated = (phases[:, None] * state.rho) * phases.conj()[None, :]
-    psi = hermite_functions(dim - 1, x)
+    psi = hermite_functions(state.dim - 1, x)
     return np.einsum("nm,nx,mx->x", rotated, psi, psi).real
 
 
 def quadrature_pdf(state: StateSpec, phi: float, eta: float, x) -> np.ndarray | float:
     """Probability density of the homodyne outcome x at local-oscillator phase phi.
 
-    At eta = 1 this is sum_{n,m} rho_nm exp(i (m - n) phi) psi_n(x) psi_m(x);
-    for eta < 1 the ideal density is convolved with the efficiency Gaussian
-    (Gauss-Hermite quadrature, 64 nodes).
+    A coherent state's density is the Gaussian of mean coherent_mean(beta, phi)
+    and variance 1/(4 eta), in closed form for any beta. For Fock and mixed
+    states it is sum_{n,m} rho_nm exp(i (m - n) phi) psi_n(x) psi_m(x) at
+    eta = 1; for eta < 1 that ideal density is convolved with the efficiency
+    Gaussian (Gauss-Hermite quadrature, 64 nodes).
     """
     _check_eta(eta)
     validate_state(state)
     xs = np.atleast_1d(np.asarray(x, dtype=float))
     phi = float(phi)
-    if eta == 1.0:
+    if isinstance(state, Coherent):
+        var = VACUUM_QUADRATURE_VARIANCE / eta
+        z = xs - coherent_mean(state.beta, phi)
+        p = np.exp(-0.5 * z * z / var) / math.sqrt(2.0 * math.pi * var)
+    elif eta == 1.0:
         p = _ideal_pdf(state, phi, xs)
     else:
         sig = math.sqrt(smearing_variance(eta))

@@ -214,9 +214,8 @@ class TestConfigFile:
 
 
 def test_cli_start_up_leaves_scipy_out(tmp_path):
-    # scipy.special costs about 0.3 s of start-up; only the coherent photon-number and
-    # density formulas need it, and they import it when called. Coherent comparisons
-    # do not reach them.
+    # scipy.special costs about 0.3 s of start-up; only the coherent photon-number
+    # formula needs it, and imports it when called. Coherent comparisons do not reach it.
     env = dict(os.environ, PYTHONPATH=str(Path(tomonoise.__file__).parents[1]))
     code = (
         "import sys, tomonoise.cli\n"
@@ -280,6 +279,57 @@ class TestErrorContract:
         lines = capsys.readouterr().err.strip().splitlines()
         assert len(lines) == 1 and json.loads(lines[0])["error"] == "config"
 
+    @pytest.mark.parametrize(
+        "argv",
+        [["sweep", "--bogus", "1"], ["sweep", "--nbar-grid", "-1,2"], [], ["simulate", "--n", "1.5"]],
+        ids=["unknown-flag", "negative-grid", "no-subcommand", "non-integer-n"],
+    )
+    def test_usage_error(self, tmp_path, capsys, argv):
+        assert main([*argv, "--out", str(tmp_path / "s.csv")]) == 2
+        lines = capsys.readouterr().err.strip().splitlines()
+        assert len(lines) == 1 and json.loads(lines[0])["error"] == "config"
+
+    def test_help_still_exits_zero(self, capsys):
+        with pytest.raises(SystemExit) as exit_:
+            main(["sweep", "--help"])
+        assert exit_.value.code == 0
+        assert capsys.readouterr().out.startswith("usage: tomonoise sweep")
+
+    @pytest.mark.parametrize("text", ["not json", '{"type":"fock"', ""])
+    def test_state_file_not_json(self, tmp_path, capsys, text):
+        state = tmp_path / "state.json"
+        state.write_text(text)
+        assert main(["simulate", "--state-file", str(state), "--out", str(tmp_path / "d.csv")]) == 2
+        lines = capsys.readouterr().err.strip().splitlines()
+        assert len(lines) == 1 and "state JSON does not parse" in json.loads(lines[0])["message"]
+
+    @pytest.mark.parametrize("flag", ["--state-file", "--config"])
+    def test_input_file_not_utf8(self, tmp_path, capsys, flag):
+        path = tmp_path / "input.json"
+        path.write_bytes(b"\xff\xfe")
+        assert main(["simulate", flag, str(path), "--out", str(tmp_path / "d.csv")]) == 2
+        lines = capsys.readouterr().err.strip().splitlines()
+        assert len(lines) == 1 and json.loads(lines[0])["error"] == "config"
+
+    @pytest.mark.parametrize(
+        "key, value", [("n", "abc"), ("eta", "x"), ("out", 5), ("observables", ["phase"])]
+    )
+    def test_config_value_of_wrong_type(self, tmp_path, capsys, key, value):
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({"out": str(tmp_path / "d.csv"), key: value}))
+        assert main(["simulate", "--state", '{"type":"fock","n":1}', "--config", str(cfg)]) == 2
+        lines = capsys.readouterr().err.strip().splitlines()
+        assert len(lines) == 1 and json.loads(lines[0])["message"].startswith(f"{key}: ")
+
+    def test_fock_level_out_of_reach(self, tmp_path, capsys):
+        # psi_0 = exp(-x^2) underflows beyond |x| ~ 26.6, so no grid width holds Fock(800)
+        assert main(["simulate", "--state", '{"type":"fock","n":800}', "--n", "10",
+                     "--out", str(tmp_path / "d.csv")]) == 4
+        lines = capsys.readouterr().err.strip().splitlines()
+        assert len(lines) == 1
+        message = json.loads(lines[0])["message"]
+        assert "26.6" in message and "required" not in message
+
     def test_zero_direct_variance(self, tmp_path, capsys):
         assert main(["compare", "--state", '{"type":"fock","n":2}', "--observable", "intensity",
                      "--n", "1000", "--out", str(tmp_path / "c.json")]) == 3
@@ -302,6 +352,23 @@ FUZZ_OBSERVABLES = [
     '{"observable":"polynomial","terms":[{"n":1,"m":0,"c":[1,0]},{"n":0,"m":1,"c":[1,0]}]}',
     '{"observable":"polynomial","terms":[{"n":0,"m":1,"c":[0,1]}]}',
 ]
+FUZZ_STATE_FILES = {
+    "state-ok.json": '{"type":"fock","n":1}', "state-text.json": "not json",
+    "state-cut.json": '{"type":"fock"', "state-empty.json": "", "state-binary.json": b"\xff\xfe",
+}
+# Per config key, values of the wrong type.
+FUZZ_CONFIG_VALUES = {
+    "state": [5, ["fock"]], "state_file": [5, {"path": "x"}], "observable": [5, ["phase"], {"observable": []}],
+    "eta": ["x", [1]], "n": ["abc", {}], "seed": ["x", [0]], "out": [5, ["out.csv"]], "data": [5, [1]],
+    "mode": [5, ["analytic"]], "observables": [["phase"], 5], "eta_list": [{"a": 1}, [[1]]],
+    "nbar_grid": [{}, ["x"]],
+}
+# Free-form argv is drawn from these; none starts a long run or names an output file.
+FUZZ_TOKENS = [
+    "simulate", "estimate", "compare", "sweep", "frob", "--bogus", "1", "20", "1.5", "-1,2", "x",
+    "--n", "--seed", "--eta", "0.5", "--nbar-grid", "--mode", "--state", '{"type":"fock","n":1}',
+    "--observable", "intensity", "--state-file",
+]
 FUZZ_DATA = {
     "valid.csv": None, "valid.json": None,
     "header.csv": "# state=x\n# eta=0.8\n# seed=1\n# n=0\nx,phi\n",
@@ -309,7 +376,7 @@ FUZZ_DATA = {
     "eta.csv": "# state=x\n# eta=abc\n# seed=1\n# n=1\nx,phi\n0.1,0.2\n",
     "nan.csv": "# state=x\n# eta=0.8\n# seed=1\n# n=1\nx,phi\nnan,0.2\n",
     "cut.json": '{"state_tag": "x", "eta": 0.8, "seed": 1, "samples": [[0.1, 0.2]',
-    "missing.csv": None,
+    "missing.csv": None, "binary.json": b"\xff\xfe", "binary.csv": b"\xff\xfe",
 }
 
 
@@ -319,15 +386,29 @@ def fuzz_data(tmp_path_factory):
     ds = tomonoise.sample_homodyne(tomonoise.Fock(1), 0.8, 300, 5)
     tomonoise.save_dataset_csv(ds, root / "valid.csv")
     tomonoise.save_dataset_json(ds, root / "valid.json")
-    for name, text in FUZZ_DATA.items():
-        if text is not None:
+    for name, text in {**FUZZ_DATA, **FUZZ_STATE_FILES}.items():
+        if isinstance(text, bytes):
+            (root / name).write_bytes(text)
+        elif text is not None:
             (root / name).write_text(text)
+    base = {"state": {"type": "fock", "n": 1}, "observable": "intensity", "data": str(root / "valid.csv"),
+            "eta": 0.8, "n": 50, "seed": 1, "mode": "analytic", "observables": "real_field",
+            "out": str(root / "config-out.csv")}
+    for key, values in FUZZ_CONFIG_VALUES.items():
+        for i, value in enumerate(values):
+            (root / f"config-{key}-{i}.json").write_text(json.dumps({**base, key: value}))
     return root
 
 
 @st.composite
-def cli_argv(draw, data_dir):
+def cli_argv(draw, data_dir, out):
+    family = draw(st.sampled_from(["command", "free", "config"]))
     command = draw(st.sampled_from(["simulate", "estimate", "compare", "sweep"]))
+    if family == "free":
+        return [*draw(st.lists(st.sampled_from(FUZZ_TOKENS), max_size=6)), "--out", out]
+    if family == "config":
+        configs = sorted(path.name for path in data_dir.glob("config-*.json"))
+        return [command, "--config", str(data_dir / draw(st.sampled_from(configs)))]
     seed = draw(st.sampled_from([0, 7, -1, 2**64]) | st.integers(0, 2**64 - 1))
     n = draw(st.integers(-1, 400))
     if command == "sweep":
@@ -337,14 +418,17 @@ def cli_argv(draw, data_dir):
             "--nbar-grid=" + draw(st.sampled_from(["1,x", "0.5,2", "1:3:1", "1:2", "3:1:1", "0", "-1,2", "nan"])),
             "--eta-list", draw(st.sampled_from(["0.5,1", "1,x", "2", "0.7"])),
             "--observables", draw(st.sampled_from(["all", "intensity,phase", "real_field", "bogus"])),
-            "--n", str(n), "--seed", str(seed),
+            "--n", str(n), "--seed", str(seed), "--out", out,
         ]
     if command == "estimate":
         data = data_dir / draw(st.sampled_from(sorted(FUZZ_DATA)))
-        return ["estimate", "--data", str(data), "--observable", draw(st.sampled_from(FUZZ_OBSERVABLES))]
-    argv = [command, "--state", draw(st.sampled_from(FUZZ_STATES)),
+        return ["estimate", "--data", str(data), "--observable", draw(st.sampled_from(FUZZ_OBSERVABLES)),
+                "--out", out]
+    state = draw(st.sampled_from([["--state", text] for text in FUZZ_STATES]
+                                 + [["--state-file", str(data_dir / name)] for name in sorted(FUZZ_STATE_FILES)]))
+    argv = [command, *state,
             "--eta", draw(st.sampled_from(["1.0", "0.8", "0.3", "0", "1.5", "nan"])),
-            "--n", str(n), "--seed", str(seed)]
+            "--n", str(n), "--seed", str(seed), "--out", out]
     if command == "compare":
         argv += ["--observable", draw(st.sampled_from(FUZZ_OBSERVABLES))]
     return argv
@@ -353,13 +437,13 @@ def cli_argv(draw, data_dir):
 @settings(max_examples=150)
 @given(data=st.data())
 def test_cli_fuzz_exit_codes(fuzz_data, data):
-    argv = data.draw(cli_argv(fuzz_data))
     with tempfile.TemporaryDirectory() as out_dir:
-        out = Path(out_dir) / data.draw(st.sampled_from(["out.json", "out.csv"]))
+        out = str(Path(out_dir) / data.draw(st.sampled_from(["out.json", "out.csv"])))
+        argv = data.draw(cli_argv(fuzz_data, out))
         stderr = io.StringIO()
         with warnings.catch_warnings(record=True) as caught, contextlib.redirect_stderr(stderr):
             warnings.simplefilter("always")
-            code = main([*argv, "--out", str(out)])
+            code = main(argv)
     assert code in (0, 2, 3, 4, 5), argv
     assert not caught, [str(w.message) for w in caught]
     lines = stderr.getvalue().splitlines()

@@ -163,6 +163,29 @@ class TestQuadraturePdf:
         assert (p >= 0).all()
         assert trapezoid(p, xs) == pytest.approx(1.0, abs=1e-6)
 
+    @pytest.mark.parametrize("phi", [0.0, 1.1, 2.9])
+    @pytest.mark.parametrize("eta", [0.6, 1.0])
+    @pytest.mark.parametrize("beta", [0, 1, 1.5 + 0.5j, -2 + 1j])
+    def test_coherent_closed_form_matches_number_basis(self, beta, eta, phi):
+        # the coherent state truncated to dimension 48 and renormalised, through
+        # the number-basis path and its Gauss-Hermite smear
+        amp = np.ones(48, dtype=complex)
+        for n in range(1, 48):
+            amp[n] = amp[n - 1] * beta / math.sqrt(n)
+        rho = np.outer(amp, amp.conj())
+        xs = np.linspace(-6, 6, 161)
+        closed = quadrature_pdf(Coherent(beta), phi, eta, xs)
+        truncated = quadrature_pdf(Mixed(rho / rho.trace().real), phi, eta, xs)
+        assert np.max(np.abs(closed - truncated)) < 1e-12
+
+    @pytest.mark.parametrize("eta", [0.7, 1.0])
+    @pytest.mark.parametrize("beta", [30, 100, 100 + 50j])
+    def test_bright_coherent_normalization(self, beta, eta):
+        # beyond |x| ~ 26.6 a number-basis density underflows; the closed form does not
+        xs = np.linspace(beta.real - 6, beta.real + 6, 2001)
+        p = quadrature_pdf(Coherent(beta), 0.0, eta, xs)
+        assert trapezoid(p, xs) == pytest.approx(1.0, abs=1e-9)
+
     def test_fock_states_are_phase_invariant(self):
         xs = np.linspace(-4, 4, 501)
         a = quadrature_pdf(Fock(2), 0.3, 1.0, xs)
