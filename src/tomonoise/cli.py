@@ -3,7 +3,8 @@
 Every run writes its fully resolved configuration (defaults filled in) next to
 the result file as <out>.config.json; the only non-reproducible field, a
 timestamp, lives there and never in result files. Values from --config win
-over conflicting command-line flags, with a warning on stderr.
+over conflicting command-line flags; a run that succeeds then warns on stderr
+once per overridden flag, and a run that fails prints only its error line.
 
 Exit codes: 0 success, 2 config error, 3 capability error, 4 numeric-range
 error, 5 I/O error; every error is one JSON line on stderr. Usage errors (an
@@ -152,9 +153,16 @@ def _text(value) -> str:
     return value
 
 
+def _integer(value) -> int:
+    # int() alone would turn 2.7 into 2 and true into 1
+    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
+        raise ValueError(f"expected an integer, got {value!r}")
+    return int(value)
+
+
 #: How the value of each plain config key is read; an unset key keeps its RunConfig default.
 _READERS = {
-    "eta": float, "n": int, "seed": int, "out": _text, "data": _text, "mode": _text,
+    "eta": float, "n": _integer, "seed": _integer, "out": _text, "data": _text, "mode": _text,
     "observables": _text, "eta_list": _parse_grid, "nbar_grid": _parse_grid,
 }
 
@@ -166,7 +174,8 @@ def _read(key: str, value, reader):
         raise ValidationError(f"{key}: {exc}") from exc
 
 
-def resolve_config(args: argparse.Namespace) -> RunConfig:
+def resolve_config(args: argparse.Namespace, overridden: list) -> RunConfig:
+    """Merge flags and config file into a RunConfig; flags the file replaced go to overridden."""
     flags = {k: v for k, v in vars(args).items() if k not in ("command", "config")}
     file_cfg = {}
     if getattr(args, "config", None):
@@ -181,10 +190,7 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
         flag_val = flags.get(key.replace("-", "_"))
         if key in file_cfg:
             if flag_val is not None and file_cfg[key] != flag_val:
-                print(
-                    f"warning: --{key.replace('_', '-')} overridden by config file value",
-                    file=sys.stderr,
-                )
+                overridden.append(key)
             merged[key] = file_cfg[key]
         else:
             merged[key] = flag_val
@@ -270,8 +276,9 @@ def _fail(kind: str, code: int, exc: Exception) -> int:
 
 
 def main(argv=None) -> int:
+    overridden = []
     try:
-        run(resolve_config(build_parser().parse_args(argv)))
+        run(resolve_config(build_parser().parse_args(argv), overridden))
     except (ValidationError, UnicodeDecodeError) as exc:  # the latter from an input file
         return _fail("config", 2, exc)
     except CapabilityError as exc:
@@ -280,6 +287,9 @@ def main(argv=None) -> int:
         return _fail("numeric-range", 4, exc)
     except OSError as exc:
         return _fail("io", 5, exc)
+    for key in sorted(overridden):  # only now, so that an error stays a single line
+        flag = key.replace("_", "-")
+        print(f"warning: --{flag} overridden by config file value", file=sys.stderr)
     return 0
 
 

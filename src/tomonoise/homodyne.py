@@ -40,7 +40,13 @@ from .states import (
 BLOCK_SIZE = 1 << 16
 GRID_NODES = 4096
 GRID_MASS_TOL = 1e-6
-SEARCH_SLICE = 1 << 13
+# Guide table of the coherence-bearing sampler: phase bins over [0, pi), target
+# levels over [0, mass), and the power-of-two steps of its short search, which
+# reach 2**GUIDE_STEPS - 1 nodes above the cell's start node.
+GUIDE_PHASE_BINS = 64
+GUIDE_LEVELS = 512
+GUIDE_STEPS = 5
+SEARCH_SLICE = 1 << 14
 # Rows formatted per write: 4096 rows keep their strings in cache and their
 # temporaries near 0.7 MB (65536-row slices were slower and held 10 MB).
 CSV_ROWS = 1 << 12
@@ -160,6 +166,42 @@ class Dataset:
         return self.n
 
 
+def _descend(cdf, lo, target, step: int, last: int):
+    """Branchless search up from nodes lo by steps step, step/2, ..., 1.
+
+    A step is taken where cdf at its end is still <= target; lo is then capped
+    at last. Returns lo, cdf(lo) and cdf(lo + 1).
+    """
+    while step:
+        lo = lo + step * (cdf(lo + step) <= target)  # a select, without np.where's branches
+        step >>= 1
+    lo = np.minimum(lo, last)
+    return lo, cdf(lo), cdf(lo + 1)
+
+
+def _guided(cdf, start, target, last: int):
+    """_descend over the window of GUIDE_STEPS steps above each guide start node.
+
+    Also returns the samples it did not bracket: those of wide cells (start -1)
+    and those whose result fails cdf(lo) <= target < cdf(lo + 1), the upper
+    bound waived at lo = last as in the full search.
+    """
+    found = _descend(cdf, np.maximum(start, 0), target, 1 << (GUIDE_STEPS - 1), last)
+    lo, flo, fhi = found
+    return found, np.flatnonzero((start < 0) | (flo > target) | ((fhi <= target) & (lo != last)))
+
+
+def _guide_cells(low, high) -> np.ndarray:
+    """Start node of each guide cell, or -1 (wide) where its brackets do not fit one window.
+
+    low and high are the lowest and highest bracketing nodes seen at the
+    cell's corners. The start keeps one node of slack below low, and the
+    window, which holds lo = start .. start + 2**GUIDE_STEPS - 1, one above high.
+    """
+    start = np.maximum(low - 1, 0)
+    return np.where(high + 1 - start < 1 << GUIDE_STEPS, start, -1).astype(np.int32)
+
+
 class QuadratureGridSampler:
     """Inverse-CDF sampler for number-basis states on a fixed x grid.
 
@@ -172,12 +214,21 @@ class QuadratureGridSampler:
     cos(phi), sin(phi) pair.
 
     Fock and diagonal mixed states have C_0 only and take one
-    phase-independent lookup. Coherence-bearing states take a branchless
-    binary search per sample: power-of-two steps over the table, padded with
-    +inf rows up to a power of two so that no step leaves it, one row gather
-    and one select per step, then linear interpolation between the
-    bracketing nodes. At one fixed phase the bands are combined into a single
-    CDF that searchsorted inverts.
+    phase-independent lookup. Coherence-bearing states invert the CDF by a
+    branchless search per sample: power-of-two steps over the table, one row
+    gather and one select per step, then linear interpolation between the
+    bracketing nodes. A guide table (Chen & Asau 1974) starts each search a
+    few nodes below its answer. It splits [0, pi) into GUIDE_PHASE_BINS phase
+    bins and [0, mass) into GUIDE_LEVELS target levels, and holds for each
+    cell a start node from the CDF brackets at the cell's corners, or -1 where
+    those brackets span too many nodes. From the start node GUIDE_STEPS steps
+    reach the answer; a sample in a wide cell, or whose short search does not
+    end on a bracket, takes the full search from node 0. Both searches read
+    the same CDF values, so the guide changes where a search starts, never
+    the bracket it finds where the CDF rises through the target. The table is
+    padded with +inf rows so that no step leaves it. At one fixed phase the
+    bands are combined into a single CDF, inverted the same way with a
+    one-dimensional guide, and searchsorted for the samples it misses.
     """
 
     def __init__(self, state: StateSpec, halfwidth: float | None = None, nodes: int = GRID_NODES):
@@ -185,6 +236,14 @@ class QuadratureGridSampler:
         if isinstance(state, Coherent):
             raise ValidationError("coherent states are sampled in closed form, not on a grid")
         dim = state_dim(state)
+        # The highest populated level, checked before the dim x nodes Hermite table is allocated.
+        top = state.n if isinstance(state, Fock) else np.flatnonzero(state.rho.diagonal().real > 0)[-1]
+        turning = math.sqrt((2 * top + 1) / 2)
+        if turning > 2.0 * HERMITE_REACH:
+            raise NumericRangeError(
+                f"photon number {top} has its turning point at |x| = {turning:.2f}, more than "
+                f"twice the |x| <= {HERMITE_REACH:.2f} that the number-basis recurrence resolves"
+            )
         self.halfwidth = float(halfwidth) if halfwidth is not None else 3.0 + 2.0 * math.sqrt(dim)
         self.xgrid = np.linspace(-self.halfwidth, self.halfwidth, nodes)
         dx = self.xgrid[1] - self.xgrid[0]
@@ -214,13 +273,23 @@ class QuadratureGridSampler:
         self.bands = offsets[1:]
         self.phase_dependent = bool(self.bands)
         # Steps top, top/2, ..., 1 reach every lower node 0..nodes-2; candidates
-        # run up to 2 top - 1, so the table has at least 2 top rows.
+        # run up to 2 top - 1, and a guided window up to nodes - 3 + 2**GUIDE_STEPS.
         self._top_step = 1 << (max(nodes - 2, 1).bit_length() - 1)
-        self.table = np.zeros((max(nodes, 2 * self._top_step), 1 + 2 * len(self.bands)))
-        self.table[:nodes, 0] = cdfs[0].real
-        self.table[:nodes, 1 : 1 + len(self.bands)] = 2.0 * cdfs[1:].real.T
-        self.table[:nodes, 1 + len(self.bands) :] = -2.0 * cdfs[1:].imag.T
+        columns = np.concatenate((cdfs[:1].real, 2.0 * cdfs[1:].real, -2.0 * cdfs[1:].imag))
+        rows = max(nodes + (1 << GUIDE_STEPS), 2 * self._top_step)
+        self.table = np.zeros((rows, columns.shape[0]))
+        self.table[:nodes] = columns.T
         self.table[nodes:, 0] = np.inf
+        if self.phase_dependent:
+            self._levels = np.arange(GUIDE_LEVELS + 1) * (self.mass / GUIDE_LEVELS)
+            # One matrix-vector product per bin edge on the band-major columns: a
+            # matrix-matrix product would leave a BLAS thread spinning after it returns.
+            edges = np.arange(GUIDE_PHASE_BINS + 1) * (math.pi / GUIDE_PHASE_BINS)
+            brackets = np.stack([self._brackets(w @ columns) for w in self._weights(edges)])
+            self.guide = _guide_cells(
+                np.minimum(brackets[:-1, :-1], brackets[1:, :-1]),
+                np.maximum(brackets[:-1, 1:], brackets[1:, 1:]),
+            )
 
     def _weights(self, phi: np.ndarray) -> np.ndarray:
         """Sample-major rows [1, cos(d phi)..., sin(d phi)...] over the bands d."""
@@ -235,42 +304,77 @@ class QuadratureGridSampler:
             weights[:, j + len(self.bands)] = sin[d]
         return weights
 
+    def _brackets(self, cdf: np.ndarray) -> np.ndarray:
+        """Lower bracketing node of each guide level edge in a CDF over the grid, capped at nodes - 2."""
+        return np.minimum(np.searchsorted(cdf, self._levels, side="right") - 1, self.xgrid.size - 2)
+
+    def _level(self, target: np.ndarray) -> np.ndarray:
+        """Guide level of each target; out-of-range targets land in an end level."""
+        return np.clip(target * (GUIDE_LEVELS / self.mass), 0, GUIDE_LEVELS - 1).astype(np.intp)
+
     def _interpolate(self, target, lo, flo, fhi) -> np.ndarray:
         t = np.clip((target - flo) / np.maximum(fhi - flo, 1e-300), 0.0, 1.0)
-        return self.xgrid[lo] + t * (self.xgrid[lo + 1] - self.xgrid[lo])
+        left = self.xgrid[lo]
+        return left + t * (self.xgrid[lo + 1] - left)
+
+    def _cdf(self, weights: np.ndarray):
+        """CDF at nodes idx, one per sample, for sample-major weights."""
+        return lambda idx: np.einsum("sk,sk->s", np.take(self.table, idx, axis=0), weights)
 
     def _search(self, phi: np.ndarray, target: np.ndarray):
-        """Lower bracketing node of each target at its phase, with the CDF there and one node up."""
-        weights = self._weights(phi)
+        """Lower bracketing node of each target at its phase, with the CDF there and one node up.
 
-        def cdf(idx):
-            return np.einsum("sk,sk->s", np.take(self.table, idx, axis=0), weights)
-
-        lo = np.zeros(phi.size, dtype=np.intp)
-        step = self._top_step
-        while step:
-            cand = lo + step
-            lo = np.where(cdf(cand) <= target, cand, lo)
-            step >>= 1
-        lo = np.minimum(lo, self.xgrid.size - 2)
-        return lo, cdf(lo), cdf(lo + 1)
+        The guided search runs slice by slice, small enough that the gathered
+        rows and weights stay in cache; the samples it misses take one full
+        search at the end.
+        """
+        last = self.xgrid.size - 2
+        found = (np.empty(target.size, dtype=np.intp), np.empty(target.size), np.empty(target.size))
+        missed = [np.empty(0, dtype=np.intp)]
+        for first in range(0, target.size, SEARCH_SLICE):
+            part = slice(first, first + SEARCH_SLICE)
+            # A phase outside [0, pi) lands in an end bin and at worst misses its window.
+            phase_bin = np.clip(phi[part] * (GUIDE_PHASE_BINS / math.pi), 0, GUIDE_PHASE_BINS - 1)
+            cell = phase_bin.astype(np.intp) * GUIDE_LEVELS + self._level(target[part])
+            start = np.take(self.guide, cell)  # flat index into the (bin, level) table
+            values, miss = _guided(self._cdf(self._weights(phi[part])), start, target[part], last)
+            for out, value in zip(found, values):
+                out[part] = value
+            missed.append(first + miss)
+        missed = np.concatenate(missed)
+        if missed.size:
+            lo = np.zeros(missed.size, dtype=np.intp)
+            cdf = self._cdf(self._weights(phi[missed]))
+            full = _descend(cdf, lo, target[missed], self._top_step, last)
+            for out, values in zip(found, full):
+                out[missed] = values
+        return found
 
     def _lookup(self, phi: float, target: np.ndarray):
         """As _search, for targets that all share the phase phi."""
+        last = self.xgrid.size - 2
         cdf = self.table[: self.xgrid.size] @ self._weights(np.array([float(phi)]))[0]
-        lo = np.minimum(np.searchsorted(cdf, target, side="right") - 1, self.xgrid.size - 2)
-        return lo, cdf[lo], cdf[lo + 1]
+        brackets = self._brackets(cdf)
+        start = _guide_cells(brackets[:-1], brackets[1:])[self._level(target)]
+        padded = np.concatenate((cdf, np.full(1 << GUIDE_STEPS, np.inf)))
+        found, missed = _guided(lambda idx: np.take(padded, idx), start, target, last)
+        if missed.size:
+            lo = np.minimum(np.searchsorted(cdf, target[missed], side="right") - 1, last)
+            for out, values in zip(found, (lo, cdf[lo], cdf[lo + 1])):
+                out[missed] = values
+        return found
 
     def sample(self, phi: np.ndarray, u: np.ndarray) -> np.ndarray:
         """Outcomes x at phases phi for uniform deviates u in [0, 1)."""
         target = u * self.mass
         if not self.phase_dependent:
             return np.interp(target, self.table[: self.xgrid.size, 0], self.xgrid)
-        # Slices small enough that the gathered rows and weights stay in cache.
+        found = self._search(phi, target)
         x = np.empty(target.size)
-        for start in range(0, target.size, SEARCH_SLICE):
-            part = slice(start, start + SEARCH_SLICE)
-            x[part] = self._interpolate(target[part], *self._search(phi[part], target[part]))
+        # In the search's slices, so that the temporaries stay in cache.
+        for first in range(0, target.size, SEARCH_SLICE):
+            part = slice(first, first + SEARCH_SLICE)
+            x[part] = self._interpolate(target[part], *(column[part] for column in found))
         return x
 
     def sample_fixed_phase(self, phi: float, u: np.ndarray) -> np.ndarray:

@@ -53,6 +53,8 @@ class Monomial:
 
     def __post_init__(self):
         _check_orders(self.n, self.m)
+        object.__setattr__(self, "n", int(self.n))
+        object.__setattr__(self, "m", int(self.m))
 
 
 @dataclass(frozen=True)
@@ -67,6 +69,8 @@ class Polynomial:
 
     @classmethod
     def from_coeffs(cls, coeffs: Mapping[tuple[int, int], complex]) -> "Polynomial":
+        for n, m in coeffs:
+            _check_orders(n, m)  # before int() could truncate a non-integral order
         items = tuple(
             (int(n), int(m), complex(c)) for (n, m), c in sorted(coeffs.items())
         )
@@ -81,7 +85,7 @@ Observable = Union[Intensity, RealField, ComplexAmplitude, Phase, Monomial, Poly
 
 
 def _check_orders(n: int, m: int) -> None:
-    if int(n) != n or int(m) != m or n < 0 or m < 0:
+    if isinstance(n, bool) or isinstance(m, bool) or int(n) != n or int(m) != m or n < 0 or m < 0:
         raise ValidationError(f"monomial orders must be nonnegative integers, got ({n}, {m})")
     if n + m > MAX_KERNEL_ORDER:
         raise NumericRangeError(
@@ -248,10 +252,10 @@ def observable_from_json(obj) -> Observable:
         if kind in _NAMED:
             return _NAMED[kind]
         if kind == "monomial":
-            return Monomial(int(obj["n"]), int(obj["m"]))
+            return Monomial(obj["n"], obj["m"])  # Monomial rejects non-integral orders
         if kind == "polynomial":
             coeffs = {
-                (int(t["n"]), int(t["m"])): complex(t["c"][0], t["c"][1])
+                (t["n"], t["m"]): complex(t["c"][0], t["c"][1])
                 for t in obj["terms"]
             }
             return Polynomial.from_coeffs(coeffs)

@@ -65,7 +65,7 @@ class Fock:
     n: int
 
     def __post_init__(self):
-        if int(self.n) != self.n or self.n < 0:
+        if isinstance(self.n, bool) or int(self.n) != self.n or self.n < 0:
             raise ValidationError(f"Fock level must be a nonnegative integer, got {self.n}")
         object.__setattr__(self, "n", int(self.n))
 
@@ -150,9 +150,12 @@ def state_from_json(obj) -> StateSpec:
             re, im = obj["beta"]
             return Coherent(complex(re, im))
         if kind == "fock":
-            return Fock(int(obj["n"]))
+            return Fock(obj["n"])  # Fock rejects a non-integral level; int() would truncate it
         if kind == "mixed":
-            dim = int(obj["dim"])
+            dim = obj["dim"]
+            if isinstance(dim, bool) or int(dim) != dim:
+                raise ValidationError(f"mixed dim must be an integer, got {dim!r}")
+            dim = int(dim)
             flat = obj["rho"]
             if len(flat) != dim * dim:
                 raise ValidationError(f"mixed rho must have dim^2 = {dim * dim} entries, got {len(flat)}")
@@ -264,7 +267,9 @@ def _ideal_pdf(state: Fock | Mixed, phi: float, x: np.ndarray) -> np.ndarray:
     phases = np.exp(-1j * phi * np.arange(state.dim))
     rotated = (phases[:, None] * state.rho) * phases.conj()[None, :]
     psi = hermite_functions(state.dim - 1, x)
-    return np.einsum("nm,nx,mx->x", rotated, psi, psi).real
+    # sum_nm Re(rotated_nm) psi_n psi_m, the psi being real: one matrix product, then
+    # a column-wise dot (a three-operand einsum would run a naive triple loop)
+    return np.einsum("nx,nx->x", rotated.real @ psi, psi)
 
 
 def quadrature_pdf(state: StateSpec, phi: float, eta: float, x) -> np.ndarray | float:

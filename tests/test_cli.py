@@ -212,6 +212,22 @@ class TestConfigFile:
         meta, rows = read_result_rows(out)
         assert "# eta=0.9" in meta and len(rows) == 500
 
+    def test_override_warns_once_after_a_clean_run(self, tmp_path, coherent_state_file, capsys):
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({"eta": 0.9}))
+        assert main(["simulate", "--state-file", coherent_state_file, "--eta", "0.5", "--n", "50",
+                     "--out", str(tmp_path / "d.csv"), "--config", str(cfg)]) == 0
+        lines = capsys.readouterr().err.splitlines()
+        assert lines == ["warning: --eta overridden by config file value"]
+
+    def test_override_of_a_bad_value_leaves_one_error_line(self, tmp_path, coherent_state_file, capsys):
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({"eta": 1.5}))
+        assert main(["simulate", "--state-file", coherent_state_file, "--eta", "0.5", "--n", "50",
+                     "--out", str(tmp_path / "d.csv"), "--config", str(cfg)]) == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and json.loads(lines[0])["exit"] == 2
+
 
 def test_cli_start_up_leaves_scipy_out(tmp_path):
     # scipy.special costs about 0.3 s of start-up; only the coherent photon-number
@@ -321,6 +337,45 @@ class TestErrorContract:
         lines = capsys.readouterr().err.strip().splitlines()
         assert len(lines) == 1 and json.loads(lines[0])["message"].startswith(f"{key}: ")
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["simulate", "--state", '{"type":"fock","n":1.5}'],
+            ["simulate", "--state", '{"type":"fock","n":true}'],
+            ["simulate", "--state", '{"type":"mixed","dim":1.5,"rho":[[1,0]]}'],
+            ["estimate", "--observable", '{"observable":"monomial","n":1.5,"m":1}'],
+            ["estimate", "--observable", '{"observable":"monomial","n":1,"m":true}'],
+            ["estimate", "--observable",
+             '{"observable":"polynomial","terms":[{"n":1.5,"m":1,"c":[1,0]}]}'],
+        ],
+        ids=["fock-level", "fock-bool", "mixed-dim", "monomial-order", "monomial-bool",
+             "polynomial-order"],
+    )
+    def test_non_integral_json_field(self, tmp_path, capsys, argv):
+        data = tmp_path / "d.csv"
+        tomonoise.save_dataset_csv(tomonoise.sample_homodyne(tomonoise.Fock(1), 0.8, 100, 5), data)
+        extra = ["--data", str(data)] if argv[0] == "estimate" else []
+        assert main([*argv, *extra, "--out", str(tmp_path / "out.json")]) == 2
+        lines = capsys.readouterr().err.strip().splitlines()
+        assert len(lines) == 1 and "integer" in json.loads(lines[0])["message"]
+        assert not (tmp_path / "out.json").exists()
+
+    @pytest.mark.parametrize("key, value", [("n", 2.7), ("n", True), ("seed", 2.5), ("seed", False)])
+    def test_non_integral_config_value(self, tmp_path, capsys, key, value):
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({"out": str(tmp_path / "d.csv"), key: value}))
+        assert main(["simulate", "--state", '{"type":"fock","n":1}', "--config", str(cfg)]) == 2
+        lines = capsys.readouterr().err.strip().splitlines()
+        assert len(lines) == 1 and json.loads(lines[0])["message"].startswith(f"{key}: expected an integer")
+        assert not (tmp_path / "d.csv").exists()
+
+    def test_integral_float_config_value_still_reads(self, tmp_path):
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({"out": str(tmp_path / "d.csv"), "n": 20.0, "seed": 3.0}))
+        assert main(["simulate", "--state", '{"type":"fock","n":1}', "--config", str(cfg)]) == 0
+        meta, rows = read_result_rows(tmp_path / "d.csv")
+        assert "# n=20" in meta and "# seed=3" in meta and len(rows) == 20
+
     def test_fock_level_out_of_reach(self, tmp_path, capsys):
         # psi_0 = exp(-x^2) underflows beyond |x| ~ 26.6, so no grid width holds Fock(800)
         assert main(["simulate", "--state", '{"type":"fock","n":800}', "--n", "10",
@@ -344,11 +399,13 @@ FUZZ_STATES = [
     '{"type":"coherent","beta":[1.2,-0.4]}', '{"type":"fock","n":2}', '{"type":"fock","n":0}',
     '{"type":"mixed","dim":2,"rho":[[0.5,0],[0.3,0.1],[0.3,-0.1],[0.5,0]]}',
     '{"type":"fock","n":-1}', '{"type":"coherent"}', "not json", '{"type":"squeezed"}',
+    '{"type":"fock","n":1.5}', '{"type":"fock","n":1000000}',
 ]
 FUZZ_OBSERVABLES = [
     "intensity", "real_field", "complex_amplitude", "phase", "bogus",
     '{"observable":"monomial","n":0,"m":1}', '{"observable":"monomial","n":2,"m":2}',
     '{"observable":"monomial","n":30,"m":30}', '{"observable":"monomial","n":0}',
+    '{"observable":"monomial","n":1.5,"m":1}',
     '{"observable":"polynomial","terms":[{"n":1,"m":0,"c":[1,0]},{"n":0,"m":1,"c":[1,0]}]}',
     '{"observable":"polynomial","terms":[{"n":0,"m":1,"c":[0,1]}]}',
 ]
@@ -359,7 +416,8 @@ FUZZ_STATE_FILES = {
 # Per config key, values of the wrong type.
 FUZZ_CONFIG_VALUES = {
     "state": [5, ["fock"]], "state_file": [5, {"path": "x"}], "observable": [5, ["phase"], {"observable": []}],
-    "eta": ["x", [1]], "n": ["abc", {}], "seed": ["x", [0]], "out": [5, ["out.csv"]], "data": [5, [1]],
+    "eta": ["x", [1]], "n": ["abc", {}, 2.7, True], "seed": ["x", [0], 2.5, False], "out": [5, ["out.csv"]],
+    "data": [5, [1]],
     "mode": [5, ["analytic"]], "observables": [["phase"], 5], "eta_list": [{"a": 1}, [[1]]],
     "nbar_grid": [{}, ["x"]],
 }
@@ -408,7 +466,9 @@ def cli_argv(draw, data_dir, out):
         return [*draw(st.lists(st.sampled_from(FUZZ_TOKENS), max_size=6)), "--out", out]
     if family == "config":
         configs = sorted(path.name for path in data_dir.glob("config-*.json"))
-        return [command, "--config", str(data_dir / draw(st.sampled_from(configs)))]
+        # a flag the config file overrides must not add a warning line to the error line
+        flags = draw(st.sampled_from([[], ["--seed", "3"], ["--eta", "0.5"]]))
+        return [command, *flags, "--config", str(data_dir / draw(st.sampled_from(configs)))]
     seed = draw(st.sampled_from([0, 7, -1, 2**64]) | st.integers(0, 2**64 - 1))
     n = draw(st.integers(-1, 400))
     if command == "sweep":

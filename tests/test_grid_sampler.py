@@ -6,7 +6,10 @@ in methods of their own so tests can read the bracketing node. The table search 
 strictly increasing and land within 1e-9 of the bisection everywhere.
 """
 
+import hashlib
 import math
+import resource
+import time
 
 import numpy as np
 import pytest
@@ -17,7 +20,8 @@ from scipy.stats import kstest
 
 from conftest import small_density_matrices
 from tomonoise import Mixed, normal_moment, quadrature_pdf, sample_fixed_phase, sample_homodyne
-from tomonoise.homodyne import GRID_NODES, QuadratureGridSampler
+from tomonoise import homodyne
+from tomonoise.homodyne import BLOCK_SIZE, GRID_NODES, QuadratureGridSampler
 from tomonoise.kernels import kernel_monomial
 from tomonoise.states import hermite_functions, state_dim
 
@@ -178,3 +182,89 @@ class TestEveryBand:
         grid = np.linspace(-10.0, 10.0, 40_001)
         cdf = cumulative_trapezoid(quadrature_pdf(self.state, phi, 1.0, grid), grid, initial=0.0)
         assert kstest(xs, lambda x: np.interp(x, grid, cdf)).pvalue > 1e-3
+
+
+def sha256(*arrays):
+    digest = hashlib.sha256()
+    for a in arrays:
+        digest.update(np.ascontiguousarray(a, dtype="<f8").tobytes())
+    return digest.hexdigest()
+
+
+def guided(monkeypatch, cells):
+    """Sampler for mixed6(8) whose guide tables, phase-scanned and fixed-phase, go through cells."""
+    build = homodyne._guide_cells
+    monkeypatch.setattr(homodyne, "_guide_cells", lambda low, high: cells(build(low, high)))
+    return QuadratureGridSampler(mixed6(8))
+
+
+class TestGuideTable:
+    """The guide only chooses where a search starts; outcomes never depend on it."""
+
+    # Recorded before the guide table existed, from the plain power-of-two search.
+    def test_sample_homodyne_bytes(self):
+        ds = sample_homodyne(mixed6(1), 0.8, BLOCK_SIZE + 123, 29)
+        assert sha256(ds.x, ds.phi) == "c502e9fbbe3f42ded6fc6c5d378dcc9c2b14dbfbca51bcad904dd0a564b1db1d"
+
+    def test_sample_fixed_phase_bytes(self):
+        x = sample_fixed_phase(mixed6(1), 0.8, BLOCK_SIZE + 123, 29, phi=1.1)
+        assert sha256(x) == "8be1bbcfc977c2d5b2fe42a3a88fd870fbcc514dcd53d233cd066175a28e29ec"
+
+    def test_guide_is_mostly_narrow(self):
+        guide = QuadratureGridSampler(mixed6(8)).guide
+        assert guide.shape == (homodyne.GUIDE_PHASE_BINS, homodyne.GUIDE_LEVELS)
+        assert guide.dtype == np.int32 and (guide < 0).mean() < 0.01
+
+    @pytest.mark.parametrize(
+        "cells",
+        [
+            lambda cells: np.full_like(cells, -1),
+            lambda cells: cells + 3,
+            lambda cells: np.maximum(cells - 7, 0),
+            lambda cells: np.where(cells >= 0, cells + 40, -1),
+            lambda cells: np.random.default_rng(0).integers(0, GRID_NODES, cells.shape, dtype=np.int32),
+        ],
+        ids=["all-wide", "up-3", "down-7", "up-40", "random"],
+    )
+    def test_wrong_guide_changes_no_outcome(self, monkeypatch, cells):
+        phi, u = deviates(9, 1 << 15)
+        expected = QuadratureGridSampler(mixed6(8))
+        sampler = guided(monkeypatch, cells)
+        np.testing.assert_array_equal(sampler.sample(phi, u), expected.sample(phi, u))
+        for fixed in (0.0, 1.1, 2.9):
+            np.testing.assert_array_equal(
+                sampler.sample_fixed_phase(fixed, u), expected.sample_fixed_phase(fixed, u)
+            )
+
+    @pytest.mark.parametrize("phase", [-0.5, 3.5, 7.0, None])
+    def test_phase_outside_the_bins(self, monkeypatch, phase):
+        # None: phases across [0, pi) at the extreme deviates of both tails
+        if phase is None:
+            u = np.repeat([0.0, 1e-300, 1e-12, 1 - 1e-12, 1 - 1e-15, 1 - 2**-53], 512)
+            phi = np.tile(np.linspace(0.0, np.nextafter(math.pi, 0.0), 512), 6)
+        else:
+            _, u = deviates(10, 1 << 14)
+            phi = np.full(u.size, phase)
+        target = u * QuadratureGridSampler(mixed6(8)).mass
+        found = QuadratureGridSampler(mixed6(8))._search(phi, target)
+        full = guided(monkeypatch, lambda cells: np.full_like(cells, -1))._search(phi, target)
+        for a, b in zip(found, full):
+            np.testing.assert_array_equal(a, b)
+
+    def test_no_samples(self):
+        sampler = QuadratureGridSampler(mixed6(8))
+        assert sampler.sample(np.empty(0), np.empty(0)).size == 0
+        assert sampler.sample_fixed_phase(1.1, np.empty(0)).size == 0
+
+    def test_build_leaves_no_thread_spinning(self):
+        # A BLAS matrix-matrix product in the build would leave a worker thread
+        # busy-waiting, and that CPU time would count against every sample.
+        QuadratureGridSampler(mixed6(8))
+
+        def cpu():
+            usage = resource.getrusage(resource.RUSAGE_SELF)
+            return usage.ru_utime + usage.ru_stime
+
+        before = cpu()
+        time.sleep(0.3)
+        assert cpu() - before < 0.05

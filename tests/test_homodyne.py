@@ -3,6 +3,7 @@ import math
 import os
 import sys
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -117,6 +118,24 @@ class TestDistributions:
     def test_grid_extent_error(self):
         with pytest.raises(NumericRangeError, match="halfwidth"):
             QuadratureGridSampler(Fock(30), halfwidth=2.0)
+
+    @pytest.mark.parametrize("n", [1000, 2000])
+    def test_high_fock_levels_fail_the_mass_check(self, n):
+        # below the turning-point cut the verdict is still the grid's mass
+        with pytest.raises(NumericRangeError, match="holds only mass"):
+            QuadratureGridSampler(Fock(n))
+
+    @pytest.mark.parametrize("n", [2834, 10**6])
+    def test_huge_fock_level_refused_before_allocating(self, n):
+        # Fock(10**6) would need a 33 GB Hermite table
+        tracemalloc.start()
+        try:
+            with pytest.raises(NumericRangeError, match="turning point"):
+                sample_homodyne(Fock(n), 1.0, 10, 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 50 * 2**20
 
 
 class TestDatasetContainer:
