@@ -1,23 +1,31 @@
 """Batch command-line front end: simulate, estimate, compare, sweep.
 
-Every run writes its fully resolved configuration (defaults filled in) next to
-the result file as <out>.config.json; the only non-reproducible field, a
-timestamp, lives there and never in result files. Values from --config win
-over conflicting command-line flags; a run that succeeds then warns on stderr
-once per overridden flag, and a run that fails prints only its error line.
+Every run writes its resolved configuration (defaults filled in) next to the
+result file as <out>.config.json: the keys its command reads (_COMMAND_KEYS),
+command, max_workers and a timestamp. The timestamp, the only non-reproducible
+field, lives there and never in result files. Values from --config win over
+conflicting command-line flags; a run that succeeds then warns on stderr once
+per overridden flag, and a run that fails prints only its error line.
 
 Exit codes: 0 success, 2 config error, 3 capability error, 4 numeric-range
 error, 5 I/O error; every error is one JSON line on stderr. Usage errors (an
 unknown flag, a missing subcommand, a flag value argparse cannot read) and
-config-file values of the wrong type are config errors. Sample blocks are
-generated on as many threads as the process has CPUs; TOMONOISE_MAX_WORKERS
-(a positive integer) lowers that count, and the count used is recorded in the
-resolved config as max_workers.
+config-file values of the wrong type are config errors. A record too large to
+allocate, and any other MemoryError, is a numeric-range error. Sample blocks
+are generated on as many threads as the process has CPUs;
+TOMONOISE_MAX_WORKERS (a positive integer) lowers that count, and the count
+used is recorded in the resolved config as max_workers.
+
+On glibc, main() first sets the allocator policy of the process: arrays up
+to a few blocks come from the heap, and freed heap is kept rather than handed
+back to the kernel, so blocks reuse memory instead of faulting it in again
+(MMAP_THRESHOLD, TRIM_THRESHOLD). Importing the package does not do this.
 """
 
 from __future__ import annotations
 
 import argparse
+import ctypes
 import datetime
 import json
 import math
@@ -33,6 +41,7 @@ from .estimators import (
     estimate_to_json,
 )
 from .homodyne import (
+    BLOCK_SIZE,
     load_dataset_csv,
     load_dataset_json,
     sample_homodyne,
@@ -46,6 +55,31 @@ from .states import state_from_json, state_to_json
 
 _OBSERVABLE_NAMES = ("intensity", "real_field", "complex_amplitude", "phase")
 
+# glibc allocator policy of a CLI run (see _keep_block_memory). The largest per-block array is a
+# complex block, 16 B x BLOCK_SIZE = 1 MiB, and each worker has at most two blocks in flight.
+#: Arrays below this size come from the heap, not from their own mmap: four complex blocks.
+MMAP_THRESHOLD = 4 * 16 * BLOCK_SIZE
+#: Free heap memory kept, not handed back to the kernel: room for every worker's blocks.
+TRIM_THRESHOLD = 8 * MMAP_THRESHOLD
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3  # mallopt parameters in glibc's malloc.h
+
+
+def _keep_block_memory() -> None:
+    """Have glibc keep block-sized memory mapped between blocks instead of trimming it.
+
+    By default glibc returns each block's freed temporaries to the kernel and
+    faults them in again for the next block. Setting either threshold also
+    switches off glibc's dynamic thresholds. Without mallopt (not glibc) this
+    does nothing. Only the CLI calls it: importing the package leaves its host's
+    allocator alone.
+    """
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, TypeError):
+        return
+    mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+    mallopt(_M_MMAP_THRESHOLD, MMAP_THRESHOLD)
+    mallopt(_M_TRIM_THRESHOLD, TRIM_THRESHOLD)
 
 
 @dataclass
@@ -165,6 +199,13 @@ _READERS = {
     "eta": float, "n": _integer, "seed": _integer, "out": _text, "data": _text, "mode": _text,
     "observables": _text, "eta_list": _parse_grid, "nbar_grid": _parse_grid,
 }
+#: The keys each command reads: with command, max_workers and a timestamp, its whole sidecar.
+_COMMAND_KEYS = {
+    "simulate": ("state", "eta", "n", "seed", "out"),
+    "estimate": ("observable", "out", "data"),
+    "compare": ("state", "observable", "eta", "n", "seed", "out"),
+    "sweep": ("n", "seed", "out", "mode", "observables", "eta_list", "nbar_grid"),
+}
 
 
 def _read(key: str, value, reader):
@@ -213,7 +254,8 @@ def resolve_config(args: argparse.Namespace, overridden: list) -> RunConfig:
 
 
 def _emit_config(cfg: RunConfig) -> None:
-    resolved = asdict(cfg)
+    keys = {"command", "max_workers", *_COMMAND_KEYS[cfg.command]}
+    resolved = {key: value for key, value in asdict(cfg).items() if key in keys}
     resolved["timestamp"] = datetime.datetime.now(datetime.timezone.utc).isoformat()
     Path(cfg.out + ".config.json").write_text(json.dumps(resolved, indent=2) + "\n")
 
@@ -276,6 +318,7 @@ def _fail(kind: str, code: int, exc: Exception) -> int:
 
 
 def main(argv=None) -> int:
+    _keep_block_memory()
     overridden = []
     try:
         run(resolve_config(build_parser().parse_args(argv), overridden))
@@ -283,7 +326,7 @@ def main(argv=None) -> int:
         return _fail("config", 2, exc)
     except CapabilityError as exc:
         return _fail("capability", 3, exc)
-    except NumericRangeError as exc:
+    except (NumericRangeError, MemoryError) as exc:
         return _fail("numeric-range", 4, exc)
     except OSError as exc:
         return _fail("io", 5, exc)

@@ -119,14 +119,20 @@ def generate(n: int, draw, reduce, dtypes):
     """Run draw(block, count), which returns a tuple of arrays, for every block of range(n).
 
     Without reduce, the blocks fill one new length-n array per dtype, and the
-    arrays are returned. With reduce, reduce(*arrays) gets each block's arrays
-    on the calling thread in block order, nothing of size n is allocated, and
-    None is returned.
+    arrays are returned (NumericRangeError if they cannot be allocated). With
+    reduce, reduce(*arrays) gets each block's arrays on the calling thread in
+    block order, nothing of size n is allocated, and None is returned.
     """
     if reduce is not None:
         run_blocks(n, lambda block, start, count: draw(block, count), lambda arrays: reduce(*arrays))
         return None
-    outs = [np.empty(n, dtype=dtype) for dtype in dtypes]
+    try:
+        outs = [np.empty(n, dtype=dtype) for dtype in dtypes]
+    except (MemoryError, ValueError) as exc:  # numpy's ValueError: "array is too big"
+        size = n * sum(np.dtype(dtype).itemsize for dtype in dtypes)
+        raise NumericRangeError(
+            f"a record of n = {n} samples needs {size} bytes, more memory than can be allocated"
+        ) from exc
 
     def fill(block, start, count):
         for out, values in zip(outs, draw(block, count)):

@@ -146,7 +146,11 @@ def kernel_observable(obs: Observable, eta: float, x, phi, return_degenerate: bo
     elif isinstance(obs, RealField):
         vals = 2.0 * x * np.cos(phi)
     elif isinstance(obs, ComplexAmplitude):
-        vals = 2.0 * x * np.exp(1j * phi)
+        # 2.0 * x * exp(1j phi) up to the sign of a zero, without a complex exp
+        two_x = 2.0 * x
+        vals = np.empty(np.broadcast(x, phi).shape, dtype=complex)
+        np.multiply(two_x, np.cos(phi), out=vals.real)
+        np.multiply(two_x, np.sin(phi), out=vals.imag)
     elif isinstance(obs, Phase):
         vals = np.where(x >= 0.0, phi, phi - math.pi)
         vals = np.where(vals <= -math.pi, vals + 2.0 * math.pi, vals)

@@ -257,6 +257,10 @@ def mean_photon(state: StateSpec) -> float:
 
 def coherent_mean(beta: complex, phi):
     """Mean Re(beta exp(-i phi)) of a coherent state's quadrature at phase phi."""
+    if beta.imag == 0.0:
+        # equal to the complex form below (up to the sign of a zero), without its complex exp
+        return beta.real * np.cos(phi)
+    # numpy's complex product does not round like the split form b.r cos + b.i sin
     return (beta * np.exp(-1j * phi)).real
 
 

@@ -3,6 +3,7 @@ import io
 import json
 import math
 import os
+import resource
 import subprocess
 import sys
 import tempfile
@@ -14,7 +15,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import tomonoise
+from tomonoise import cli
 from tomonoise.cli import main
+from tomonoise.homodyne import BLOCK_SIZE
 
 
 @pytest.fixture
@@ -393,6 +396,79 @@ class TestErrorContract:
         with pytest.raises(tomonoise.CapabilityError, match="direct variance is zero"):
             tomonoise.analytic_comparison(tomonoise.Intensity(), tomonoise.Fock(2), 1.0)
 
+    # 8 EiB and 64 EiB (x and phi): beyond any x86-64 address space, refused under every overcommit mode
+    @pytest.mark.parametrize("n", [2**59, 2**62], ids=["8EiB", "array-too-big"])
+    def test_oversized_record(self, tmp_path, capsys, n):
+        assert main(["simulate", "--state", '{"type":"fock","n":1}', "--n", str(n),
+                     "--out", str(tmp_path / "d.csv")]) == 4
+        lines = capsys.readouterr().err.strip().splitlines()
+        assert len(lines) == 1
+        error = json.loads(lines[0])
+        assert error["error"] == "numeric-range" and f"n = {n}" in error["message"]
+        assert str(16 * n) in error["message"]  # x and phi, 8 bytes each
+        assert not (tmp_path / "d.csv").exists()
+
+    def test_memory_error_exits_4(self, tmp_path, capsys, monkeypatch):
+        def run(cfg):
+            raise MemoryError("Unable to allocate 1.00 TiB")
+
+        monkeypatch.setattr(cli, "run", run)
+        assert main(["simulate", "--state", '{"type":"fock","n":1}', "--n", "10",
+                     "--out", str(tmp_path / "d.csv")]) == 4
+        lines = capsys.readouterr().err.strip().splitlines()
+        assert len(lines) == 1 and json.loads(lines[0])["message"] == "Unable to allocate 1.00 TiB"
+
+
+class TestSidecar:
+    """<out>.config.json holds the keys its command reads, plus command, max_workers, timestamp."""
+
+    ALWAYS = {"command", "max_workers", "timestamp"}
+
+    @pytest.mark.parametrize(
+        "argv, keys",
+        [
+            (["simulate", "--state", '{"type":"fock","n":1}', "--n", "10"],
+             {"state", "eta", "n", "seed", "out"}),
+            (["estimate", "--observable", "intensity"], {"observable", "data", "out"}),
+            (["compare", "--state", '{"type":"coherent","beta":[1,0]}', "--observable", "intensity",
+              "--n", "100"],
+             {"state", "observable", "eta", "n", "seed", "out"}),
+            (["sweep", "--nbar-grid", "1,2"],
+             {"mode", "observables", "eta_list", "nbar_grid", "n", "seed", "out"}),
+        ],
+        ids=["simulate", "estimate", "compare", "sweep"],
+    )
+    def test_exact_keys(self, tmp_path, argv, keys):
+        data = tmp_path / "data.csv"
+        tomonoise.save_dataset_csv(tomonoise.sample_homodyne(tomonoise.Fock(1), 0.8, 50, 1), data)
+        if argv[0] == "estimate":
+            argv = [*argv, "--data", str(data)]
+        out = tmp_path / "out.csv"
+        assert main([*argv, "--out", str(out)]) == 0
+        assert set(json.loads((tmp_path / "out.csv.config.json").read_text())) == keys | self.ALWAYS
+
+
+def _glibc() -> bool:
+    try:
+        return bool(os.confstr("CS_GNU_LIBC_VERSION"))
+    except (AttributeError, ValueError, OSError):
+        return False
+
+
+@pytest.mark.skipif(not _glibc(), reason="the allocator policy is glibc's")
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_blocks_do_not_refault_memory(tmp_path, monkeypatch, workers):
+    # Without the policy glibc hands each block's temporaries back to the kernel and
+    # faults them in again: about 25k minor faults a run here.
+    monkeypatch.setenv("TOMONOISE_MAX_WORKERS", workers)
+    argv = ["compare", "--state", '{"type":"coherent","beta":[2,0]}', "--observable",
+            "complex_amplitude", "--n", str(16 * BLOCK_SIZE), "--seed", "3",
+            "--out", str(tmp_path / "c.json")]
+    assert main(argv) == 0  # warm-up: the heap grows to its working size once
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    assert main(argv) == 0
+    assert resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before < 5000
+
 
 # Probe families of the error contract, mixed with valid inputs.
 FUZZ_STATES = [
@@ -460,15 +536,33 @@ def fuzz_data(tmp_path_factory):
 
 @st.composite
 def cli_argv(draw, data_dir, out):
-    family = draw(st.sampled_from(["command", "free", "config"]))
+    """argv and the exit code it must give, or None for any documented code."""
+    family = draw(st.sampled_from(["command", "free", "config", "bright", "oversized"]))
     command = draw(st.sampled_from(["simulate", "estimate", "compare", "sweep"]))
     if family == "free":
-        return [*draw(st.lists(st.sampled_from(FUZZ_TOKENS), max_size=6)), "--out", out]
+        return [*draw(st.lists(st.sampled_from(FUZZ_TOKENS), max_size=6)), "--out", out], None
+    if family == "bright":
+        # |beta| from 26 to 100, where the number basis underflows: coherent states are closed form
+        modulus, angle = draw(st.floats(26.0, 100.0)), draw(st.floats(0.0, 2.0 * math.pi))
+        beta = [modulus * math.cos(angle), modulus * math.sin(angle)]
+        argv = ["simulate" if command == "simulate" else "compare",
+                "--state", json.dumps({"type": "coherent", "beta": beta}),
+                "--eta", draw(st.sampled_from(["1.0", "0.8", "0.3"])),
+                "--n", str(draw(st.integers(50, 400))), "--seed", str(draw(st.integers(0, 2**64 - 1))),
+                "--out", out]
+        if argv[0] == "compare":
+            argv += ["--observable", draw(st.sampled_from(FUZZ_OBSERVABLES[:4]))]
+        return argv, 0
+    if family == "oversized":
+        # 8 EiB and 64 EiB records, which no x86-64 address space holds
+        state = draw(st.sampled_from(FUZZ_STATES[:2]))
+        return ["simulate", "--state", state, "--n", str(draw(st.sampled_from([2**59, 2**62]))),
+                "--out", out], 4
     if family == "config":
         configs = sorted(path.name for path in data_dir.glob("config-*.json"))
         # a flag the config file overrides must not add a warning line to the error line
         flags = draw(st.sampled_from([[], ["--seed", "3"], ["--eta", "0.5"]]))
-        return [command, *flags, "--config", str(data_dir / draw(st.sampled_from(configs)))]
+        return [command, *flags, "--config", str(data_dir / draw(st.sampled_from(configs)))], None
     seed = draw(st.sampled_from([0, 7, -1, 2**64]) | st.integers(0, 2**64 - 1))
     n = draw(st.integers(-1, 400))
     if command == "sweep":
@@ -479,11 +573,11 @@ def cli_argv(draw, data_dir, out):
             "--eta-list", draw(st.sampled_from(["0.5,1", "1,x", "2", "0.7"])),
             "--observables", draw(st.sampled_from(["all", "intensity,phase", "real_field", "bogus"])),
             "--n", str(n), "--seed", str(seed), "--out", out,
-        ]
+        ], None
     if command == "estimate":
         data = data_dir / draw(st.sampled_from(sorted(FUZZ_DATA)))
         return ["estimate", "--data", str(data), "--observable", draw(st.sampled_from(FUZZ_OBSERVABLES)),
-                "--out", out]
+                "--out", out], None
     state = draw(st.sampled_from([["--state", text] for text in FUZZ_STATES]
                                  + [["--state-file", str(data_dir / name)] for name in sorted(FUZZ_STATE_FILES)]))
     argv = [command, *state,
@@ -491,7 +585,7 @@ def cli_argv(draw, data_dir, out):
             "--n", str(n), "--seed", str(seed), "--out", out]
     if command == "compare":
         argv += ["--observable", draw(st.sampled_from(FUZZ_OBSERVABLES))]
-    return argv
+    return argv, None
 
 
 @settings(max_examples=150)
@@ -499,12 +593,13 @@ def cli_argv(draw, data_dir, out):
 def test_cli_fuzz_exit_codes(fuzz_data, data):
     with tempfile.TemporaryDirectory() as out_dir:
         out = str(Path(out_dir) / data.draw(st.sampled_from(["out.json", "out.csv"])))
-        argv = data.draw(cli_argv(fuzz_data, out))
+        argv, expected = data.draw(cli_argv(fuzz_data, out))
         stderr = io.StringIO()
         with warnings.catch_warnings(record=True) as caught, contextlib.redirect_stderr(stderr):
             warnings.simplefilter("always")
             code = main(argv)
     assert code in (0, 2, 3, 4, 5), argv
+    assert expected is None or code == expected, argv
     assert not caught, [str(w.message) for w in caught]
     lines = stderr.getvalue().splitlines()
     if code:

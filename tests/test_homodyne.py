@@ -273,6 +273,37 @@ class TestPinnedBytes:
         assert file_sha256(path) == "7e21565e7b163a6c568bc366dec4a68f35dfa8062470959e53592b9f474e8dd6"
 
 
+class TestRealAmplitudePins:
+    """Coherent states with a real amplitude keep their bytes now that their mean takes np.cos.
+
+    Recorded before coherent_mean dropped the complex exponential for a real
+    amplitude, with numpy 2.4 on x86-64.
+    """
+
+    N = BLOCK_SIZE + 123
+
+    @pytest.mark.parametrize(
+        "beta, digest",
+        [
+            (2.0, "da668d9d55a8031e0141bec20a245bf96d49d43235fa36b15dda7b9bb74d81a8"),
+            (-1.3, "d9e7eef54f8e24d20dc69e084ceb1993f2945b01f535a307b8fc68548feed321"),
+        ],
+    )
+    def test_sample_homodyne(self, beta, digest):
+        ds = sample_homodyne(Coherent(beta), 0.8, self.N, 17)
+        assert sha256(ds.x, ds.phi) == digest
+
+    @pytest.mark.parametrize(
+        "beta, digest",
+        [
+            (2.0, "0dcf9cdd336399844f7604a7fa06c2a8f9e37fef922ad011f7aa5dcc274cf786"),
+            (-1.3, "0d8d382e1fa1611ad2c9f2d62a8d4ce6e3fbc06921886395d315d936e6ecacb6"),
+        ],
+    )
+    def test_sample_fixed_phase(self, beta, digest):
+        assert sha256(sample_fixed_phase(Coherent(beta), 0.8, self.N, 17, phi=0.7)) == digest
+
+
 def _generator_digests():
     n = 3 * BLOCK_SIZE + 5
     state = plus_state()

@@ -95,6 +95,16 @@ class TestObservableKernels:
         got = kernel_observable(ComplexAmplitude(), 0.5, 0.8, 1.1)
         assert got == pytest.approx(1.6 * np.exp(1.1j))
 
+    def test_complex_amplitude_equals_complex_exponential_form(self):
+        # the expression the real cos/sin form replaced, kept verbatim
+        rng = np.random.default_rng(8)
+        x = rng.normal(0.0, 2.0, 1 << 20)
+        phi = rng.uniform(-2.0 * math.pi, 2.0 * math.pi, 1 << 20)
+        x[:3], phi[1:4] = 0.0, 0.0
+        got = kernel_observable(ComplexAmplitude(), 0.8, x, phi)
+        assert got.dtype == complex and np.array_equal(got, 2.0 * x * np.exp(1j * phi))
+        assert kernel_observable(ComplexAmplitude(), 0.8, 0.0, 0.0) == 0.0
+
 
 class TestPolynomialKernel:
     def test_number_operator_matches_intensity(self):

@@ -249,6 +249,23 @@ class TestStreamingComparison:
         row = empirical_comparison(obs, Coherent(1.5 + 0.5j), 0.8, 3 * BLOCK_SIZE + 5, 17)
         assert row.direct_variance == float.fromhex(direct_hex)
 
+    @pytest.mark.parametrize(
+        "obs, tomo_hex, direct_hex",
+        [
+            (Intensity(), "0x1.2bd44bd1440dbp+4", "0x1.412d7a00fd291p+2"),
+            (RealField(), "0x1.4fd80f5213221p+1", "0x1.3f0abbea1e57cp-2"),
+            (ComplexAmplitude(), "0x1.4fd5575f36074p+1", "0x1.3ee2d8907b8b4p-1"),
+            (Phase(), "0x1.d2676e66e877ap-1", "0x1.9f2de09d19291p-3"),
+        ],
+        ids=["intensity", "real_field", "complex_amplitude", "phase"],
+    )
+    def test_real_amplitude_variances_pinned(self, obs, tomo_hex, direct_hex):
+        # recorded before the coherent mean and the complex-amplitude kernel took real
+        # cos/sin, with numpy 2.4 on x86-64
+        row = empirical_comparison(obs, Coherent(2.0), 0.8, 3 * BLOCK_SIZE + 5, 17)
+        assert row.tomographic_variance == float.fromhex(tomo_hex)
+        assert row.direct_variance == float.fromhex(direct_hex)
+
     def test_direct_variance_matches_whole_array_formula(self):
         # The formulas below are the whole-array ones the chunked accumulation replaced.
         state, eta, n, seed = Coherent(1.5 + 0.5j), 0.8, 3 * BLOCK_SIZE + 5, 29

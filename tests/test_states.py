@@ -20,7 +20,7 @@ from tomonoise import (
     state_to_json,
 )
 from tomonoise.errors import NumericRangeError
-from tomonoise.states import hermite_functions, validate_state
+from tomonoise.states import coherent_mean, hermite_functions, validate_state
 
 
 def ladder_matrix(dim):
@@ -197,6 +197,14 @@ class TestQuadraturePdf:
             quadrature_pdf(Fock(0), 0.0, 0.0, 0.0)
         with pytest.raises(ValidationError):
             quadrature_pdf(Fock(0), 0.0, 1.2, 0.0)
+
+    @pytest.mark.parametrize("beta", [0.0, 2.0, -1.3, 1.5 + 0.5j])
+    def test_coherent_mean_equals_complex_exponential_form(self, beta):
+        # the expression the real-amplitude np.cos form replaced, kept verbatim
+        phi = np.random.default_rng(3).uniform(-2.0 * math.pi, 2.0 * math.pi, 1 << 20)
+        phi[0] = 0.0
+        beta = complex(beta)
+        assert np.array_equal(coherent_mean(beta, phi), (beta * np.exp(-1j * phi)).real)
 
 
 class TestHermiteFunctions:
