@@ -8,13 +8,16 @@ conflicting command-line flags; a run that succeeds then warns on stderr once
 per overridden flag, and a run that fails prints only its error line.
 
 Exit codes: 0 success, 2 config error, 3 capability error, 4 numeric-range
-error, 5 I/O error; every error is one JSON line on stderr. Usage errors (an
-unknown flag, a missing subcommand, a flag value argparse cannot read) and
-config-file values of the wrong type are config errors. A record too large to
-allocate, and any other MemoryError, is a numeric-range error. Sample blocks
-are generated on as many threads as the process has CPUs;
-TOMONOISE_MAX_WORKERS (a positive integer) lowers that count, and the count
-used is recorded in the resolved config as max_workers.
+error, 5 I/O error; every error is one JSON line on stderr. Usage errors (a
+flag its command does not read, a missing subcommand, a flag value argparse
+cannot read), config-file keys that no command reads and config-file values of
+the wrong type are config errors. A config file may hold the keys of other
+commands, so that one file serves several, and a sidecar replayed as --config
+reproduces its run. A record too large to allocate, and any other
+MemoryError, is a numeric-range error. Sample blocks are generated on as many
+threads as the process has CPUs; TOMONOISE_MAX_WORKERS (a positive integer)
+lowers that count, and the count used is recorded in the resolved config as
+max_workers.
 
 On glibc, main() first sets the allocator policy of the process: arrays up
 to a few blocks come from the heap, and freed heap is kept rather than handed
@@ -108,6 +111,37 @@ class _Parser(argparse.ArgumentParser):
         raise ValidationError(f"{self.prog}: {message}")
 
 
+#: The config keys each command reads, in the order of its flags: with command,
+#: max_workers and a timestamp, also its whole sidecar.
+_COMMAND_KEYS = {
+    "simulate": ("state", "eta", "n", "seed", "out"),
+    "estimate": ("data", "observable", "out"),
+    "compare": ("state", "observable", "eta", "n", "seed", "out"),
+    "sweep": ("observables", "eta_list", "nbar_grid", "mode", "n", "seed", "out"),
+}
+_COMMAND_HELP = {
+    "simulate": "generate a homodyne dataset (CSV, or JSON by extension)",
+    "estimate": "run a kernel estimator over a dataset file",
+    "compare": "empirical tomographic-vs-direct comparison",
+    "sweep": "noise-ratio table over coherent states",
+}
+#: argparse options of the flag --<key> (underscores as dashes) of each key but state.
+_FLAG_OPTIONS = {
+    "observable": {"help": "observable name or inline JSON"},
+    "eta": {"type": float, "help": "quantum efficiency in (0, 1]"},
+    "n": {"type": int, "help": "sample count (per point of an empirical sweep)"},
+    "seed": {"type": int, "help": "64-bit RNG seed"},
+    "out": {"help": "output path"},
+    "data": {"help": "dataset file (CSV or JSON)"},
+    "mode": {"choices": ["analytic", "empirical"]},
+    "observables": {"help": "'all' or comma list of observable names"},
+    "eta_list": {"help": "comma list of efficiencies"},
+    "nbar_grid": {"help": "comma list of mean photon numbers, or min:max:step"},
+}
+#: Config-file keys that no command reads but a replayed sidecar holds, or that name the state's file.
+_OTHER_CONFIG_KEYS = {"state_file", "command", "max_workers", "timestamp"}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="tomonoise",
@@ -115,40 +149,16 @@ def build_parser() -> argparse.ArgumentParser:
         "estimation, and tomographic-vs-direct noise comparisons.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p, state=True, observable=False):
-        if state:
-            g = p.add_mutually_exclusive_group()
-            g.add_argument("--state-file", help="path to a state JSON file")
-            g.add_argument("--state", help="inline state JSON")
-        if observable:
-            p.add_argument("--observable", help="observable name or inline JSON")
-        p.add_argument("--eta", type=float, help="quantum efficiency in (0, 1]")
-        p.add_argument("--n", type=int, help="sample count")
-        p.add_argument("--seed", type=int, help="64-bit RNG seed")
-        p.add_argument("--out", required=False, help="output path")
+    for command, keys in _COMMAND_KEYS.items():
+        p = sub.add_parser(command, help=_COMMAND_HELP[command])
+        for key in keys:
+            if key == "state":
+                g = p.add_mutually_exclusive_group()
+                g.add_argument("--state-file", help="path to a state JSON file")
+                g.add_argument("--state", help="inline state JSON")
+            else:
+                p.add_argument("--" + key.replace("_", "-"), dest=key, **_FLAG_OPTIONS[key])
         p.add_argument("--config", help="JSON config file; wins over flags")
-
-    p = sub.add_parser("simulate", help="generate a homodyne dataset (CSV, or JSON by extension)")
-    common(p)
-    p = sub.add_parser("estimate", help="run a kernel estimator over a dataset file")
-    common(p, state=False, observable=True)
-    p.add_argument("--data", help="dataset file (CSV or JSON)")
-    p = sub.add_parser("compare", help="empirical tomographic-vs-direct comparison")
-    common(p, observable=True)
-    p = sub.add_parser("sweep", help="noise-ratio table over coherent states")
-    p.add_argument("--observables", help="'all' or comma list of observable names")
-    p.add_argument("--eta-list", dest="eta_list", help="comma list of efficiencies")
-    p.add_argument(
-        "--nbar-grid",
-        dest="nbar_grid",
-        help="comma list of mean photon numbers, or min:max:step",
-    )
-    p.add_argument("--mode", choices=["analytic", "empirical"])
-    p.add_argument("--n", type=int, help="samples per empirical point")
-    p.add_argument("--seed", type=int)
-    p.add_argument("--out", required=False)
-    p.add_argument("--config", help="JSON config file; wins over flags")
     return parser
 
 
@@ -199,13 +209,6 @@ _READERS = {
     "eta": float, "n": _integer, "seed": _integer, "out": _text, "data": _text, "mode": _text,
     "observables": _text, "eta_list": _parse_grid, "nbar_grid": _parse_grid,
 }
-#: The keys each command reads: with command, max_workers and a timestamp, its whole sidecar.
-_COMMAND_KEYS = {
-    "simulate": ("state", "eta", "n", "seed", "out"),
-    "estimate": ("observable", "out", "data"),
-    "compare": ("state", "observable", "eta", "n", "seed", "out"),
-    "sweep": ("n", "seed", "out", "mode", "observables", "eta_list", "nbar_grid"),
-}
 
 
 def _read(key: str, value, reader):
@@ -226,9 +229,14 @@ def resolve_config(args: argparse.Namespace, overridden: list) -> RunConfig:
             raise ValidationError(f"config file does not parse: {exc}") from exc
         if not isinstance(file_cfg, dict):
             raise ValidationError("config file must hold a JSON object")
+        # a key of another command is accepted, so that one file can serve several commands
+        known = _OTHER_CONFIG_KEYS.union(*_COMMAND_KEYS.values())
+        unknown = sorted(set(file_cfg) - known)
+        if unknown:
+            raise ValidationError(f"{unknown[0]}: no command reads this config key")
     merged = {}
     for key in set(flags) | set(file_cfg):
-        flag_val = flags.get(key.replace("-", "_"))
+        flag_val = flags.get(key)
         if key in file_cfg:
             if flag_val is not None and file_cfg[key] != flag_val:
                 overridden.append(key)

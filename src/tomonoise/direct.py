@@ -14,13 +14,7 @@ import numpy as np
 
 from .errors import CapabilityError, ValidationError
 from .estimators import StreamingMoments, accumulate
-from .homodyne import (
-    PURPOSE_HETERODYNE,
-    PURPOSE_PHOTOCOUNT,
-    block_generator,
-    generate,
-    write_csv,
-)
+from .homodyne import PURPOSE_HETERODYNE, PURPOSE_PHOTOCOUNT, generate, sample_count, write_csv
 from .states import (
     Coherent,
     Fock,
@@ -81,17 +75,12 @@ def simulate_photocount(
     With reduce, each block goes to reduce(counts) instead (see
     homodyne.generate), and None is returned.
     """
-    validate_state(state)
-    _check_eta(eta)
-    if int(n) != n or n < 1:
-        raise ValidationError(f"sample count must be a positive integer, got {n}")
-    n = int(n)
+    n = sample_count(state, eta, n)
     if isinstance(state, Mixed):
         probs, _ = photon_distribution(state, state_dim(state))
         cdf = np.cumsum(probs / probs.sum())
 
-    def draw(block, k):
-        rng = block_generator(seed, PURPOSE_PHOTOCOUNT, block)
+    def draw(rng, k):
         if isinstance(state, Coherent):
             true = rng.poisson(abs(state.beta) ** 2, k)
         elif isinstance(state, Fock):
@@ -100,7 +89,7 @@ def simulate_photocount(
             true = np.searchsorted(cdf, rng.random(k)).astype(np.int64)
         return (true if eta == 1.0 else rng.binomial(true, eta),)
 
-    columns = generate(n, draw, reduce, (np.int64,))
+    columns = generate(n, seed, PURPOSE_PHOTOCOUNT, draw, reduce, (np.int64,))
     return None if columns is None else PhotocountRecord(columns[0], eta, int(seed), state_tag(state))
 
 
@@ -133,23 +122,20 @@ def simulate_heterodyne(
     reduce, each block goes to reduce(alphas) instead (see homodyne.generate),
     and None is returned.
     """
-    validate_state(state)
-    _check_eta(eta)
     if not isinstance(state, Coherent):
+        validate_state(state)  # a non-state or a bad eta is reported before the capability
+        _check_eta(eta)
         raise CapabilityError(
             "heterodyne simulation supports coherent states only; "
             "use amplitude_noise_direct for the analytic comparison"
         )
-    if int(n) != n or n < 1:
-        raise ValidationError(f"sample count must be a positive integer, got {n}")
-    n = int(n)
+    n = sample_count(state, eta, n)
     sigma = math.sqrt(1.0 / (2.0 * eta))
 
-    def draw(block, k):
-        rng = block_generator(seed, PURPOSE_HETERODYNE, block)
+    def draw(rng, k):
         return (state.beta + rng.normal(0.0, sigma, k) + 1j * rng.normal(0.0, sigma, k),)
 
-    columns = generate(n, draw, reduce, (complex,))
+    columns = generate(n, seed, PURPOSE_HETERODYNE, draw, reduce, (complex,))
     return None if columns is None else HeterodyneRecord(columns[0], eta, int(seed), state_tag(state))
 
 

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -129,7 +129,7 @@ class ComplexEstimate:
 
 
 def estimate_to_json(est: Estimate) -> dict:
-    return {"value": est.value, "stderr": est.stderr, "n": est.n}
+    return asdict(est)
 
 
 def complex_estimate_to_json(est: ComplexEstimate) -> dict:

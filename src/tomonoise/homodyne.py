@@ -2,13 +2,13 @@
 
 Sampling model: phi ~ Uniform[0, pi), then x from the ideal (eta = 1)
 quadrature density at that phase, then additive Gaussian noise of variance
-(1 - eta)/(4 eta) when eta < 1. Streams come from counter-based Philox
-generators keyed by (seed, purpose, block index), and every generator fills
-its output block by block through `run_blocks`. Blocks run on a small thread
-pool (numpy's generators and ufuncs release the interpreter lock), each block
-writes only its own slice, so the output is the same for any thread count.
-Given a `reduce` callable, a generator hands each block to it on the calling
-thread, in block order, instead of keeping a record of size n.
+(1 - eta)/(4 eta) when eta < 1. Every generator checks its arguments with
+`sample_count` and hands `generate` a draw(rng, count) function, which gets
+one Philox stream per block keyed by (seed, purpose, block index). Blocks run
+on a small thread pool (numpy's generators and ufuncs release the interpreter
+lock), each block writes only its own slice, so the output is the same for
+any thread count. Given a `reduce` callable, a generator hands each block to
+it on the calling thread, in block order, instead of keeping a record of size n.
 """
 
 from __future__ import annotations
@@ -47,8 +47,8 @@ GUIDE_PHASE_BINS = 64
 GUIDE_LEVELS = 512
 GUIDE_STEPS = 5
 SEARCH_SLICE = 1 << 14
-# Rows formatted per write: 4096 rows keep their strings in cache and their
-# temporaries near 0.7 MB (65536-row slices were slower and held 10 MB).
+# Dataset rows formatted per write: 4096 rows keep their strings in cache and
+# their temporaries near 0.7 MB (65536-row slices were slower and held 10 MB).
 CSV_ROWS = 1 << 12
 
 # Purpose ids keep streams for different simulators independent at equal seeds.
@@ -82,26 +82,24 @@ def worker_count() -> int:
     return min(workers, cpus)
 
 
-def run_blocks(n: int, fill, consume=None) -> None:
-    """Call fill(block, start, count) once for every BLOCK_SIZE block of range(n).
+def run_blocks(n: int, draw, consume) -> None:
+    """Call draw(block, count) once for every BLOCK_SIZE block of range(n), and consume its result.
 
-    Blocks run on up to worker_count() threads in no fixed order, at most two
-    per thread in flight, so fill must draw only from its block's own
-    generator and write only its own slice. When consume is given,
-    consume(fill's result) runs on the calling thread once per block, in block
-    order, while later blocks are being filled. One worker or one block runs
-    plain serial.
+    Blocks are drawn on up to worker_count() threads in no fixed order, at most
+    two per thread in flight, so draw must use only its block's own generator
+    and write only its own slice. consume(result) runs on the calling thread
+    once per block, in block order, while later blocks are being drawn. One
+    worker or one block runs plain serial.
     """
     starts = range(0, n, BLOCK_SIZE)
 
     def one(block: int):
-        return fill(block, starts[block], min(BLOCK_SIZE, n - starts[block]))
+        return draw(block, min(BLOCK_SIZE, n - starts[block]))
 
-    done = consume or (lambda result: None)
     workers = min(worker_count(), len(starts))
     if workers <= 1:
         for block in range(len(starts)):
-            done(one(block))
+            consume(one(block))
         return
     from concurrent.futures import ThreadPoolExecutor  # kept out of start-up
 
@@ -110,21 +108,36 @@ def run_blocks(n: int, fill, consume=None) -> None:
         for block in range(len(starts)):
             pending.append(pool.submit(one, block))
             if len(pending) == 2 * workers:
-                done(pending.pop(0).result())  # re-raises an exception from its block
+                consume(pending.pop(0).result())  # re-raises an exception from its block
         while pending:
-            done(pending.pop(0).result())
+            consume(pending.pop(0).result())
 
 
-def generate(n: int, draw, reduce, dtypes):
-    """Run draw(block, count), which returns a tuple of arrays, for every block of range(n).
+def sample_count(state: StateSpec, eta: float, n) -> int:
+    """The checks every generator starts with: a state, an efficiency in (0, 1], and n as an int >= 1."""
+    validate_state(state)
+    _check_eta(eta)
+    if int(n) != n or n < 1:
+        raise ValidationError(f"sample count must be a positive integer, got {n}")
+    return int(n)
 
-    Without reduce, the blocks fill one new length-n array per dtype, and the
-    arrays are returned (NumericRangeError if they cannot be allocated). With
-    reduce, reduce(*arrays) gets each block's arrays on the calling thread in
-    block order, nothing of size n is allocated, and None is returned.
+
+def generate(n: int, seed: int, purpose: int, draw, reduce, dtypes):
+    """Run draw(rng, count), which returns a tuple of arrays, for every block of range(n).
+
+    rng is the block's own block_generator(seed, purpose, block). Without
+    reduce, each block writes its arrays, on its worker thread, into its slice
+    of one new length-n array per dtype, and the arrays are returned
+    (NumericRangeError if they cannot be allocated). With reduce,
+    reduce(*arrays) gets each block's arrays on the calling thread in block
+    order, nothing of size n is allocated, and None is returned.
     """
+
+    def arrays(block, count):
+        return draw(block_generator(seed, purpose, block), count)
+
     if reduce is not None:
-        run_blocks(n, lambda block, start, count: draw(block, count), lambda arrays: reduce(*arrays))
+        run_blocks(n, arrays, lambda block_arrays: reduce(*block_arrays))
         return None
     try:
         outs = [np.empty(n, dtype=dtype) for dtype in dtypes]
@@ -134,11 +147,12 @@ def generate(n: int, draw, reduce, dtypes):
             f"a record of n = {n} samples needs {size} bytes, more memory than can be allocated"
         ) from exc
 
-    def fill(block, start, count):
-        for out, values in zip(outs, draw(block, count)):
+    def record(block, count):
+        start = block * BLOCK_SIZE
+        for out, values in zip(outs, arrays(block, count)):
             out[start : start + count] = values
 
-    run_blocks(n, fill)
+    run_blocks(n, record, lambda done: None)
     return outs
 
 
@@ -406,36 +420,20 @@ def _outcomes(state: StateSpec, eta: float, rng, phi, count: int, invert) -> np.
     return x
 
 
-def _sample_block(
-    state: StateSpec,
-    eta: float,
-    seed: int,
-    block: int,
-    count: int,
-    sampler: QuadratureGridSampler | None,
-) -> tuple[np.ndarray, np.ndarray]:
-    rng = block_generator(seed, PURPOSE_HOMODYNE, block)
-    phi = rng.uniform(0.0, math.pi, count)
-    return _outcomes(state, eta, rng, phi, count, sampler and sampler.sample), phi
-
-
 def sample_homodyne(state: StateSpec, eta: float, n: int, seed: int, reduce=None) -> Dataset | None:
     """Draw n phase-scanned homodyne samples; identical inputs give identical output.
 
     With reduce, each block goes to reduce(x, phi) instead (see generate), and
     None is returned.
     """
-    validate_state(state)
-    _check_eta(eta)
-    if int(n) != n or n < 1:
-        raise ValidationError(f"sample count must be a positive integer, got {n}")
-    n = int(n)
-    sampler = None if isinstance(state, Coherent) else QuadratureGridSampler(state)
+    n = sample_count(state, eta, n)
+    invert = None if isinstance(state, Coherent) else QuadratureGridSampler(state).sample
 
-    def draw(block, count):
-        return _sample_block(state, eta, seed, block, count, sampler)
+    def draw(rng, count):
+        phi = rng.uniform(0.0, math.pi, count)
+        return _outcomes(state, eta, rng, phi, count, invert), phi
 
-    columns = generate(n, draw, reduce, (float, float))
+    columns = generate(n, seed, PURPOSE_HOMODYNE, draw, reduce, (float, float))
     return None if columns is None else Dataset(*columns, eta, state_tag(state), int(seed))
 
 
@@ -447,34 +445,35 @@ def sample_fixed_phase(
     With reduce, each block goes to reduce(x) instead (see generate), and None
     is returned.
     """
-    validate_state(state)
-    _check_eta(eta)
-    if int(n) != n or n < 1:
-        raise ValidationError(f"sample count must be a positive integer, got {n}")
-    n = int(n)
+    n = sample_count(state, eta, n)
     invert = None if isinstance(state, Coherent) else QuadratureGridSampler(state).sample_fixed_phase
 
-    def draw(block, count):
-        rng = block_generator(seed, PURPOSE_FIXED_PHASE, block)
+    def draw(rng, count):
         return (_outcomes(state, eta, rng, phi, count, invert),)
 
-    columns = generate(n, draw, reduce, (float,))
+    columns = generate(n, seed, PURPOSE_FIXED_PHASE, draw, reduce, (float,))
     return None if columns is None else columns[0]
+
+
+def _write_rows(fh, columns, row: str, sep: str) -> None:
+    """Write row % (one value per column) for every index, with sep between rows.
+
+    Values are Python floats or ints, formatted CSV_ROWS rows at a time.
+    """
+    for start in range(0, columns[0].size, CSV_ROWS):
+        part = (column[start : start + CSV_ROWS].tolist() for column in columns)
+        fh.write((sep if start else "") + sep.join(map(row.__mod__, zip(*part))))
 
 
 def write_csv(path, tag: str, eta: float, seed: int, header: str, columns, fmt: str) -> None:
     """`# key=value` metadata lines, a header line, then one row per sample.
 
-    A row is fmt for each column, comma-joined, applied to Python floats or
-    ints; that gives the bytes np.savetxt writes for the same fmt.
+    A row is fmt for each column, comma-joined; that gives the bytes
+    np.savetxt writes for the same fmt.
     """
-    row = ",".join([fmt] * len(columns)) + "\n"
-    n = columns[0].size
     with Path(path).open("w") as fh:
-        fh.write(f"# state={tag}\n# eta={eta!r}\n# seed={seed}\n# n={n}\n{header}\n")
-        for start in range(0, n, CSV_ROWS):
-            part = (column[start : start + CSV_ROWS].tolist() for column in columns)
-            fh.write("".join(map(row.__mod__, zip(*part))))
+        fh.write(f"# state={tag}\n# eta={eta!r}\n# seed={seed}\n# n={columns[0].size}\n{header}\n")
+        _write_rows(fh, columns, ",".join([fmt] * len(columns)) + "\n", "")
 
 
 def save_dataset_csv(dataset: Dataset, path) -> None:
@@ -510,16 +509,6 @@ def load_dataset_csv(path) -> Dataset:
     return Dataset(x, phi, eta, meta.get("state", "unknown"), seed)
 
 
-def dataset_to_json(dataset: Dataset) -> dict:
-    return {
-        "state_tag": dataset.state_tag,
-        "eta": dataset.eta,
-        "seed": dataset.seed,
-        "n": dataset.n,
-        "samples": [[float(x), float(p)] for x, p in zip(dataset.x, dataset.phi)],
-    }
-
-
 def dataset_from_json(obj) -> Dataset:
     try:
         if isinstance(obj, str):
@@ -535,7 +524,14 @@ def dataset_from_json(obj) -> Dataset:
 
 
 def save_dataset_json(dataset: Dataset, path) -> None:
-    Path(path).write_text(json.dumps(dataset_to_json(dataset)))
+    """One JSON object: state_tag, eta, seed, n, then samples as [x, phi] pairs, written row by row."""
+    meta = {"state_tag": dataset.state_tag, "eta": dataset.eta, "seed": dataset.seed, "n": dataset.n}
+    head = json.dumps(meta)[:-1] + ', "samples": ['
+    with Path(path).open("w") as fh:
+        fh.write(head)
+        # %r of a finite float is the repr json.dumps writes
+        _write_rows(fh, [dataset.x, dataset.phi], "[%r, %r]", ", ")
+        fh.write("]}")
 
 
 def load_dataset_json(path) -> Dataset:

@@ -18,7 +18,7 @@ ratios, which strict JSON cannot carry.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -88,20 +88,7 @@ class NoiseComparison:
     seed: int | None = None
 
     def to_json(self) -> dict:
-        return {
-            "observable": self.observable,
-            "state_tag": self.state_tag,
-            "eta": self.eta,
-            "tomographic_variance": self.tomographic_variance,
-            "direct_variance": self.direct_variance,
-            "added_noise": self.added_noise,
-            "ratio_linear": self.ratio_linear,
-            "ratio_db": self.ratio_db,
-            "source": self.source,
-            "nbar": self.nbar,
-            "n": self.n,
-            "seed": self.seed,
-        }
+        return asdict(self)
 
 
 def _ratios(tomo: float, direct: float) -> tuple[float, float]:

@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import io
 import json
@@ -230,6 +231,81 @@ class TestConfigFile:
                      "--out", str(tmp_path / "d.csv"), "--config", str(cfg)]) == 2
         lines = capsys.readouterr().err.splitlines()
         assert len(lines) == 1 and json.loads(lines[0])["exit"] == 2
+
+    def test_misspelled_key_is_a_config_error(self, tmp_path, capsys):
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({"seeed": 77, "n": 500}))
+        assert main(["simulate", "--state", '{"type":"fock","n":1}', "--out", str(tmp_path / "d.csv"),
+                     "--config", str(cfg)]) == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and json.loads(lines[0])["message"].startswith("seeed")
+        assert not (tmp_path / "d.csv").exists()
+
+    def test_keys_of_other_commands_are_accepted(self, tmp_path, capsys):
+        # one file serves several commands
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({"n": 50, "observable": "phase", "data": "x.csv", "mode": "empirical",
+                                   "eta_list": [1.0], "nbar_grid": "1,2", "observables": "all"}))
+        out = tmp_path / "d.csv"
+        assert main(["simulate", "--state", '{"type":"fock","n":1}', "--out", str(out),
+                     "--config", str(cfg)]) == 0
+        assert capsys.readouterr().err == ""
+        assert len(read_result_rows(out)[1]) == 50
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["simulate", "--state", '{"type":"mixed","dim":2,"rho":[[0.5,0],[0.3,0.1],[0.3,-0.1],[0.5,0]]}',
+             "--eta", "0.8", "--n", "300", "--seed", "5"],
+            ["estimate", "--observable", "complex_amplitude"],
+            ["compare", "--state", '{"type":"coherent","beta":[1,0.5]}', "--observable", "intensity",
+             "--eta", "0.7", "--n", "400", "--seed", "6"],
+            ["sweep", "--mode", "empirical", "--observables", "phase", "--nbar-grid", "1,2", "--n", "300",
+             "--seed", "4"],
+        ],
+        ids=["simulate", "estimate", "compare", "sweep"],
+    )
+    def test_replayed_sidecar_reproduces_the_result(self, tmp_path, argv, capsys):
+        # the sidecar's own command, max_workers and timestamp keys are accepted
+        data = tmp_path / "data.json"
+        tomonoise.save_dataset_json(tomonoise.sample_homodyne(tomonoise.Fock(1), 0.8, 200, 1), data)
+        if argv[0] == "estimate":
+            argv = [*argv, "--data", str(data)]
+        out = tmp_path / ("out.json" if argv[0] in ("estimate", "compare") else "out.csv")
+        assert main([*argv, "--out", str(out)]) == 0
+        first = out.read_bytes()
+        sidecar = tmp_path / "run.config.json"
+        sidecar.write_bytes(Path(str(out) + ".config.json").read_bytes())
+        assert {"command", "max_workers", "timestamp"} <= set(json.loads(sidecar.read_text()))
+        out.unlink()
+        assert main([argv[0], "--config", str(sidecar)]) == 0
+        assert out.read_bytes() == first
+        assert capsys.readouterr().err == ""
+
+
+def test_every_flag_is_a_key_its_command_reads():
+    parser = cli.build_parser()
+    commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction)).choices
+    assert set(commands) == set(cli._COMMAND_KEYS)
+    for name, sub in commands.items():
+        dests = {a.dest for a in sub._actions} - {"help", "config"}
+        # --state-file is the other way to give the state
+        keys = {"state" if dest == "state_file" else dest for dest in dests}
+        assert keys == set(cli._COMMAND_KEYS[name]), name
+
+
+@pytest.mark.parametrize("flags", [["--eta", "0.3"], ["--n", "5"], ["--seed", "9"]])
+def test_estimate_rejects_flags_it_does_not_read(tmp_path, capsys, flags):
+    # estimate takes eta from its dataset and draws nothing
+    data = tmp_path / "d.csv"
+    tomonoise.save_dataset_csv(tomonoise.sample_homodyne(tomonoise.Fock(1), 0.8, 50, 1), data)
+    out = tmp_path / "e.json"
+    assert main(["estimate", "--data", str(data), "--observable", "intensity", *flags,
+                 "--out", str(out)]) == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and json.loads(lines[0])["error"] == "config"
+    assert flags[0] in json.loads(lines[0])["message"]
+    assert not out.exists()
 
 
 def test_cli_start_up_leaves_scipy_out(tmp_path):
@@ -497,6 +573,8 @@ FUZZ_CONFIG_VALUES = {
     "mode": [5, ["analytic"]], "observables": [["phase"], 5], "eta_list": [{"a": 1}, [[1]]],
     "nbar_grid": [{}, ["x"]],
 }
+# A config file with a key that no command reads: exit 2 whatever the command.
+FUZZ_MISSPELLED_CONFIG = "config-misspelled.json"
 # Free-form argv is drawn from these; none starts a long run or names an output file.
 FUZZ_TOKENS = [
     "simulate", "estimate", "compare", "sweep", "frob", "--bogus", "1", "20", "1.5", "-1,2", "x",
@@ -531,6 +609,7 @@ def fuzz_data(tmp_path_factory):
     for key, values in FUZZ_CONFIG_VALUES.items():
         for i, value in enumerate(values):
             (root / f"config-{key}-{i}.json").write_text(json.dumps({**base, key: value}))
+    (root / FUZZ_MISSPELLED_CONFIG).write_text(json.dumps({**base, "seeed": 77}))
     return root
 
 
@@ -559,10 +638,12 @@ def cli_argv(draw, data_dir, out):
         return ["simulate", "--state", state, "--n", str(draw(st.sampled_from([2**59, 2**62]))),
                 "--out", out], 4
     if family == "config":
-        configs = sorted(path.name for path in data_dir.glob("config-*.json"))
+        # not the sidecar config-out.csv.config.json that a clean config run leaves here
+        configs = sorted(path.name for path in data_dir.glob("config-*.json") if ".config." not in path.name)
         # a flag the config file overrides must not add a warning line to the error line
         flags = draw(st.sampled_from([[], ["--seed", "3"], ["--eta", "0.5"]]))
-        return [command, *flags, "--config", str(data_dir / draw(st.sampled_from(configs)))], None
+        name = draw(st.sampled_from(configs))
+        return [command, *flags, "--config", str(data_dir / name)], 2 if name == FUZZ_MISSPELLED_CONFIG else None
     seed = draw(st.sampled_from([0, 7, -1, 2**64]) | st.integers(0, 2**64 - 1))
     n = draw(st.integers(-1, 400))
     if command == "sweep":

@@ -28,11 +28,12 @@ from tomonoise import (
 )
 from tomonoise import homodyne
 from tomonoise.direct import save_heterodyne_csv, save_photocount_csv
-from tomonoise.errors import NumericRangeError
+from tomonoise.errors import CapabilityError, NumericRangeError
 from tomonoise.homodyne import (
     BLOCK_SIZE,
+    PURPOSE_HOMODYNE,
     QuadratureGridSampler,
-    _sample_block,
+    block_generator,
     run_blocks,
     worker_count,
 )
@@ -53,11 +54,14 @@ class TestDeterminism:
         # the per-block substreams are the parallelization contract
         n = BLOCK_SIZE + 1234
         ds = sample_homodyne(Fock(1), 1.0, n, 5)
-        sampler = QuadratureGridSampler(Fock(1))
-        x0, phi0 = _sample_block(Fock(1), 1.0, 5, 0, BLOCK_SIZE, sampler)
-        x1, phi1 = _sample_block(Fock(1), 1.0, 5, 1, n - BLOCK_SIZE, sampler)
+        blocks = []
+        sample_homodyne(Fock(1), 1.0, n, 5, reduce=lambda x, phi: blocks.append((x, phi)))
+        (x0, phi0), (x1, phi1) = blocks
         assert np.array_equal(ds.x, np.concatenate([x0, x1]))
         assert np.array_equal(ds.phi, np.concatenate([phi0, phi1]))
+        # block 1 draws its phases first from its own key (seed, purpose, block)
+        rng = block_generator(5, PURPOSE_HOMODYNE, 1)
+        assert np.array_equal(phi1, rng.uniform(0.0, math.pi, n - BLOCK_SIZE))
 
     def test_seed_changes_output(self):
         a = sample_homodyne(Fock(0), 1.0, 1000, 1)
@@ -161,6 +165,54 @@ class TestDatasetContainer:
             sample_homodyne(Fock(0), 1.0, 0, 1)
 
 
+class TestGeneratorArguments:
+    """Every generator checks its arguments in one order, before any sampler is built."""
+
+    GENERATORS = {
+        "sample_homodyne": sample_homodyne,
+        "sample_fixed_phase": sample_fixed_phase,
+        "simulate_photocount": simulate_photocount,
+        "simulate_heterodyne": simulate_heterodyne,
+    }
+
+    @pytest.mark.parametrize("name", list(GENERATORS))
+    @pytest.mark.parametrize(
+        "state, eta, n, seed, error, match",
+        [
+            ("fock", 0.8, 10, 1, ValidationError, "not a state"),
+            (Coherent(1.0), 0.0, 10, 1, ValidationError, "quantum efficiency"),
+            (Coherent(1.0), 1.5, 0, -1, ValidationError, "quantum efficiency"),
+            (Coherent(1.0), 0.8, 0, 1, ValidationError, "sample count"),
+            (Coherent(1.0), 0.8, 2.5, -1, ValidationError, "sample count"),
+            (Coherent(1.0), 0.8, 10, -1, ValidationError, "seed"),
+            (Coherent(1.0), 0.8, 10, 2**64, ValidationError, "seed"),
+        ],
+        ids=["state", "eta", "eta-first", "n", "n-before-seed", "seed", "seed-high"],
+    )
+    def test_generator_argument_errors(self, name, state, eta, n, seed, error, match):
+        # every generator checks state, then eta, then n, and its first block the seed
+        with pytest.raises(error, match=match):
+            self.GENERATORS[name](state, eta, n, seed)
+
+    @pytest.mark.parametrize("name", list(GENERATORS))
+    def test_bad_count_rejected_before_a_grid_is_built(self, name, monkeypatch):
+        def no_grid(*args):
+            raise AssertionError("grid sampler built")
+
+        monkeypatch.setattr(homodyne.QuadratureGridSampler, "__init__", no_grid)
+        expected = CapabilityError if name == "simulate_heterodyne" else ValidationError
+        with pytest.raises(expected):
+            self.GENERATORS[name](Fock(5000), 0.8, 0, 1)
+
+    def test_heterodyne_capability_after_state_and_eta(self):
+        with pytest.raises(CapabilityError, match="coherent states only"):
+            simulate_heterodyne(Fock(1), 0.8, 0, -1)  # before n and the seed
+        with pytest.raises(ValidationError, match="quantum efficiency"):
+            simulate_heterodyne(Fock(1), 0.0, 10, 1)
+        with pytest.raises(ValidationError, match="not a state"):
+            simulate_heterodyne("fock", 0.8, 10, 1)
+
+
 class TestIo:
     def test_csv_round_trip(self, tmp_path):
         ds = sample_homodyne(Coherent(1.0), 0.7, 500, 21)
@@ -190,6 +242,17 @@ class TestIo:
         back = load_dataset_json(path)
         assert np.array_equal(back.x, ds.x) and np.array_equal(back.phi, ds.phi)
         assert back.eta == ds.eta
+
+    def test_json_written_row_by_row(self, tmp_path):
+        # the whole document once held about 26 MB of Python objects at this size
+        ds = sample_homodyne(Fock(3), 0.8, 10**5, 17)
+        tracemalloc.start()
+        try:
+            save_dataset_json(ds, tmp_path / "d.json")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 2**20
 
 
 def sha256(*arrays, dtype="<f8"):
@@ -273,6 +336,40 @@ class TestPinnedBytes:
         assert file_sha256(path) == "7e21565e7b163a6c568bc366dec4a68f35dfa8062470959e53592b9f474e8dd6"
 
 
+class TestJsonPins:
+    """JSON dataset files keep the bytes of json.dumps over the whole document.
+
+    Recorded before save_dataset_json wrote its rows slice by slice, with numpy
+    2.4 on x86-64. The sizes cross the 4096-row slice edge and the block edge.
+    """
+
+    @pytest.mark.parametrize(
+        "state, n, digest",
+        [
+            (Fock(3), 10**5, "4ae28ae24151ebf1cd999c0d0da679d87b31b36361af9f98826e1bdf146f41fe"),
+            (Coherent(1.5 + 0.5j), 70001, "6f13c9fddb18439c414548e5a3e01feee4879f1576975751fb6babac6be2f0d8"),
+            (Coherent(1.5 + 0.5j), 1, "bfe06b44661710a1982e09ec9d0e046b889fc49a22f5a1b0075dec2f7141c625"),
+            (Coherent(1.5 + 0.5j), 4096, "8a1077235f878218b5ca4ce986807ac383ce7c19d7727d1a4b325c79aef4b09d"),
+            (Coherent(1.5 + 0.5j), 4097, "1fbdae06b65084f1e96286445bf02a03128b56ce532e29c50170d0cd0097af98"),
+        ],
+        ids=["fock3", "coherent", "n1", "n4096", "n4097"],
+    )
+    def test_sampled(self, tmp_path, state, n, digest):
+        path = tmp_path / "d.json"
+        save_dataset_json(sample_homodyne(state, 0.8, n, 17), path)
+        assert file_sha256(path) == digest
+
+    def test_hand_made(self, tmp_path):
+        # an int eta, a quote in the tag, a negative zero and a tiny value
+        ds = Dataset(np.array([-0.0, 1e-300, 2.5]), np.array([0.0, 1e-300, 3.0]), 1, 'tag "q"', 7)
+        path = tmp_path / "d.json"
+        save_dataset_json(ds, path)
+        assert path.read_text() == (
+            '{"state_tag": "tag \\"q\\"", "eta": 1, "seed": 7, "n": 3, '
+            '"samples": [[-0.0, 0.0], [1e-300, 1e-300], [2.5, 3.0]]}'
+        )
+
+
 class TestRealAmplitudePins:
     """Coherent states with a real amplitude keep their bytes now that their mean takes np.cos.
 
@@ -338,16 +435,15 @@ class TestRunBlocks:
         monkeypatch.setattr(homodyne, "worker_count", lambda: workers)
         n = 4 * BLOCK_SIZE + 7
         calls = []
-        run_blocks(n, lambda block, start, count: calls.append((block, start, count)))
-        expected = [(b, b * BLOCK_SIZE, BLOCK_SIZE) for b in range(4)] + [(4, 4 * BLOCK_SIZE, 7)]
-        assert sorted(calls) == expected
+        run_blocks(n, lambda block, count: calls.append((block, count)), lambda result: None)
+        assert sorted(calls) == [(b, BLOCK_SIZE) for b in range(4)] + [(4, 7)]
 
     @pytest.mark.parametrize("workers", [1, 2, 3])
     def test_consume_in_block_order_with_bounded_blocks_in_flight(self, monkeypatch, workers):
         monkeypatch.setattr(homodyne, "worker_count", lambda: workers)
         started, consumed, in_flight = [], [], []
 
-        def fill(block, start, count):
+        def draw(block, count):
             started.append(block)
             in_flight.append(len(started) - len(consumed))
             return block, count
@@ -356,7 +452,7 @@ class TestRunBlocks:
             assert threading.current_thread() is threading.main_thread()
             consumed.append(result)
 
-        run_blocks(9 * BLOCK_SIZE + 1, fill, consume)
+        run_blocks(9 * BLOCK_SIZE + 1, draw, consume)
         assert consumed == [(b, BLOCK_SIZE) for b in range(9)] + [(9, 1)]
         assert max(in_flight) <= 2 * workers
 
@@ -369,18 +465,18 @@ class TestRunBlocks:
                 raise NumericRangeError("consume 1")
 
         with pytest.raises(NumericRangeError, match="consume 1"):
-            run_blocks(40 * BLOCK_SIZE, lambda block, start, count: filled.append(block) or block, consume)
+            run_blocks(40 * BLOCK_SIZE, lambda block, count: filled.append(block) or block, consume)
         assert len(filled) < 40
 
     def test_block_error_reaches_caller(self, monkeypatch):
         monkeypatch.setattr(homodyne, "worker_count", lambda: 2)
 
-        def fill(block, start, count):
+        def draw(block, count):
             if block == 2:
                 raise NumericRangeError("block 2")
 
         with pytest.raises(NumericRangeError, match="block 2"):
-            run_blocks(3 * BLOCK_SIZE, fill)
+            run_blocks(3 * BLOCK_SIZE, draw, lambda result: None)
 
     def test_worker_count(self, monkeypatch):
         cpus = len(os.sched_getaffinity(0))
