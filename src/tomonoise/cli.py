@@ -12,12 +12,12 @@ error, 5 I/O error; every error is one JSON line on stderr. Usage errors (a
 flag its command does not read, a missing subcommand, a flag value argparse
 cannot read), config-file keys that no command reads and config-file values of
 the wrong type are config errors. A config file may hold the keys of other
-commands, so that one file serves several, and a sidecar replayed as --config
-reproduces its run. A record too large to allocate, and any other
-MemoryError, is a numeric-range error. Sample blocks are generated on as many
-threads as the process has CPUs; TOMONOISE_MAX_WORKERS (a positive integer)
-lowers that count, and the count used is recorded in the resolved config as
-max_workers.
+commands, unread and unchecked, so that one file serves several, and a sidecar
+replayed as --config reproduces its run. A record too large to allocate, and
+any other MemoryError, is a numeric-range error. Sample blocks are generated
+on as many threads as the process has CPUs; TOMONOISE_MAX_WORKERS (a positive
+integer) lowers that count, and the count used is recorded in the resolved
+config as max_workers.
 
 On glibc, main() first sets the allocator policy of the process: arrays up
 to a few blocks come from the heap, and freed heap is kept rather than handed
@@ -220,7 +220,6 @@ def _read(key: str, value, reader):
 
 def resolve_config(args: argparse.Namespace, overridden: list) -> RunConfig:
     """Merge flags and config file into a RunConfig; flags the file replaced go to overridden."""
-    flags = {k: v for k, v in vars(args).items() if k not in ("command", "config")}
     file_cfg = {}
     if getattr(args, "config", None):
         try:
@@ -229,14 +228,15 @@ def resolve_config(args: argparse.Namespace, overridden: list) -> RunConfig:
             raise ValidationError(f"config file does not parse: {exc}") from exc
         if not isinstance(file_cfg, dict):
             raise ValidationError("config file must hold a JSON object")
-        # a key of another command is accepted, so that one file can serve several commands
+        # a key of another command is accepted and left unread, so that one file can serve several
         known = _OTHER_CONFIG_KEYS.union(*_COMMAND_KEYS.values())
         unknown = sorted(set(file_cfg) - known)
         if unknown:
             raise ValidationError(f"{unknown[0]}: no command reads this config key")
+    keys = _COMMAND_KEYS[args.command]
     merged = {}
-    for key in set(flags) | set(file_cfg):
-        flag_val = flags.get(key)
+    for key in (keys + ("state_file",) if "state" in keys else keys):
+        flag_val = getattr(args, key)
         if key in file_cfg:
             if flag_val is not None and file_cfg[key] != flag_val:
                 overridden.append(key)

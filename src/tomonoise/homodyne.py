@@ -26,13 +26,13 @@ from .errors import NumericRangeError, ValidationError
 from .states import (
     HERMITE_REACH,
     Coherent,
-    Fock,
     StateSpec,
     _check_eta,
+    band_densities,
     coherent_mean,
     hermite_functions,
+    number_bands,
     smearing_variance,
-    state_dim,
     state_tag,
     validate_state,
 )
@@ -255,9 +255,10 @@ class QuadratureGridSampler:
         validate_state(state)
         if isinstance(state, Coherent):
             raise ValidationError("coherent states are sampled in closed form, not on a grid")
-        dim = state_dim(state)
+        bands = number_bands(state)
+        dim = bands[0][1].size
         # The highest populated level, checked before the dim x nodes Hermite table is allocated.
-        top = state.n if isinstance(state, Fock) else np.flatnonzero(state.rho.diagonal().real > 0)[-1]
+        top = np.flatnonzero(bands[0][1].real > 0)[-1]
         turning = math.sqrt((2 * top + 1) / 2)
         if turning > 2.0 * HERMITE_REACH:
             raise NumericRangeError(
@@ -267,22 +268,8 @@ class QuadratureGridSampler:
         self.halfwidth = float(halfwidth) if halfwidth is not None else 3.0 + 2.0 * math.sqrt(dim)
         self.xgrid = np.linspace(-self.halfwidth, self.halfwidth, nodes)
         dx = self.xgrid[1] - self.xgrid[0]
-        psi = hermite_functions(dim - 1, self.xgrid)
-        if isinstance(state, Fock):
-            rho = np.zeros((dim, dim), dtype=complex)
-            rho[state.n, state.n] = 1.0
-        else:
-            rho = state.rho
-        offsets = [
-            d for d in range(dim) if np.max(np.abs(np.diagonal(rho, offset=d))) > 0.0
-        ]
-        cdfs = []
-        for d in offsets:
-            band = np.diagonal(rho, offset=d)
-            g = np.einsum("n,nx,nx->x", band, psi[: dim - d], psi[d:dim])
-            cdf = np.concatenate(([0.0], np.cumsum(0.5 * (g[1:] + g[:-1]) * dx)))
-            cdfs.append(cdf)
-        cdfs = np.stack(cdfs)
+        g = band_densities(bands, hermite_functions(dim - 1, self.xgrid))
+        cdfs = np.cumsum(np.pad(0.5 * (g[:, 1:] + g[:, :-1]) * dx, ((0, 0), (1, 0))), axis=1)
         self.mass = float(cdfs[0][-1].real)
         if self.mass < 1.0 - GRID_MASS_TOL:
             raise NumericRangeError(
@@ -290,7 +277,7 @@ class QuadratureGridSampler:
                 f"the number-basis recurrence resolves only |x| <= {HERMITE_REACH:.1f}, so a wider "
                 "halfwidth helps only below that"
             )
-        self.bands = offsets[1:]
+        self.bands = [d for d, _ in bands[1:]]
         self.phase_dependent = bool(self.bands)
         # Steps top, top/2, ..., 1 reach every lower node 0..nodes-2; candidates
         # run up to 2 top - 1, and a guided window up to nodes - 3 + 2**GUIDE_STEPS.

@@ -4,7 +4,8 @@ Quadrature convention used throughout the package: x = (a + a^dag)/2, so the
 vacuum quadrature distribution is a zero-mean Gaussian of variance 1/4.
 Detector quantum efficiency eta < 1 is modelled, everywhere, as additive
 zero-mean Gaussian noise of variance (1 - eta)/(4 eta) on top of the ideal
-quadrature outcome; this is the single source of truth for inefficiency.
+quadrature outcome, the single source of truth for inefficiency; for number-basis
+states quadrature_pdf takes it exactly, as a loss channel of transmission eta.
 """
 
 from __future__ import annotations
@@ -26,8 +27,6 @@ HERMITICITY_TOL = 1e-12
 TRACE_TOL = 1e-10
 DIAGONAL_FLOOR = -1e-12
 EIGENVALUE_FLOOR = -1e-10
-
-_GAUSS_HERMITE_NODES = 64
 
 #: |x| beyond which exp(-x^2), the seed of the Hermite recurrence, leaves the
 #: normal floats (about 26.6); no number-basis density resolves more.
@@ -264,16 +263,32 @@ def coherent_mean(beta: complex, phi):
     return (beta * np.exp(-1j * phi)).real
 
 
-def _ideal_pdf(state: Fock | Mixed, phi: float, x: np.ndarray) -> np.ndarray:
-    # Quadrature density at unit efficiency, via the truncated number basis.
+def number_bands(state: Fock | Mixed) -> list[tuple[int, np.ndarray]]:
+    """Each non-zero band (d, rho[n, n + d] over n), d = 0 first; a Fock state's one band is one-hot."""
     if isinstance(state, Fock):
-        return hermite_functions(state.n, x)[state.n] ** 2
-    phases = np.exp(-1j * phi * np.arange(state.dim))
-    rotated = (phases[:, None] * state.rho) * phases.conj()[None, :]
-    psi = hermite_functions(state.dim - 1, x)
-    # sum_nm Re(rotated_nm) psi_n psi_m, the psi being real: one matrix product, then
-    # a column-wise dot (a three-operand einsum would run a naive triple loop)
-    return np.einsum("nx,nx->x", rotated.real @ psi, psi)
+        return [(0, np.eye(1, state.n + 1, state.n, dtype=complex)[0])]
+    bands = ((d, np.diagonal(state.rho, offset=d)) for d in range(state.dim))
+    return [(d, band) for d, band in bands if np.max(np.abs(band)) > 0.0]
+
+
+def band_densities(bands, psi: np.ndarray) -> np.ndarray:
+    """One row C_d(x) = sum_n rho[n, n + d] psi_n(x) psi_{n+d}(x) per band; psi holds psi_0.. at x."""
+    dim = psi.shape[0]
+    return np.stack([np.einsum("n,nx,nx->x", band, psi[: dim - d], psi[d:dim]) for d, band in bands])
+
+
+def _lossy_band(d: int, band: np.ndarray, eta: float) -> np.ndarray:
+    """Band d of the state after a loss channel of transmission eta, in log space.
+
+    rho'[n, n + d] = sum_k A(n, k) A(n + d, k) rho[n + k, n + d + k],
+    A(n, k)^2 = C(n + k, k) eta^n (1 - eta)^k.
+    """
+    n = np.arange(band.size)[:, None]
+    k = np.maximum(n.T - n, 0)
+    log_fact = np.cumsum(np.log(np.maximum(np.arange(band.size + d), 1)))
+    both = log_fact[n + k] + log_fact[n + d + k] - log_fact[n] - log_fact[n + d] + (2 * n + d) * math.log(eta)
+    log_a = 0.5 * both - log_fact[k] + k * math.log1p(-eta)  # log A(n, k) A(n + d, k)
+    return np.einsum("nj,j->n", np.exp(log_a) * (n.T >= n), band)
 
 
 def quadrature_pdf(state: StateSpec, phi: float, eta: float, x) -> np.ndarray | float:
@@ -282,8 +297,8 @@ def quadrature_pdf(state: StateSpec, phi: float, eta: float, x) -> np.ndarray | 
     A coherent state's density is the Gaussian of mean coherent_mean(beta, phi)
     and variance 1/(4 eta), in closed form for any beta. For Fock and mixed
     states it is sum_{n,m} rho_nm exp(i (m - n) phi) psi_n(x) psi_m(x) at
-    eta = 1; for eta < 1 that ideal density is convolved with the efficiency
-    Gaussian (Gauss-Hermite quadrature, 64 nodes).
+    eta = 1, summed by band; below, exactly sqrt(eta) p'(sqrt(eta) x), p' that
+    density of the state after a loss channel of transmission eta.
     """
     _check_eta(eta)
     validate_state(state)
@@ -293,13 +308,10 @@ def quadrature_pdf(state: StateSpec, phi: float, eta: float, x) -> np.ndarray | 
         var = VACUUM_QUADRATURE_VARIANCE / eta
         z = xs - coherent_mean(state.beta, phi)
         p = np.exp(-0.5 * z * z / var) / math.sqrt(2.0 * math.pi * var)
-    elif eta == 1.0:
-        p = _ideal_pdf(state, phi, xs)
     else:
-        sig = math.sqrt(smearing_variance(eta))
-        nodes, weights = np.polynomial.hermite.hermgauss(_GAUSS_HERMITE_NODES)
-        shifted = xs[None, :] - math.sqrt(2.0) * sig * nodes[:, None]
-        vals = _ideal_pdf(state, phi, shifted.reshape(-1)).reshape(shifted.shape)
-        p = (weights / math.sqrt(math.pi)) @ vals
+        bands = [(d, _lossy_band(d, band, eta) if eta < 1.0 else band) for d, band in number_bands(state)]
+        weights = np.array([(2.0 if d else 1.0) * np.exp(1j * d * phi) for d, _ in bands])
+        psi = hermite_functions(bands[0][1].size - 1, math.sqrt(eta) * xs)
+        p = math.sqrt(eta) * np.einsum("d,dx->x", weights, band_densities(bands, psi)).real
     p = np.clip(p, 0.0, None)
     return float(p[0]) if np.isscalar(x) or np.asarray(x).ndim == 0 else p

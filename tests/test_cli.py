@@ -252,6 +252,17 @@ class TestConfigFile:
         assert capsys.readouterr().err == ""
         assert len(read_result_rows(out)[1]) == 50
 
+    @pytest.mark.parametrize("other", [{"observable": "bogus"}, {"nbar_grid": "1:x"}, {"mode": 5}])
+    def test_keys_of_other_commands_are_not_checked(self, tmp_path, capsys, other):
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({"n": 50, "seed": 2, **other}))
+        out = tmp_path / "d.csv"
+        assert main(["simulate", "--state", '{"type":"fock","n":1}', "--seed", "1", "--out", str(out),
+                     "--config", str(cfg)]) == 0
+        assert capsys.readouterr().err.splitlines() == ["warning: --seed overridden by config file value"]
+        assert len(read_result_rows(out)[1]) == 50
+        assert set(json.loads(Path(str(out) + ".config.json").read_text())).isdisjoint(other)
+
     @pytest.mark.parametrize(
         "argv",
         [
@@ -410,9 +421,11 @@ class TestErrorContract:
         "key, value", [("n", "abc"), ("eta", "x"), ("out", 5), ("observables", ["phase"])]
     )
     def test_config_value_of_wrong_type(self, tmp_path, capsys, key, value):
+        # a run checks only its own command's keys: observables belongs to sweep
         cfg = tmp_path / "run.json"
         cfg.write_text(json.dumps({"out": str(tmp_path / "d.csv"), key: value}))
-        assert main(["simulate", "--state", '{"type":"fock","n":1}', "--config", str(cfg)]) == 2
+        argv = ["sweep"] if key == "observables" else ["simulate", "--state", '{"type":"fock","n":1}']
+        assert main([*argv, "--config", str(cfg)]) == 2
         lines = capsys.readouterr().err.strip().splitlines()
         assert len(lines) == 1 and json.loads(lines[0])["message"].startswith(f"{key}: ")
 
@@ -643,7 +656,12 @@ def cli_argv(draw, data_dir, out):
         # a flag the config file overrides must not add a warning line to the error line
         flags = draw(st.sampled_from([[], ["--seed", "3"], ["--eta", "0.5"]]))
         name = draw(st.sampled_from(configs))
-        return [command, *flags, "--config", str(data_dir / name)], 2 if name == FUZZ_MISSPELLED_CONFIG else None
+        # config-<key>-<i>.json: its one wrong value is checked only by a command that reads <key>
+        reads = cli._COMMAND_KEYS[command]
+        reads += ("state_file",) if "state" in reads else ()
+        key = name[len("config-"):].rpartition("-")[0]
+        bad = name == FUZZ_MISSPELLED_CONFIG or key in reads or any(flag[2:] not in reads for flag in flags[::2])
+        return [command, *flags, "--config", str(data_dir / name)], 2 if bad else 0
     seed = draw(st.sampled_from([0, 7, -1, 2**64]) | st.integers(0, 2**64 - 1))
     n = draw(st.integers(-1, 400))
     if command == "sweep":
@@ -687,4 +705,6 @@ def test_cli_fuzz_exit_codes(fuzz_data, data):
         assert len(lines) == 1, lines
         assert json.loads(lines[0])["exit"] == code
     else:
-        assert lines == []
+        # the fuzz config files hold eta and seed values other than the flags' 0.5 and 3
+        flags = [arg for arg in argv if arg in ("--eta", "--seed")] if "--config" in argv else []
+        assert lines == [f"warning: {flag} overridden by config file value" for flag in flags]

@@ -119,6 +119,17 @@ class TestDistributions:
         pdf = quadrature_pdf(state, phi, 1.0, centers)
         assert np.max(np.abs(hist - pdf)) < 0.02
 
+    def test_mixed_sampler_matches_pdf_below_unit_efficiency(self):
+        # the sampler adds Gaussian noise, quadrature_pdf takes the loss channel: one law
+        state = plus_state()
+        phi = 1.1
+        xs = sample_fixed_phase(state, 0.4, 400_000, 16, phi=phi)
+        edges = np.linspace(-4, 4, 41)
+        counts, _ = np.histogram(xs, bins=edges)
+        centers = 0.5 * (edges[:-1] + edges[1:])
+        pdf = quadrature_pdf(state, phi, 0.4, centers)
+        assert np.max(np.abs(counts / (xs.size * np.diff(edges)) - pdf)) < 0.02
+
     def test_grid_extent_error(self):
         with pytest.raises(NumericRangeError, match="halfwidth"):
             QuadratureGridSampler(Fock(30), halfwidth=2.0)

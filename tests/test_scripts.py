@@ -1,3 +1,4 @@
+import importlib.util
 import os
 import subprocess
 import sys
@@ -17,3 +18,19 @@ def test_phase_density_scaling_help():
     )
     assert proc.returncode == 0, proc.stderr
     assert "--eta-list" in proc.stdout
+
+
+def test_benchmark_tracing_finds_every_target(monkeypatch):
+    # the traced benchmark wraps package names; one renamed or deleted fails here, not only in a traced run
+    spec = importlib.util.spec_from_file_location("tracing", ROOT / "perfbench" / "tracing.py")
+    tracing = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, "tracing", tracing)
+    spec.loader.exec_module(tracing)
+    from tomonoise import Fock, homodyne
+
+    original = homodyne.hermite_functions
+    tracer = tracing.Tracer()
+    with tracing.instrument(tracer):
+        homodyne.QuadratureGridSampler(Fock(1))
+    assert homodyne.hermite_functions is original
+    assert [span.name for span in tracer.spans] == ["homodyne.grid_build", "states.hermite_functions"]

@@ -1,4 +1,7 @@
 import math
+import resource
+import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -31,6 +34,19 @@ def ladder_matrix(dim):
 def oracle_normal_moment(rho, n, m):
     a = ladder_matrix(rho.shape[0])
     return np.trace(rho @ np.linalg.matrix_power(a.conj().T, n) @ np.linalg.matrix_power(a, m))
+
+
+def mixed_with_coherences(dim, seed, rank=3):
+    # rho = V V^dag by einsum rather than a BLAS product, whose threads can spin on after it returns
+    rng = np.random.default_rng(seed)
+    v = rng.normal(size=(dim, rank)) + 1j * rng.normal(size=(dim, rank))
+    rho = np.einsum("nk,mk->nm", v, v.conj())
+    return Mixed(rho / rho.trace().real)
+
+
+def cpu_seconds():
+    usage = resource.getrusage(resource.RUSAGE_SELF)
+    return usage.ru_utime + usage.ru_stime
 
 
 class TestValidation:
@@ -168,7 +184,7 @@ class TestQuadraturePdf:
     @pytest.mark.parametrize("beta", [0, 1, 1.5 + 0.5j, -2 + 1j])
     def test_coherent_closed_form_matches_number_basis(self, beta, eta, phi):
         # the coherent state truncated to dimension 48 and renormalised, through
-        # the number-basis path and its Gauss-Hermite smear
+        # the number-basis path and its loss channel
         amp = np.ones(48, dtype=complex)
         for n in range(1, 48):
             amp[n] = amp[n - 1] * beta / math.sqrt(n)
@@ -177,6 +193,34 @@ class TestQuadraturePdf:
         closed = quadrature_pdf(Coherent(beta), phi, eta, xs)
         truncated = quadrature_pdf(Mixed(rho / rho.trace().real), phi, eta, xs)
         assert np.max(np.abs(closed - truncated)) < 1e-12
+
+    @pytest.mark.parametrize("state", [Fock(20), mixed_with_coherences(20, 11)], ids=["fock20", "mixed20"])
+    def test_low_efficiency_matches_convolution(self, state):
+        # brute force: the eta = 1 density convolved with the efficiency Gaussian by the trapezoid rule
+        eta, phi = 0.2, 0.7
+        xs = np.linspace(-7.0, 7.0, 141)
+        y = np.linspace(-14.0, 14.0, 7001)
+        var = (1.0 - eta) / (4.0 * eta)
+        kernel = np.exp(-0.5 * (xs[:, None] - y) ** 2 / var) / math.sqrt(2.0 * math.pi * var)
+        reference = trapezoid(kernel * quadrature_pdf(state, phi, 1.0, y), y, axis=1)
+        got = quadrature_pdf(state, phi, eta, xs)
+        assert np.max(np.abs(got - reference)) < 1e-9 * reference.max()
+
+    def test_low_efficiency_memory_and_no_spinning_thread(self):
+        # a dim-48 state at 4001 points: a 64-node smear would hold a 48 x 256064 table (192 MB)
+        state = mixed_with_coherences(48, 5, rank=4)
+        xs = np.linspace(-10.0, 10.0, 4001)
+        time.sleep(0.3)  # lets a BLAS thread that an earlier test left spinning go idle
+        tracemalloc.start()
+        try:
+            quadrature_pdf(state, 0.4, 0.6, xs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 20 * 2**20
+        start = cpu_seconds()
+        time.sleep(0.3)
+        assert cpu_seconds() - start < 0.05
 
     @pytest.mark.parametrize("eta", [0.7, 1.0])
     @pytest.mark.parametrize("beta", [30, 100, 100 + 50j])
