@@ -33,7 +33,6 @@ import datetime
 import json
 import math
 import sys
-from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 from .errors import CapabilityError, NumericRangeError, ValidationError
@@ -85,25 +84,6 @@ def _keep_block_memory() -> None:
     mallopt(_M_TRIM_THRESHOLD, TRIM_THRESHOLD)
 
 
-@dataclass
-class RunConfig:
-    """A resolved run; the field defaults are the CLI defaults."""
-
-    command: str
-    state: dict | None = None
-    observable: dict | None = None
-    eta: float = 1.0
-    n: int = 10000
-    seed: int = 0
-    out: str = ""
-    data: str | None = None
-    mode: str = "analytic"
-    observables: str = "all"
-    eta_list: list = field(default_factory=lambda: [1.0])
-    nbar_grid: list = field(default_factory=lambda: [0.5, 1.0, 2.0, 4.0, 8.0, 16.0])
-    max_workers: int | None = None
-
-
 class _Parser(argparse.ArgumentParser):
     """Usage errors raise ValidationError, so they leave like every config error."""
 
@@ -125,19 +105,6 @@ _COMMAND_HELP = {
     "compare": "empirical tomographic-vs-direct comparison",
     "sweep": "noise-ratio table over coherent states",
 }
-#: argparse options of the flag --<key> (underscores as dashes) of each key but state.
-_FLAG_OPTIONS = {
-    "observable": {"help": "observable name or inline JSON"},
-    "eta": {"type": float, "help": "quantum efficiency in (0, 1]"},
-    "n": {"type": int, "help": "sample count (per point of an empirical sweep)"},
-    "seed": {"type": int, "help": "64-bit RNG seed"},
-    "out": {"help": "output path"},
-    "data": {"help": "dataset file (CSV or JSON)"},
-    "mode": {"choices": ["analytic", "empirical"]},
-    "observables": {"help": "'all' or comma list of observable names"},
-    "eta_list": {"help": "comma list of efficiencies"},
-    "nbar_grid": {"help": "comma list of mean photon numbers, or min:max:step"},
-}
 #: Config-file keys that no command reads but a replayed sidecar holds, or that name the state's file.
 _OTHER_CONFIG_KEYS = {"state_file", "command", "max_workers", "timestamp"}
 
@@ -157,7 +124,7 @@ def build_parser() -> argparse.ArgumentParser:
                 g.add_argument("--state-file", help="path to a state JSON file")
                 g.add_argument("--state", help="inline state JSON")
             else:
-                p.add_argument("--" + key.replace("_", "-"), dest=key, **_FLAG_OPTIONS[key])
+                p.add_argument("--" + key.replace("_", "-"), dest=key, **_KEYS[key][2])
         p.add_argument("--config", help="JSON config file; wins over flags")
     return parser
 
@@ -174,20 +141,17 @@ def _parse_grid(text) -> list[float]:
         elif ":" in str(text):
             lo, hi, step = (float(v) for v in str(text).split(":"))
             count = int(round((hi - lo) / step)) + 1 if step > 0 and hi >= lo else 0
-            if not 0 < count <= MAX_GRID_POINTS:
-                raise ValidationError(
-                    f"bad grid range {text!r}: need step > 0, max >= min and at most "
-                    f"{MAX_GRID_POINTS} points"
-                )
-            values = [lo + k * step for k in range(count)]
+            values = [lo + k * step for k in range(count)] if 0 < count <= MAX_GRID_POINTS else None
         else:
             values = [float(v) for v in str(text).split(",")]
     except (TypeError, ValueError, OverflowError) as exc:
-        raise ValidationError(
-            f"grid {text!r} is not a comma list of numbers or a min:max:step range"
-        ) from exc
+        raise ValueError(f"grid {text!r} is not a comma list of numbers or a min:max:step range") from exc
+    if values is None:
+        raise ValueError(
+            f"bad grid range {text!r}: need step > 0, max >= min and at most {MAX_GRID_POINTS} points"
+        )
     if not values or not all(math.isfinite(v) for v in values):
-        raise ValidationError(f"grid {text!r} is empty or holds a non-finite value")
+        raise ValueError(f"grid {text!r} is empty or holds a non-finite value")
     return values
 
 
@@ -204,22 +168,41 @@ def _integer(value) -> int:
     return int(value)
 
 
-#: How the value of each plain config key is read; an unset key keeps its RunConfig default.
-_READERS = {
-    "eta": float, "n": _integer, "seed": _integer, "out": _text, "data": _text, "mode": _text,
-    "observables": _text, "eta_list": _parse_grid, "nbar_grid": _parse_grid,
+#: Every config key but state_file, in sidecar order: how a flag or config-file value is read,
+#: the value of an unset key, and the argparse options of its flag --<key> (underscores as
+#: dashes); state has the flags --state and --state-file instead. The state reader looks up
+#: state_from_json when it runs, so that a wrapper set on this module sees the call.
+_KEYS = {
+    "state": (lambda value: state_from_json(value), None, None),
+    "observable": (observable_from_json, None, {"help": "observable name or inline JSON"}),
+    "eta": (float, 1.0, {"type": float, "help": "quantum efficiency in (0, 1]"}),
+    "n": (_integer, 10000, {"type": int, "help": "sample count (per point of an empirical sweep)"}),
+    "seed": (_integer, 0, {"type": int, "help": "64-bit RNG seed"}),
+    "out": (_text, "", {"help": "output path"}),
+    "data": (_text, None, {"help": "dataset file (CSV or JSON)"}),
+    "mode": (_text, "analytic", {"choices": ["analytic", "empirical"]}),
+    "observables": (_text, "all", {"help": "'all' or comma list of observable names"}),
+    "eta_list": (_parse_grid, (1.0,), {"help": "comma list of efficiencies"}),
+    "nbar_grid": (_parse_grid, (0.5, 1.0, 2.0, 4.0, 8.0, 16.0),
+                  {"help": "comma list of mean photon numbers, or min:max:step"}),
 }
 
 
 def _read(key: str, value, reader):
+    """A reader's ValidationError is worded for the user already; its other errors are named by key."""
     try:
         return reader(value)
-    except (TypeError, ValueError, OverflowError, ValidationError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ValidationError(f"{key}: {exc}") from exc
 
 
-def resolve_config(args: argparse.Namespace, overridden: list) -> RunConfig:
-    """Merge flags and config file into a RunConfig; flags the file replaced go to overridden."""
+def resolve_config(args: argparse.Namespace, overridden: list) -> dict:
+    """Merge flags and config file into the run's config; flags the file replaced go to overridden.
+
+    The config holds command, the keys its command reads in _KEYS order with the
+    defaults filled in, the state as a StateSpec and the observable as an
+    Observable, and max_workers.
+    """
     file_cfg = {}
     if getattr(args, "config", None):
         try:
@@ -244,79 +227,74 @@ def resolve_config(args: argparse.Namespace, overridden: list) -> RunConfig:
         else:
             merged[key] = flag_val
 
-    cfg = RunConfig(command=args.command)
-    for key, reader in _READERS.items():
-        if merged.get(key) is not None:
-            setattr(cfg, key, _read(key, merged[key], reader))
-    state_json = merged.get("state")
-    if merged.get("state_file") is not None:
-        state_json = Path(_read("state_file", merged["state_file"], _text)).read_text()
-    if state_json is not None:
-        cfg.state = state_to_json(state_from_json(state_json))
-    if merged.get("observable") is not None:
-        cfg.observable = observable_to_json(observable_from_json(merged["observable"]))
-    cfg.max_workers = worker_count()
-    if not cfg.out:
+    cfg = {"command": args.command}
+    cfg.update((key, default) for key, (_, default, _) in _KEYS.items() if key in keys)
+    # every other value is read before the state file is opened and the state and observable are
+    # parsed, so that a bad value is reported before a state file is read
+    for key in sorted(list(cfg)[1:], key=("state", "observable").__contains__):
+        value = merged[key]
+        if key == "state" and merged["state_file"] is not None:
+            value = Path(_read("state_file", merged["state_file"], _text)).read_text()
+        if value is not None:
+            cfg[key] = _read(key, value, _KEYS[key][0])
+    cfg["max_workers"] = worker_count()
+    if not cfg["out"]:
         raise ValidationError("an output path is required (--out)")
     return cfg
 
 
-def _emit_config(cfg: RunConfig) -> None:
-    keys = {"command", "max_workers", *_COMMAND_KEYS[cfg.command]}
-    resolved = {key: value for key, value in asdict(cfg).items() if key in keys}
-    resolved["timestamp"] = datetime.datetime.now(datetime.timezone.utc).isoformat()
-    Path(cfg.out + ".config.json").write_text(json.dumps(resolved, indent=2) + "\n")
+def _emit_config(cfg: dict) -> None:
+    resolved = dict(cfg, timestamp=datetime.datetime.now(datetime.timezone.utc).isoformat())
+    for key, to_json in (("state", state_to_json), ("observable", observable_to_json)):
+        if key in resolved:
+            resolved[key] = to_json(resolved[key])
+    Path(cfg["out"] + ".config.json").write_text(json.dumps(resolved, indent=2) + "\n")
 
 
-def _sweep_observables(cfg: RunConfig):
-    names = _OBSERVABLE_NAMES if cfg.observables == "all" else cfg.observables.split(",")
+def _sweep_observables(cfg: dict):
+    names = _OBSERVABLE_NAMES if cfg["observables"] == "all" else cfg["observables"].split(",")
     return [observable_from_json(name.strip()) for name in names]
 
 
-def run(cfg: RunConfig) -> None:
+def run(cfg: dict) -> None:
     """Execute one resolved configuration, writing result + resolved-config files."""
-    if cfg.command == "simulate":
-        if cfg.state is None:
+    command, state, obs, out = cfg["command"], cfg.get("state"), cfg.get("observable"), cfg["out"]
+    if command == "simulate":
+        if state is None:
             raise ValidationError("simulate needs a state (--state or --state-file)")
-        ds = sample_homodyne(state_from_json(cfg.state), cfg.eta, cfg.n, cfg.seed)
-        if cfg.out.endswith(".json"):
-            save_dataset_json(ds, cfg.out)
+        ds = sample_homodyne(state, cfg["eta"], cfg["n"], cfg["seed"])
+        if out.endswith(".json"):
+            save_dataset_json(ds, out)
         else:
-            save_dataset_csv(ds, cfg.out)
-    elif cfg.command == "estimate":
-        if not cfg.data or cfg.observable is None:
+            save_dataset_csv(ds, out)
+    elif command == "estimate":
+        if not cfg["data"] or obs is None:
             raise ValidationError("estimate needs --data and --observable")
-        loader = load_dataset_json if cfg.data.endswith(".json") else load_dataset_csv
-        ds = loader(cfg.data)
-        obs = observable_from_json(cfg.observable)
+        loader = load_dataset_json if cfg["data"].endswith(".json") else load_dataset_csv
+        ds = loader(cfg["data"])
         if is_real_observable(obs):
             payload = estimate_to_json(estimate_mean(ds, obs))
         else:
             payload = complex_estimate_to_json(estimate_complex(ds, obs))
-        Path(cfg.out).write_text(json.dumps(payload, indent=2) + "\n")
-    elif cfg.command == "compare":
-        if cfg.state is None or cfg.observable is None:
+        Path(out).write_text(json.dumps(payload, indent=2) + "\n")
+    elif command == "compare":
+        if state is None or obs is None:
             raise ValidationError("compare needs a state and an observable")
-        row = empirical_comparison(
-            observable_from_json(cfg.observable),
-            state_from_json(cfg.state),
-            cfg.eta,
-            cfg.n,
-            cfg.seed,
-        )
-        Path(cfg.out).write_text(json.dumps(row.to_json(), indent=2) + "\n")
-    elif cfg.command == "sweep":
+        row = empirical_comparison(obs, state, cfg["eta"], cfg["n"], cfg["seed"])
+        Path(out).write_text(json.dumps(row.to_json(), indent=2) + "\n")
+    elif command == "sweep":
+        empirical = cfg["mode"] == "empirical"
         rows = sweep(
             _sweep_observables(cfg),
-            cfg.nbar_grid,
-            cfg.eta_list,
-            cfg.mode,
-            n=cfg.n if cfg.mode == "empirical" else None,
-            seed=cfg.seed if cfg.mode == "empirical" else None,
+            cfg["nbar_grid"],
+            cfg["eta_list"],
+            cfg["mode"],
+            n=cfg["n"] if empirical else None,
+            seed=cfg["seed"] if empirical else None,
         )
-        write_sweep_csv(rows, cfg.out)
+        write_sweep_csv(rows, out)
     else:
-        raise ValidationError(f"unknown command {cfg.command!r}")
+        raise ValidationError(f"unknown command {command!r}")
     _emit_config(cfg)
 
 

@@ -24,11 +24,13 @@ import numpy as np
 
 from .errors import NumericRangeError, ValidationError
 from .states import (
+    GRID_MASS_TOL,
     HERMITE_REACH,
     Coherent,
     StateSpec,
     _check_eta,
     band_densities,
+    check_reach,
     coherent_mean,
     hermite_functions,
     number_bands,
@@ -39,7 +41,6 @@ from .states import (
 
 BLOCK_SIZE = 1 << 16
 GRID_NODES = 4096
-GRID_MASS_TOL = 1e-6
 # Guide table of the coherence-bearing sampler: phase bins over [0, pi), target
 # levels over [0, mass), and the power-of-two steps of its short search, which
 # reach 2**GUIDE_STEPS - 1 nodes above the cell's start node.
@@ -277,6 +278,7 @@ class QuadratureGridSampler:
                 f"the number-basis recurrence resolves only |x| <= {HERMITE_REACH:.1f}, so a wider "
                 "halfwidth helps only below that"
             )
+        check_reach(bands[0][1])
         self.bands = [d for d, _ in bands[1:]]
         self.phase_dependent = bool(self.bands)
         # Steps top, top/2, ..., 1 reach every lower node 0..nodes-2; candidates

@@ -31,6 +31,10 @@ EIGENVALUE_FLOOR = -1e-10
 #: |x| beyond which exp(-x^2), the seed of the Hermite recurrence, leaves the
 #: normal floats (about 26.6); no number-basis density resolves more.
 HERMITE_REACH = math.sqrt(-math.log(sys.float_info.min))
+#: Highest photon number whose turning point sqrt((2n + 1)/2) lies within HERMITE_REACH (707).
+REACH_LEVEL = math.floor(HERMITE_REACH**2 - 0.5)
+#: Probability mass a number-basis density may leave unresolved: above REACH_LEVEL or off its grid.
+GRID_MASS_TOL = 1e-6
 
 
 def smearing_variance(eta: float) -> float:
@@ -281,14 +285,30 @@ def _lossy_band(d: int, band: np.ndarray, eta: float) -> np.ndarray:
     """Band d of the state after a loss channel of transmission eta, in log space.
 
     rho'[n, n + d] = sum_k A(n, k) A(n + d, k) rho[n + k, n + d + k],
-    A(n, k)^2 = C(n + k, k) eta^n (1 - eta)^k.
+    A(n, k)^2 = C(n + k, k) eta^n (1 - eta)^k, summed over the non-zero entries j = n + k only.
     """
     n = np.arange(band.size)[:, None]
-    k = np.maximum(n.T - n, 0)
+    j = np.flatnonzero(band)
+    k = np.maximum(j - n, 0)
     log_fact = np.cumsum(np.log(np.maximum(np.arange(band.size + d), 1)))
     both = log_fact[n + k] + log_fact[n + d + k] - log_fact[n] - log_fact[n + d] + (2 * n + d) * math.log(eta)
     log_a = 0.5 * both - log_fact[k] + k * math.log1p(-eta)  # log A(n, k) A(n + d, k)
-    return np.einsum("nj,j->n", np.exp(log_a) * (n.T >= n), band)
+    return np.einsum("nj,j->n", np.exp(log_a) * (j >= n), band[j])
+
+
+def check_reach(diagonal: np.ndarray) -> None:
+    """Refuse photon-number weights (band d = 0) that put more than GRID_MASS_TOL above REACH_LEVEL.
+
+    The recurrence seeded with exp(-x^2) resolves psi_n only for |x| <= HERMITE_REACH;
+    past it the seed is subnormal and psi_n garbage, not zero, so the density of a
+    higher level is wrong however its mass comes out.
+    """
+    beyond = float(np.sum(diagonal[REACH_LEVEL + 1:].real))
+    if beyond > GRID_MASS_TOL:
+        raise NumericRangeError(
+            f"photon numbers above {REACH_LEVEL} hold weight {beyond:.3g}; the number-basis recurrence "
+            f"resolves only |x| <= {HERMITE_REACH:.1f}, the turning point of level {REACH_LEVEL}"
+        )
 
 
 def quadrature_pdf(state: StateSpec, phi: float, eta: float, x) -> np.ndarray | float:
@@ -298,7 +318,8 @@ def quadrature_pdf(state: StateSpec, phi: float, eta: float, x) -> np.ndarray | 
     and variance 1/(4 eta), in closed form for any beta. For Fock and mixed
     states it is sum_{n,m} rho_nm exp(i (m - n) phi) psi_n(x) psi_m(x) at
     eta = 1, summed by band; below, exactly sqrt(eta) p'(sqrt(eta) x), p' that
-    density of the state after a loss channel of transmission eta.
+    density of the state after a loss channel of transmission eta. A state whose
+    weight after that channel reaches above REACH_LEVEL is refused (check_reach).
     """
     _check_eta(eta)
     validate_state(state)
@@ -310,6 +331,7 @@ def quadrature_pdf(state: StateSpec, phi: float, eta: float, x) -> np.ndarray | 
         p = np.exp(-0.5 * z * z / var) / math.sqrt(2.0 * math.pi * var)
     else:
         bands = [(d, _lossy_band(d, band, eta) if eta < 1.0 else band) for d, band in number_bands(state)]
+        check_reach(bands[0][1])
         weights = np.array([(2.0 if d else 1.0) * np.exp(1j * d * phi) for d, _ in bands])
         psi = hermite_functions(bands[0][1].size - 1, math.sqrt(eta) * xs)
         p = math.sqrt(eta) * np.einsum("d,dx->x", weights, band_densities(bands, psi)).real

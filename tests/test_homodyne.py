@@ -37,6 +37,7 @@ from tomonoise.homodyne import (
     run_blocks,
     worker_count,
 )
+from tomonoise.states import GRID_MASS_TOL
 
 
 def plus_state():
@@ -139,6 +140,16 @@ class TestDistributions:
         # below the turning-point cut the verdict is still the grid's mass
         with pytest.raises(NumericRangeError, match="holds only mass"):
             QuadratureGridSampler(Fock(n))
+
+    @pytest.mark.parametrize("n", [714, 739])
+    def test_levels_beyond_reach_fail_even_when_the_mass_passes(self, n):
+        # psi_n seeded with a subnormal exp(-x^2) past |x| = 26.6 is garbage, not zero:
+        # Fock(739)'s grid mass exceeds 1 by 2.7e-3
+        with pytest.raises(NumericRangeError, match="above 707"):
+            QuadratureGridSampler(Fock(n))
+
+    def test_highest_level_within_reach_builds(self):
+        assert QuadratureGridSampler(Fock(707)).mass == pytest.approx(1.0, abs=GRID_MASS_TOL)
 
     @pytest.mark.parametrize("n", [2834, 10**6])
     def test_huge_fock_level_refused_before_allocating(self, n):

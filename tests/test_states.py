@@ -230,6 +230,31 @@ class TestQuadraturePdf:
         p = quadrature_pdf(Coherent(beta), 0.0, eta, xs)
         assert trapezoid(p, xs) == pytest.approx(1.0, abs=1e-9)
 
+    def test_weight_beyond_reach_refused_before_allocating(self):
+        # the loss channel leaves Fock(2000) nearly all its weight above level 707; a dense
+        # (n + 1)^2 loss matrix alone would peak at 126 MB
+        xs = np.linspace(-50.0, 50.0, 200001)
+        tracemalloc.start()
+        try:
+            with pytest.raises(NumericRangeError, match="26.6"):
+                quadrature_pdf(Fock(2000), 0.0, 0.7, xs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 5 * 2**20
+
+    def test_level_beyond_reach_refused_at_unit_efficiency(self):
+        # its density would integrate to 0.9999979: short, not zero, past |x| = 26.6
+        with pytest.raises(NumericRangeError, match="above 707"):
+            quadrature_pdf(Fock(720), 0.0, 1.0, np.linspace(-50.0, 50.0, 20001))
+
+    def test_negligible_weight_beyond_reach_still_integrates(self):
+        # after the loss channel Fock(750) keeps 2e-157 of its weight above level 707;
+        # evaluated in slices, so that each 751-row Hermite table stays near 60 MB
+        xs = np.linspace(-40.0, 40.0, 200001)
+        p = np.concatenate([quadrature_pdf(Fock(750), 0.0, 0.5, part) for part in np.array_split(xs, 20)])
+        assert trapezoid(p, xs) == pytest.approx(1.0, abs=1e-9)
+
     def test_fock_states_are_phase_invariant(self):
         xs = np.linspace(-4, 4, 501)
         a = quadrature_pdf(Fock(2), 0.3, 1.0, xs)
