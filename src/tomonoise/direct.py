@@ -163,9 +163,9 @@ def heterodyne_phase_variance(record: HeterodyneRecord) -> float:
 
 
 def save_photocount_csv(record: PhotocountRecord, path) -> None:
-    write_csv(path, record.state_tag, record.eta, record.seed, "m", [record.counts], "%d")
+    write_csv(path, record.state_tag, record.eta, record.seed, "m", [record.counts])
 
 
 def save_heterodyne_csv(record: HeterodyneRecord, path) -> None:
     columns = [record.alphas.real, record.alphas.imag]
-    write_csv(path, record.state_tag, record.eta, record.seed, "re,im", columns, "%.17g")
+    write_csv(path, record.state_tag, record.eta, record.seed, "re,im", columns)

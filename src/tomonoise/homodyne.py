@@ -16,7 +16,6 @@ from __future__ import annotations
 import json
 import math
 import os
-import warnings
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -454,24 +453,31 @@ def _write_rows(fh, columns, row: str, sep: str) -> None:
         fh.write((sep if start else "") + sep.join(map(row.__mod__, zip(*part))))
 
 
-def write_csv(path, tag: str, eta: float, seed: int, header: str, columns, fmt: str) -> None:
+def write_csv(path, tag: str, eta: float, seed: int, header: str, columns) -> None:
     """`# key=value` metadata lines, a header line, then one row per sample.
 
-    A row is fmt for each column, comma-joined; that gives the bytes
-    np.savetxt writes for the same fmt.
+    A row is each column's value as '%.17g' for a float column and '%d' for an
+    integer one, comma-joined: the bytes np.savetxt writes for those formats.
+    floattext.format_rows makes them CSV_ROWS rows at a time.
     """
-    with Path(path).open("w") as fh:
-        fh.write(f"# state={tag}\n# eta={eta!r}\n# seed={seed}\n# n={columns[0].size}\n{header}\n")
-        _write_rows(fh, columns, ",".join([fmt] * len(columns)) + "\n", "")
+    from .floattext import format_rows  # kept out of start-up
+
+    n = columns[0].size
+    with Path(path).open("wb") as fh:
+        fh.write(f"# state={tag}\n# eta={eta!r}\n# seed={seed}\n# n={n}\n{header}\n".encode())
+        for start in range(0, n, CSV_ROWS):
+            fh.write(format_rows([column[start : start + CSV_ROWS] for column in columns]))
 
 
 def save_dataset_csv(dataset: Dataset, path) -> None:
     """CSV with `# key=value` metadata lines, an `x,phi` header, then one row per sample."""
-    columns = [dataset.x, dataset.phi]
-    write_csv(path, dataset.state_tag, dataset.eta, dataset.seed, "x,phi", columns, "%.17g")
+    write_csv(path, dataset.state_tag, dataset.eta, dataset.seed, "x,phi", [dataset.x, dataset.phi])
 
 
 def load_dataset_csv(path) -> Dataset:
+    """The dataset of a CSV file: metadata lines, the `x,phi` header, then rows as np.loadtxt reads them."""
+    from .floattext import read_rows  # kept out of start-up
+
     path = Path(path)
     meta = {}
     try:
@@ -483,10 +489,8 @@ def load_dataset_csv(path) -> Dataset:
                 line = fh.readline()
             if line.strip() != "x,phi":
                 raise ValidationError(f"{path}: expected 'x,phi' header, got {line.strip()!r}")
-            with warnings.catch_warnings():
-                # loadtxt warns on a file without rows; that case is an error below
-                warnings.simplefilter("ignore", UserWarning)
-                data = np.loadtxt(fh, delimiter=",", ndmin=2)
+            expect = meta.get("n", "")
+            data = read_rows(fh, 2, int(expect) if expect.isdecimal() else 0)
         if data.shape[0] == 0:
             raise ValidationError(f"{path}: dataset CSV holds no samples")
         x, phi = data[:, 0], data[:, 1]

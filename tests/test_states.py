@@ -23,7 +23,7 @@ from tomonoise import (
     state_to_json,
 )
 from tomonoise.errors import NumericRangeError
-from tomonoise.states import coherent_mean, hermite_functions, validate_state
+from tomonoise.states import band_densities, coherent_mean, hermite_functions, number_bands, validate_state
 
 
 def ladder_matrix(dim):
@@ -254,6 +254,15 @@ class TestQuadraturePdf:
         xs = np.linspace(-40.0, 40.0, 200001)
         p = np.concatenate([quadrature_pdf(Fock(750), 0.0, 0.5, part) for part in np.array_split(xs, 20)])
         assert trapezoid(p, xs) == pytest.approx(1.0, abs=1e-9)
+        # the whole grid at once gives the same bits without a 1.2 GB table: quadrature_pdf chunks x itself
+        tracemalloc.start()
+        try:
+            whole = quadrature_pdf(Fock(750), 0.0, 0.5, xs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(whole, p)
+        assert peak < 150 * 2**20
 
     def test_fock_states_are_phase_invariant(self):
         xs = np.linspace(-4, 4, 501)
@@ -274,6 +283,18 @@ class TestQuadraturePdf:
         phi[0] = 0.0
         beta = complex(beta)
         assert np.array_equal(coherent_mean(beta, phi), (beta * np.exp(-1j * phi)).real)
+
+
+@pytest.mark.parametrize(
+    "state", [Fock(3), Mixed(np.diag([0.5, 0.3, 0.2])), mixed_with_coherences(20, 11), mixed_with_coherences(48, 5, 4)]
+)
+def test_band_densities_equal_the_complex_sum(state):
+    # the complex einsum that band_densities replaced, kept as the reference: equal to the last bit
+    bands = number_bands(state)
+    psi = hermite_functions(bands[0][1].size - 1, np.linspace(-9.0, 9.0, 4001))
+    dim = psi.shape[0]
+    complex_sum = np.stack([np.einsum("n,nx,nx->x", band, psi[: dim - d], psi[d:dim]) for d, band in bands])
+    assert np.array_equal(band_densities(bands, psi).view(np.uint64), complex_sum.view(np.uint64))
 
 
 class TestHermiteFunctions:
