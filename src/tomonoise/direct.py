@@ -25,7 +25,6 @@ from .states import (
     normal_moment,
     photon_distribution,
     smearing_variance,
-    state_dim,
     state_tag,
     validate_state,
 )
@@ -77,7 +76,7 @@ def simulate_photocount(
     """
     n = sample_count(state, eta, n)
     if isinstance(state, Mixed):
-        probs, _ = photon_distribution(state, state_dim(state))
+        probs, _ = photon_distribution(state, state.dim)
         cdf = np.cumsum(probs / probs.sum())
 
     def draw(rng, k):

@@ -12,7 +12,6 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Mapping, Union
 
 import numpy as np
@@ -131,16 +130,15 @@ def kernel_polynomial(coeffs: Mapping[tuple[int, int], complex], eta: float, x, 
     return total if total.ndim else complex(total)
 
 
-def kernel_observable(obs: Observable, eta: float, x, phi, return_degenerate: bool = False):
+def kernel_observable(obs: Observable, eta: float, x, phi):
     """Kernel values for an observable; real-valued for Intensity/RealField/Phase.
 
     The phase kernel maps into (-pi, pi]. At the measure-zero event x = 0 the
-    value phi is used; pass return_degenerate=True to also get that mask.
+    value phi is used; the caller holding x finds those samples as x == 0.
     """
     _check_eta(eta)
     x = np.asarray(x, dtype=float)
     phi = np.asarray(phi, dtype=float)
-    degenerate = np.broadcast_to(False, np.broadcast(x, phi).shape)
     if isinstance(obs, Intensity):
         vals = 2.0 * x * x - 1.0 / (2.0 * eta) + 0.0 * phi
     elif isinstance(obs, RealField):
@@ -154,7 +152,6 @@ def kernel_observable(obs: Observable, eta: float, x, phi, return_degenerate: bo
     elif isinstance(obs, Phase):
         vals = np.where(x >= 0.0, phi, phi - math.pi)
         vals = np.where(vals <= -math.pi, vals + 2.0 * math.pi, vals)
-        degenerate = x == 0.0
     elif isinstance(obs, Monomial):
         vals = kernel_monomial(obs.n, obs.m, eta, x, phi)
     elif isinstance(obs, Polynomial):
@@ -164,8 +161,6 @@ def kernel_observable(obs: Observable, eta: float, x, phi, return_degenerate: bo
     vals = np.asarray(vals)
     if not vals.ndim:
         vals = vals[()]
-    if return_degenerate:
-        return vals, np.asarray(degenerate)
     return vals
 
 
@@ -187,11 +182,9 @@ def square_kernel_monomial(n: int, m: int, eta: float, x, phi):
     fn2m2 = math.factorial(n) ** 2 * math.factorial(m) ** 2
     total = np.zeros(np.broadcast(x, phi).shape, dtype=complex)
     for k in range(s + 1):
-        coeff = Fraction(
-            math.factorial(2 * k) * fn2m2,
-            math.factorial(k) ** 4 * math.factorial(s - k),
-        )
-        total = total + (float(coeff) * eta ** (k - s)) * kernel_monomial(k, k, eta, x, phi)
+        # int / int rounds the exact quotient once
+        coeff = math.factorial(2 * k) * fn2m2 / (math.factorial(k) ** 4 * math.factorial(s - k))
+        total = total + (coeff * eta ** (k - s)) * kernel_monomial(k, k, eta, x, phi)
     vals = np.exp(2j * (m - n) * phi) * total
     return vals if vals.ndim else complex(vals)
 

@@ -127,6 +127,16 @@ class TestCompare:
             row["tomographic_variance"] - row["direct_variance"]
         )
 
+    @pytest.mark.parametrize("observable", ["intensity", "real_field"])
+    def test_plus_state_comparison(self, tmp_path, observable):
+        # (|0> + |1>)/sqrt(2): dim 2, so its mean photon number reads a moment of order n + m = dim
+        plus = {"type": "mixed", "dim": 2, "rho": [[0.5, 0.0]] * 4}
+        out = tmp_path / "cmp.json"
+        assert main(["compare", "--state", json.dumps(plus), "--observable", observable,
+                     "--n", "20000", "--seed", "5", "--out", str(out)]) == 0
+        row = json.loads(out.read_text())
+        assert row["nbar"] == 0.5 and row["source"] == "empirical"
+
 
 class TestErrorsAndExitCodes:
     def test_config_error(self, tmp_path, coherent_state_file, capsys):
@@ -322,10 +332,12 @@ def test_estimate_rejects_flags_it_does_not_read(tmp_path, capsys, flags):
 def test_cli_start_up_leaves_scipy_out(tmp_path):
     # scipy.special costs about 0.3 s of start-up; only the coherent photon-number
     # formula needs it, and imports it when called. Coherent comparisons do not reach it.
+    # The squared-kernel coefficients divide exact ints, so fractions (and decimal) stay out too.
     env = dict(os.environ, PYTHONPATH=str(Path(tomonoise.__file__).parents[1]))
     code = (
         "import sys, tomonoise.cli\n"
         "assert 'scipy' not in sys.modules, 'import'\n"
+        "assert 'fractions' not in sys.modules, 'fractions'\n"
         "for obs in ('intensity', 'real_field', 'complex_amplitude', 'phase'):\n"
         "    assert tomonoise.cli.main(['compare', '--state', '{\"type\":\"coherent\",\"beta\":[1,0]}',\n"
         "        '--observable', obs, '--n', '100', '--seed', '1', '--out', sys.argv[1]]) == 0\n"
@@ -476,6 +488,23 @@ class TestErrorContract:
         assert len(lines) == 1
         message = json.loads(lines[0])["message"]
         assert "26.6" in message and "required" not in message
+
+    def test_rho_not_positive(self, tmp_path, capsys):
+        # Hermitian, unit trace, nonnegative diagonal, but eigenvalues 1.1 and -0.1
+        state = {"type": "mixed", "dim": 2, "rho": [[0.5, 0], [0.6, 0], [0.6, 0], [0.5, 0]]}
+        out = tmp_path / "d.csv"
+        assert main(["simulate", "--state", json.dumps(state), "--n", "10", "--out", str(out)]) == 2
+        lines = capsys.readouterr().err.strip().splitlines()
+        assert len(lines) == 1 and "positive semidefinite" in json.loads(lines[0])["message"]
+        assert not out.exists()
+
+    @pytest.mark.parametrize("bad", ["NaN", "Infinity"])
+    def test_rho_not_finite(self, tmp_path, capsys, bad):
+        # json reads NaN and Infinity; the Hermiticity and trace checks do not see them
+        state = f'{{"type": "mixed", "dim": 2, "rho": [[1, 0], [{bad}, 0], [{bad}, 0], [0, 0]]}}'
+        assert main(["simulate", "--state", state, "--n", "10", "--out", str(tmp_path / "d.csv")]) == 2
+        lines = capsys.readouterr().err.strip().splitlines()
+        assert len(lines) == 1 and "non-finite" in json.loads(lines[0])["message"]
 
     def test_zero_direct_variance(self, tmp_path, capsys):
         assert main(["compare", "--state", '{"type":"fock","n":2}', "--observable", "intensity",

@@ -23,7 +23,7 @@ from tomonoise import Mixed, normal_moment, quadrature_pdf, sample_fixed_phase, 
 from tomonoise import homodyne
 from tomonoise.homodyne import BLOCK_SIZE, GRID_NODES, QuadratureGridSampler
 from tomonoise.kernels import kernel_monomial
-from tomonoise.states import hermite_functions, state_dim
+from tomonoise.states import hermite_functions
 
 X_TOL = 1e-9
 
@@ -32,7 +32,7 @@ class BisectionSampler:
     """Reference: per-sample bisection over complex band CDFs, combined by einsum."""
 
     def __init__(self, state, halfwidth=None, nodes=GRID_NODES):
-        dim = state_dim(state)
+        dim = state.dim
         self.halfwidth = float(halfwidth) if halfwidth is not None else 3.0 + 2.0 * math.sqrt(dim)
         self.xgrid = np.linspace(-self.halfwidth, self.halfwidth, nodes)
         dx = self.xgrid[1] - self.xgrid[0]

@@ -82,14 +82,13 @@ class TestObservableKernels:
     def test_phase_branch_for_negative_x(self):
         assert kernel_observable(Phase(), 1.0, -1.0, 0.3) == pytest.approx(0.3 - math.pi)
 
-    def test_phase_range_and_degenerate_flag(self):
+    def test_phase_range_and_degenerate_value(self):
         x = np.array([0.5, -0.5, 0.0, -2.0])
         phi = np.array([0.0, 0.0, 1.0, 3.0])
-        w, flag = kernel_observable(Phase(), 1.0, x, phi, return_degenerate=True)
+        w = kernel_observable(Phase(), 1.0, x, phi)
         assert ((w > -math.pi) & (w <= math.pi)).all()
         assert w[1] == pytest.approx(math.pi)  # arg of a negative real is +pi
-        assert w[2] == pytest.approx(1.0)
-        assert list(flag) == [False, False, True, False]
+        assert w[2] == pytest.approx(1.0)  # the degenerate x = 0 takes phi
 
     def test_complex_amplitude(self):
         got = kernel_observable(ComplexAmplitude(), 0.5, 0.8, 1.1)

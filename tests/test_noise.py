@@ -30,7 +30,7 @@ from tomonoise import estimators, homodyne
 from tomonoise.errors import NumericRangeError, ValidationError
 from tomonoise.estimators import ComplexStreamingMoments, StreamingMoments
 from tomonoise.homodyne import BLOCK_SIZE
-from tomonoise.kernels import observable_name
+from tomonoise.kernels import kernel_observable, observable_name
 from tomonoise.noise import (
     SWEEP_COLUMNS,
     direct_variance_analytic,
@@ -147,6 +147,36 @@ class TestEmpiricalComparison:
             ana = analytic_comparison(obs, state, 0.8)
             assert row.tomographic_variance == pytest.approx(ana.tomographic_variance, rel=0.03)
             assert row.direct_variance == pytest.approx(ana.direct_variance, rel=0.03)
+
+    @pytest.mark.parametrize("dim", [1, 2, 3, 4])
+    @pytest.mark.parametrize("obs", [Intensity(), RealField()], ids=["intensity", "real_field"])
+    def test_low_dimension_states_agree_with_analytics(self, obs, dim):
+        # dim <= 4 puts <a^dag^2 a^2> at order n + m >= dim; the moments are exact there too
+        rng = np.random.default_rng(dim)
+        v = rng.normal(size=(dim, 2)) + 1j * rng.normal(size=(dim, 2))
+        rho = np.einsum("nk,mk->nm", v, v.conj())
+        state = Mixed(rho / rho.trace().real)
+        n, seed, eta = 2 * 10**5, 40 + dim, 0.8
+        if dim == 1 and isinstance(obs, Intensity):
+            # the vacuum never clicks: both routes refuse its zero direct variance
+            for compare in (lambda: empirical_comparison(obs, state, eta, n, seed),
+                            lambda: analytic_comparison(obs, state, eta)):
+                with pytest.raises(CapabilityError, match="direct variance is zero"):
+                    compare()
+            return
+        row = empirical_comparison(obs, state, eta, n, seed)
+        ana = analytic_comparison(obs, state, eta)
+        ds = sample_homodyne(state, eta, n, seed)
+        tomo = kernel_observable(obs, eta, ds.x, ds.phi)
+        if isinstance(obs, Intensity):
+            direct = simulate_photocount(state, eta, n, seed).counts / eta
+        else:
+            direct = sample_fixed_phase(state, eta, n, seed)
+        for got, want, values in ((row.tomographic_variance, ana.tomographic_variance, tomo),
+                                  (row.direct_variance, ana.direct_variance, direct)):
+            dev = values - values.mean()
+            sigma = math.sqrt((np.mean(dev**4) - np.mean(dev**2) ** 2) / n)  # of a sample variance
+            assert abs(got - want) < 5 * sigma, (got, want, sigma)
 
     def test_agreement_with_analytic_three_sigma(self):
         # combined-error comparison on the (obs, coherent, eta) grid
