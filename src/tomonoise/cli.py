@@ -51,11 +51,9 @@ from .homodyne import (
     save_dataset_json,
     worker_count,
 )
-from .kernels import is_real_observable, observable_from_json, observable_to_json
+from .kernels import NAMED_OBSERVABLES, is_real_observable, observable_from_json, observable_to_json
 from .noise import empirical_comparison, sweep, write_sweep_csv
 from .states import state_from_json, state_to_json
-
-_OBSERVABLE_NAMES = ("intensity", "real_field", "complex_amplitude", "phase")
 
 # glibc allocator policy of a CLI run (see _keep_block_memory). The largest per-block array is a
 # complex block, 16 B x BLOCK_SIZE = 1 MiB, and each worker has at most two blocks in flight.
@@ -252,7 +250,7 @@ def _emit_config(cfg: dict) -> None:
 
 
 def _sweep_observables(cfg: dict):
-    names = _OBSERVABLE_NAMES if cfg["observables"] == "all" else cfg["observables"].split(",")
+    names = NAMED_OBSERVABLES if cfg["observables"] == "all" else cfg["observables"].split(",")
     return [observable_from_json(name.strip()) for name in names]
 
 

@@ -204,7 +204,8 @@ def is_real_observable(obs: Observable) -> bool:
     return False
 
 
-_NAMED = {
+#: The observables with a name of their own, by name.
+NAMED_OBSERVABLES = {
     "intensity": Intensity(),
     "real_field": RealField(),
     "complex_amplitude": ComplexAmplitude(),
@@ -213,7 +214,7 @@ _NAMED = {
 
 
 def observable_name(obs: Observable) -> str:
-    for name, candidate in _NAMED.items():
+    for name, candidate in NAMED_OBSERVABLES.items():
         if obs == candidate:
             return name
     if isinstance(obs, Monomial):
@@ -246,8 +247,8 @@ def observable_from_json(obj) -> Observable:
         raise ValidationError("observable JSON must be an object with an 'observable' field")
     kind = obj["observable"]
     try:
-        if kind in _NAMED:
-            return _NAMED[kind]
+        if kind in NAMED_OBSERVABLES:
+            return NAMED_OBSERVABLES[kind]
         if kind == "monomial":
             return Monomial(obj["n"], obj["m"])  # Monomial rejects non-integral orders
         if kind == "polynomial":

@@ -5,14 +5,20 @@ linear noise ratio is sqrt(tomographic/direct); the dB ratio is
 10*log10(tomographic/direct), i.e. 20*log10 of the linear ratio. For the
 complex amplitude both variances are the mean covariance eigenvalue of the
 outcome cloud, which makes the added noise exactly nbar/2 for every state and
-efficiency. Analytic phase entries use the bright-state limits, variance
-pi^2/12 for tomography and 1/(2 eta nbar) for heterodyne, and are marked
-asymptotic below PHASE_ASYMPTOTIC_NBAR.
+efficiency.
 
-A comparison whose direct variance is zero (the intensity of a Fock state at
-eta = 1, or any empirical comparison with n = 1) has no ratio. It raises
-CapabilityError naming the zero variance, rather than reporting infinite
-ratios, which strict JSON cannot carry.
+_analytic is the one analytic dispatch: for each observable it gives the
+exact (tomographic, direct) pair from the state's moments (analytic_variances)
+and the closed form of their difference (added_noise_analytic). Its phase
+branch uses the bright-state limits, variance pi^2/12 for tomography and
+1/(2 eta nbar) for heterodyne (_bright_phase), for coherent states of mean
+photon number at least PHASE_ASYMPTOTIC_NBAR; the analytic sweep also writes
+them below it, marked asymptotic. Every comparison row, analytic or
+empirical, is built by _row, and every row is finite or refused. A direct
+variance of zero (the intensity of a Fock state at eta = 1, or any empirical
+comparison with n = 1) raises CapabilityError naming it; variances, a ratio or
+a mean photon number out of the float range, or a ratio that underflows to 0,
+raise NumericRangeError. Strict JSON cannot carry inf.
 """
 
 from __future__ import annotations
@@ -91,95 +97,109 @@ class NoiseComparison:
         return asdict(self)
 
 
-def _ratios(tomo: float, direct: float) -> tuple[float, float]:
+def _row(
+    obs: Observable,
+    state: StateSpec,
+    eta: float,
+    tomo: float,
+    direct: float,
+    source: str,
+    *,
+    ratio: float | None = None,
+    nbar: float | None = None,
+    **run,
+) -> NoiseComparison:
+    """The comparison row of one (tomographic, direct) pair; a row that is not finite is refused.
+
+    ratio is a closed-form linear noise ratio (the coherent sweep's); without
+    one the ratios are those of the two variances. nbar defaults to the
+    state's; run sets n and seed.
+    """
+    if nbar is None:
+        nbar = mean_photon(state)
     if direct <= 0.0:  # zero, or below it by rounding
         # inf ratios would not survive strict JSON, so there is no row to write
         raise CapabilityError(
             f"the direct variance is zero ({direct:.3g}), so the noise ratios are undefined "
             f"(tomographic variance {tomo:.17g})"
         )
-    r = tomo / direct
-    return math.sqrt(r), 10.0 * math.log10(r)
+    closed_form = ratio is not None
+    if not closed_form:
+        ratio = math.sqrt(tomo / direct)
+    if not (all(map(math.isfinite, (tomo, direct, ratio, nbar))) and ratio > 0.0):
+        raise NumericRangeError(
+            f"the {observable_name(obs)} comparison leaves the float range: tomographic variance "
+            f"{tomo:.3g}, direct variance {direct:.3g}, noise ratio {ratio:.3g}, mean photon number {nbar:.3g}"
+        )
+    db = 20.0 * math.log10(ratio) if closed_form else 10.0 * math.log10(tomo / direct)
+    return NoiseComparison(
+        observable_name(obs), state_tag(state), eta, tomo, direct, tomo - direct, ratio, db, source,
+        nbar=nbar, **run,
+    )
 
 
-def _state_moments(state: StateSpec) -> dict:
-    nbar = mean_photon(state)
-    a1 = normal_moment(state, 0, 1)
-    a2 = normal_moment(state, 0, 2)
-    n2 = nbar + normal_moment(state, 2, 2).real
-    return {"nbar": nbar, "a1": a1, "a2": a2, "n2": n2}
+def _bright_phase(nbar: float, eta: float) -> tuple[float, float]:
+    """Bright-state limits of the (tomographic, heterodyne) phase variances."""
+    return math.pi**2 / 12.0, 0.5 / (eta * nbar)  # not 1/(2 eta nbar): 2 eta nbar overflows first
 
 
-def tomographic_variance_analytic(obs: Observable, state: StateSpec, eta: float) -> float:
-    """Variance of the kernel under phase-scanned homodyne sampling."""
+def _analytic(obs: Observable, state: StateSpec, eta: float) -> tuple[float, float, float]:
+    """Exact (tomographic, direct, added) noise of one observable, from the state's moments.
+
+    The added noise is the closed form of tomographic - direct, which keeps the
+    digits that subtracting the two variances would cancel.
+    """
     _check_eta(eta)
-    mom = _state_moments(state)
-    nbar, n2 = mom["nbar"], mom["n2"]
+    nbar = mean_photon(state)
     if isinstance(obs, Intensity):
-        dn2 = n2 - nbar * nbar
-        return dn2 + 0.5 * n2 + nbar * (2.0 / eta - 1.5) + 1.0 / (2.0 * eta * eta)
+        n2 = nbar + normal_moment(state, 2, 2).real
+        tomo = (n2 - nbar * nbar) + 0.5 * n2 + nbar * (2.0 / eta - 1.5) + 1.0 / (2.0 * eta * eta)
+        added = 0.5 * (n2 + nbar * (2.0 / eta - 1.0) + 1.0 / (eta * eta))
+        return tomo, intensity_variance_direct(state, eta), added
     if isinstance(obs, RealField):
-        x2 = (2.0 * mom["a2"].real + 2.0 * nbar + 1.0) / 4.0
-        dx2 = x2 - mom["a1"].real ** 2
-        return dx2 + 0.5 * nbar + (2.0 - eta) / (4.0 * eta)
+        x2 = (2.0 * normal_moment(state, 0, 2).real + 2.0 * nbar + 1.0) / 4.0
+        dx2 = x2 - normal_moment(state, 0, 1).real ** 2
+        tomo = dx2 + 0.5 * nbar + (2.0 - eta) / (4.0 * eta)
+        return tomo, quadrature_variance_direct(state, eta), 0.5 * (nbar + 1.0 / (2.0 * eta))
     if isinstance(obs, ComplexAmplitude):
-        return 0.5 * (1.0 / eta + 2.0 * nbar - abs(mom["a1"]) ** 2)
+        a1_sq = abs(normal_moment(state, 0, 1)) ** 2
+        return 0.5 * (1.0 / eta + 2.0 * nbar - a1_sq), 0.5 * (nbar + 1.0 / eta - a1_sq), 0.5 * nbar
     if isinstance(obs, Phase):
-        _require_phase_asymptotic(state, nbar)
-        return math.pi**2 / 12.0
+        if not isinstance(state, Coherent):
+            raise CapabilityError(
+                "analytic phase noise is available for bright coherent states only; "
+                "use empirical_comparison"
+            )
+        if nbar < PHASE_ASYMPTOTIC_NBAR:
+            raise CapabilityError(
+                f"analytic phase noise needs mean photon number >= {PHASE_ASYMPTOTIC_NBAR}; "
+                f"got {nbar:.3g}; use empirical_comparison"
+            )
+        tomo, direct = _bright_phase(nbar, eta)
+        return tomo, direct, tomo - direct
     raise CapabilityError(f"no analytic kernel variance for observable {obs!r}")
 
 
-def direct_variance_analytic(obs: Observable, state: StateSpec, eta: float) -> float:
-    """Variance of the matching direct measurement."""
-    _check_eta(eta)
-    if isinstance(obs, Intensity):
-        return intensity_variance_direct(state, eta)
-    if isinstance(obs, RealField):
-        return quadrature_variance_direct(state, eta)
-    if isinstance(obs, ComplexAmplitude):
-        mom = _state_moments(state)
-        return 0.5 * (mom["nbar"] + 1.0 / eta - abs(mom["a1"]) ** 2)
-    if isinstance(obs, Phase):
-        nbar = mean_photon(state)
-        _require_phase_asymptotic(state, nbar)
-        return 1.0 / (2.0 * eta * nbar)
-    raise CapabilityError(f"no analytic direct variance for observable {obs!r}")
+def analytic_variances(obs: Observable, state: StateSpec, eta: float) -> tuple[float, float]:
+    """Exact (tomographic, direct) variances of one observable, from the state's moments.
 
-
-def _require_phase_asymptotic(state: StateSpec, nbar: float) -> None:
-    if not isinstance(state, Coherent):
-        raise CapabilityError(
-            "analytic phase noise is available for bright coherent states only; "
-            "use empirical_comparison"
-        )
-    if nbar < PHASE_ASYMPTOTIC_NBAR:
-        raise CapabilityError(
-            f"analytic phase noise needs mean photon number >= {PHASE_ASYMPTOTIC_NBAR}; "
-            f"got {nbar:.3g}; use empirical_comparison"
-        )
+    Tomography samples the kernel under phase-scanned homodyne detection;
+    direct detection is photon counting (intensity), fixed-phase homodyne (real
+    field) or heterodyne (complex amplitude, phase). Phase has the bright-state
+    limits only, for coherent states of nbar >= PHASE_ASYMPTOTIC_NBAR.
+    """
+    tomo, direct, _ = _analytic(obs, state, eta)
+    return tomo, direct
 
 
 def added_noise_analytic(obs: Observable, state: StateSpec, eta: float) -> float:
-    """Noise added by the tomographic route relative to direct detection.
+    """Noise added by the tomographic route relative to direct detection, in closed form.
 
     Intensity: (1/2)[<n^2> + nbar (2/eta - 1) + 1/eta^2];
     real field: (1/2)[nbar + 1/(2 eta)]; complex amplitude: nbar/2;
     phase (bright coherent states): pi^2/12 - 1/(2 eta nbar).
     """
-    _check_eta(eta)
-    mom = _state_moments(state)
-    nbar = mom["nbar"]
-    if isinstance(obs, Intensity):
-        return 0.5 * (mom["n2"] + nbar * (2.0 / eta - 1.0) + 1.0 / (eta * eta))
-    if isinstance(obs, RealField):
-        return 0.5 * (nbar + 1.0 / (2.0 * eta))
-    if isinstance(obs, ComplexAmplitude):
-        return 0.5 * nbar
-    if isinstance(obs, Phase):
-        _require_phase_asymptotic(state, nbar)
-        return math.pi**2 / 12.0 - 1.0 / (2.0 * eta * nbar)
-    raise CapabilityError(f"no analytic added noise for observable {obs!r}")
+    return _analytic(obs, state, eta)[2]
 
 
 def noise_ratio_coherent(obs: Observable, nbar: float, eta: float) -> float:
@@ -189,16 +209,16 @@ def noise_ratio_coherent(obs: Observable, nbar: float, eta: float) -> float:
         raise ValidationError(f"mean photon number must be nonnegative, got {nbar}")
     scaled = eta * nbar
     if isinstance(obs, Intensity):
-        if nbar == 0:
-            raise NumericRangeError("intensity noise ratio diverges at nbar = 0")
+        if scaled == 0:
+            raise NumericRangeError("intensity noise ratio diverges at eta * nbar = 0")
         return math.sqrt(2.0 + 0.5 * (scaled + 1.0 / scaled))
     if isinstance(obs, RealField):
         return math.sqrt(2.0 * (1.0 + scaled))
     if isinstance(obs, ComplexAmplitude):
         return math.sqrt(1.0 + scaled)
     if isinstance(obs, Phase):
-        if nbar == 0:
-            raise NumericRangeError("phase noise ratio is undefined at nbar = 0")
+        if scaled == 0:
+            raise NumericRangeError("phase noise ratio is undefined at eta * nbar = 0")
         return math.pi * math.sqrt(scaled / 6.0)
     raise CapabilityError(f"no closed-form noise ratio for observable {obs!r}")
 
@@ -246,65 +266,30 @@ def empirical_comparison(
     kernel values or direct outcomes are merged into running moments as it
     is generated, so memory does not grow with n.
     """
-    # The direct side goes first: an observable or state it cannot simulate
-    # fails before any homodyne sampling.
+    # nbar first: a state out of the float range is refused before any sampling. The direct
+    # side goes next: an observable or state it cannot simulate fails before any homodyne sampling.
+    nbar = mean_photon(state)
     direct = _direct_variance(obs, state, eta, n, seed)
     tomo = _tomographic_variance(obs, state, eta, n, seed)
-    lin, db = _ratios(tomo, direct)
-    return NoiseComparison(
-        observable=observable_name(obs),
-        state_tag=state_tag(state),
-        eta=eta,
-        tomographic_variance=tomo,
-        direct_variance=direct,
-        added_noise=tomo - direct,
-        ratio_linear=lin,
-        ratio_db=db,
-        source="empirical",
-        nbar=mean_photon(state),
-        n=int(n),
-        seed=int(seed),
-    )
+    return _row(obs, state, eta, tomo, direct, "empirical", nbar=nbar, n=int(n), seed=int(seed))
 
 
 def analytic_comparison(obs: Observable, state: StateSpec, eta: float) -> NoiseComparison:
     """Closed-form comparison from exact state moments."""
-    tomo = tomographic_variance_analytic(obs, state, eta)
-    direct = direct_variance_analytic(obs, state, eta)
-    lin, db = _ratios(tomo, direct)
-    return NoiseComparison(
-        observable=observable_name(obs),
-        state_tag=state_tag(state),
-        eta=eta,
-        tomographic_variance=tomo,
-        direct_variance=direct,
-        added_noise=tomo - direct,
-        ratio_linear=lin,
-        ratio_db=db,
-        source="analytic",
-        nbar=mean_photon(state),
-    )
+    return _row(obs, state, eta, *analytic_variances(obs, state, eta), "analytic")
 
 
 def _analytic_coherent_row(obs: Observable, nbar: float, eta: float) -> NoiseComparison:
     # coherent rows report the closed-form ratio (identical to the variance
     # quotient within 1e-12, but exact where the closed form is exact)
-    lin = noise_ratio_coherent(obs, nbar, eta)
-    db = 20.0 * math.log10(lin)
+    ratio = noise_ratio_coherent(obs, nbar, eta)
     state = Coherent(math.sqrt(nbar))
     if isinstance(obs, Phase):
-        tomo = math.pi**2 / 12.0
-        direct = 1.0 / (2.0 * eta * nbar)
+        variances = _bright_phase(nbar, eta)
         source = "analytic" if nbar >= PHASE_ASYMPTOTIC_NBAR else "analytic-asymptotic"
-        return NoiseComparison(
-            observable_name(obs), state_tag(state), eta, tomo, direct, tomo - direct,
-            lin, db, source, nbar=nbar,
-        )
-    row = analytic_comparison(obs, state, eta)
-    row.nbar = nbar
-    row.ratio_linear = lin
-    row.ratio_db = db
-    return row
+    else:
+        variances, source = analytic_variances(obs, state, eta), "analytic"
+    return _row(obs, state, eta, *variances, source, ratio=ratio, nbar=nbar)
 
 
 def sweep(

@@ -2,14 +2,15 @@
 
 Quadrature convention used throughout the package: x = (a + a^dag)/2, so the
 vacuum quadrature distribution is a zero-mean Gaussian of variance 1/4.
-Detector quantum efficiency eta < 1 is modelled, everywhere, as additive
-zero-mean Gaussian noise of variance (1 - eta)/(4 eta) on top of the ideal
-quadrature outcome, the single source of truth for inefficiency; for number-basis
-states quadrature_pdf takes it exactly, as a loss channel of transmission eta.
+Detector quantum efficiency eta < 1 has two equivalent exact forms: additive
+zero-mean Gaussian noise of variance (1 - eta)/(4 eta) on the ideal quadrature
+outcome, which the samplers add, and a loss channel of transmission eta on the
+state, which quadrature_pdf applies to number-basis states.
 """
 
 from __future__ import annotations
 
+import cmath
 import json
 import math
 import sys
@@ -234,27 +235,32 @@ def normal_moment(state: StateSpec, n: int, m: int) -> complex:
     amount: the sum over its non-zero entries, in j order, of
     rho[j, j + d] sqrt(perm(j, m) perm(j + d, n)), the integer coefficient
     exact before its one square root (none at d = 0). Truncating rho loses
-    nothing, and (n, m) and (m, n) give conjugate values.
+    nothing, and (n, m) and (m, n) give conjugate values. A moment beyond the
+    float range raises NumericRangeError.
     """
     if n < 0 or m < 0 or int(n) != n or int(m) != m:
         raise ValidationError(f"moment orders must be nonnegative integers, got ({n}, {m})")
     n, m = int(n), int(m)
     validate_state(state)
-    if isinstance(state, Coherent):
-        return (state.beta.conjugate() ** n) * (state.beta ** m)
-    if isinstance(state, Fock):
-        if n != m or n > state.n:
-            return 0.0 + 0.0j
-        return complex(math.perm(state.n, n))
-    d = n - m
-    first = max(0, -d)  # band entry i is rho[j, j + d] with j = first + i
-    band = np.diagonal(state.rho, offset=d)
-    total = 0j
-    for i in np.flatnonzero(band):
-        j = first + int(i)
-        coeff = math.perm(j, m) if d == 0 else math.sqrt(math.perm(j, m) * math.perm(j + d, n))
-        total += complex(band[i]) * coeff
-    return total
+    try:  # complex ** and the int-to-float conversion of a coefficient raise OverflowError
+        if isinstance(state, Coherent):
+            moment = (state.beta.conjugate() ** n) * (state.beta ** m)
+        elif isinstance(state, Fock):
+            moment = complex(math.perm(state.n, n)) if n == m and n <= state.n else 0j
+        else:
+            d = n - m
+            first = max(0, -d)  # band entry i is rho[j, j + d] with j = first + i
+            band = np.diagonal(state.rho, offset=d)
+            moment = 0j
+            for i in np.flatnonzero(band):
+                j = first + int(i)
+                coeff = math.perm(j, m) if d == 0 else math.sqrt(math.perm(j, m) * math.perm(j + d, n))
+                moment += complex(band[i]) * coeff
+        if cmath.isfinite(moment):
+            return moment
+    except OverflowError:
+        pass
+    raise NumericRangeError(f"the moment <a^dag^{n} a^{m}> of {state_tag(state)} leaves the float range")
 
 
 def mean_photon(state: StateSpec) -> float:

@@ -514,6 +514,28 @@ class TestErrorContract:
         with pytest.raises(tomonoise.CapabilityError, match="direct variance is zero"):
             tomonoise.analytic_comparison(tomonoise.Intensity(), tomonoise.Fock(2), 1.0)
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["sweep", "--mode", "analytic", "--eta-list", "0.5", "--nbar-grid", "5e-324"],
+            ["sweep", "--mode", "analytic", "--eta-list", "0.5", "--nbar-grid", "1e-320"],
+            ["compare", "--state", '{"type":"coherent","beta":[1e155,0]}', "--observable", "real_field",
+             "--n", "1000"],
+            ["sweep", "--mode", "analytic", "--observables", "phase", "--eta-list", "1", "--nbar-grid", "5e-324"],
+            ["sweep", "--mode", "analytic", "--observables", "phase", "--eta-list", "0.5", "--nbar-grid",
+             "1e-323"],
+        ],
+        ids=["eta-nbar-zero", "ratio-overflow", "nbar-overflow", "phase-ratio-underflow", "phase-eta-nbar-min"],
+    )
+    def test_non_finite_comparison(self, tmp_path, capsys, argv):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # a numpy overflow warning would be a second line on stderr
+            assert main(argv + ["--out", str(tmp_path / "result")]) == 4
+        lines = capsys.readouterr().err.strip().splitlines()
+        assert len(lines) == 1 and json.loads(lines[0])["error"] == "numeric-range"
+        for path in tmp_path.iterdir():
+            assert "inf" not in path.read_text().lower()
+
     # 8 EiB and 64 EiB (x and phi): beyond any x86-64 address space, refused under every overcommit mode
     @pytest.mark.parametrize("n", [2**59, 2**62], ids=["8EiB", "array-too-big"])
     def test_oversized_record(self, tmp_path, capsys, n):

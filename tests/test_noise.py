@@ -1,8 +1,11 @@
+import hashlib
+import importlib.util
 import json
 import math
 import sys
 import threading
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,7 +22,9 @@ from tomonoise import (
     added_noise_analytic,
     analytic_comparison,
     empirical_comparison,
+    mean_photon,
     noise_ratio_coherent,
+    normal_moment,
     sample_fixed_phase,
     sample_homodyne,
     simulate_heterodyne,
@@ -33,12 +38,12 @@ from tomonoise.homodyne import BLOCK_SIZE
 from tomonoise.kernels import kernel_observable, observable_name
 from tomonoise.noise import (
     SWEEP_COLUMNS,
-    direct_variance_analytic,
+    analytic_variances,
     sweep_rows_to_csv,
-    tomographic_variance_analytic,
 )
 
 ALL_OBS = [Intensity(), RealField(), ComplexAmplitude(), Phase()]
+ROOT = Path(__file__).resolve().parents[1]
 
 
 class TestAddedNoise:
@@ -57,9 +62,8 @@ class TestAddedNoise:
         for obs in (Intensity(), RealField(), ComplexAmplitude()):
             for state in (Coherent(1.5), Fock(2)):
                 for eta in (0.4, 1.0):
-                    diff = tomographic_variance_analytic(obs, state, eta) - direct_variance_analytic(
-                        obs, state, eta
-                    )
+                    tomo, direct = analytic_variances(obs, state, eta)
+                    diff = tomo - direct
                     assert added_noise_analytic(obs, state, eta) == pytest.approx(diff, abs=1e-12)
 
     def test_positivity_on_grid(self):
@@ -71,6 +75,17 @@ class TestAddedNoise:
                 assert added_noise_analytic(ComplexAmplitude(), state, eta) >= 0.0
                 if nbar > 0:
                     assert added_noise_analytic(ComplexAmplitude(), state, eta) > 0.0
+
+    @pytest.mark.parametrize("eta", [0.3, 1.0])
+    def test_closed_forms_keep_small_nbar(self, eta):
+        # tomo - direct of the O(1/eta) variances would round these to 0
+        state = Coherent(1e-10)
+        nbar = mean_photon(state)
+        assert added_noise_analytic(ComplexAmplitude(), state, eta) == 0.5 * nbar > 0.0
+        assert added_noise_analytic(RealField(), state, eta) == 0.5 * (nbar + 1.0 / (2.0 * eta))
+        n2 = nbar + normal_moment(state, 2, 2).real
+        intensity = 0.5 * (n2 + nbar * (2.0 / eta - 1.0) + 1.0 / (eta * eta))
+        assert added_noise_analytic(Intensity(), state, eta) == intensity
 
     def test_phase_requires_bright_coherent(self):
         assert added_noise_analytic(Phase(), Coherent(4.0), 1.0) == pytest.approx(
@@ -99,10 +114,8 @@ class TestNoiseRatios:
             for nbar in (0.5, 1.0, 3.0, 10.0):
                 state = Coherent(math.sqrt(nbar))
                 for obs in (Intensity(), RealField(), ComplexAmplitude()):
-                    from_vars = math.sqrt(
-                        tomographic_variance_analytic(obs, state, eta)
-                        / direct_variance_analytic(obs, state, eta)
-                    )
+                    tomo, direct = analytic_variances(obs, state, eta)
+                    from_vars = math.sqrt(tomo / direct)
                     closed = noise_ratio_coherent(obs, nbar, eta)
                     assert abs(from_vars - closed) < 1e-12 * closed
 
@@ -193,6 +206,79 @@ class TestEmpiricalComparison:
                     )
                     diff = abs(row.added_noise - ana.added_noise)
                     assert diff < 3 * se, (obs, nbar, eta, diff, se)
+
+
+class TestFiniteRows:
+    """Every comparison row is finite, or refused with NumericRangeError."""
+
+    def test_variances_beyond_float_range(self):
+        # nbar 1e308 is finite, but 2 <a^2> is not
+        with pytest.raises(NumericRangeError, match="real_field comparison leaves the float range"):
+            analytic_comparison(RealField(), Coherent(1e154), 1.0)
+
+    @pytest.mark.parametrize("obs", [Intensity(), Phase()], ids=["intensity", "phase"])
+    def test_state_beyond_float_range(self, obs):
+        # the phase row would otherwise report a zero heterodyne variance 1/(2 eta nbar)
+        with pytest.raises(NumericRangeError, match="float range"):
+            analytic_comparison(obs, Coherent(1e200), 0.8)
+
+    @pytest.mark.parametrize("obs", [Intensity(), Phase()], ids=["intensity", "phase"])
+    def test_closed_form_ratio_where_eta_nbar_underflows(self, obs):
+        with pytest.raises(NumericRangeError, match="eta \\* nbar = 0"):
+            noise_ratio_coherent(obs, 5e-324, 0.5)
+
+    @pytest.mark.parametrize("obs", [Intensity(), Phase()], ids=["intensity", "phase"])
+    def test_sweep_row_whose_ratio_overflows(self, obs):
+        # 1/(eta nbar) overflows: the intensity ratio and the phase row's heterodyne variance
+        with pytest.raises(NumericRangeError, match="comparison leaves the float range"):
+            sweep([obs], [1e-320], [0.5], "analytic")
+
+
+    @pytest.mark.parametrize("eta,nbar", [(1.0, 5e-324), (0.5, 1e-323)])
+    def test_phase_sweep_row_whose_closed_form_ratio_underflows(self, eta, nbar):
+        assert noise_ratio_coherent(Phase(), nbar, eta) == 0.0
+        with pytest.raises(NumericRangeError, match="phase comparison leaves the float range"):
+            sweep([Phase()], [nbar], [eta], "analytic")
+
+    def test_bright_phase_row_at_the_top_of_the_float_range(self):
+        # 2 eta nbar overflows here, but the heterodyne variance 1/(2 eta nbar) does not underflow
+        (row,) = sweep([Phase()], [1e308], [1.0], "analytic")
+        assert row.direct_variance == 5e-309
+        assert row.added_noise == math.pi**2 / 12.0
+        assert row.ratio_linear == noise_ratio_coherent(Phase(), 1e308, 1.0)
+        assert math.isfinite(row.ratio_db)
+
+
+class TestAnalyticPins:
+    """sha256 of analytic outputs, recorded with numpy 2.4 on x86-64 before the analytic
+    comparisons went through one (tomographic, direct) dispatch and one row builder."""
+
+    def test_sweep_bytes_pinned(self):
+        grid = [0.1 + k * 0.1 for k in range(200)]  # what the CLI reads from 0.1:20:0.1
+        csv = sweep_rows_to_csv(sweep(ALL_OBS, grid, [0.3, 0.7, 1.0], "analytic"))
+        digest = hashlib.sha256(csv.encode()).hexdigest()
+        assert digest == "80320c13f6866e7f1fa866d27cbe9e56255e72fb0898087b3379485a98bc332e"
+
+    def test_comparison_rows_pinned(self, monkeypatch):
+        for name in ("reference", "workloads"):  # workloads imports reference by its bare name
+            spec = importlib.util.spec_from_file_location(name, ROOT / "perfbench" / f"{name}.py")
+            module = importlib.util.module_from_spec(spec)
+            monkeypatch.setitem(sys.modules, name, module)
+            spec.loader.exec_module(module)
+        workloads = sys.modules["workloads"]
+        states = [Coherent(1.5 + 0.5j), Fock(0), Fock(3), Fock(10), Mixed(np.full((2, 2), 0.5))]
+        states += [Mixed(workloads.mixed_state(np.random.default_rng(seed))) for seed in (1, 2)]
+        rows = []
+        for state in states:
+            for obs in ALL_OBS:
+                for eta in (0.3, 0.7, 1.0):
+                    try:
+                        rows.append(analytic_comparison(obs, state, eta).to_json())
+                    except CapabilityError as exc:  # phase below nbar 10, or a zero direct variance
+                        rows.append({"error": str(exc)})
+        assert sum("error" in row for row in rows) == 26
+        digest = hashlib.sha256(json.dumps(rows).encode()).hexdigest()
+        assert digest == "31484ddec59a9a3d85172f404f1d23ae40484bcef50ef77d4283bc6226ccb2dd"
 
 
 class TestSweep:

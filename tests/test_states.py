@@ -143,6 +143,19 @@ class TestNormalMoments:
         assert got == pytest.approx(normal_moment(state, m, n).conjugate(), abs=1e-10)
         assert got == pytest.approx(complex(oracle_normal_moment(rho, n, m)), abs=1e-10)
 
+    @pytest.mark.parametrize(
+        "make, n, m",
+        [
+            (lambda: Fock(171), 171, 171),  # 171! is beyond the float range
+            (lambda: Mixed(np.diag(np.eye(1, 200, 199)[0])), 171, 171),
+            (lambda: Coherent(1e200), 2, 0),  # complex ** overflows
+        ],
+        ids=["fock171", "mixed200", "coherent1e200"],
+    )
+    def test_moment_beyond_float_range(self, make, n, m):
+        with pytest.raises(NumericRangeError, match="float range"):
+            normal_moment(make(), n, m)
+
     def test_mean_photon(self):
         assert mean_photon(Fock(4)) == 4
         assert mean_photon(Coherent(1 + 1j)) == pytest.approx(2.0)
