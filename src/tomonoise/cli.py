@@ -14,10 +14,12 @@ cannot read), config-file keys that no command reads and config-file values of
 the wrong type are config errors. A config file may hold the keys of other
 commands, unread and unchecked, so that one file serves several, and a sidecar
 replayed as --config reproduces its run. A record too large to allocate, and
-any other MemoryError, is a numeric-range error. Sample blocks are generated
-on as many threads as the process has CPUs; TOMONOISE_MAX_WORKERS (a positive
-integer) lowers that count, and the count used is recorded in the resolved
-config as max_workers.
+any other MemoryError, is a numeric-range error, and so is a comparison or
+an estimate that is not finite; numpy's floating-point warnings are off
+during a run, sampling threads included, so that such a refusal stays one
+line. Sample blocks are generated on as many threads as the process has
+CPUs; TOMONOISE_MAX_WORKERS (a positive integer) lowers that count, and the
+count used is recorded in the resolved config as max_workers.
 
 On glibc, main() first sets the allocator policy of the process: arrays up
 to a few blocks come from the heap, and freed heap is kept rather than handed
@@ -34,6 +36,8 @@ import json
 import math
 import sys
 from pathlib import Path
+
+import numpy as np
 
 from .errors import CapabilityError, NumericRangeError, ValidationError
 from .estimators import (
@@ -274,6 +278,8 @@ def run(cfg: dict) -> None:
             payload = estimate_to_json(estimate_mean(ds, obs))
         else:
             payload = complex_estimate_to_json(estimate_complex(ds, obs))
+        if not np.isfinite(np.hstack(list(payload.values()))).all():
+            raise NumericRangeError(f"the estimate leaves the float range: {payload}")
         Path(out).write_text(json.dumps(payload, indent=2) + "\n")
     elif command == "compare":
         if state is None or obs is None:
@@ -305,7 +311,10 @@ def main(argv=None) -> int:
     _keep_block_memory()
     overridden = []
     try:
-        run(resolve_config(build_parser().parse_args(argv), overridden))
+        # Every result is checked to be finite before it is written, so numpy's
+        # floating-point warnings would only add lines to the one-line contract.
+        with np.errstate(all="ignore"):
+            run(resolve_config(build_parser().parse_args(argv), overridden))
     except (ValidationError, UnicodeDecodeError) as exc:  # the latter from an input file
         return _fail("config", 2, exc)
     except CapabilityError as exc:

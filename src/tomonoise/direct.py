@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CapabilityError, ValidationError
+from .errors import CapabilityError, NumericRangeError, ValidationError
 from .estimators import StreamingMoments, accumulate
 from .homodyne import PURPOSE_HETERODYNE, PURPOSE_PHOTOCOUNT, generate, sample_count, write_csv
 from .states import (
@@ -28,6 +28,10 @@ from .states import (
     state_tag,
     validate_state,
 )
+
+
+#: The largest mean numpy's Generator.poisson accepts (its POISSON_LAM_MAX).
+POISSON_LAM_MAX = 9.223372006484771e18
 
 
 @dataclass
@@ -78,6 +82,11 @@ def simulate_photocount(
     if isinstance(state, Mixed):
         probs, _ = photon_distribution(state, state.dim)
         cdf = np.cumsum(probs / probs.sum())
+    if isinstance(state, Coherent) and abs(state.beta) ** 2 > POISSON_LAM_MAX:
+        raise NumericRangeError(
+            f"photon counts of |beta|^2 = {abs(state.beta) ** 2!r} exceed the largest Poisson mean "
+            f"numpy draws, {POISSON_LAM_MAX!r}"
+        )
 
     def draw(rng, k):
         if isinstance(state, Coherent):

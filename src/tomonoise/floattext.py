@@ -1,33 +1,46 @@
-"""Exact, vectorized CSV text for float64 and integer columns: '%.17g' and '%d' out, the same doubles back in.
+"""Exact, vectorized dataset text for float64 and integer columns: CSV's '%.17g' and '%d', and JSON's repr, out; the same doubles back in.
 
 Writing. The 17 significant digits of a double v are round-half-even of
 |v| 10^(16 - E), E its decimal exponent. For the fixed notation '%.17g' uses,
 -4 <= E <= 16, the power 10^(16 - E) is an exact double, and Dekker's
 two-product (1971) gives the product exactly as p + e; p is then an even
-integer, so the digits are p plus e rounded half-even. Values sorted by sign
-and E take a few slice copies per class to place the digits, the point and
-the leading zeros; trailing zeros are cut as '%g' cuts them.
+integer, so the digits are p plus e rounded half-even. repr, which json.dumps
+writes for a float, takes the shortest digits that read back as v (Steele &
+White 1990; Gay's dtoa mode 0): from the same exact p + e, the correctly
+rounded 16-, 15- and 14-digit candidates, kept while they stay within half a
+gap of v, in fixed notation for -4 <= E <= 15 with '.0' after an integral
+value. Values sorted by sign and E take a few slice copies per class to place
+the digits, the point and the leading zeros; trailing zeros are cut as '%g'
+and repr cut them.
 
 Reading. A field -?digits[.digits] is m / 10^f with an integer m < 10^18 and
 f <= 22, where 10^f is exact; its digits are read eight to a uint64 word
 (SWAR). Below 2^53 m is an exact double and one division is correctly rounded
 (Clinger 1990). Above, the quotient is corrected once by its residual
 z 10^f - m, from Dekker's product, and certified by the residual of the
-result: inside half the gap to z's neighbour, z is the nearest double.
+result: inside half the gap to z's neighbour, z is the nearest double. A JSON
+dataset's samples are the same fields once each piece of its
+'[[x, phi], [x, phi]]' text is rewritten as lines.
 
 Everything this cannot certify goes through the converters it replaces, per
-value: '%.17g' % v for exponent notation (|v| < 1e-4 or >= 1e17) and non-finite
-values, and float() for fields with an exponent or a '+', longer than 24
-bytes, with m >= 10^18 or more than 22 decimals, or with a residual within
-rounding of half a gap. A piece of a file holding anything else (blank or
-comment lines, spaces, nan, another column count) sends the whole read back to
-np.loadtxt. So every byte written and every double read are those of
-'%.17g' % v, '%d' % i and np.loadtxt.
+value: '%.17g' % v or repr(v) for exponent notation (|v| < 1e-4, |v| >= 1e17
+or, for repr, 1e16) and non-finite values, repr(v) for powers of two, values
+whose shortest digits may be fewer than 15, and candidates within rounding of
+a tie or of the edge of v's rounding interval; float() for fields with an
+exponent or a '+', longer than 24 bytes, with m >= 10^18 or more than 22
+decimals, or with a residual within rounding of half a gap. A piece of a CSV
+file holding anything else (blank or comment lines, spaces, nan, another
+column count) sends the whole read back to np.loadtxt, and a JSON samples
+array holding anything but the writer's rows of JSON numbers (other spacing,
+NaN, another column count, trailing bytes) sends the whole file back to
+json.loads. So every byte written and every double read are those of
+'%.17g' % v, '%d' % i, repr(v), np.loadtxt and json.loads.
 """
 
 from __future__ import annotations
 
 import os
+import re
 import warnings
 
 import numpy as np
@@ -36,20 +49,24 @@ import numpy as np
 READ_CHARS = 1 << 17
 #: Bytes before each piece of text read, so that every field has a full window of words before its end.
 PAD = 24
-#: Bytes per field slot: the longest '%.17g' of a double (24) and its delimiter.
-SLOT = 25
+#: Bytes of the longest text of a value: '%.17g' or repr of a double, '%d' of an int64.
+FIELD = 24
 #: Exact doubles 10^k, k = 0..22.
 POW10 = np.array([float(10**k) for k in range(23)])
 #: Integer powers 10^k, k = 0..18.
 IPOW10 = 10 ** np.arange(19, dtype=np.int64)
 #: Veltkamp's constant 2^27 + 1, which splits a double into two 26-bit halves.
 SPLIT = 134217729.0
-#: Decimal exponents with fixed notation in '%.17g'.
+#: Decimal exponents with fixed notation in '%.17g'; repr's stops at E_MAX - 1.
 E_MIN, E_MAX = -4, 16
 #: A residual certifies a rounding when it is this much clear of the half-gap either way.
 MARGIN = 2.0**-30
 
 _ORD = {c: ord(c) for c in "0.,-\n"}
+#: What the JSON writer puts between one row of numbers and the next.
+JSON_ROW_END = b"], ["
+#: A JSON number that json.loads reads with float(): one with a fraction or an exponent.
+_JSON_FLOAT = re.compile(rb"-?(?:0|[1-9][0-9]*)(?:\.[0-9]+(?:[eE][-+]?[0-9]+)?|[eE][-+]?[0-9]+)")
 
 
 def _digit_groups() -> np.ndarray:
@@ -82,16 +99,36 @@ def _two_product(a, b):
 
 
 def _significand(a: np.ndarray, e: np.ndarray):
-    """round-half-even(x) as int64 for x = a 10^(16 - e), and -1, 0 or 1 as x lies below, in or above [10^16, 10^17).
+    """x = a 10^(16 - e) exactly as p + err, and -1, 0 or 1 as x lies below, in or above [10^16, 10^17).
 
-    Exact: Dekker's product gives x = p + err, and p >= 10^16 > 2^53 is an even
-    integer, so rounding p + err half-even is rounding err half-even.
+    Dekker's product is exact, and p >= 10^16 > 2^53 is an even integer, so
+    rounding x half-even is rounding err half-even.
     """
     p, err = _two_product(a, POW10[16 - e])
-    d = p.astype(np.int64) + np.rint(err).astype(np.int64)
     below = (p < 1e16) | ((p == 1e16) & (err < 0.0))
     above = (p > 1e17) | ((p == 1e17) & (err >= 0.0))
-    return d, above.astype(np.intp) - below
+    return p, err, above.astype(np.intp) - below
+
+
+def _scaled(v: np.ndarray):
+    """The decimal exponent E of each |v| and |v| 10^(16 - E) exactly as p + err, with masks of zeros and of values outside fixed notation.
+
+    p, err and E of a zero or of a value outside fixed notation are arbitrary.
+    """
+    a = np.abs(v)
+    zero = a == 0.0
+    # from 9.99e-5 up, to keep what rounds up to 1e-4; every double below 1e17 is an integer of <= 17 digits
+    fixed = (a >= 9.99e-5) & (a < 1e17)
+    safe = np.where(fixed, a, 1.0)
+    e = np.clip(np.floor(np.log10(safe)).astype(np.intp), E_MIN - 1, E_MAX)
+    p, err, shift = _significand(safe, e)
+    for _ in range(2):  # log10 may round across a power of ten: step E once toward it
+        off = np.flatnonzero(shift)
+        if not off.size:
+            break
+        e[off] = np.clip(e[off] + shift[off], E_MIN - 1, E_MAX)
+        p[off], err[off], shift[off] = _significand(safe[off], e[off])
+    return p, err, e, zero, ~(fixed | zero) | (shift != 0) | (e < E_MIN)
 
 
 def _float_digits(v: np.ndarray):
@@ -100,23 +137,53 @@ def _float_digits(v: np.ndarray):
     |v| rounded to 17 significant digits is D 10^(E - 16) with D in [10^16, 10^17),
     or D = E = 0 for a zero. D and E of a value outside fixed notation are arbitrary.
     """
-    a = np.abs(v)
-    zero = a == 0.0
-    # from 9.99e-5 up, to keep what rounds up to 1e-4; every double below 1e17 is an integer of <= 17 digits
-    fixed = (a >= 9.99e-5) & (a < 1e17)
-    safe = np.where(fixed, a, 1.0)
-    e = np.clip(np.floor(np.log10(safe)).astype(np.intp), E_MIN - 1, E_MAX)
-    d, shift = _significand(safe, e)
-    for _ in range(2):  # log10 may round across a power of ten: step E once toward it
-        off = np.flatnonzero(shift)
-        if not off.size:
-            break
-        e[off] = np.clip(e[off] + shift[off], E_MIN - 1, E_MAX)
-        d[off], shift[off] = _significand(safe[off], e[off])
+    p, err, e, zero, outside = _scaled(v)
+    d = p.astype(np.int64) + np.rint(err).astype(np.int64)
     carry = d == IPOW10[17]  # 17 nines rounded up: one digit more
     d[carry] = IPOW10[16]
     e[carry] += 1
-    outside = ~(fixed | zero) | (shift != 0) | (e < E_MIN)
+    d[zero] = 0
+    e[zero] = 0
+    return d, e, outside
+
+
+def _shortest_digits(v: np.ndarray):
+    """As _float_digits, for the shortest digits that read back as v: those of repr(v), padded with zeros to 17.
+
+    The shortest digits of a double are its correctly rounded k digits for the
+    least k at which they still read back as v (Steele & White 1990), since
+    its rounding interval is symmetric; and if k digits read back, so do k + 1.
+    The exact x = |v| 10^(16 - E) = p + err is the integer p + floor(err) plus
+    a fraction in [0, 1), both exact. With r the remainder of that integer by
+    u = 10^(17 - k), x / u rounds up where the fraction exceeds the exact
+    u/2 - r, and ties where it equals it. The candidate c u reads back as v
+    where |c u - x|, an exact integer less the fraction, is below half the gap
+    of v times 10^(16 - E), which is exact; a distance within MARGIN of it is
+    not certified. Candidates of 16, 15 and 14 digits are tried. A value is
+    left to repr when its shortest digits may be fewer than 15 (14 read back),
+    when it is a power of two (its gap below is half the gap above), when a
+    candidate ties or is not certified, and where repr takes exponent notation
+    (E < -4 or E > 15).
+    """
+    p, err, e, zero, outside = _scaled(v)
+    d = p.astype(np.int64) + np.rint(err).astype(np.int64)
+    whole = np.floor(err)
+    high, frac = p.astype(np.int64) + whole.astype(np.int64), err - whole
+    # half the gap of v, scaled as x; arbitrary for zeros and values outside
+    reach = np.spacing(np.where(outside, 1.0, np.abs(v))) * POW10[16 - e] * 0.5
+    outside |= (e > E_MAX - 1) | (d == IPOW10[17])
+    outside |= ~zero & (v.view(np.int64) & np.int64((1 << 52) - 1) == 0)
+    for k in (16, 15, 14):
+        unit = IPOW10[17 - k]
+        q = high // unit
+        half = (unit // 2 - (high - q * unit)).astype(float)  # u/2 - r
+        up = frac > half
+        dist = np.abs((up * unit - (high - q * unit)).astype(float) - frac)
+        back = dist < reach * (1.0 - MARGIN)
+        outside |= (frac == half) | (~back & (dist <= reach * (1.0 + MARGIN)))
+        if k == 14:
+            outside |= back
+        d = np.where(back, (q + up) * unit, d)
     d[zero] = 0
     e[zero] = 0
     return d, e, outside
@@ -145,26 +212,35 @@ def _digit_bytes(d: np.ndarray) -> np.ndarray:
     return out
 
 
-def _format_column(v: np.ndarray, out: np.ndarray, size: np.ndarray) -> None:
-    """Write the text of each value of v into its row of out (n x SLOT bytes) and its length into size.
+def _format_column(v: np.ndarray, out: np.ndarray, size: np.ndarray, shortest: bool) -> None:
+    """Write the text of each value of v into the start of its row of out and its length into size.
 
-    Values are sorted by sign and exponent, so that each such class lays out its
-    digits with a few slice copies, and the rows go back to their places at the end.
+    The text is '%d' of an integer, and of a float '%.17g' or, if shortest,
+    repr: shortest digits, and '.0' after an integral value. Values are sorted
+    by sign and exponent, so that each such class lays out its digits with a
+    few slice copies, and the rows go back to their places at the end.
     """
     integer = v.dtype.kind in "iu"
-    d, e, outside = (_int_digits if integer else _float_digits)(v)
+    d, e, outside = (_int_digits if integer else _shortest_digits if shortest else _float_digits)(v)
     neg = (v < 0) if integer else np.signbit(v)
     cls = (neg * (E_MAX - E_MIN + 1) + (e - E_MIN)).astype(np.uint8)
     cls[outside] = 0
     order = np.argsort(cls, kind="stable")
-    digits = _digit_bytes(d[order])
+    d = d[order]
+    digits = _digit_bytes(d)
     # digits left after trailing zeros are stripped; an integer prints none past its point
-    sig = np.zeros(v.size, dtype=np.intp) if integer else np.full(v.size, 17)
-    if not integer:
+    if integer:
+        sig = np.zeros(v.size, dtype=np.intp)
+    elif shortest:  # 17, 16 or 15 digits, the last not a zero (else one fewer reads back), or a zero
+        sig = np.where(d == 0, 0, 17 - (d % 10 == 0) - (d % 100 == 0))
+    else:
+        sig = np.full(v.size, 17)
         ends_in_zero = np.flatnonzero(digits[:, 16] == _ORD["0"])
         nonzero = digits[ends_in_zero, ::-1] != _ORD["0"]
         sig[ends_in_zero] = np.where(nonzero.any(axis=1), 17 - nonzero.argmax(axis=1), 0)
-    field = np.empty((v.size, SLOT), dtype=np.uint8)
+    # text past the digits before the point: '%g' drops the point of an integral value, repr keeps '.0'
+    point = 2 if shortest else 0
+    field = np.empty((v.size, out.shape[1]), dtype=np.uint8)
     start = 0
     for c, count in enumerate(np.bincount(cls, minlength=256)):
         if not count:
@@ -179,7 +255,8 @@ def _format_column(v: np.ndarray, out: np.ndarray, size: np.ndarray) -> None:
             body[:, : exp + 1] = digits[rows, : exp + 1]
             body[:, exp + 1] = _ORD["."]
             body[:, exp + 2 : 18] = digits[rows, exp + 1 :]
-            sig[rows] = sign + exp + 1 + np.where(sig[rows] > exp + 1, sig[rows] - exp, 0)
+            tail = sig[rows] - exp
+            sig[rows] = sign + exp + 1 + np.where(tail > 1, tail, point)
         else:  # '0.', -E - 1 zeros, d0..d16
             body[:, : 1 - exp] = _ZEROS[: 1 - exp]
             body[:, 1 - exp : 18 - exp] = digits[rows]
@@ -187,11 +264,30 @@ def _format_column(v: np.ndarray, out: np.ndarray, size: np.ndarray) -> None:
         start = stop
     out[order] = field
     size[order] = sig
-    fmt = "%d" if integer else "%.17g"
-    for i in np.flatnonzero(outside):
-        text = (fmt % v[i].item()).encode()
-        out[i, : len(text)] = np.frombuffer(text, dtype=np.uint8)
-        size[i] = len(text)
+    text_of = "%d".__mod__ if integer else repr if shortest else "%.17g".__mod__
+    left = np.flatnonzero(outside)
+    if left.size:
+        texts = [text_of(value).encode() for value in v[left].tolist()]
+        padded = b"".join(text.ljust(FIELD) for text in texts)
+        out[left, :FIELD] = np.frombuffer(padded, dtype=np.uint8).reshape(-1, FIELD)
+        size[left] = [len(text) for text in texts]
+
+
+def _join(columns, delimiters, shortest: bool) -> np.ndarray:
+    """Text of the rows of the columns as a uint8 array, each value followed by its column's delimiter."""
+    n, ncols = columns[0].size, len(columns)
+    width = FIELD + max(map(len, delimiters))
+    rows = np.empty((n, ncols, width), dtype=np.uint8)
+    size = np.empty((n, ncols), dtype=np.uint8)
+    for c, column in enumerate(columns):
+        _format_column(np.asarray(column), rows[:, c], size[:, c], shortest)
+    flat = rows.reshape(-1)
+    ends = np.arange(0, n * ncols * width, width).reshape(n, ncols) + size
+    for c, delimiter in enumerate(delimiters):
+        for j, byte in enumerate(delimiter):
+            flat[ends[:, c] + j] = byte
+    size += np.array([len(delimiter) for delimiter in delimiters], dtype=np.uint8)
+    return rows[np.arange(width, dtype=np.uint8) < size[..., None]]
 
 
 def format_rows(columns) -> np.ndarray:
@@ -199,16 +295,17 @@ def format_rows(columns) -> np.ndarray:
 
     The bytes are those of (fmt + "," + ... + fmt + "\\n") % row for every row.
     """
-    n, ncols = columns[0].size, len(columns)
-    rows = np.empty((n, ncols, SLOT), dtype=np.uint8)
-    size = np.empty((n, ncols), dtype=np.uint8)
-    for c, column in enumerate(columns):
-        _format_column(np.asarray(column), rows[:, c], size[:, c])
-    delimiters = np.full(ncols, _ORD[","], dtype=np.uint8)
-    delimiters[-1] = _ORD["\n"]
-    flat = rows.reshape(-1)
-    flat[np.arange(0, n * ncols * SLOT, SLOT).reshape(n, ncols) + size] = delimiters
-    return rows[np.arange(SLOT, dtype=np.uint8) <= size[..., None]]
+    return _join(columns, [b","] * (len(columns) - 1) + [b"\n"], False)
+
+
+def format_json_rows(columns) -> np.ndarray:
+    """Text of the rows of float columns inside a JSON array of arrays, as a uint8 array.
+
+    The bytes are those of (repr + ", " + ... + repr + "], [") % row for every
+    row: with '[[' before them and their last three bytes cut, they are
+    json.dumps of the list of rows.
+    """
+    return _join(columns, [b", "] * (len(columns) - 1) + [JSON_ROW_END], True)
 
 
 # ---------------------------------------------------------------- reading
@@ -316,10 +413,14 @@ def _quotient(m: np.ndarray, f: np.ndarray):
     return z, unsure
 
 
-def _parse(raw: bytes, ncols: int) -> np.ndarray | None:
+def _parse(raw: bytes, ncols: int, json_numbers: bool = False) -> np.ndarray | None:
     """The numbers of lines of ncols comma-separated fields, flat, or None where raw holds anything else.
 
-    raw is PAD bytes of padding, then whole lines of ASCII, the last one ending in a newline.
+    raw is PAD bytes of padding, then whole lines of ASCII, the last one ending
+    in a newline. With json_numbers, a field must also be a JSON number that
+    json.loads reads as float() does, else None: no point without a digit on
+    each side, no leading zero, no '-0' (an int, so 0.0), and a field that
+    float() reads must hold a fraction or an exponent.
     """
     padded = np.frombuffer(raw, dtype=np.uint8)
     b = padded[PAD:]
@@ -330,18 +431,52 @@ def _parse(raw: bytes, ncols: int) -> np.ndarray | None:
         return None
     starts = np.concatenate(([0], ends[:-1] + 1))
     neg = b[starts] == _ORD["-"]
-    m, frac_len, odd = _field_digits(padded, starts + neg + PAD, ends + PAD)
+    first = starts + neg
+    if json_numbers:
+        lead, length = b[first], ends - first
+        after = b[np.minimum(first + 1, b.size - 1)]
+        if (
+            (lead == _ORD["."]).any()
+            or (b[ends - 1] == _ORD["."]).any()
+            or ((lead == _ORD["0"]) & (length > 1) & (after != _ORD["."])).any()
+            or (neg & (lead == _ORD["0"]) & (length == 1)).any()
+        ):
+            return None
+    m, frac_len, odd = _field_digits(padded, first + PAD, ends + PAD)
     values, unsure = _quotient(m, frac_len)
     np.negative(values, out=values, where=neg)
     for i in np.flatnonzero(odd | unsure):
         field = bytes(raw[PAD + starts[i] : PAD + ends[i]])
-        if field.translate(None, b"0123456789.-+eE"):
-            return None  # float() reads more than np.loadtxt: spaces, '_', words
+        # float() reads more than np.loadtxt (spaces, '_', words) and than json.loads
+        readable = _JSON_FLOAT.fullmatch(field) if json_numbers else not field.translate(None, b"0123456789.-+eE")
+        if not readable:
+            return None
         try:
             values[i] = float(field)
         except ValueError:
             return None
     return values
+
+
+def _gather(pieces, ncols: int, expect: int, most: int) -> np.ndarray | None:
+    """The flat values of each piece as rows of ncols numbers, or None at the first piece that is None.
+
+    expect, the number of rows the caller expects, capped at most, sizes the
+    first allocation.
+    """
+    rows = np.empty((min(max(expect, 0), most), ncols))
+    filled = 0
+    for values in pieces:
+        if values is None:
+            return None
+        values = values.reshape(-1, ncols)
+        if filled + len(values) > len(rows):
+            grown = np.empty((max(2 * len(rows), filled + len(values)), ncols))
+            grown[:filled] = rows[:filled]
+            rows = grown
+        rows[filled : filled + len(values)] = values
+        filled += len(values)
+    return rows[:filled]
 
 
 def _line_pieces(fh):
@@ -377,24 +512,53 @@ def read_rows(fh, ncols: int, expect: int) -> np.ndarray:
     expect, the number of rows the caller expects, sizes the first allocation.
     """
     start = fh.tell()
-    rows = np.empty((min(max(expect, 0), os.fstat(fh.fileno()).st_size // (2 * ncols)), ncols))
-    filled = 0
-    for piece in _line_pieces(fh):
-        values = None if piece is None else _parse(piece, ncols)
-        if values is None:
-            break
-        values = values.reshape(-1, ncols)
-        if filled + len(values) > len(rows):
-            grown = np.empty((max(2 * len(rows), filled + len(values)), ncols))
-            grown[:filled] = rows[:filled]
-            rows = grown
-        rows[filled : filled + len(values)] = values
-        filled += len(values)
-    else:
-        if filled:
-            return rows[:filled]
+    pieces = (None if piece is None else _parse(piece, ncols) for piece in _line_pieces(fh))
+    rows = _gather(pieces, ncols, expect, os.fstat(fh.fileno()).st_size // (2 * ncols))
+    if rows is not None and len(rows):
+        return rows
     fh.seek(start)
     with warnings.catch_warnings():
         # loadtxt warns on a file without rows; callers check for that themselves
         warnings.simplefilter("ignore", UserWarning)
         return np.loadtxt(fh, delimiter=",", ndmin=2)
+
+
+def _json_lines(text: bytes):
+    """The writer's JSON rows 'x, phi], [x, phi' in text as a _parse piece, or None where text holds a newline or non-ASCII."""
+    if not text.isascii() or b"\n" in text:
+        return None
+    return b" " * PAD + text.replace(JSON_ROW_END, b"\n").replace(b", ", b",") + b"\n"
+
+
+def _json_pieces(fh):
+    """The samples of a JSON dataset in the binary file fh, from its first number on, as _parse pieces.
+
+    Each piece is cut after its last row end and rewritten as lines. The text
+    must end in ']]}'; a piece of other text, or a row longer than READ_CHARS
+    bytes, is None.
+    """
+    rest = b""
+    for chunk in iter(lambda: fh.read(READ_CHARS), b""):
+        text = rest + chunk
+        cut = text.rfind(JSON_ROW_END)
+        if cut >= 0:
+            yield _json_lines(text[:cut])
+            rest = text[cut + len(JSON_ROW_END) :]
+        elif len(text) > READ_CHARS:
+            yield None
+            return
+        else:
+            rest = text
+    yield _json_lines(rest[:-3]) if rest.endswith(b"]]}") else None
+
+
+def read_json_rows(fh, ncols: int, expect: int) -> np.ndarray | None:
+    """Rows of ncols numbers of a JSON dataset's samples in the binary file fh, from its first number on.
+
+    The doubles are those json.loads reads. The text must be rows of JSON
+    numbers, the numbers of a row joined by ', ' or ',' and the rows by '], [',
+    up to a closing ']]}' at the end of the file; any other text gives None.
+    expect, the number of rows the caller expects, sizes the first allocation.
+    """
+    pieces = (None if piece is None else _parse(piece, ncols, True) for piece in _json_pieces(fh))
+    return _gather(pieces, ncols, expect, os.fstat(fh.fileno()).st_size // (4 * ncols))

@@ -13,6 +13,7 @@ it on the calling thread, in block order, instead of keeping a record of size n.
 
 from __future__ import annotations
 
+import contextvars
 import json
 import math
 import os
@@ -88,8 +89,9 @@ def run_blocks(n: int, draw, consume) -> None:
     Blocks are drawn on up to worker_count() threads in no fixed order, at most
     two per thread in flight, so draw must use only its block's own generator
     and write only its own slice. consume(result) runs on the calling thread
-    once per block, in block order, while later blocks are being drawn. One
-    worker or one block runs plain serial.
+    once per block, in block order, while later blocks are being drawn. Each
+    draw runs in a copy of the caller's context, so numpy's error state there
+    holds for it too. One worker or one block runs plain serial.
     """
     starts = range(0, n, BLOCK_SIZE)
 
@@ -106,7 +108,7 @@ def run_blocks(n: int, draw, consume) -> None:
     pending = []
     with ThreadPoolExecutor(workers) as pool:
         for block in range(len(starts)):
-            pending.append(pool.submit(one, block))
+            pending.append(pool.submit(contextvars.copy_context().run, one, block))
             if len(pending) == 2 * workers:
                 consume(pending.pop(0).result())  # re-raises an exception from its block
         while pending:
@@ -443,16 +445,6 @@ def sample_fixed_phase(
     return None if columns is None else columns[0]
 
 
-def _write_rows(fh, columns, row: str, sep: str) -> None:
-    """Write row % (one value per column) for every index, with sep between rows.
-
-    Values are Python floats or ints, formatted CSV_ROWS rows at a time.
-    """
-    for start in range(0, columns[0].size, CSV_ROWS):
-        part = (column[start : start + CSV_ROWS].tolist() for column in columns)
-        fh.write((sep if start else "") + sep.join(map(row.__mod__, zip(*part))))
-
-
 def write_csv(path, tag: str, eta: float, seed: int, header: str, columns) -> None:
     """`# key=value` metadata lines, a header line, then one row per sample.
 
@@ -511,21 +503,69 @@ def dataset_from_json(obj) -> Dataset:
             raise ValidationError("dataset JSON holds no samples")
         x, phi = samples[:, 0], samples[:, 1]
         eta, tag, seed = float(obj["eta"]), obj["state_tag"], int(obj["seed"])
-    except (KeyError, IndexError, TypeError, ValueError) as exc:
+    except (KeyError, IndexError, TypeError, ValueError, OverflowError) as exc:
         raise ValidationError(f"malformed dataset JSON: {exc}") from exc
     return Dataset(x, phi, eta, tag, seed)
 
 
+#: What the JSON writer puts between its metadata and its first sample.
+JSON_SAMPLES = b', "samples": [['
+#: The metadata keys of a JSON dataset, in the order the writer puts them.
+JSON_KEYS = ["state_tag", "eta", "seed", "n"]
+
+
 def save_dataset_json(dataset: Dataset, path) -> None:
-    """One JSON object: state_tag, eta, seed, n, then samples as [x, phi] pairs, written row by row."""
-    meta = {"state_tag": dataset.state_tag, "eta": dataset.eta, "seed": dataset.seed, "n": dataset.n}
-    head = json.dumps(meta)[:-1] + ', "samples": ['
-    with Path(path).open("w") as fh:
-        fh.write(head)
-        # %r of a finite float is the repr json.dumps writes
-        _write_rows(fh, [dataset.x, dataset.phi], "[%r, %r]", ", ")
-        fh.write("]}")
+    """One JSON object: state_tag, eta, seed, n, then samples as [x, phi] pairs, written row by row.
+
+    The bytes are those of json.dumps of the whole object. floattext.format_json_rows
+    makes the rows CSV_ROWS at a time.
+    """
+    from .floattext import format_json_rows  # kept out of start-up
+
+    meta = dict(zip(JSON_KEYS, (dataset.state_tag, dataset.eta, dataset.seed, dataset.n)))
+    n = dataset.n
+    with Path(path).open("wb") as fh:
+        fh.write(json.dumps(meta)[:-1].encode() + JSON_SAMPLES)
+        for start in range(0, n, CSV_ROWS):
+            stop = start + CSV_ROWS
+            text = format_json_rows([dataset.x[start:stop], dataset.phi[start:stop]])
+            fh.write(text if stop < n else text[:-3])  # the last row ends in ']' alone
+        fh.write(b"]}")
+
+
+def _json_head(text: bytes) -> dict | None:
+    """The metadata in text, the bytes of a JSON dataset before its first JSON_SAMPLES, if the writer's; else None.
+
+    That is ASCII that json.loads reads, with a closing brace, as an object of
+    the keys JSON_KEYS in that order.
+    """
+    if not text.isascii():
+        return None
+    try:
+        head = json.loads(text.decode() + "}")
+    except ValueError:
+        return None
+    return head if isinstance(head, dict) and list(head) == JSON_KEYS else None
 
 
 def load_dataset_json(path) -> Dataset:
-    return dataset_from_json(Path(path).read_text())
+    """The dataset of a JSON file, as dataset_from_json of its whole text reads it.
+
+    A file that starts as the writer's files do has its samples read in pieces
+    by floattext.read_json_rows, its metadata's n sizing the first allocation.
+    Any other file, or one whose samples that leaves alone, is parsed whole by
+    json.loads.
+    """
+    from .floattext import READ_CHARS, read_json_rows  # kept out of start-up
+
+    path = Path(path)
+    with path.open("rb") as fh:
+        start = fh.read(READ_CHARS)
+        cut = start.find(JSON_SAMPLES)
+        head = _json_head(start[:cut]) if cut >= 0 else None
+        if head is not None:
+            fh.seek(cut + len(JSON_SAMPLES))
+            samples = read_json_rows(fh, 2, head["n"] if type(head["n"]) is int else 0)
+            if samples is not None:
+                return dataset_from_json({**head, "samples": samples})
+    return dataset_from_json(path.read_text())

@@ -333,11 +333,14 @@ def test_cli_start_up_leaves_scipy_out(tmp_path):
     # scipy.special costs about 0.3 s of start-up; only the coherent photon-number
     # formula needs it, and imports it when called. Coherent comparisons do not reach it.
     # The squared-kernel coefficients divide exact ints, so fractions (and decimal) stay out too.
+    # The dataset codec is imported by the dataset readers and writers that use it: compiling
+    # it costs about 8 ms of every command run without a bytecode cache.
     env = dict(os.environ, PYTHONPATH=str(Path(tomonoise.__file__).parents[1]))
     code = (
         "import sys, tomonoise.cli\n"
         "assert 'scipy' not in sys.modules, 'import'\n"
         "assert 'fractions' not in sys.modules, 'fractions'\n"
+        "assert 'tomonoise.floattext' not in sys.modules, 'floattext'\n"
         "for obs in ('intensity', 'real_field', 'complex_amplitude', 'phase'):\n"
         "    assert tomonoise.cli.main(['compare', '--state', '{\"type\":\"coherent\",\"beta\":[1,0]}',\n"
         "        '--observable', obs, '--n', '100', '--seed', '1', '--out', sys.argv[1]]) == 0\n"
@@ -524,8 +527,13 @@ class TestErrorContract:
             ["sweep", "--mode", "analytic", "--observables", "phase", "--eta-list", "1", "--nbar-grid", "5e-324"],
             ["sweep", "--mode", "analytic", "--observables", "phase", "--eta-list", "0.5", "--nbar-grid",
              "1e-323"],
+            ["compare", "--state", '{"type":"coherent","beta":[1e154,0]}', "--observable", "real_field",
+             "--n", "1000"],
+            ["compare", "--state", '{"type":"coherent","beta":[3.1e9,0]}', "--observable", "intensity",
+             "--n", "1000"],
         ],
-        ids=["eta-nbar-zero", "ratio-overflow", "nbar-overflow", "phase-ratio-underflow", "phase-eta-nbar-min"],
+        ids=["eta-nbar-zero", "ratio-overflow", "nbar-overflow", "phase-ratio-underflow", "phase-eta-nbar-min",
+             "variance-overflow", "poisson-mean"],
     )
     def test_non_finite_comparison(self, tmp_path, capsys, argv):
         with warnings.catch_warnings():
@@ -535,6 +543,28 @@ class TestErrorContract:
         assert len(lines) == 1 and json.loads(lines[0])["error"] == "numeric-range"
         for path in tmp_path.iterdir():
             assert "inf" not in path.read_text().lower()
+
+    def test_overflow_on_the_pool(self, tmp_path, capsys, monkeypatch):
+        # The coherent mean overflows while the blocks are drawn on pool threads, which
+        # get numpy's error state, a context variable, only through run_blocks.
+        monkeypatch.setenv("TOMONOISE_MAX_WORKERS", "2")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["simulate", "--state", '{"type":"coherent","beta":[1.7976931348623157e308,1e308]}',
+                         "--n", str(2 * BLOCK_SIZE + 1), "--out", str(tmp_path / "r.csv")]) == 2
+        lines = capsys.readouterr().err.strip().splitlines()
+        assert len(lines) == 1 and "must be finite" in json.loads(lines[0])["message"]
+
+    def test_non_finite_estimate(self, tmp_path, capsys):
+        data = tmp_path / "d.csv"
+        tomonoise.save_dataset_csv(tomonoise.Dataset([1e200, 2e200], [0.5, 1.0], 1.0, "x", 1), data)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["estimate", "--data", str(data), "--observable", "intensity",
+                         "--out", str(tmp_path / "e.json")]) == 4
+        lines = capsys.readouterr().err.strip().splitlines()
+        assert len(lines) == 1 and json.loads(lines[0])["error"] == "numeric-range"
+        assert not (tmp_path / "e.json").exists()
 
     # 8 EiB and 64 EiB (x and phi): beyond any x86-64 address space, refused under every overcommit mode
     @pytest.mark.parametrize("n", [2**59, 2**62], ids=["8EiB", "array-too-big"])
@@ -653,6 +683,17 @@ FUZZ_DATA = {
     "nan.csv": "# state=x\n# eta=0.8\n# seed=1\n# n=1\nx,phi\nnan,0.2\n",
     "cut.json": '{"state_tag": "x", "eta": 0.8, "seed": 1, "samples": [[0.1, 0.2]',
     "missing.csv": None, "binary.json": b"\xff\xfe", "binary.csv": b"\xff\xfe",
+    # JSON datasets that the sliced reader leaves to json.loads, or reads as json.loads does
+    "order.json": '{"eta": 0.8, "state_tag": "x", "seed": 1, "n": 1, "samples": [[0.1, 0.2]]}',
+    "indent.json": json.dumps({"state_tag": "x", "eta": 0.8, "seed": 1, "n": 1, "samples": [[0.1, 0.2]]}, indent=2),
+    "nan.json": '{"state_tag": "x", "eta": 0.8, "seed": 1, "n": 1, "samples": [[NaN, 0.2]]}',
+    "infinity.json": '{"state_tag": "x", "eta": 0.8, "seed": 1, "n": 1, "samples": [[0.1, Infinity]]}',
+    "truncated.json": '{"state_tag": "x", "eta": 0.8, "seed": 1, "n": 2, "samples": [[0.1, 0.2], [0.3, 0',
+    "trailing.json": '{"state_tag": "x", "eta": 0.8, "seed": 1, "n": 1, "samples": [[0.1, 0.2]]}]',
+    "tag.json": '{"state_tag": "f\\u00f6ck \\"q\\"", "eta": 0.8, "seed": 1, "n": 1, "samples": [[0.1, 0.2]]}',
+    "utf8-tag.json": '{"state_tag": "f\u00f6ck", "eta": 0.8, "seed": 1, "n": 1, "samples": [[0.1, 0.2]]}'.encode(),
+    "exponent.json": '{"state_tag": "x", "eta": 0.8, "seed": 1, "n": 2, "samples": [[1e-05, 0.2], [-2E3, 1e-320]]}',
+    "bigint.json": '{"state_tag": "x", "eta": 0.8, "seed": 1, "n": 1, "samples": [[' + "9" * 400 + ', 0.2]]}',
 }
 
 
@@ -680,7 +721,7 @@ def fuzz_data(tmp_path_factory):
 @st.composite
 def cli_argv(draw, data_dir, out):
     """argv and the exit code it must give, or None for any documented code."""
-    family = draw(st.sampled_from(["command", "free", "config", "bright", "oversized"]))
+    family = draw(st.sampled_from(["command", "free", "config", "bright", "oversized", "float-range"]))
     command = draw(st.sampled_from(["simulate", "estimate", "compare", "sweep"]))
     if family == "free":
         return [*draw(st.lists(st.sampled_from(FUZZ_TOKENS), max_size=6)), "--out", out], None
@@ -696,6 +737,11 @@ def cli_argv(draw, data_dir, out):
         if argv[0] == "compare":
             argv += ["--observable", draw(st.sampled_from(FUZZ_OBSERVABLES[:4]))]
         return argv, 0
+    if family == "float-range":
+        # a kernel variance beyond the float range, and a photon count beyond numpy's Poisson mean
+        state, obs = draw(st.sampled_from([('{"type":"coherent","beta":[1e154,0]}', "real_field"),
+                                           ('{"type":"coherent","beta":[3.1e9,0]}', "intensity")]))
+        return ["compare", "--state", state, "--observable", obs, "--n", "1000", "--out", out], 4
     if family == "oversized":
         # 8 EiB and 64 EiB records, which no x86-64 address space holds
         state = draw(st.sampled_from(FUZZ_STATES[:2]))

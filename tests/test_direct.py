@@ -16,7 +16,8 @@ from tomonoise import (
     simulate_heterodyne,
     simulate_photocount,
 )
-from tomonoise.direct import save_heterodyne_csv, save_photocount_csv
+from tomonoise.direct import POISSON_LAM_MAX, save_heterodyne_csv, save_photocount_csv
+from tomonoise.errors import NumericRangeError
 
 
 def bernoulli_convolved_pmf(state, eta, dim):
@@ -152,3 +153,22 @@ class TestRecordIo:
         assert lines[4] == "re,im"
         data = np.loadtxt(path, delimiter=",", skiprows=5)
         assert np.allclose(data[:, 0] + 1j * data[:, 1], rec.alphas)
+
+
+def test_photocount_mean_up_to_numpy_poisson_limit():
+    # numpy draws a Poisson mean of POISSON_LAM_MAX and refuses the next double
+    rng = np.random.default_rng(0)
+    rng.poisson(POISSON_LAM_MAX)
+    with pytest.raises(ValueError, match="lam value too large"):
+        rng.poisson(np.nextafter(POISSON_LAM_MAX, np.inf))
+    beta = math.sqrt(POISSON_LAM_MAX)
+    while beta * beta > POISSON_LAM_MAX:
+        beta = math.nextafter(beta, 0.0)
+    assert simulate_photocount(Coherent(beta), 0.5, 10, 1).n == 10
+    above = math.nextafter(beta, math.inf)
+    while above * above <= POISSON_LAM_MAX:
+        above = math.nextafter(above, math.inf)
+    with pytest.raises(NumericRangeError, match="Poisson"):
+        simulate_photocount(Coherent(above), 0.5, 10, 1)
+    with pytest.raises(NumericRangeError, match="Poisson"):
+        simulate_photocount(Coherent(complex(3.1e9, 0.0)), 1.0, 10, 1, reduce=lambda counts: None)

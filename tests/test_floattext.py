@@ -1,4 +1,4 @@
-"""The CSV codec against the converters it replaces: '%.17g' % v, '%d' % i, float() and np.loadtxt."""
+"""The codec against the converters it replaces: '%.17g' % v, '%d' % i, float() and np.loadtxt for CSV, json.dumps and json.loads for JSON."""
 
 import io
 import json
@@ -11,10 +11,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tomonoise import Dataset, Fock, load_dataset_csv, sample_homodyne, save_dataset_csv
+from tomonoise import (
+    Dataset,
+    Fock,
+    load_dataset_csv,
+    load_dataset_json,
+    sample_homodyne,
+    save_dataset_csv,
+    save_dataset_json,
+)
 from tomonoise.cli import main
 from tomonoise.errors import ValidationError
-from tomonoise.floattext import _line_pieces, _parse, format_rows, read_rows
+from tomonoise.floattext import _line_pieces, _parse, format_json_rows, format_rows, read_json_rows, read_rows
+from tomonoise.homodyne import dataset_from_json
 
 
 def reference_rows(columns) -> bytes:
@@ -254,3 +263,228 @@ class TestDatasetFiles:
             ds = Dataset(rng.normal(size=5000), rng.uniform(0.0, 3.0, 5000), 0.8, "t", 1)
             save_dataset_csv(ds, path)
             load_dataset_csv(path)
+
+
+# ---------------------------------------------------------------- JSON
+
+
+def json_rows(columns) -> bytes:
+    """The writer's array text: '[[', the formatted rows with their last ', [' cut, and ']'."""
+    return b"[[" + format_json_rows(columns).tobytes()[:-3] + b"]"
+
+
+def dumps_rows(columns) -> bytes:
+    """What the writer replaced: json.dumps of the list of rows."""
+    return json.dumps(np.stack(columns, axis=1).tolist()).encode()
+
+
+def shortest_digit_values(rng) -> np.ndarray:
+    """Values with 1 to 17 shortest digits over the fixed-notation decades, and their negatives."""
+    parts = []
+    for k in range(1, 18):
+        digits = rng.integers(10 ** (k - 1), 10**k, 2000, dtype=np.int64)
+        exps = rng.integers(-4 - k + 1, 16 - k + 1, 2000)
+        parts.append([float(f"{d}e{x}") for d, x in zip(digits.tolist(), exps.tolist())])
+    v = np.concatenate(parts)
+    return np.concatenate([v, -v])
+
+
+def json_edges() -> np.ndarray:
+    limits = np.array([0.0, 5e-324, 2.2250738585072014e-308, 1.7976931348623157e308, 9999999999999998.0, 1e16])
+    around = np.array([1e-4, 1e16, 9999999999999998.0, 0.1, 1.0])
+    around = np.concatenate([around, np.nextafter(around, 0.0), np.nextafter(around, np.inf)])
+    powers = np.concatenate([2.0 ** np.arange(-1074, 1024), 10.0 ** np.arange(-30, 31)])
+    v = np.concatenate([limits, around, powers])
+    return np.concatenate([v, -v])
+
+
+def binade_values(rng) -> np.ndarray:
+    """Over a million doubles: random bits in each binade of fixed notation, and a few in every binade."""
+    fixed = np.arange(1023 - 15, 1023 + 54)  # biased exponents of 2^-15 .. 2^53
+    every = np.arange(0, 2047)
+    exponents = np.concatenate([np.repeat(fixed, 15000), np.repeat(every, 40)]).astype(np.int64)
+    mantissas = rng.integers(0, 1 << 52, exponents.size, dtype=np.int64)
+    signs = rng.integers(0, 2, exponents.size, dtype=np.int64) << 63
+    return (signs | exponents << 52 | mantissas).view(float)
+
+
+class TestJsonFormat:
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1, max_size=50))
+    def test_equals_json_dumps(self, values):
+        v = np.array(values)
+        assert json_rows([v, v[::-1]]) == dumps_rows([v, v[::-1]])
+
+    @pytest.mark.parametrize("name", [*FAMILIES, "binades", "shortest digits", "edges"])
+    def test_families(self, name):
+        rng = np.random.default_rng(7)
+        v = {"binades": binade_values, "shortest digits": shortest_digit_values}.get(name, lambda rng: None)(rng)
+        v = json_edges() if name == "edges" else FAMILIES[name] if v is None else v
+        if name == "binades":
+            assert v.size >= 10**6
+        assert json_rows([v]) == dumps_rows([v])
+
+    def test_repr_of_each_value(self):
+        # one column, row by row: each field is repr(v)
+        v = json_edges()
+        fields = bytes(format_json_rows([v])).split(b"], [")[:-1]
+        assert fields == [repr(x).encode() for x in v.tolist()]
+
+    def test_non_finite_values_take_repr(self):
+        v = np.array([np.nan, np.inf, -np.inf, 1.5])
+        assert format_json_rows([v]).tobytes() == b"nan], [inf], [-inf], [1.5], ["
+
+
+def write_samples(path, text: bytes):
+    """A file with the writer's head around the samples array text."""
+    path.write_bytes(b'{"state_tag": "t", "eta": 0.8, "seed": 1, "n": 3, "samples": ' + text + b"}")
+
+
+def read_samples(path):
+    """read_json_rows from the first number of a file made by write_samples."""
+    with open(path, "rb") as fh:
+        fh.seek(len(b'{"state_tag": "t", "eta": 0.8, "seed": 1, "n": 3, "samples": [['))
+        return read_json_rows(fh, 2, 3)
+
+
+class TestJsonRead:
+    @pytest.mark.parametrize("name", [*FAMILIES, "binades", "shortest digits", "edges"])
+    def test_doubles_equal_json_loads(self, tmp_path, name):
+        rng = np.random.default_rng(8)
+        v = {"binades": binade_values, "shortest digits": shortest_digit_values}.get(name, lambda rng: None)(rng)
+        v = json_edges() if name == "edges" else FAMILIES[name] if v is None else v
+        v = v[: v.size // 2 * 2]
+        path = tmp_path / "d.json"
+        write_samples(path, json_rows([v[::2], v[1::2]]))
+        want = np.array(json.loads(path.read_text())["samples"])
+        got = read_samples(path)
+        assert got.shape == want.shape and np.array_equal(bits(got), bits(want))
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=2, max_size=30), st.integers(1, 17))
+    def test_any_json_number(self, tmp_path_factory, values, precision):
+        # '%.*g' gives ints, exponents and short fractions as well as reprs
+        fields = [("%.*g" % (precision, v)).replace("e+", "e") for v in values]
+        rows = [fields[i : i + 2] for i in range(0, len(fields) - 1, 2)]
+        path = tmp_path_factory.mktemp("json") / "d.json"
+        write_samples(path, ("[" + ", ".join("[" + ", ".join(row) + "]" for row in rows) + "]").encode())
+        want = np.array(json.loads(path.read_text())["samples"], dtype=float)
+        got = read_samples(path)
+        if got is not None:
+            assert np.array_equal(bits(got), bits(want))
+
+    def test_round_trip_across_pieces(self, tmp_path, monkeypatch):
+        # pieces of a few hundred bytes: rows cut at every offset, and the row array grown past its guess
+        monkeypatch.setattr("tomonoise.floattext.READ_CHARS", 333)
+        ds = Dataset(FAMILIES["gaussian"][:3000], FAMILIES["phases"][:3000], 0.8, "t", 1)
+        path = tmp_path / "d.json"
+        save_dataset_json(ds, path)
+        back = load_dataset_json(path)
+        assert np.array_equal(bits(back.x), bits(ds.x)) and np.array_equal(bits(back.phi), bits(ds.phi))
+
+
+def dataset_or_error(read, path):
+    try:
+        return read(path)
+    except Exception as exc:  # the same error, whatever it is
+        return exc
+
+
+META = {"state_tag": "t", "eta": 0.8, "seed": 1, "n": 2}
+ROWS = [[0.5, 1.25], [-1.5, 0.25]]
+ODD_JSON = {
+    "writer's": json.dumps({**META, "samples": ROWS}),
+    "other key order": json.dumps({"eta": 0.8, "state_tag": "t", "seed": 1, "n": 2, "samples": ROWS}),
+    "samples first": json.dumps({"samples": ROWS, **META}),
+    "no n": json.dumps({"state_tag": "t", "eta": 0.8, "seed": 1, "samples": ROWS}),
+    "n of another type": json.dumps({**META, "n": "two", "samples": ROWS}),
+    "n too large": json.dumps({**META, "n": 10**12, "samples": ROWS}),
+    "n too small": json.dumps({**META, "n": 1, "samples": ROWS}),
+    "key after samples": json.dumps({**META, "samples": ROWS, "extra": 1}),
+    "duplicate key": json.dumps({**META, "samples": ROWS})[:-1] + ', "samples": [[1.0, 2.0]]}',
+    "indent=2": json.dumps({**META, "samples": ROWS}, indent=2),
+    "compact": json.dumps({**META, "samples": ROWS}, separators=(",", ":")),
+    "compact rows": json.dumps(META)[:-1] + ', "samples": [[0.5,1.25],[-1.5,0.25]]}',
+    "commas without spaces": json.dumps(META)[:-1] + ', "samples": [[0.5,1.25], [-1.5,0.25]]}',
+    "NaN": json.dumps({**META, "samples": [[float("nan"), 1.25]]}),
+    "Infinity": json.dumps({**META, "samples": [[float("inf"), 1.25]]}),
+    "-Infinity": json.dumps({**META, "samples": [[0.5, float("-inf")]]}),
+    "truncated": json.dumps({**META, "samples": ROWS})[:-3],
+    "cut in a number": json.dumps({**META, "samples": ROWS})[:-8],
+    "trailing newline": json.dumps({**META, "samples": ROWS}) + "\n",
+    "trailing bytes": json.dumps({**META, "samples": ROWS}) + "x",
+    "two objects": json.dumps({**META, "samples": ROWS}) * 2,
+    "empty samples": json.dumps({**META, "samples": []}),
+    "empty row": json.dumps({**META, "samples": [[]]}),
+    "one column": json.dumps({**META, "samples": [[0.5], [1.5]]}),
+    "three columns": json.dumps({**META, "samples": [[0.5, 1.25, 2.0], [1.5, 0.25, 3.0]]}),
+    "ragged": json.dumps({**META, "samples": [[0.5, 1.25], [1.5]]}),
+    "nested": json.dumps({**META, "samples": [[[0.5], 1.25]]}),
+    "strings": json.dumps({**META, "samples": [["0.5", "1.25"]]}),
+    "non-ASCII tag": json.dumps({**META, "state_tag": "f\u00f6ck", "samples": ROWS}, ensure_ascii=False),
+    "escaped non-ASCII tag": json.dumps({**META, "state_tag": "f\u00f6ck", "samples": ROWS}),
+    "escaped-quote tag": json.dumps({**META, "state_tag": 'say "samples": [[', "samples": ROWS}),
+    "tag of another type": json.dumps({**META, "state_tag": 5, "samples": ROWS}),
+    "bad eta": json.dumps({**META, "eta": "abc", "samples": ROWS}),
+    "eta out of range": json.dumps({**META, "eta": 1.5, "samples": ROWS}),
+    "bad seed": json.dumps({**META, "seed": [1], "samples": ROWS}),
+    "phase out of range": json.dumps({**META, "samples": [[0.5, 4.0]]}),
+    "1e-05-style fields": json.dumps({**META, "samples": [[1e-05, 2.5e-7], [-1e300, 1e-320]]}),
+    "exponent forms": json.dumps(META)[:-1] + ', "samples": [[1E5, 0.5e1], [-2e+3, 1.5E-2]]}',
+    "ints": json.dumps(META)[:-1] + ', "samples": [[1, 0], [-2, 3]]}',
+    "negative int zero": json.dumps(META)[:-1] + ', "samples": [[-0, 0.5]]}',
+    "negative zero": json.dumps(META)[:-1] + ', "samples": [[-0.0, 0.5]]}',
+    "long int": json.dumps(META)[:-1] + ', "samples": [[' + "9" * 30 + ", 0.5]]}",
+    "huge int": json.dumps(META)[:-1] + ', "samples": [[' + "9" * 400 + ", 0.5]]}",
+    "long fraction": json.dumps(META)[:-1] + ', "samples": [[0.' + "1" * 40 + ", 0.5]]}",
+    "leading zero": json.dumps(META)[:-1] + ', "samples": [[01.5, 0.5]]}',
+    "bare point": json.dumps(META)[:-1] + ', "samples": [[.5, 5.]]}',
+    "plus sign": json.dumps(META)[:-1] + ', "samples": [[+1.5, 0.5]]}',
+    "spaces": json.dumps(META)[:-1] + ', "samples": [[ 0.5, 1.25 ]]}',
+    "newline in a row": json.dumps(META)[:-1] + ', "samples": [[0.5,\n1.25]]}',
+    "words": json.dumps(META)[:-1] + ', "samples": [[true, null]]}',
+    "empty file": "",
+    "not json": "samples",
+    "non-utf-8": b'{"state_tag": "t", "eta": 0.8, "seed": 1, "n": 2, "samples": [[0.5, \xff1.25]]}',
+    "non-utf-8 tag": b'{"state_tag": "\xff", "eta": 0.8, "seed": 1, "n": 2, "samples": [[0.5, 1.25]]}',
+}
+
+
+class TestJsonDatasets:
+    @pytest.mark.parametrize("name", ODD_JSON)
+    def test_same_dataset_or_the_same_error_as_json_loads(self, tmp_path, name):
+        path = tmp_path / "d.json"
+        content = ODD_JSON[name]
+        path.write_bytes(content if isinstance(content, bytes) else content.encode())
+        # the reader before the codec: dataset_from_json of the whole text
+        want = dataset_or_error(lambda path: dataset_from_json(path.read_text()), path)
+        got = dataset_or_error(load_dataset_json, path)
+        if isinstance(want, Exception):
+            assert type(got) is type(want) and str(got) == str(want)
+        else:
+            assert (got.state_tag, got.eta, got.seed) == (want.state_tag, want.eta, want.seed)
+            assert np.array_equal(bits(got.x), bits(want.x)) and np.array_equal(bits(got.phi), bits(want.phi))
+
+    def test_read_in_bounded_memory(self, tmp_path):
+        # json.loads of the whole document once held 24 MB at this size
+        ds = sample_homodyne(Fock(3), 0.8, 10**5, 17)
+        path = tmp_path / "d.json"
+        save_dataset_json(ds, path)
+        tracemalloc.start()
+        try:
+            back = load_dataset_json(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20
+        assert np.array_equal(back.x, ds.x) and np.array_equal(back.phi, ds.phi)
+
+    def test_no_runtime_warning(self, tmp_path):
+        rng = np.random.default_rng(6)
+        path = tmp_path / "d.json"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            format_json_rows([np.array([np.nan, np.inf, -np.inf]), FAMILIES["bit patterns"][:3]])
+            assert json_rows([FAMILIES["bit patterns"][:5000]]) == dumps_rows([FAMILIES["bit patterns"][:5000]])
+            save_dataset_json(Dataset(rng.normal(size=5000), rng.uniform(0.0, 3.0, 5000), 0.8, "t", 1), path)
+            load_dataset_json(path)
