@@ -14,7 +14,7 @@ import numpy as np
 
 from .errors import CapabilityError, NumericRangeError, ValidationError
 from .estimators import StreamingMoments, accumulate
-from .homodyne import PURPOSE_HETERODYNE, PURPOSE_PHOTOCOUNT, generate, sample_count, write_csv
+from .homodyne import PURPOSE_HETERODYNE, PURPOSE_PHOTOCOUNT, generate, sample_count
 from .states import (
     Coherent,
     Fock,
@@ -169,11 +169,3 @@ def heterodyne_phase_variance(record: HeterodyneRecord) -> float:
     accumulate(acc.update, record.n, lambda sl: np.angle(record.alphas[sl]))
     return acc.population_variance
 
-
-def save_photocount_csv(record: PhotocountRecord, path) -> None:
-    write_csv(path, record.state_tag, record.eta, record.seed, "m", [record.counts])
-
-
-def save_heterodyne_csv(record: HeterodyneRecord, path) -> None:
-    columns = [record.alphas.real, record.alphas.imag]
-    write_csv(path, record.state_tag, record.eta, record.seed, "re,im", columns)

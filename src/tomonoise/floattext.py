@@ -1,4 +1,4 @@
-"""Exact, vectorized dataset text for float64 and integer columns: CSV's '%.17g' and '%d', and JSON's repr, out; the same doubles back in.
+"""Exact, vectorized dataset text for float64 columns: CSV's '%.17g' and JSON's repr out, the same doubles back in.
 
 Writing. The 17 significant digits of a double v are round-half-even of
 |v| 10^(16 - E), E its decimal exponent. For the fixed notation '%.17g' uses,
@@ -34,7 +34,7 @@ column count) sends the whole read back to np.loadtxt, and a JSON samples
 array holding anything but the writer's rows of JSON numbers (other spacing,
 NaN, another column count, trailing bytes) sends the whole file back to
 json.loads. So every byte written and every double read are those of
-'%.17g' % v, '%d' % i, repr(v), np.loadtxt and json.loads.
+'%.17g' % v, repr(v), np.loadtxt and json.loads.
 """
 
 from __future__ import annotations
@@ -49,12 +49,12 @@ import numpy as np
 READ_CHARS = 1 << 17
 #: Bytes before each piece of text read, so that every field has a full window of words before its end.
 PAD = 24
-#: Bytes of the longest text of a value: '%.17g' or repr of a double, '%d' of an int64.
+#: Bytes of the longest text of a value: '%.17g' or repr of a double.
 FIELD = 24
 #: Exact doubles 10^k, k = 0..22.
 POW10 = np.array([float(10**k) for k in range(23)])
-#: Integer powers 10^k, k = 0..18.
-IPOW10 = 10 ** np.arange(19, dtype=np.int64)
+#: Integer powers 10^k, k = 0..17.
+IPOW10 = 10 ** np.arange(18, dtype=np.int64)
 #: Veltkamp's constant 2^27 + 1, which splits a double into two 26-bit halves.
 SPLIT = 134217729.0
 #: Decimal exponents with fixed notation in '%.17g'; repr's stops at E_MAX - 1.
@@ -189,14 +189,6 @@ def _shortest_digits(v: np.ndarray):
     return d, e, outside
 
 
-def _int_digits(v: np.ndarray):
-    """Significand D = |v| 10^(16 - E) and E = digits - 1 of each integer, and a mask of |v| >= 10^17."""
-    outside = (v >= IPOW10[17]) | (v <= -IPOW10[17])
-    a = np.abs(np.where(outside, 0, v)).astype(np.int64)
-    e = np.maximum(np.searchsorted(IPOW10[:18], a, side="right") - 1, 0)
-    return a * IPOW10[16 - e], e, outside
-
-
 def _digit_bytes(d: np.ndarray) -> np.ndarray:
     """The 17 ASCII digits of each int64 0 <= d < 10^17, leading zeros included."""
     out = np.empty((d.size, 17), dtype=np.uint8)
@@ -215,23 +207,19 @@ def _digit_bytes(d: np.ndarray) -> np.ndarray:
 def _format_column(v: np.ndarray, out: np.ndarray, size: np.ndarray, shortest: bool) -> None:
     """Write the text of each value of v into the start of its row of out and its length into size.
 
-    The text is '%d' of an integer, and of a float '%.17g' or, if shortest,
-    repr: shortest digits, and '.0' after an integral value. Values are sorted
-    by sign and exponent, so that each such class lays out its digits with a
-    few slice copies, and the rows go back to their places at the end.
+    The text is '%.17g' or, if shortest, repr: shortest digits, and '.0'
+    after an integral value. Values are sorted by sign and exponent, so that
+    each such class lays out its digits with a few slice copies, and the rows
+    go back to their places at the end.
     """
-    integer = v.dtype.kind in "iu"
-    d, e, outside = (_int_digits if integer else _shortest_digits if shortest else _float_digits)(v)
-    neg = (v < 0) if integer else np.signbit(v)
-    cls = (neg * (E_MAX - E_MIN + 1) + (e - E_MIN)).astype(np.uint8)
+    d, e, outside = (_shortest_digits if shortest else _float_digits)(v)
+    cls = (np.signbit(v) * (E_MAX - E_MIN + 1) + (e - E_MIN)).astype(np.uint8)
     cls[outside] = 0
     order = np.argsort(cls, kind="stable")
     d = d[order]
     digits = _digit_bytes(d)
-    # digits left after trailing zeros are stripped; an integer prints none past its point
-    if integer:
-        sig = np.zeros(v.size, dtype=np.intp)
-    elif shortest:  # 17, 16 or 15 digits, the last not a zero (else one fewer reads back), or a zero
+    # digits left after trailing zeros are stripped
+    if shortest:  # 17, 16 or 15 digits, the last not a zero (else one fewer reads back), or a zero
         sig = np.where(d == 0, 0, 17 - (d % 10 == 0) - (d % 100 == 0))
     else:
         sig = np.full(v.size, 17)
@@ -264,7 +252,7 @@ def _format_column(v: np.ndarray, out: np.ndarray, size: np.ndarray, shortest: b
         start = stop
     out[order] = field
     size[order] = sig
-    text_of = "%d".__mod__ if integer else repr if shortest else "%.17g".__mod__
+    text_of = repr if shortest else "%.17g".__mod__
     left = np.flatnonzero(outside)
     if left.size:
         texts = [text_of(value).encode() for value in v[left].tolist()]
@@ -291,7 +279,7 @@ def _join(columns, delimiters, shortest: bool) -> np.ndarray:
 
 
 def format_rows(columns) -> np.ndarray:
-    """Text of the rows of the columns as a uint8 array: '%.17g' for a float column, '%d' for an integer one.
+    """Text of the rows of float columns as a uint8 array, each value as '%.17g'.
 
     The bytes are those of (fmt + "," + ... + fmt + "\\n") % row for every row.
     """

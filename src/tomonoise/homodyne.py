@@ -253,7 +253,7 @@ class QuadratureGridSampler:
     one-dimensional guide, and searchsorted for the samples it misses.
     """
 
-    def __init__(self, state: StateSpec, halfwidth: float | None = None, nodes: int = GRID_NODES):
+    def __init__(self, state: StateSpec, nodes: int = GRID_NODES):
         validate_state(state)
         if isinstance(state, Coherent):
             raise ValidationError("coherent states are sampled in closed form, not on a grid")
@@ -267,7 +267,7 @@ class QuadratureGridSampler:
                 f"photon number {top} has its turning point at |x| = {turning:.2f}, more than "
                 f"twice the |x| <= {HERMITE_REACH:.2f} that the number-basis recurrence resolves"
             )
-        self.halfwidth = float(halfwidth) if halfwidth is not None else 3.0 + 2.0 * math.sqrt(dim)
+        self.halfwidth = 3.0 + 2.0 * math.sqrt(dim)
         self.xgrid = np.linspace(-self.halfwidth, self.halfwidth, nodes)
         dx = self.xgrid[1] - self.xgrid[0]
         g = band_densities(bands, hermite_functions(dim - 1, self.xgrid))
@@ -276,8 +276,7 @@ class QuadratureGridSampler:
         if self.mass < 1.0 - GRID_MASS_TOL:
             raise NumericRangeError(
                 f"quadrature grid |x| <= {self.halfwidth:.2f} holds only mass {self.mass:.9f}; "
-                f"the number-basis recurrence resolves only |x| <= {HERMITE_REACH:.1f}, so a wider "
-                "halfwidth helps only below that"
+                f"the number-basis recurrence resolves only |x| <= {HERMITE_REACH:.1f}"
             )
         check_reach(bands[0][1])
         self.bands = [d for d, _ in bands[1:]]
@@ -417,6 +416,12 @@ def sample_homodyne(state: StateSpec, eta: float, n: int, seed: int, reduce=None
     None is returned.
     """
     n = sample_count(state, eta, n)
+    # Re(beta e^(-i phi)) reaches +-|beta| over [0, pi): the means fit in a double exactly when |beta| does
+    if isinstance(state, Coherent) and math.isinf(math.hypot(state.beta.real, state.beta.imag)):
+        raise NumericRangeError(
+            f"|beta| of beta = {state.beta!r} exceeds the largest double, so the quadrature means "
+            "Re(beta e^(-i phi)) leave the float range"
+        )
     invert = None if isinstance(state, Coherent) else QuadratureGridSampler(state).sample
 
     def draw(rng, count):
@@ -445,25 +450,21 @@ def sample_fixed_phase(
     return None if columns is None else columns[0]
 
 
-def write_csv(path, tag: str, eta: float, seed: int, header: str, columns) -> None:
-    """`# key=value` metadata lines, a header line, then one row per sample.
+def save_dataset_csv(dataset: Dataset, path) -> None:
+    """CSV with `# key=value` metadata lines, an `x,phi` header, then one row per sample.
 
-    A row is each column's value as '%.17g' for a float column and '%d' for an
-    integer one, comma-joined: the bytes np.savetxt writes for those formats.
-    floattext.format_rows makes them CSV_ROWS rows at a time.
+    A row is x and phi as '%.17g', comma-joined: the bytes np.savetxt writes
+    for that format. floattext.format_rows makes them CSV_ROWS rows at a time.
     """
     from .floattext import format_rows  # kept out of start-up
 
-    n = columns[0].size
+    n = dataset.n
+    head = f"# state={dataset.state_tag}\n# eta={dataset.eta!r}\n# seed={dataset.seed}\n# n={n}\nx,phi\n"
     with Path(path).open("wb") as fh:
-        fh.write(f"# state={tag}\n# eta={eta!r}\n# seed={seed}\n# n={n}\n{header}\n".encode())
+        fh.write(head.encode())
         for start in range(0, n, CSV_ROWS):
-            fh.write(format_rows([column[start : start + CSV_ROWS] for column in columns]))
-
-
-def save_dataset_csv(dataset: Dataset, path) -> None:
-    """CSV with `# key=value` metadata lines, an `x,phi` header, then one row per sample."""
-    write_csv(path, dataset.state_tag, dataset.eta, dataset.seed, "x,phi", [dataset.x, dataset.phi])
+            stop = start + CSV_ROWS
+            fh.write(format_rows([dataset.x[start:stop], dataset.phi[start:stop]]))
 
 
 def load_dataset_csv(path) -> Dataset:

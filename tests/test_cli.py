@@ -545,15 +545,27 @@ class TestErrorContract:
             assert "inf" not in path.read_text().lower()
 
     def test_overflow_on_the_pool(self, tmp_path, capsys, monkeypatch):
-        # The coherent mean overflows while the blocks are drawn on pool threads, which
-        # get numpy's error state, a context variable, only through run_blocks.
+        # A coherent |beta| past the largest double puts its quadrature means out of the float
+        # range: refused before any block is drawn. run_blocks' own test covers numpy's error
+        # state on pool threads.
         monkeypatch.setenv("TOMONOISE_MAX_WORKERS", "2")
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert main(["simulate", "--state", '{"type":"coherent","beta":[1.7976931348623157e308,1e308]}',
-                         "--n", str(2 * BLOCK_SIZE + 1), "--out", str(tmp_path / "r.csv")]) == 2
+                         "--n", str(2 * BLOCK_SIZE + 1), "--out", str(tmp_path / "r.csv")]) == 4
         lines = capsys.readouterr().err.strip().splitlines()
-        assert len(lines) == 1 and "must be finite" in json.loads(lines[0])["message"]
+        assert len(lines) == 1 and json.loads(lines[0])["error"] == "numeric-range"
+        assert "|beta|" in json.loads(lines[0])["message"]
+        assert not (tmp_path / "r.csv").exists()
+
+    def test_largest_coherent_mean_is_simulated(self, tmp_path):
+        # |beta| equal to the largest double still fits: its means reach it, never beyond
+        path = tmp_path / "r.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["simulate", "--state", '{"type":"coherent","beta":[1.7976931348623157e308,0]}',
+                         "--n", "1000", "--out", str(path)]) == 0
+        assert "inf" not in path.read_text()
 
     def test_non_finite_estimate(self, tmp_path, capsys):
         data = tmp_path / "d.csv"

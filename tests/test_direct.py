@@ -16,7 +16,7 @@ from tomonoise import (
     simulate_heterodyne,
     simulate_photocount,
 )
-from tomonoise.direct import POISSON_LAM_MAX, save_heterodyne_csv, save_photocount_csv
+from tomonoise.direct import POISSON_LAM_MAX
 from tomonoise.errors import NumericRangeError
 
 
@@ -133,26 +133,6 @@ class TestHeterodyne:
     def test_non_coherent_state_rejected(self):
         with pytest.raises(CapabilityError, match="amplitude_noise_direct"):
             simulate_heterodyne(Fock(1), 1.0, 100, 87)
-
-
-class TestRecordIo:
-    def test_photocount_csv(self, tmp_path):
-        rec = simulate_photocount(Fock(2), 0.9, 7, 91)
-        path = tmp_path / "counts.csv"
-        save_photocount_csv(rec, path)
-        lines = path.read_text().splitlines()
-        assert lines[0] == "# state=fock(n=2)"
-        assert lines[4] == "m"
-        assert len(lines) == 12
-
-    def test_heterodyne_csv(self, tmp_path):
-        rec = simulate_heterodyne(Coherent(1.0), 1.0, 5, 92)
-        path = tmp_path / "het.csv"
-        save_heterodyne_csv(rec, path)
-        lines = path.read_text().splitlines()
-        assert lines[4] == "re,im"
-        data = np.loadtxt(path, delimiter=",", skiprows=5)
-        assert np.allclose(data[:, 0] + 1j * data[:, 1], rec.alphas)
 
 
 def test_photocount_mean_up_to_numpy_poisson_limit():

@@ -1,4 +1,4 @@
-"""The codec against the converters it replaces: '%.17g' % v, '%d' % i, float() and np.loadtxt for CSV, json.dumps and json.loads for JSON."""
+"""The codec against the converters it replaces: '%.17g' % v, float() and np.loadtxt for CSV, json.dumps and json.loads for JSON."""
 
 import io
 import json
@@ -28,7 +28,7 @@ from tomonoise.homodyne import dataset_from_json
 
 def reference_rows(columns) -> bytes:
     """The loop the codec replaced: one '%' row per index."""
-    row = ",".join("%d" if c.dtype.kind in "iu" else "%.17g" for c in columns) + "\n"
+    row = ",".join(["%.17g"] * len(columns)) + "\n"
     return "".join(row % values for values in zip(*(c.tolist() for c in columns))).encode()
 
 
@@ -95,15 +95,9 @@ class TestFormat:
         v = np.array([np.nan, np.inf, -np.inf, 1.5])
         assert format_rows([v]).tobytes() == b"nan\ninf\n-inf\n1.5\n"
 
-    @settings(max_examples=200, deadline=None)
-    @given(st.lists(st.integers(-(2**63), 2**63 - 1), min_size=1, max_size=50))
-    def test_integers_equal_percent_d(self, values):
-        v = np.array(values, dtype=np.int64)
-        assert format_rows([v]).tobytes() == reference_rows([v])
-
     def test_mixed_columns_and_empty_slice(self):
         rng = np.random.default_rng(3)
-        columns = [rng.normal(size=1000), rng.integers(0, 40, 1000), rng.uniform(size=1000)]
+        columns = [rng.normal(size=1000), rng.uniform(size=1000)]
         assert format_rows(columns).tobytes() == reference_rows(columns)
         assert format_rows([np.empty(0), np.empty(0)]).tobytes() == b""
 
@@ -258,8 +252,8 @@ class TestDatasetFiles:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             format_rows([np.array([np.nan, np.inf, -np.inf])])
-            text = format_rows([v, rng.integers(-(2**62), 2**62, v.size)]).tobytes()
-            assert parse(text.decode(), 2) is not None
+            text = format_rows([v]).tobytes()
+            assert parse(text.decode(), 1) is not None
             ds = Dataset(rng.normal(size=5000), rng.uniform(0.0, 3.0, 5000), 0.8, "t", 1)
             save_dataset_csv(ds, path)
             load_dataset_csv(path)

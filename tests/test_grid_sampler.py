@@ -31,9 +31,9 @@ X_TOL = 1e-9
 class BisectionSampler:
     """Reference: per-sample bisection over complex band CDFs, combined by einsum."""
 
-    def __init__(self, state, halfwidth=None, nodes=GRID_NODES):
+    def __init__(self, state, nodes=GRID_NODES):
         dim = state.dim
-        self.halfwidth = float(halfwidth) if halfwidth is not None else 3.0 + 2.0 * math.sqrt(dim)
+        self.halfwidth = 3.0 + 2.0 * math.sqrt(dim)
         self.xgrid = np.linspace(-self.halfwidth, self.halfwidth, nodes)
         dx = self.xgrid[1] - self.xgrid[0]
         psi = hermite_functions(dim - 1, self.xgrid)

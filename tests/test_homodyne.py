@@ -4,6 +4,7 @@ import os
 import sys
 import threading
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -27,7 +28,6 @@ from tomonoise import (
     simulate_photocount,
 )
 from tomonoise import homodyne
-from tomonoise.direct import save_heterodyne_csv, save_photocount_csv
 from tomonoise.errors import CapabilityError, NumericRangeError
 from tomonoise.homodyne import (
     BLOCK_SIZE,
@@ -130,10 +130,6 @@ class TestDistributions:
         centers = 0.5 * (edges[:-1] + edges[1:])
         pdf = quadrature_pdf(state, phi, 0.4, centers)
         assert np.max(np.abs(counts / (xs.size * np.diff(edges)) - pdf)) < 0.02
-
-    def test_grid_extent_error(self):
-        with pytest.raises(NumericRangeError, match="halfwidth"):
-            QuadratureGridSampler(Fock(30), halfwidth=2.0)
 
     @pytest.mark.parametrize("n", [1000, 2000])
     def test_high_fock_levels_fail_the_mass_check(self, n):
@@ -352,10 +348,6 @@ class TestPinnedBytes:
         state, path = Coherent(1.5 + 0.5j), tmp_path / "r.csv"
         save_dataset_csv(sample_homodyne(state, 0.8, 20_000, 17), path)
         assert file_sha256(path) == "09e69a420e0a17e0fbfdbd8101a6091b394b314d794b3e86b6aa8935eac01217"
-        save_photocount_csv(simulate_photocount(state, 0.8, 20_000, 17), path)
-        assert file_sha256(path) == "e33cf55c1f7e1c7cebf265b1b68a3692a15ade971c19e1fd44a6070679f11a70"
-        save_heterodyne_csv(simulate_heterodyne(state, 0.8, 20_000, 17), path)
-        assert file_sha256(path) == "7e21565e7b163a6c568bc366dec4a68f35dfa8062470959e53592b9f474e8dd6"
 
 
 class TestJsonPins:
@@ -499,6 +491,17 @@ class TestRunBlocks:
 
         with pytest.raises(NumericRangeError, match="block 2"):
             run_blocks(3 * BLOCK_SIZE, draw, lambda result: None)
+
+    def test_pool_threads_keep_the_callers_error_state(self, monkeypatch):
+        # numpy keeps errstate in a context variable, which pool threads see only through run_blocks
+        monkeypatch.setattr(homodyne, "worker_count", lambda: 2)
+
+        def draw(block, count):
+            return np.full(count, 1e308) * 10.0
+
+        with warnings.catch_warnings(), np.errstate(all="ignore"):
+            warnings.simplefilter("error")
+            run_blocks(4 * BLOCK_SIZE, draw, lambda result: None)
 
     def test_worker_count(self, monkeypatch):
         cpus = len(os.sched_getaffinity(0))
