@@ -1,8 +1,6 @@
 """Homodyne-tomography noise toolkit for single-mode optical states."""
 
 from .direct import (
-    HeterodyneRecord,
-    PhotocountRecord,
     amplitude_noise_direct,
     heterodyne_phase_variance,
     intensity_variance_direct,

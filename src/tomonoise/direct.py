@@ -1,14 +1,15 @@
 """Direct-detection counterparts of the tomographic estimators.
 
-Photon counting (Bernoulli-thinned number statistics), fixed-phase homodyne,
-and heterodyne detection of coherent states, plus the corresponding analytic
-variances computed from exact state moments.
+Photon counting (Bernoulli-thinned number statistics) and heterodyne detection
+of coherent states, each returning its outcome array (int64 counts, complex128
+alphas) or streaming it block by block into a reduce callable, plus the
+analytic variances of photon counting, fixed-phase homodyne and heterodyne
+detection computed from exact state moments.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -25,7 +26,6 @@ from .states import (
     normal_moment,
     photon_distribution,
     smearing_variance,
-    state_tag,
     validate_state,
 )
 
@@ -34,46 +34,10 @@ from .states import (
 POISSON_LAM_MAX = 9.223372006484771e18
 
 
-@dataclass
-class PhotocountRecord:
-    counts: np.ndarray
-    eta: float
-    seed: int
-    state_tag: str
-
-    def __post_init__(self):
-        self.counts = np.asarray(self.counts, dtype=np.int64)
-        if self.counts.ndim != 1 or self.counts.size < 1 or (self.counts < 0).any():
-            raise ValidationError("counts must be a nonempty array of nonnegative integers")
-        _check_eta(self.eta)
-
-    @property
-    def n(self) -> int:
-        return self.counts.size
-
-
-@dataclass
-class HeterodyneRecord:
-    alphas: np.ndarray
-    eta: float
-    seed: int
-    state_tag: str
-
-    def __post_init__(self):
-        self.alphas = np.asarray(self.alphas, dtype=complex)
-        if self.alphas.ndim != 1 or self.alphas.size < 1 or not np.isfinite(self.alphas).all():
-            raise ValidationError("alphas must be a nonempty array of finite complex numbers")
-        _check_eta(self.eta)
-
-    @property
-    def n(self) -> int:
-        return self.alphas.size
-
-
 def simulate_photocount(
     state: StateSpec, eta: float, n: int, seed: int, reduce=None
-) -> PhotocountRecord | None:
-    """Draw true photon numbers, then thin each binomially with success probability eta.
+) -> np.ndarray | None:
+    """The int64 counts of n detections: true photon numbers, each thinned binomially by eta.
 
     With reduce, each block goes to reduce(counts) instead (see
     homodyne.generate), and None is returned.
@@ -98,7 +62,7 @@ def simulate_photocount(
         return (true if eta == 1.0 else rng.binomial(true, eta),)
 
     columns = generate(n, seed, PURPOSE_PHOTOCOUNT, draw, reduce, (np.int64,))
-    return None if columns is None else PhotocountRecord(columns[0], eta, int(seed), state_tag(state))
+    return None if columns is None else columns[0]
 
 
 def intensity_variance_direct(state: StateSpec, eta: float) -> float:
@@ -121,21 +85,23 @@ def quadrature_variance_direct(state: StateSpec, eta: float) -> float:
 
 def simulate_heterodyne(
     state: StateSpec, eta: float, n: int, seed: int, reduce=None
-) -> HeterodyneRecord | None:
-    """Joint two-quadrature detection of a coherent state.
+) -> np.ndarray | None:
+    """The complex128 outcomes of n joint two-quadrature detections of a coherent state.
 
     Each outcome is alpha = beta + g with g complex Gaussian of per-quadrature
     variance 1/(2 eta), so mean |alpha|^2 - |beta|^2 = 1/eta. Only coherent
-    states are supported; for anything else use amplitude_noise_direct. With
-    reduce, each block goes to reduce(alphas) instead (see homodyne.generate),
-    and None is returned.
+    states are supported; for any state, analytic_comparison(ComplexAmplitude(),
+    state, eta) gives the analytic comparison and amplitude_noise_direct the
+    direct noise pair. With reduce, each block goes to reduce(alphas) instead
+    (see homodyne.generate), and None is returned.
     """
     if not isinstance(state, Coherent):
         validate_state(state)  # a non-state or a bad eta is reported before the capability
         _check_eta(eta)
         raise CapabilityError(
-            "heterodyne simulation supports coherent states only; "
-            "use amplitude_noise_direct for the analytic comparison"
+            "heterodyne simulation supports coherent states only; for any state, "
+            "analytic_comparison(ComplexAmplitude(), state, eta) gives the analytic comparison "
+            "and amplitude_noise_direct the direct noise pair"
         )
     n = sample_count(state, eta, n)
     sigma = math.sqrt(1.0 / (2.0 * eta))
@@ -144,7 +110,7 @@ def simulate_heterodyne(
         return (state.beta + rng.normal(0.0, sigma, k) + 1j * rng.normal(0.0, sigma, k),)
 
     columns = generate(n, seed, PURPOSE_HETERODYNE, draw, reduce, (complex,))
-    return None if columns is None else HeterodyneRecord(columns[0], eta, int(seed), state_tag(state))
+    return None if columns is None else columns[0]
 
 
 def amplitude_noise_direct(state: StateSpec, eta: float) -> tuple[float, float]:
@@ -161,11 +127,15 @@ def amplitude_noise_direct(state: StateSpec, eta: float) -> tuple[float, float]:
     return 0.5 * (base + split), 0.5 * (base - split)
 
 
-def heterodyne_phase_variance(record: HeterodyneRecord) -> float:
-    """Population variance of arg(alpha) over a heterodyne record."""
-    if record.n < 1:
-        raise ValidationError("empty heterodyne record")
+def heterodyne_phase_variance(alphas: np.ndarray) -> float:
+    """Population variance of arg(alpha) over heterodyne outcomes alphas."""
+    try:
+        alphas = np.asarray(alphas, dtype=complex)
+    except (TypeError, ValueError) as exc:
+        raise ValidationError(f"alphas must be complex numbers: {exc}") from exc
+    if alphas.ndim != 1 or alphas.size < 1 or not np.isfinite(alphas).all():
+        raise ValidationError("alphas must be a nonempty 1-D array of finite complex numbers")
     acc = StreamingMoments()
-    accumulate(acc.update, record.n, lambda sl: np.angle(record.alphas[sl]))
+    accumulate(acc.update, alphas.size, lambda sl: np.angle(alphas[sl]))
     return acc.population_variance
 

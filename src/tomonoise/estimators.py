@@ -7,7 +7,6 @@ answer; this keeps very long runs numerically stable.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import asdict, dataclass
 
@@ -141,12 +140,6 @@ def complex_estimate_to_json(est: ComplexEstimate) -> dict:
     }
 
 
-def estimate_from_json(obj) -> Estimate:
-    if isinstance(obj, str):
-        obj = json.loads(obj)
-    return Estimate(float(obj["value"]), float(obj["stderr"]), int(obj["n"]))
-
-
 def accumulate(update, n: int, values) -> None:
     """Call update(values(sl)) for each CHUNK-long slice sl of range(n), in order.
 
@@ -215,10 +208,6 @@ class PhaseHistogram:
 
     masses: np.ndarray
     edges: np.ndarray
-
-    @property
-    def centers(self) -> np.ndarray:
-        return 0.5 * (self.edges[:-1] + self.edges[1:])
 
     @property
     def widths(self) -> np.ndarray:

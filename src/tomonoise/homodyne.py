@@ -503,7 +503,17 @@ def dataset_from_json(obj) -> Dataset:
         if samples.size == 0:
             raise ValidationError("dataset JSON holds no samples")
         x, phi = samples[:, 0], samples[:, 1]
-        eta, tag, seed = float(obj["eta"]), obj["state_tag"], int(obj["seed"])
+        eta, tag, seed = obj["eta"], obj["state_tag"], obj["seed"]
+        # float() and int() alone would read true as 1, "0.8" as 0.8 and a seed of 1.5 as 1
+        if isinstance(eta, bool) or not isinstance(eta, (int, float)):
+            raise ValidationError(f"dataset JSON eta must be a number, got {eta!r}")
+        if isinstance(seed, bool) or not isinstance(seed, (int, float)) or (
+            isinstance(seed, float) and not seed.is_integer()
+        ):
+            raise ValidationError(f"dataset JSON seed must be an integer, got {seed!r}")
+        if not isinstance(tag, str):
+            raise ValidationError(f"dataset JSON state_tag must be a string, got {tag!r}")
+        eta, seed = float(eta), int(seed)
     except (KeyError, IndexError, TypeError, ValueError, OverflowError) as exc:
         raise ValidationError(f"malformed dataset JSON: {exc}") from exc
     return Dataset(x, phi, eta, tag, seed)

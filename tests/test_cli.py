@@ -467,6 +467,15 @@ class TestErrorContract:
         assert len(lines) == 1 and "integer" in json.loads(lines[0])["message"]
         assert not (tmp_path / "out.json").exists()
 
+    def test_dataset_json_metadata_of_the_wrong_type(self, tmp_path, capsys):
+        data = tmp_path / "d.json"
+        data.write_text(json.dumps({"state_tag": "t", "eta": True, "seed": 1, "n": 1, "samples": [[0.5, 1.25]]}))
+        out = tmp_path / "out.json"
+        assert main(["estimate", "--data", str(data), "--observable", "intensity", "--out", str(out)]) == 2
+        lines = capsys.readouterr().err.strip().splitlines()
+        assert len(lines) == 1 and "eta must be a number" in json.loads(lines[0])["message"]
+        assert not out.exists()
+
     @pytest.mark.parametrize("key, value", [("n", 2.7), ("n", True), ("seed", 2.5), ("seed", False)])
     def test_non_integral_config_value(self, tmp_path, capsys, key, value):
         cfg = tmp_path / "run.json"

@@ -208,13 +208,6 @@ class TestPhaseDistribution:
             phase_kernel_distribution(ds, 4)
 
 
-def test_estimate_json_round_trip():
-    from tomonoise.estimators import Estimate, estimate_from_json, estimate_to_json
-
-    est = Estimate(1.25, 0.003, 1000)
-    assert estimate_from_json(estimate_to_json(est)) == est
-
-
 class TestAccumulators:
     def test_real_merge_matches_sequential(self, rng):
         values = rng.normal(3.0, 2.0, 100_001)

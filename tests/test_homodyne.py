@@ -1,4 +1,5 @@
 import hashlib
+import json
 import math
 import os
 import sys
@@ -232,6 +233,31 @@ class TestGeneratorArguments:
 
 
 class TestIo:
+    @pytest.mark.parametrize(
+        "key, value, match",
+        [
+            ("eta", True, "eta must be a number"),
+            ("eta", "0.8", "eta must be a number"),
+            ("seed", 1.5, "seed must be an integer"),
+            ("seed", True, "seed must be an integer"),
+            ("seed", "7", "seed must be an integer"),
+            ("state_tag", 5, "state_tag must be a string"),
+        ],
+        ids=["eta-bool", "eta-string", "seed-fraction", "seed-bool", "seed-string", "tag-number"],
+    )
+    def test_json_metadata_of_the_wrong_type_refused(self, tmp_path, key, value, match):
+        meta = {"state_tag": "t", "eta": 0.8, "seed": 1, "n": 1, key: value}
+        path = tmp_path / "d.json"
+        path.write_text(json.dumps({**meta, "samples": [[0.5, 1.25]]}))
+        with pytest.raises(ValidationError, match=match):
+            load_dataset_json(path)
+
+    def test_json_integral_metadata_reads(self, tmp_path):
+        path = tmp_path / "d.json"
+        path.write_text(json.dumps({"state_tag": "t", "eta": 1, "seed": 7.0, "n": 1, "samples": [[0.5, 1.25]]}))
+        back = load_dataset_json(path)
+        assert (back.eta, back.seed) == (1.0, 7) and type(back.eta) is float and type(back.seed) is int
+
     def test_csv_round_trip(self, tmp_path):
         ds = sample_homodyne(Coherent(1.0), 0.7, 500, 21)
         path = tmp_path / "d.csv"
@@ -337,10 +363,10 @@ class TestPinnedBytes:
         ids=["coherent", "coherent-eta1", "fock3", "diagonal"],
     )
     def test_simulate_photocount(self, state, eta, digest):
-        assert sha256(simulate_photocount(state, eta, self.N, 17).counts, dtype="<i8") == digest
+        assert sha256(simulate_photocount(state, eta, self.N, 17), dtype="<i8") == digest
 
     def test_simulate_heterodyne(self):
-        alphas = simulate_heterodyne(Coherent(1.5 + 0.5j), 0.8, self.N, 17).alphas
+        alphas = simulate_heterodyne(Coherent(1.5 + 0.5j), 0.8, self.N, 17)
         digest = "334914e931d96a7fbe252aba02702c496994cd3fd8c50f56b113f1ef9862b4ad"
         assert sha256(alphas, dtype="<c16") == digest
 
@@ -423,8 +449,8 @@ def _generator_digests():
         sha256(ds.x, ds.phi),
         sha256(sample_homodyne(Coherent(1.0 - 0.5j), 0.8, n, 23).x),
         sha256(sample_fixed_phase(state, 0.8, n, 23, phi=0.4)),
-        sha256(simulate_photocount(Coherent(2.0), 0.8, n, 23).counts, dtype="<i8"),
-        sha256(simulate_heterodyne(Coherent(2.0), 0.8, n, 23).alphas, dtype="<c16"),
+        sha256(simulate_photocount(Coherent(2.0), 0.8, n, 23), dtype="<i8"),
+        sha256(simulate_heterodyne(Coherent(2.0), 0.8, n, 23), dtype="<c16"),
     ]
 
 

@@ -182,7 +182,7 @@ class TestEmpiricalComparison:
         ds = sample_homodyne(state, eta, n, seed)
         tomo = kernel_observable(obs, eta, ds.x, ds.phi)
         if isinstance(obs, Intensity):
-            direct = simulate_photocount(state, eta, n, seed).counts / eta
+            direct = simulate_photocount(state, eta, n, seed) / eta
         else:
             direct = sample_fixed_phase(state, eta, n, seed)
         for got, want, values in ((row.tomographic_variance, ana.tomographic_variance, tomo),
@@ -387,12 +387,12 @@ class TestStreamingComparison:
         state, eta, n, seed = Coherent(1.5 + 0.5j), 0.8, 3 * BLOCK_SIZE + 5, 29
         ref = {}
         acc = StreamingMoments()
-        acc.update(simulate_photocount(state, eta, n, seed).counts / eta)
+        acc.update(simulate_photocount(state, eta, n, seed) / eta)
         ref["intensity"] = acc.population_variance
         acc = StreamingMoments()
         acc.update(sample_fixed_phase(state, eta, n, seed))
         ref["real_field"] = acc.population_variance
-        alphas = simulate_heterodyne(state, eta, n, seed).alphas
+        alphas = simulate_heterodyne(state, eta, n, seed)
         acc = ComplexStreamingMoments()
         acc.update(alphas)
         plus, minus = acc.covariance_eigenvalues
@@ -471,8 +471,8 @@ class TestStreamingComparison:
         whole = {
             "sample_homodyne": [ds.x, ds.phi],
             "sample_fixed_phase": [generators["sample_fixed_phase"]()],
-            "simulate_photocount": [generators["simulate_photocount"]().counts],
-            "simulate_heterodyne": [generators["simulate_heterodyne"]().alphas],
+            "simulate_photocount": [generators["simulate_photocount"]()],
+            "simulate_heterodyne": [generators["simulate_heterodyne"]()],
         }
 
         def check():
