@@ -1,13 +1,6 @@
 """Homodyne-tomography noise toolkit for single-mode optical states."""
 
-from .direct import (
-    amplitude_noise_direct,
-    heterodyne_phase_variance,
-    intensity_variance_direct,
-    quadrature_variance_direct,
-    simulate_heterodyne,
-    simulate_photocount,
-)
+from .direct import heterodyne_phase_variance, simulate_heterodyne, simulate_photocount
 from .errors import CapabilityError, NumericRangeError, TomonoiseError, ValidationError
 from .estimators import (
     ComplexEstimate,
@@ -46,9 +39,12 @@ from .kernels import (
 from .noise import (
     NoiseComparison,
     added_noise_analytic,
+    amplitude_noise_direct,
     analytic_comparison,
     empirical_comparison,
+    intensity_variance_direct,
     noise_ratio_coherent,
+    quadrature_variance_direct,
     sweep,
     write_sweep_csv,
 )

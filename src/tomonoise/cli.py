@@ -4,14 +4,16 @@ Every run writes its resolved configuration (defaults filled in) next to the
 result file as <out>.config.json: the keys its command reads (_COMMAND_KEYS),
 command, max_workers and a timestamp. The timestamp, the only non-reproducible
 field, lives there and never in result files. Values from --config win over
-conflicting command-line flags; a run that succeeds then warns on stderr once
-per overridden flag, and a run that fails prints only its error line.
+conflicting command-line flags, state and state_file as one setting; a run
+that succeeds then warns on stderr once per flag whose value the file
+changed, and a run that fails prints only its error line.
 
 Exit codes: 0 success, 2 config error, 3 capability error, 4 numeric-range
 error, 5 I/O error; every error is one JSON line on stderr. Usage errors (a
 flag its command does not read, a missing subcommand, a flag value argparse
 cannot read), config-file keys that no command reads and config-file values of
-the wrong type are config errors. A config file may hold the keys of other
+the wrong JSON type (eta a number, n and seed integers, grids lists of
+numbers or strings) are config errors. A config file may hold the keys of other
 commands, unread and unchecked, so that one file serves several, and a sidecar
 replayed as --config reproduces its run. A record too large to allocate, and
 any other MemoryError, is a numeric-range error, and so is a comparison or
@@ -135,10 +137,17 @@ def build_parser() -> argparse.ArgumentParser:
 MAX_GRID_POINTS = 100_000
 
 
+def _is_number(value) -> bool:
+    """A JSON number: float() and int() alone would also read true and "0.5"."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 def _parse_grid(text) -> list[float]:
-    """Finite numbers from a list, a comma list, or a min:max:step range."""
+    """Finite numbers from a list of numbers, a comma list, or a min:max:step range."""
     try:
         if isinstance(text, (list, tuple)):
+            if not all(map(_is_number, text)):
+                raise TypeError("a grid list holds numbers only")
             values = [float(v) for v in text]
         elif ":" in str(text):
             lo, hi, step = (float(v) for v in str(text).split(":"))
@@ -147,7 +156,7 @@ def _parse_grid(text) -> list[float]:
         else:
             values = [float(v) for v in str(text).split(",")]
     except (TypeError, ValueError, OverflowError) as exc:
-        raise ValueError(f"grid {text!r} is not a comma list of numbers or a min:max:step range") from exc
+        raise ValueError(f"grid {text!r} is not a list of numbers, a comma list or a min:max:step range") from exc
     if values is None:
         raise ValueError(
             f"bad grid range {text!r}: need step > 0, max >= min and at most {MAX_GRID_POINTS} points"
@@ -163,9 +172,15 @@ def _text(value) -> str:
     return value
 
 
+def _number(value) -> float:
+    if not _is_number(value):
+        raise TypeError(f"expected a number, got {value!r}")
+    return float(value)
+
+
 def _integer(value) -> int:
-    # int() alone would turn 2.7 into 2 and true into 1
-    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
+    # int() alone would also turn 2.7 into 2
+    if not _is_number(value) or (isinstance(value, float) and not value.is_integer()):
         raise ValueError(f"expected an integer, got {value!r}")
     return int(value)
 
@@ -177,7 +192,7 @@ def _integer(value) -> int:
 _KEYS = {
     "state": (lambda value: state_from_json(value), None, None),
     "observable": (observable_from_json, None, {"help": "observable name or inline JSON"}),
-    "eta": (float, 1.0, {"type": float, "help": "quantum efficiency in (0, 1]"}),
+    "eta": (_number, 1.0, {"type": float, "help": "quantum efficiency in (0, 1]"}),
     "n": (_integer, 10000, {"type": int, "help": "sample count (per point of an empirical sweep)"}),
     "seed": (_integer, 0, {"type": int, "help": "64-bit RNG seed"}),
     "out": (_text, "", {"help": "output path"}),
@@ -198,12 +213,35 @@ def _read(key: str, value, reader):
         raise ValidationError(f"{key}: {exc}") from exc
 
 
-def resolve_config(args: argparse.Namespace, overridden: list) -> dict:
-    """Merge flags and config file into the run's config; flags the file replaced go to overridden.
+def _json_value(key: str, value):
+    """The JSON value of a state or observable given as text (an observable may be a bare name)."""
+    if not isinstance(value, str):
+        return value
+    text = value.strip()
+    if key == "observable" and not text.startswith("{"):
+        return {"observable": text}
+    return json.loads(text)
 
-    The config holds command, the keys its command reads in _KEYS order with the
-    defaults filled in, the state as a StateSpec and the observable as an
-    Observable, and max_workers.
+
+def _same(key: str, flag, value) -> bool:
+    """Whether a flag and a config-file value give the same setting, without parsing a state."""
+    try:
+        if key in ("eta_list", "nbar_grid"):
+            return _parse_grid(flag) == _parse_grid(value)
+        if key in ("state", "observable"):
+            return _json_value(key, flag) == _json_value(key, value)
+    except ValueError:  # json.JSONDecodeError too
+        return False
+    return flag == value
+
+
+def resolve_config(args: argparse.Namespace, overridden: list) -> dict:
+    """Merge flags and config file into the run's config; flags whose value the file changed go to overridden.
+
+    state and state_file are one setting: if the file holds either, it replaces
+    both flags. The config holds command, the keys its command reads in _KEYS
+    order with the defaults filled in, the state as a StateSpec and the
+    observable as an Observable, and max_workers.
     """
     file_cfg = {}
     if getattr(args, "config", None):
@@ -222,10 +260,11 @@ def resolve_config(args: argparse.Namespace, overridden: list) -> dict:
     merged = {}
     for key in (keys + ("state_file",) if "state" in keys else keys):
         flag_val = getattr(args, key)
-        if key in file_cfg:
-            if flag_val is not None and file_cfg[key] != flag_val:
+        setting = ("state", "state_file") if key in ("state", "state_file") else (key,)
+        if file_cfg.keys() & set(setting):
+            if flag_val is not None and not _same(key, flag_val, file_cfg.get(key)):
                 overridden.append(key)
-            merged[key] = file_cfg[key]
+            merged[key] = file_cfg.get(key)
         else:
             merged[key] = flag_val
 

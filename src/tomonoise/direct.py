@@ -1,10 +1,11 @@
-"""Direct-detection counterparts of the tomographic estimators.
+"""Direct-detection simulators: the detectors the tomographic estimators are compared with.
 
 Photon counting (Bernoulli-thinned number statistics) and heterodyne detection
 of coherent states, each returning its outcome array (int64 counts, complex128
-alphas) or streaming it block by block into a reduce callable, plus the
-analytic variances of photon counting, fixed-phase homodyne and heterodyne
-detection computed from exact state moments.
+alphas) or streaming it block by block into a reduce callable, and the phase
+variance of heterodyne outcomes. Fixed-phase homodyne is
+homodyne.sample_fixed_phase. The closed-form direct-detection variances live
+with the tomographic ones in noise.py.
 """
 
 from __future__ import annotations
@@ -22,10 +23,7 @@ from .states import (
     Mixed,
     StateSpec,
     _check_eta,
-    mean_photon,
-    normal_moment,
     photon_distribution,
-    smearing_variance,
     validate_state,
 )
 
@@ -65,24 +63,6 @@ def simulate_photocount(
     return None if columns is None else columns[0]
 
 
-def intensity_variance_direct(state: StateSpec, eta: float) -> float:
-    """Variance of the rescaled photocurrent n/eta: <dn^2> + nbar (1/eta - 1)."""
-    _check_eta(eta)
-    nbar = mean_photon(state)
-    n2 = nbar + normal_moment(state, 2, 2).real
-    return (n2 - nbar * nbar) + nbar * (1.0 / eta - 1.0)
-
-
-def quadrature_variance_direct(state: StateSpec, eta: float) -> float:
-    """Variance of fixed-phase homodyne: <dx^2> + (1 - eta)/(4 eta)."""
-    _check_eta(eta)
-    nbar = mean_photon(state)
-    a1 = normal_moment(state, 0, 1)
-    a2 = normal_moment(state, 0, 2)
-    x2 = (2.0 * a2.real + 2.0 * nbar + 1.0) / 4.0
-    return (x2 - a1.real**2) + smearing_variance(eta)
-
-
 def simulate_heterodyne(
     state: StateSpec, eta: float, n: int, seed: int, reduce=None
 ) -> np.ndarray | None:
@@ -111,20 +91,6 @@ def simulate_heterodyne(
 
     columns = generate(n, seed, PURPOSE_HETERODYNE, draw, reduce, (complex,))
     return None if columns is None else columns[0]
-
-
-def amplitude_noise_direct(state: StateSpec, eta: float) -> tuple[float, float]:
-    """Covariance eigenvalues of ideal two-quadrature detection.
-
-    (1/2) [nbar + 1/eta - |<a>|^2 +/- |<a^2> - <a>^2|], largest first.
-    """
-    _check_eta(eta)
-    nbar = mean_photon(state)
-    a1 = normal_moment(state, 0, 1)
-    a2 = normal_moment(state, 0, 2)
-    base = nbar + 1.0 / eta - abs(a1) ** 2
-    split = abs(a2 - a1 * a1)
-    return 0.5 * (base + split), 0.5 * (base - split)
 
 
 def heterodyne_phase_variance(alphas: np.ndarray) -> float:

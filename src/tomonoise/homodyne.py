@@ -61,6 +61,10 @@ PURPOSE_FIXED_PHASE = 4
 
 def block_generator(seed: int, purpose: int, block: int) -> np.random.Generator:
     """Philox generator for one sample block; key = (seed, purpose << 48 | block)."""
+    # np.uint64() alone would turn 1.5 into 1 and True into 1
+    integer = isinstance(seed, (int, np.integer)) and not isinstance(seed, bool)
+    if not (integer or isinstance(seed, (float, np.floating)) and float(seed).is_integer()):
+        raise ValidationError(f"seed must be an integer, got {seed!r}")
     if not 0 <= seed < 1 << 64:
         raise ValidationError(f"seed must lie in [0, 2**64), got {seed}")
     key = np.array([np.uint64(seed), np.uint64((purpose << 48) | block)], dtype=np.uint64)
@@ -119,7 +123,7 @@ def sample_count(state: StateSpec, eta: float, n) -> int:
     """The checks every generator starts with: a state, an efficiency in (0, 1], and n as an int >= 1."""
     validate_state(state)
     _check_eta(eta)
-    if int(n) != n or n < 1:
+    if isinstance(n, (bool, np.bool_)) or int(n) != n or n < 1:
         raise ValidationError(f"sample count must be a positive integer, got {n}")
     return int(n)
 

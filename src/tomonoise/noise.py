@@ -7,18 +7,22 @@ complex amplitude both variances are the mean covariance eigenvalue of the
 outcome cloud, which makes the added noise exactly nbar/2 for every state and
 efficiency.
 
-_analytic is the one analytic dispatch: for each observable it gives the
-exact (tomographic, direct) pair from the state's moments (analytic_variances)
-and the closed form of their difference (added_noise_analytic). Its phase
-branch uses the bright-state limits, variance pi^2/12 for tomography and
-1/(2 eta nbar) for heterodyne (_bright_phase), for coherent states of mean
-photon number at least PHASE_ASYMPTOTIC_NBAR; the analytic sweep also writes
-them below it, marked asymptotic. Every comparison row, analytic or
-empirical, is built by _row, and every row is finite or refused. A direct
-variance of zero (the intensity of a Fock state at eta = 1, or any empirical
-comparison with n = 1) raises CapabilityError naming it; variances, a ratio or
-a mean photon number out of the float range, or a ratio that underflows to 0,
-raise NumericRangeError. Strict JSON cannot carry inf.
+Every closed form lives here. _analytic is the one analytic dispatch: for
+each observable it gives the exact (tomographic, direct) pair from the state's
+moments (analytic_variances) and the closed form of their difference
+(added_noise_analytic). The direct variances of photon counting and
+fixed-phase homodyne, intensity_variance_direct and quadrature_variance_direct,
+are views of it; amplitude_noise_direct gives the two covariance eigenvalues
+of heterodyne detection, whose mean is the complex amplitude's direct side.
+_analytic's phase branch uses the bright-state limits, variance pi^2/12 for
+tomography and 1/(2 eta nbar) for heterodyne (_bright_phase), for coherent
+states of mean photon number at least PHASE_ASYMPTOTIC_NBAR; the analytic
+sweep also writes them below it, marked asymptotic. Every comparison row,
+analytic or empirical, is built by _row, and every row is finite or refused.
+A direct variance of zero (the intensity of a Fock state at eta = 1, or any
+empirical comparison with n = 1) raises CapabilityError naming it; variances,
+a ratio or a mean photon number out of the float range, or a ratio that
+underflows to 0, raise NumericRangeError. Strict JSON cannot carry inf.
 """
 
 from __future__ import annotations
@@ -35,13 +39,7 @@ from . import estimators
 # heterodyne_phase_variance, empirical_kernel_variance and estimate_complex are
 # not called here, but the traced benchmark replay (perfbench/tracing.py) wraps
 # them on this module, so they stay importable from it.
-from .direct import (  # noqa: F401
-    heterodyne_phase_variance,
-    intensity_variance_direct,
-    quadrature_variance_direct,
-    simulate_heterodyne,
-    simulate_photocount,
-)
+from .direct import heterodyne_phase_variance, simulate_heterodyne, simulate_photocount  # noqa: F401
 from .errors import CapabilityError, NumericRangeError, ValidationError
 from .estimators import (  # noqa: F401
     ComplexStreamingMoments,
@@ -58,7 +56,7 @@ from .kernels import (
     RealField,
     observable_name,
 )
-from .states import Coherent, StateSpec, _check_eta, mean_photon, normal_moment, state_tag
+from .states import Coherent, StateSpec, _check_eta, mean_photon, normal_moment, smearing_variance, state_tag
 
 #: Mean photon number above which the analytic phase formulas are trusted.
 PHASE_ASYMPTOTIC_NBAR = 10.0
@@ -153,14 +151,15 @@ def _analytic(obs: Observable, state: StateSpec, eta: float) -> tuple[float, flo
     nbar = mean_photon(state)
     if isinstance(obs, Intensity):
         n2 = nbar + normal_moment(state, 2, 2).real
-        tomo = (n2 - nbar * nbar) + 0.5 * n2 + nbar * (2.0 / eta - 1.5) + 1.0 / (2.0 * eta * eta)
+        dn2 = n2 - nbar * nbar
+        tomo = dn2 + 0.5 * n2 + nbar * (2.0 / eta - 1.5) + 1.0 / (2.0 * eta * eta)
         added = 0.5 * (n2 + nbar * (2.0 / eta - 1.0) + 1.0 / (eta * eta))
-        return tomo, intensity_variance_direct(state, eta), added
+        return tomo, dn2 + nbar * (1.0 / eta - 1.0), added
     if isinstance(obs, RealField):
         x2 = (2.0 * normal_moment(state, 0, 2).real + 2.0 * nbar + 1.0) / 4.0
         dx2 = x2 - normal_moment(state, 0, 1).real ** 2
         tomo = dx2 + 0.5 * nbar + (2.0 - eta) / (4.0 * eta)
-        return tomo, quadrature_variance_direct(state, eta), 0.5 * (nbar + 1.0 / (2.0 * eta))
+        return tomo, dx2 + smearing_variance(eta), 0.5 * (nbar + 1.0 / (2.0 * eta))
     if isinstance(obs, ComplexAmplitude):
         a1_sq = abs(normal_moment(state, 0, 1)) ** 2
         return 0.5 * (1.0 / eta + 2.0 * nbar - a1_sq), 0.5 * (nbar + 1.0 / eta - a1_sq), 0.5 * nbar
@@ -190,6 +189,30 @@ def analytic_variances(obs: Observable, state: StateSpec, eta: float) -> tuple[f
     """
     tomo, direct, _ = _analytic(obs, state, eta)
     return tomo, direct
+
+
+def intensity_variance_direct(state: StateSpec, eta: float) -> float:
+    """Variance of the rescaled photocurrent n/eta: <dn^2> + nbar (1/eta - 1)."""
+    return _analytic(Intensity(), state, eta)[1]
+
+
+def quadrature_variance_direct(state: StateSpec, eta: float) -> float:
+    """Variance of fixed-phase homodyne: <dx^2> + (1 - eta)/(4 eta)."""
+    return _analytic(RealField(), state, eta)[1]
+
+
+def amplitude_noise_direct(state: StateSpec, eta: float) -> tuple[float, float]:
+    """Covariance eigenvalues of ideal two-quadrature detection.
+
+    (1/2) [nbar + 1/eta - |<a>|^2 +/- |<a^2> - <a>^2|], largest first.
+    """
+    _check_eta(eta)
+    nbar = mean_photon(state)
+    a1 = normal_moment(state, 0, 1)
+    a2 = normal_moment(state, 0, 2)
+    base = nbar + 1.0 / eta - abs(a1) ** 2
+    split = abs(a2 - a1 * a1)
+    return 0.5 * (base + split), 0.5 * (base - split)
 
 
 def added_noise_analytic(obs: Observable, state: StateSpec, eta: float) -> float:

@@ -304,6 +304,77 @@ class TestConfigFile:
         assert capsys.readouterr().err == ""
 
 
+    @pytest.mark.parametrize(
+        "flags, config, level, warned",
+        [
+            (["--state-file", "s1.json"], {"state": {"type": "fock", "n": 2}}, 2, "--state-file"),
+            (["--state", '{"type":"fock","n":2}'], {"state_file": "s1.json"}, 1, "--state"),
+            (["--state", '{"type":"fock","n":1}'], {"state_file": "s1.json"}, 1, "--state"),
+            (["--state-file", "s1.json"], {"state_file": "s2.json"}, 2, "--state-file"),
+        ],
+        ids=["file-state-beats-state-file-flag", "file-state-file-beats-state-flag", "other-key-same-state",
+             "file-state-file-beats-its-flag"],
+    )
+    def test_the_files_state_setting_wins(self, tmp_path, monkeypatch, capsys, flags, config, level, warned):
+        # state and state_file are one setting: the file's replaces either flag, with one warning
+        monkeypatch.chdir(tmp_path)
+        Path("s1.json").write_text('{"type":"fock","n":1}')
+        Path("s2.json").write_text('{"type":"fock","n":2}')
+        Path("c.json").write_text(json.dumps(config))
+        assert main(["simulate", *flags, "--n", "5", "--out", "d.csv", "--config", "c.json"]) == 0
+        assert capsys.readouterr().err.splitlines() == [f"warning: {warned} overridden by config file value"]
+        assert read_result_rows(Path("d.csv"))[0][0] == f"# state=fock(n={level})"
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["simulate", "--state", '{ "type": "mixed", "dim": 2, "rho": [[0.5, 0], [0.3, 0.1], [0.3, -0.1], [0.5, 0]] }',
+             "--eta", "0.8", "--n", "300", "--seed", "5"],
+            ["estimate", "--observable", " complex_amplitude"],
+            ["estimate", "--observable", '{"observable": "monomial", "n": 2, "m": 1}'],
+            ["compare", "--state", '{"type":"coherent","beta":[1,0.5]}', "--observable", "intensity",
+             "--eta", "0.7", "--n", "400", "--seed", "6"],
+            ["sweep", "--mode", "empirical", "--observables", "phase", "--nbar-grid", "1:2:1", "--eta-list", "0.5,1",
+             "--n", "300", "--seed", "4"],
+        ],
+        ids=["simulate", "estimate", "estimate-monomial", "compare", "sweep"],
+    )
+    def test_sidecar_replayed_with_its_own_flags_warns_nothing(self, tmp_path, argv, capsys):
+        # the flags give the values the sidecar holds, so no flag is overridden
+        data = tmp_path / "data.json"
+        tomonoise.save_dataset_json(tomonoise.sample_homodyne(tomonoise.Fock(1), 0.8, 200, 1), data)
+        if argv[0] == "estimate":
+            argv = [*argv, "--data", str(data)]
+        out = tmp_path / ("out.json" if argv[0] in ("estimate", "compare") else "out.csv")
+        argv = [*argv, "--out", str(out)]
+        assert main(argv) == 0
+        first = out.read_bytes()
+        sidecar = tmp_path / "run.config.json"
+        sidecar.write_bytes(Path(str(out) + ".config.json").read_bytes())
+        out.unlink()
+        assert main([*argv, "--config", str(sidecar)]) == 0
+        assert out.read_bytes() == first
+        assert capsys.readouterr().err == ""
+
+    @pytest.mark.parametrize(
+        "flag, value, config, warns",
+        [
+            ("--nbar-grid", "1,2", [1, 2], False),
+            ("--nbar-grid", "1:2:1", "1, 2", False),
+            ("--nbar-grid", "1,2", [1, 3], True),
+            ("--eta-list", "x", [1], True),
+            ("--observables", "phase", "real_field", True),
+        ],
+    )
+    def test_only_a_changed_flag_warns(self, tmp_path, capsys, flag, value, config, warns):
+        key = flag[2:].replace("-", "_")
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({key: config}))
+        assert main(["sweep", f"{flag}={value}", "--out", str(tmp_path / "s.csv"), "--config", str(cfg)]) == 0
+        assert capsys.readouterr().err.splitlines() == ([f"warning: {flag} overridden by config file value"]
+                                                        if warns else [])
+
+
 def test_every_flag_is_a_key_its_command_reads():
     parser = cli.build_parser()
     commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction)).choices
@@ -433,7 +504,8 @@ class TestErrorContract:
         assert len(lines) == 1 and json.loads(lines[0])["error"] == "config"
 
     @pytest.mark.parametrize(
-        "key, value", [("n", "abc"), ("eta", "x"), ("out", 5), ("observables", ["phase"])]
+        "key, value", [("n", "abc"), ("eta", "x"), ("out", 5), ("observables", ["phase"]), ("eta", True),
+                       ("eta", "0.5")]
     )
     def test_config_value_of_wrong_type(self, tmp_path, capsys, key, value):
         # a run checks only its own command's keys: observables belongs to sweep
@@ -476,7 +548,9 @@ class TestErrorContract:
         assert len(lines) == 1 and "eta must be a number" in json.loads(lines[0])["message"]
         assert not out.exists()
 
-    @pytest.mark.parametrize("key, value", [("n", 2.7), ("n", True), ("seed", 2.5), ("seed", False)])
+    @pytest.mark.parametrize(
+        "key, value", [("n", 2.7), ("n", True), ("seed", 2.5), ("seed", False), ("n", "10"), ("seed", "7")]
+    )
     def test_non_integral_config_value(self, tmp_path, capsys, key, value):
         cfg = tmp_path / "run.json"
         cfg.write_text(json.dumps({"out": str(tmp_path / "d.csv"), key: value}))
@@ -484,6 +558,24 @@ class TestErrorContract:
         lines = capsys.readouterr().err.strip().splitlines()
         assert len(lines) == 1 and json.loads(lines[0])["message"].startswith(f"{key}: expected an integer")
         assert not (tmp_path / "d.csv").exists()
+
+    @pytest.mark.parametrize("key, value", [("nbar_grid", [True, "2"]), ("nbar_grid", [1, "2"]),
+                                            ("eta_list", ["0.5"]), ("eta_list", [False])])
+    def test_grid_list_of_wrong_type(self, tmp_path, capsys, key, value):
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({"out": str(tmp_path / "s.csv"), key: value}))
+        assert main(["sweep", "--config", str(cfg)]) == 2
+        lines = capsys.readouterr().err.strip().splitlines()
+        assert len(lines) == 1 and json.loads(lines[0])["message"].startswith(f"{key}: ")
+        assert not (tmp_path / "s.csv").exists()
+
+    @pytest.mark.parametrize("key, value", [("nbar_grid", "1,2"), ("nbar_grid", "0.1:2:0.1"), ("eta_list", "0.5,1"),
+                                            ("nbar_grid", [1, 2.5]), ("eta_list", [1])])
+    def test_numbers_and_grid_strings_still_read(self, tmp_path, key, value):
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({"out": str(tmp_path / "s.csv"), key: value}))
+        assert main(["sweep", "--observables", "real_field", "--config", str(cfg)]) == 0
+        assert (tmp_path / "s.csv").exists()
 
     def test_integral_float_config_value_still_reads(self, tmp_path):
         cfg = tmp_path / "run.json"
@@ -683,10 +775,10 @@ FUZZ_STATE_FILES = {
 # Per config key, values of the wrong type.
 FUZZ_CONFIG_VALUES = {
     "state": [5, ["fock"]], "state_file": [5, {"path": "x"}], "observable": [5, ["phase"], {"observable": []}],
-    "eta": ["x", [1]], "n": ["abc", {}, 2.7, True], "seed": ["x", [0], 2.5, False], "out": [5, ["out.csv"]],
-    "data": [5, [1]],
-    "mode": [5, ["analytic"]], "observables": [["phase"], 5], "eta_list": [{"a": 1}, [[1]]],
-    "nbar_grid": [{}, ["x"]],
+    "eta": ["x", [1], True, "0.5"], "n": ["abc", {}, 2.7, True, "10"], "seed": ["x", [0], 2.5, False, "7"],
+    "out": [5, ["out.csv"]], "data": [5, [1]],
+    "mode": [5, ["analytic"]], "observables": [["phase"], 5], "eta_list": [{"a": 1}, [[1]], ["0.5"]],
+    "nbar_grid": [{}, ["x"], [True, "2"]],
 }
 # A config file with a key that no command reads: exit 2 whatever the command.
 FUZZ_MISSPELLED_CONFIG = "config-misspelled.json"

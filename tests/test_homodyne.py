@@ -205,13 +205,27 @@ class TestGeneratorArguments:
             (Coherent(1.0), 0.8, 2.5, -1, ValidationError, "sample count"),
             (Coherent(1.0), 0.8, 10, -1, ValidationError, "seed"),
             (Coherent(1.0), 0.8, 10, 2**64, ValidationError, "seed"),
+            (Coherent(1.0), 0.8, True, 1, ValidationError, "sample count"),
+            (Coherent(1.0), 0.8, 10, 1.5, ValidationError, "seed must be an integer"),
+            (Coherent(1.0), 0.8, 10, True, ValidationError, "seed must be an integer"),
+            (Coherent(1.0), 0.8, 10, "7", ValidationError, "seed must be an integer"),
         ],
-        ids=["state", "eta", "eta-first", "n", "n-before-seed", "seed", "seed-high"],
+        ids=["state", "eta", "eta-first", "n", "n-before-seed", "seed", "seed-high", "n-bool",
+             "seed-fraction", "seed-bool", "seed-text"],
     )
     def test_generator_argument_errors(self, name, state, eta, n, seed, error, match):
         # every generator checks state, then eta, then n, and its first block the seed
         with pytest.raises(error, match=match):
             self.GENERATORS[name](state, eta, n, seed)
+
+    @pytest.mark.parametrize("name", list(GENERATORS))
+    @pytest.mark.parametrize("seed", [np.float64(7.0), 7.0, np.uint64(7)], ids=repr)
+    def test_integral_seed_of_another_type_draws_that_seed(self, name, seed):
+        got, want = (self.GENERATORS[name](Coherent(1.0), 0.8, 10, s) for s in (seed, 7))
+        if name == "sample_homodyne":
+            assert type(got.seed) is int and got.seed == 7
+            got, want = np.stack([got.x, got.phi]), np.stack([want.x, want.phi])
+        assert np.array_equal(got, want)
 
     @pytest.mark.parametrize("name", list(GENERATORS))
     def test_bad_count_rejected_before_a_grid_is_built(self, name, monkeypatch):

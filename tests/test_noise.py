@@ -146,6 +146,17 @@ class TestEmpiricalComparison:
         row = empirical_comparison(RealField(), Fock(0), 1.0, 10**6, 103)
         assert row.added_noise == pytest.approx(0.25, rel=0.05)
 
+    @pytest.mark.parametrize("seed", [2.7, True], ids=repr)
+    def test_seed_of_the_wrong_type_refused(self, seed):
+        # the row would otherwise report, and draw, seed 2 or 1
+        with pytest.raises(ValidationError, match="seed must be an integer"):
+            empirical_comparison(RealField(), Coherent(1.0), 0.8, 1000, seed)
+
+    def test_integral_float_seed_gives_the_integer_row(self):
+        got = empirical_comparison(RealField(), Coherent(1.0), 0.8, 1000, np.float64(2.0)).to_json()
+        assert got == empirical_comparison(RealField(), Coherent(1.0), 0.8, 1000, 2).to_json()
+        assert type(got["seed"]) is int
+
     def test_unsupported_pairing(self):
         with pytest.raises(CapabilityError):
             empirical_comparison(Phase(), Fock(1), 1.0, 1000, 104)

@@ -1,3 +1,5 @@
+import ast
+import importlib
 import importlib.util
 import sys
 from pathlib import Path
@@ -44,3 +46,16 @@ def test_traced_cli_parses_each_input_once(monkeypatch, tmp_path):
         names[command] = [span.name for span in tracer.spans if span.parent is None]
     assert names["simulate"] == ["states.state_from_json", "homodyne.sample_homodyne", "homodyne.save_dataset_csv"]
     assert names["estimate"] == ["homodyne.load_dataset_csv", "estimators.estimate_mean.intensity"]
+
+
+def test_benchmark_imports_only_package_names_that_exist():
+    # the benchmark's layer rows and output checks import package names that only a traced or
+    # benchmark run would reach, so one renamed or deleted fails here too
+    imported = []
+    for path in sorted((ROOT / "perfbench").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "tomonoise":
+                imported += [(path.name, node.module, alias.name) for alias in node.names]
+    assert {name for _, _, name in imported} >= {"StreamingMoments", "QuadratureGridSampler", "analytic_comparison"}
+    missing = [entry for entry in imported if not hasattr(importlib.import_module(entry[1]), entry[2])]
+    assert not missing
