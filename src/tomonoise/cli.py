@@ -13,7 +13,8 @@ error, 5 I/O error; every error is one JSON line on stderr. Usage errors (a
 flag its command does not read, a missing subcommand, a flag value argparse
 cannot read), config-file keys that no command reads and config-file values of
 the wrong JSON type (eta a number, n and seed integers, grids lists of
-numbers or strings) are config errors. A config file may hold the keys of other
+numbers or strings, never null) are config errors; what a number and an
+integer are is the rule in errors.py. A config file may hold the keys of other
 commands, unread and unchecked, so that one file serves several, and a sidecar
 replayed as --config reproduces its run. A record too large to allocate, and
 any other MemoryError, is a numeric-range error, and so is a comparison or
@@ -41,7 +42,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import CapabilityError, NumericRangeError, ValidationError
+from .errors import CapabilityError, NumericRangeError, ValidationError, is_integral, is_real
 from .estimators import (
     complex_estimate_to_json,
     estimate_complex,
@@ -137,16 +138,11 @@ def build_parser() -> argparse.ArgumentParser:
 MAX_GRID_POINTS = 100_000
 
 
-def _is_number(value) -> bool:
-    """A JSON number: float() and int() alone would also read true and "0.5"."""
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
-
-
 def _parse_grid(text) -> list[float]:
     """Finite numbers from a list of numbers, a comma list, or a min:max:step range."""
     try:
         if isinstance(text, (list, tuple)):
-            if not all(map(_is_number, text)):
+            if not all(map(is_real, text)):
                 raise TypeError("a grid list holds numbers only")
             values = [float(v) for v in text]
         elif ":" in str(text):
@@ -173,14 +169,13 @@ def _text(value) -> str:
 
 
 def _number(value) -> float:
-    if not _is_number(value):
+    if not is_real(value):
         raise TypeError(f"expected a number, got {value!r}")
     return float(value)
 
 
 def _integer(value) -> int:
-    # int() alone would also turn 2.7 into 2
-    if not _is_number(value) or (isinstance(value, float) and not value.is_integer()):
+    if not is_integral(value):
         raise ValueError(f"expected an integer, got {value!r}")
     return int(value)
 
@@ -259,6 +254,8 @@ def resolve_config(args: argparse.Namespace, overridden: list) -> dict:
     keys = _COMMAND_KEYS[args.command]
     merged = {}
     for key in (keys + ("state_file",) if "state" in keys else keys):
+        if key in file_cfg and file_cfg[key] is None:
+            raise ValidationError(f"{key}: null is not a value; leave the key out to keep its flag or default")
         flag_val = getattr(args, key)
         setting = ("state", "state_file") if key in ("state", "state_file") else (key,)
         if file_cfg.keys() & set(setting):

@@ -12,7 +12,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import ValidationError, integer
 from .homodyne import BLOCK_SIZE, Dataset
 from .kernels import (
     ComplexAmplitude,
@@ -222,10 +222,9 @@ def phase_kernel_distribution(data: Dataset, bins: int) -> PhaseHistogram:
     """Histogram of w = arg(x exp(i phi)); bin masses sum to 1."""
     if data.n < 1:
         raise ValidationError("cannot histogram an empty dataset")
-    if int(bins) != bins or bins < 8:
-        raise ValidationError(f"need at least 8 bins, got {bins}")
-    counts = np.zeros(int(bins))
-    edges = np.linspace(-math.pi, math.pi, int(bins) + 1)
+    bins = integer(bins, "bins", 8)
+    counts = np.zeros(bins)
+    edges = np.linspace(-math.pi, math.pi, bins + 1)
     accumulate(
         lambda w: np.add(counts, np.histogram(w, bins=edges)[0], out=counts),
         data.n,

@@ -22,7 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import NumericRangeError, ValidationError
+from .errors import NumericRangeError, ValidationError, integer, is_real
 from .states import (
     GRID_MASS_TOL,
     HERMITE_REACH,
@@ -61,10 +61,7 @@ PURPOSE_FIXED_PHASE = 4
 
 def block_generator(seed: int, purpose: int, block: int) -> np.random.Generator:
     """Philox generator for one sample block; key = (seed, purpose << 48 | block)."""
-    # np.uint64() alone would turn 1.5 into 1 and True into 1
-    integer = isinstance(seed, (int, np.integer)) and not isinstance(seed, bool)
-    if not (integer or isinstance(seed, (float, np.floating)) and float(seed).is_integer()):
-        raise ValidationError(f"seed must be an integer, got {seed!r}")
+    seed = integer(seed, "seed")
     if not 0 <= seed < 1 << 64:
         raise ValidationError(f"seed must lie in [0, 2**64), got {seed}")
     key = np.array([np.uint64(seed), np.uint64((purpose << 48) | block)], dtype=np.uint64)
@@ -123,9 +120,7 @@ def sample_count(state: StateSpec, eta: float, n) -> int:
     """The checks every generator starts with: a state, an efficiency in (0, 1], and n as an int >= 1."""
     validate_state(state)
     _check_eta(eta)
-    if isinstance(n, (bool, np.bool_)) or int(n) != n or n < 1:
-        raise ValidationError(f"sample count must be a positive integer, got {n}")
-    return int(n)
+    return integer(n, "sample count", 1)
 
 
 def generate(n: int, seed: int, purpose: int, draw, reduce, dtypes):
@@ -178,6 +173,9 @@ class Dataset:
         if self.x.ndim != 1 or self.x.shape != self.phi.shape or self.x.size < 1:
             raise ValidationError("dataset needs matching 1-D x and phi arrays with n >= 1")
         _check_eta(self.eta)
+        # numpy's repr would not reload from a CSV header; a Python int eta stays as given
+        self.eta = self.eta.item() if isinstance(self.eta, np.generic) else self.eta
+        self.seed = integer(self.seed, "seed")
         # min and max propagate NaN, so these two checks reject every non-finite value.
         if not (np.isfinite(self.x.min()) and np.isfinite(self.x.max())):
             raise ValidationError("outcomes x must be finite")
@@ -433,7 +431,7 @@ def sample_homodyne(state: StateSpec, eta: float, n: int, seed: int, reduce=None
         return _outcomes(state, eta, rng, phi, count, invert), phi
 
     columns = generate(n, seed, PURPOSE_HOMODYNE, draw, reduce, (float, float))
-    return None if columns is None else Dataset(*columns, eta, state_tag(state), int(seed))
+    return None if columns is None else Dataset(*columns, eta, state_tag(state), seed)
 
 
 def sample_fixed_phase(
@@ -508,16 +506,11 @@ def dataset_from_json(obj) -> Dataset:
             raise ValidationError("dataset JSON holds no samples")
         x, phi = samples[:, 0], samples[:, 1]
         eta, tag, seed = obj["eta"], obj["state_tag"], obj["seed"]
-        # float() and int() alone would read true as 1, "0.8" as 0.8 and a seed of 1.5 as 1
-        if isinstance(eta, bool) or not isinstance(eta, (int, float)):
+        if not is_real(eta):
             raise ValidationError(f"dataset JSON eta must be a number, got {eta!r}")
-        if isinstance(seed, bool) or not isinstance(seed, (int, float)) or (
-            isinstance(seed, float) and not seed.is_integer()
-        ):
-            raise ValidationError(f"dataset JSON seed must be an integer, got {seed!r}")
+        eta, seed = float(eta), integer(seed, "dataset JSON seed")
         if not isinstance(tag, str):
             raise ValidationError(f"dataset JSON state_tag must be a string, got {tag!r}")
-        eta, seed = float(eta), int(seed)
     except (KeyError, IndexError, TypeError, ValueError, OverflowError) as exc:
         raise ValidationError(f"malformed dataset JSON: {exc}") from exc
     return Dataset(x, phi, eta, tag, seed)

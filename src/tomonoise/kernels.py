@@ -16,8 +16,8 @@ from typing import Mapping, Union
 
 import numpy as np
 
-from .errors import NumericRangeError, ValidationError
-from .states import _check_eta
+from .errors import NumericRangeError, ValidationError, integer
+from .states import _check_eta, _complex_from_json
 
 #: Hard cap on n + m for monomial kernels (double-precision recurrence guard).
 MAX_KERNEL_ORDER = 40
@@ -51,9 +51,9 @@ class Monomial:
     m: int
 
     def __post_init__(self):
-        _check_orders(self.n, self.m)
-        object.__setattr__(self, "n", int(self.n))
-        object.__setattr__(self, "m", int(self.m))
+        n, m = _check_orders(self.n, self.m)
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "m", m)
 
 
 @dataclass(frozen=True)
@@ -68,12 +68,8 @@ class Polynomial:
 
     @classmethod
     def from_coeffs(cls, coeffs: Mapping[tuple[int, int], complex]) -> "Polynomial":
-        for n, m in coeffs:
-            _check_orders(n, m)  # before int() could truncate a non-integral order
-        items = tuple(
-            (int(n), int(m), complex(c)) for (n, m), c in sorted(coeffs.items())
-        )
-        return cls(items)
+        terms = {_check_orders(n, m): complex(c) for (n, m), c in coeffs.items()}
+        return cls(tuple((n, m, c) for (n, m), c in sorted(terms.items())))
 
     @property
     def coeffs(self) -> dict[tuple[int, int], complex]:
@@ -83,18 +79,19 @@ class Polynomial:
 Observable = Union[Intensity, RealField, ComplexAmplitude, Phase, Monomial, Polynomial]
 
 
-def _check_orders(n: int, m: int) -> None:
-    if isinstance(n, bool) or isinstance(m, bool) or int(n) != n or int(m) != m or n < 0 or m < 0:
-        raise ValidationError(f"monomial orders must be nonnegative integers, got ({n}, {m})")
+def _check_orders(n: int, m: int) -> tuple[int, int]:
+    n, m = integer(n, "monomial order n", 0), integer(m, "monomial order m", 0)
     if n + m > MAX_KERNEL_ORDER:
         raise NumericRangeError(
             f"monomial order n + m = {n + m} exceeds the supported cap {MAX_KERNEL_ORDER}"
         )
+    return n, m
 
 
 def hermite(s: int, y):
     """Physicists' Hermite polynomial H_s(y) by the three-term recurrence."""
-    if int(s) != s or s < 0 or s > MAX_KERNEL_ORDER:
+    s = integer(s, "Hermite order")
+    if not 0 <= s <= MAX_KERNEL_ORDER:
         raise NumericRangeError(f"Hermite order must lie in [0, {MAX_KERNEL_ORDER}], got {s}")
     y = np.asarray(y, dtype=float)
     h_prev = np.ones_like(y)
@@ -108,7 +105,7 @@ def hermite(s: int, y):
 
 def kernel_monomial(n: int, m: int, eta: float, x, phi):
     """Kernel for a^dag^n a^m; averaging it over homodyne data gives <a^dag^n a^m>."""
-    _check_orders(n, m)
+    n, m = _check_orders(n, m)
     _check_eta(eta)
     x = np.asarray(x, dtype=float)
     phi = np.asarray(phi, dtype=float)
@@ -170,7 +167,7 @@ def square_kernel_monomial(n: int, m: int, eta: float, x, phi):
     Uses the Hermite-square identity to expand the square over the diagonal
     family a^dag^k a^k; equals kernel_monomial(n, m, ...)**2 identically.
     """
-    _check_orders(n, m)
+    n, m = _check_orders(n, m)
     if n + m > MAX_SQUARE_ORDER:
         raise NumericRangeError(
             f"square-kernel order n + m = {n + m} exceeds the supported cap {MAX_SQUARE_ORDER}"
@@ -250,12 +247,9 @@ def observable_from_json(obj) -> Observable:
         if kind in NAMED_OBSERVABLES:
             return NAMED_OBSERVABLES[kind]
         if kind == "monomial":
-            return Monomial(obj["n"], obj["m"])  # Monomial rejects non-integral orders
+            return Monomial(obj["n"], obj["m"])
         if kind == "polynomial":
-            coeffs = {
-                (t["n"], t["m"]): complex(t["c"][0], t["c"][1])
-                for t in obj["terms"]
-            }
+            coeffs = {(t["n"], t["m"]): _complex_from_json(t["c"], "polynomial coefficient c") for t in obj["terms"]}
             return Polynomial.from_coeffs(coeffs)
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ValidationError(f"malformed observable JSON: {exc}") from exc

@@ -40,7 +40,7 @@ from . import estimators
 # not called here, but the traced benchmark replay (perfbench/tracing.py) wraps
 # them on this module, so they stay importable from it.
 from .direct import heterodyne_phase_variance, simulate_heterodyne, simulate_photocount  # noqa: F401
-from .errors import CapabilityError, NumericRangeError, ValidationError
+from .errors import CapabilityError, NumericRangeError, ValidationError, is_real
 from .estimators import (  # noqa: F401
     ComplexStreamingMoments,
     StreamingMoments,
@@ -228,8 +228,8 @@ def added_noise_analytic(obs: Observable, state: StateSpec, eta: float) -> float
 def noise_ratio_coherent(obs: Observable, nbar: float, eta: float) -> float:
     """Closed-form linear noise ratio for a coherent state of mean photon number nbar."""
     _check_eta(eta)
-    if nbar < 0:
-        raise ValidationError(f"mean photon number must be nonnegative, got {nbar}")
+    if not (is_real(nbar) and nbar >= 0):
+        raise ValidationError(f"mean photon number must be a nonnegative number, got {nbar!r}")
     scaled = eta * nbar
     if isinstance(obs, Intensity):
         if scaled == 0:
@@ -336,8 +336,10 @@ def sweep(
         raise ValidationError(f"mode must be 'analytic' or 'empirical', got {mode!r}")
     if mode == "empirical" and (n is None or seed is None):
         raise ValidationError("empirical sweep needs n and seed")
-    if not all(float(nbar) >= 0.0 for nbar in nbar_grid):
-        raise ValidationError(f"mean photon numbers must be nonnegative, got {list(nbar_grid)}")
+    if not all(is_real(nbar) and nbar >= 0.0 for nbar in nbar_grid):
+        raise ValidationError(f"mean photon numbers must be nonnegative numbers, got {list(nbar_grid)}")
+    if not all(map(is_real, eta_list)):
+        raise ValidationError(f"efficiencies must be numbers, got {list(eta_list)}")
     rows = []
     for obs in observables:
         for eta in eta_list:

@@ -19,7 +19,7 @@ from typing import Union
 
 import numpy as np
 
-from .errors import NumericRangeError, ValidationError
+from .errors import NumericRangeError, ValidationError, integer, is_real
 
 #: Vacuum variance of x = (a + a^dag)/2.
 VACUUM_QUADRATURE_VARIANCE = 0.25
@@ -47,7 +47,7 @@ def smearing_variance(eta: float) -> float:
 
 
 def _check_eta(eta: float) -> None:
-    if not (0.0 < eta <= 1.0):
+    if not (is_real(eta) and 0.0 < eta <= 1.0):
         raise ValidationError(f"quantum efficiency must satisfy 0 < eta <= 1, got {eta}")
 
 
@@ -58,6 +58,8 @@ class Coherent:
     beta: complex
 
     def __post_init__(self):
+        if not (is_real(self.beta) or isinstance(self.beta, (complex, np.complexfloating))):
+            raise ValidationError(f"coherent amplitude must be a number, got {self.beta!r}")
         b = complex(self.beta)
         if not (math.isfinite(b.real) and math.isfinite(b.imag)):
             raise ValidationError("coherent amplitude must be finite")
@@ -71,9 +73,7 @@ class Fock:
     n: int
 
     def __post_init__(self):
-        if isinstance(self.n, bool) or int(self.n) != self.n or self.n < 0:
-            raise ValidationError(f"Fock level must be a nonnegative integer, got {self.n}")
-        object.__setattr__(self, "n", int(self.n))
+        object.__setattr__(self, "n", integer(self.n, "Fock level", 0))
 
 
 @dataclass(frozen=True, eq=False)
@@ -143,6 +143,14 @@ def state_to_json(state: StateSpec) -> dict:
     return {"type": "mixed", "dim": state.dim, "rho": rho}
 
 
+def _complex_from_json(pair, what: str) -> complex:
+    """The complex number of a JSON [re, im] pair of numbers; else a ValidationError naming what."""
+    re, im = pair
+    if not (is_real(re) and is_real(im)):
+        raise ValidationError(f"{what} must be a [re, im] pair of numbers, got {pair!r}")
+    return complex(re, im)
+
+
 def state_from_json(obj) -> StateSpec:
     if isinstance(obj, str):
         try:
@@ -154,19 +162,15 @@ def state_from_json(obj) -> StateSpec:
     kind = obj["type"]
     try:
         if kind == "coherent":
-            re, im = obj["beta"]
-            return Coherent(complex(re, im))
+            return Coherent(_complex_from_json(obj["beta"], "coherent beta"))
         if kind == "fock":
-            return Fock(obj["n"])  # Fock rejects a non-integral level; int() would truncate it
+            return Fock(obj["n"])
         if kind == "mixed":
-            dim = obj["dim"]
-            if isinstance(dim, bool) or int(dim) != dim:
-                raise ValidationError(f"mixed dim must be an integer, got {dim!r}")
-            dim = int(dim)
+            dim = integer(obj["dim"], "mixed dim", 1)
             flat = obj["rho"]
             if len(flat) != dim * dim:
                 raise ValidationError(f"mixed rho must have dim^2 = {dim * dim} entries, got {len(flat)}")
-            rho = np.array([complex(re, im) for re, im in flat]).reshape(dim, dim)
+            rho = np.array([_complex_from_json(pair, "mixed rho entry") for pair in flat]).reshape(dim, dim)
             return Mixed(rho)
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ValidationError(f"malformed state JSON: {exc}") from exc
@@ -194,9 +198,7 @@ def hermite_functions(nmax: int, x) -> np.ndarray:
 
 def photon_distribution(state: StateSpec, dim: int) -> tuple[np.ndarray, float]:
     """Photon-number probabilities p_0..p_{dim-1} plus the neglected tail mass."""
-    if int(dim) != dim or dim < 1:
-        raise ValidationError(f"dim must be a positive integer, got {dim}")
-    dim = int(dim)
+    dim = integer(dim, "dim", 1)
     validate_state(state)
     if isinstance(state, Fock):
         probs = np.zeros(dim)
@@ -238,9 +240,7 @@ def normal_moment(state: StateSpec, n: int, m: int) -> complex:
     nothing, and (n, m) and (m, n) give conjugate values. A moment beyond the
     float range raises NumericRangeError.
     """
-    if n < 0 or m < 0 or int(n) != n or int(m) != m:
-        raise ValidationError(f"moment orders must be nonnegative integers, got ({n}, {m})")
-    n, m = int(n), int(m)
+    n, m = integer(n, "moment order n", 0), integer(m, "moment order m", 0)
     validate_state(state)
     try:  # complex ** and the int-to-float conversion of a coefficient raise OverflowError
         if isinstance(state, Coherent):

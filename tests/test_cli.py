@@ -701,6 +701,43 @@ class TestErrorContract:
         lines = capsys.readouterr().err.strip().splitlines()
         assert len(lines) == 1 and json.loads(lines[0])["message"] == "Unable to allocate 1.00 TiB"
 
+    @pytest.mark.parametrize("key", ["state", "state_file", "eta", "n", "seed", "out"])
+    def test_config_null_is_a_config_error(self, tmp_path, capsys, key):
+        # a null in the file would otherwise give the key its default over the flag
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({"out": str(tmp_path / "d.csv"), key: None}))
+        argv = ["simulate", "--state", '{"type":"fock","n":1}', "--n", "10", "--eta", "0.5", "--seed", "4"]
+        assert main([*argv, "--out", str(tmp_path / "d.csv"), "--config", str(cfg)]) == 2
+        lines = capsys.readouterr().err.strip().splitlines()
+        assert len(lines) == 1 and json.loads(lines[0])["message"].startswith(f"{key}: ")
+        assert not (tmp_path / "d.csv").exists()
+
+    @pytest.mark.parametrize("key", ["observables", "eta_list", "nbar_grid", "mode"])
+    def test_sweep_config_null_is_a_config_error(self, tmp_path, capsys, key):
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({"out": str(tmp_path / "s.csv"), key: None}))
+        assert main(["sweep", "--config", str(cfg)]) == 2
+        lines = capsys.readouterr().err.strip().splitlines()
+        assert len(lines) == 1 and json.loads(lines[0])["message"].startswith(f"{key}: ")
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["simulate", "--state", '{"type":"coherent","beta":[true,0]}'],
+            ["simulate", "--state", '{"type":"mixed","dim":1,"rho":[[true,0]]}'],
+            ["estimate", "--observable", '{"observable":"polynomial","terms":[{"n":1,"m":1,"c":[true,0]}]}'],
+        ],
+        ids=["coherent-beta", "mixed-rho", "polynomial-c"],
+    )
+    def test_json_bool_is_not_a_number(self, tmp_path, capsys, argv):
+        data = tmp_path / "d.csv"
+        tomonoise.save_dataset_csv(tomonoise.sample_homodyne(tomonoise.Fock(1), 0.8, 100, 5), data)
+        extra = ["--data", str(data)] if argv[0] == "estimate" else []
+        assert main([*argv, *extra, "--out", str(tmp_path / "out.json")]) == 2
+        lines = capsys.readouterr().err.strip().splitlines()
+        assert len(lines) == 1 and "pair of numbers" in json.loads(lines[0])["message"]
+        assert not (tmp_path / "out.json").exists()
+
 
 class TestSidecar:
     """<out>.config.json holds command, the keys its command reads, max_workers and timestamp, in that order."""
@@ -729,6 +766,26 @@ class TestSidecar:
         assert list(json.loads((tmp_path / "out.csv.config.json").read_text())) == [
             "command", *keys, "max_workers", "timestamp"
         ]
+
+    @pytest.mark.parametrize("command", ["simulate", "estimate", "compare", "sweep"])
+    def test_sidecar_holds_no_null_and_replays(self, tmp_path, capsys, command):
+        data = tmp_path / "data.csv"
+        tomonoise.save_dataset_csv(tomonoise.sample_homodyne(tomonoise.Fock(1), 0.8, 50, 1), data)
+        argv = {
+            "simulate": ["simulate", "--state", '{"type":"fock","n":1}', "--n", "10"],
+            "estimate": ["estimate", "--observable", "intensity", "--data", str(data)],
+            "compare": ["compare", "--state", '{"type":"coherent","beta":[1,0]}', "--observable", "intensity",
+                        "--n", "100"],
+            "sweep": ["sweep", "--nbar-grid", "1,2"],
+        }[command]
+        out, again = tmp_path / "out.csv", tmp_path / "again.csv"
+        assert main([*argv, "--out", str(out)]) == 0
+        sidecar = json.loads((tmp_path / "out.csv.config.json").read_text())
+        assert None not in sidecar.values()
+        replay = tmp_path / "replay.json"
+        replay.write_text(json.dumps({**sidecar, "out": str(again)}))
+        assert main([command, "--config", str(replay)]) == 0
+        assert again.read_bytes() == out.read_bytes() and capsys.readouterr().err == ""
 
 
 def _glibc() -> bool:

@@ -272,6 +272,18 @@ class TestIo:
         back = load_dataset_json(path)
         assert (back.eta, back.seed) == (1.0, 7) and type(back.eta) is float and type(back.seed) is int
 
+    @pytest.mark.parametrize("eta, seed", [(np.float64(0.5), np.int64(3)), (np.float32(0.5), np.uint64(3))], ids=repr)
+    def test_numpy_metadata_round_trips(self, tmp_path, eta, seed):
+        # the writers print and serialise the Python numbers; numpy's repr would not reload
+        ds = sample_homodyne(Fock(1), eta, 10, seed)
+        assert (type(ds.eta), type(ds.seed)) == (float, int)
+        save_dataset_csv(ds, tmp_path / "d.csv")
+        save_dataset_json(ds, tmp_path / "d.json")
+        assert "# eta=0.5\n" in (tmp_path / "d.csv").read_text()
+        for back in (load_dataset_csv(tmp_path / "d.csv"), load_dataset_json(tmp_path / "d.json")):
+            assert (back.eta, back.seed) == (0.5, 3)
+            assert np.array_equal(back.x, ds.x) and np.array_equal(back.phi, ds.phi)
+
     def test_csv_round_trip(self, tmp_path):
         ds = sample_homodyne(Coherent(1.0), 0.7, 500, 21)
         path = tmp_path / "d.csv"

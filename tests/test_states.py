@@ -73,6 +73,15 @@ class TestValidation:
         with pytest.raises(ValidationError):
             Fock(-1)
 
+    @pytest.mark.parametrize("beta", [True, np.True_, "1", None], ids=repr)
+    def test_coherent_amplitude_must_be_a_number(self, beta):
+        with pytest.raises(ValidationError, match="coherent amplitude must be a number"):
+            Coherent(beta)
+
+    @pytest.mark.parametrize("beta", [2, np.float32(2.0), 2 + 0j, np.complex64(2)], ids=repr)
+    def test_coherent_amplitude_of_any_number_type(self, beta):
+        assert Coherent(beta).beta == 2 + 0j
+
 
 class TestPhotonDistribution:
     def test_fock_is_number_eigenstate(self):
