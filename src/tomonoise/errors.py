@@ -7,7 +7,8 @@ surface as OSError -> 5).
 Every numeric parameter is read by one rule. A number is a real number of any
 type, numpy scalars included, but never a bool, a string or None, which float()
 alone would read as numbers. An integer is a number that int() keeps: 20.0 is
-one; 2.7, which int() would truncate, and nan and inf are not.
+one; 2.7, which int() would truncate, and nan and inf are not. A complex number
+is a number or a complex number of any type, under the same exclusions.
 """
 
 import math
@@ -33,6 +34,11 @@ class NumericRangeError(TomonoiseError):
 def is_real(value) -> bool:
     """Whether value is a number: a numbers.Real (numpy's included) other than a bool."""
     return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
+def is_complex(value) -> bool:
+    """Whether value is a real or complex number: a numbers.Complex (numpy's included) other than a bool."""
+    return isinstance(value, numbers.Complex) and not isinstance(value, bool)
 
 
 def is_integral(value) -> bool:

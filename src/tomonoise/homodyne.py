@@ -29,6 +29,7 @@ from .states import (
     Coherent,
     StateSpec,
     _check_eta,
+    _check_phase,
     band_densities,
     check_reach,
     coherent_mean,
@@ -41,12 +42,10 @@ from .states import (
 
 BLOCK_SIZE = 1 << 16
 GRID_NODES = 4096
-# Guide table of the coherence-bearing sampler: phase bins over [0, pi), target
-# levels over [0, mass), and the power-of-two steps of its short search, which
-# reach 2**GUIDE_STEPS - 1 nodes above the cell's start node.
+# Position table of the coherence-bearing sampler: phase bins over [0, pi] and
+# target levels over [0, mass]; samples are bracketed in slices of SEARCH_SLICE.
 GUIDE_PHASE_BINS = 64
 GUIDE_LEVELS = 512
-GUIDE_STEPS = 5
 SEARCH_SLICE = 1 << 14
 # Dataset rows formatted per write: 4096 rows keep their strings in cache and
 # their temporaries near 0.7 MB (65536-row slices were slower and held 10 MB).
@@ -203,27 +202,37 @@ def _descend(cdf, lo, target, step: int, last: int):
     return lo, cdf(lo), cdf(lo + 1)
 
 
-def _guided(cdf, start, target, last: int):
-    """_descend over the window of GUIDE_STEPS steps above each guide start node.
+def _settle(cdf, lo, target, last: int, top_cell: float):
+    """Check guessed lower nodes lo, in [0, last], and move each failing one a node up or down.
 
-    Also returns the samples it did not bracket: those of wide cells (start -1)
-    and those whose result fails cdf(lo) <= target < cdf(lo + 1), the upper
-    bound waived at lo = last as in the full search.
+    cdf(idx, rows) is the CDF at nodes idx of the samples rows. A bracket holds
+    where cdf(lo) <= target < cdf(lo + 1), the upper bound waived at lo = last
+    as in the full search; a sample that does not move holds one, since the
+    CDF is 0 at node 0 and no target lies below it. Near the mass the CDF
+    flattens into rounding noise and may reach a target at several nodes, so
+    targets at or above top_cell are left to the full search and get its answer.
+    Returns lo, cdf(lo) and cdf(lo + 1), and the samples still not bracketed.
     """
-    found = _descend(cdf, np.maximum(start, 0), target, 1 << (GUIDE_STEPS - 1), last)
-    lo, flo, fhi = found
-    return found, np.flatnonzero((start < 0) | (flo > target) | ((fhi <= target) & (lo != last)))
+    every = slice(None)
+    flo, fhi = cdf(lo, every), cdf(lo + 1, every)
+    missed = target >= top_cell
+    up = np.flatnonzero((fhi <= target) & (lo < last))
+    lo[up] += 1
+    flo[up] = fhi[up]
+    fhi[up] = cdf(lo[up] + 1, up)
+    missed[up[(fhi[up] <= target[up]) & (lo[up] != last)]] = True
+    down = np.flatnonzero((flo > target) & (lo > 0))
+    lo[down] -= 1
+    fhi[down] = flo[down]
+    flo[down] = cdf(lo[down], down)
+    missed[down[flo[down] > target[down]]] = True
+    return (lo, flo, fhi), np.flatnonzero(missed)
 
 
-def _guide_cells(low, high) -> np.ndarray:
-    """Start node of each guide cell, or -1 (wide) where its brackets do not fit one window.
-
-    low and high are the lowest and highest bracketing nodes seen at the
-    cell's corners. The start keeps one node of slack below low, and the
-    window, which holds lo = start .. start + 2**GUIDE_STEPS - 1, one above high.
-    """
-    start = np.maximum(low - 1, 0)
-    return np.where(high + 1 - start < 1 << GUIDE_STEPS, start, -1).astype(np.int32)
+def _between(table: np.ndarray, cell: np.ndarray, frac: np.ndarray) -> np.ndarray:
+    """Linear interpolation of a flat table from entry cell (frac 0) to entry cell + 1 (frac 1)."""
+    left = np.take(table, cell)
+    return left + frac * (np.take(table, cell + 1) - left)
 
 
 class QuadratureGridSampler:
@@ -238,21 +247,23 @@ class QuadratureGridSampler:
     cos(phi), sin(phi) pair.
 
     Fock and diagonal mixed states have C_0 only and take one
-    phase-independent lookup. Coherence-bearing states invert the CDF by a
-    branchless search per sample: power-of-two steps over the table, one row
-    gather and one select per step, then linear interpolation between the
-    bracketing nodes. A guide table (Chen & Asau 1974) starts each search a
-    few nodes below its answer. It splits [0, pi) into GUIDE_PHASE_BINS phase
-    bins and [0, mass) into GUIDE_LEVELS target levels, and holds for each
-    cell a start node from the CDF brackets at the cell's corners, or -1 where
-    those brackets span too many nodes. From the start node GUIDE_STEPS steps
-    reach the answer; a sample in a wide cell, or whose short search does not
-    end on a bracket, takes the full search from node 0. Both searches read
-    the same CDF values, so the guide changes where a search starts, never
-    the bracket it finds where the CDF rises through the target. The table is
-    padded with +inf rows so that no step leaves it. At one fixed phase the
-    bands are combined into a single CDF, inverted the same way with a
-    one-dimensional guide, and searchsorted for the samples it misses.
+    phase-independent lookup. Coherence-bearing states invert the CDF per
+    sample from a guess that is checked. A position table holds, at each of
+    GUIDE_PHASE_BINS + 1 phase edges over [0, pi] and GUIDE_LEVELS + 1 level
+    edges over [0, mass], the fractional node at which that phase's CDF
+    reaches that level. Interpolated bilinearly at a sample's phase and
+    target, it names a lower node; one row gather and dot product each give
+    the CDF there and one node up, and a sample that is not bracketed moves
+    one node up or down. The few still not bracketed, and every target in
+    the top level cell, where the CDF flattens into rounding noise, take a
+    branchless search from node 0 with power-of-two steps, one row gather and
+    one select per step; the table is padded with +inf rows so that no step
+    leaves it. A bracket is accepted only where
+    cdf(lo) <= target < cdf(lo + 1), so the table changes where a search
+    starts, never the bracket it finds where the CDF rises through the
+    target. Linear interpolation between the bracketing nodes gives x. At one
+    fixed phase the bands are combined into a single CDF, inverted the same
+    way from its own positions, and searchsorted for the samples it misses.
     """
 
     def __init__(self, state: StateSpec, nodes: int = GRID_NODES):
@@ -283,80 +294,106 @@ class QuadratureGridSampler:
         check_reach(bands[0][1])
         self.bands = [d for d, _ in bands[1:]]
         self.phase_dependent = bool(self.bands)
-        # Steps top, top/2, ..., 1 reach every lower node 0..nodes-2; candidates
-        # run up to 2 top - 1, and a guided window up to nodes - 3 + 2**GUIDE_STEPS.
+        # Steps top, top/2, ..., 1 reach every lower node 0..nodes-2; candidates run up to 2 top - 1.
         self._top_step = 1 << (max(nodes - 2, 1).bit_length() - 1)
         columns = np.concatenate((cdfs[:1].real, 2.0 * cdfs[1:].real, -2.0 * cdfs[1:].imag))
-        rows = max(nodes + (1 << GUIDE_STEPS), 2 * self._top_step)
-        self.table = np.zeros((rows, columns.shape[0]))
+        self.table = np.zeros((max(nodes, 2 * self._top_step), columns.shape[0]))
         self.table[:nodes] = columns.T
         self.table[nodes:, 0] = np.inf
         if self.phase_dependent:
             self._levels = np.arange(GUIDE_LEVELS + 1) * (self.mass / GUIDE_LEVELS)
-            # One matrix-vector product per bin edge on the band-major columns: a
+            self._top_cell = self._levels[-2]  # the top level cell takes the full search
+            # One matrix-vector product per phase edge on the band-major columns: a
             # matrix-matrix product would leave a BLAS thread spinning after it returns.
             edges = np.arange(GUIDE_PHASE_BINS + 1) * (math.pi / GUIDE_PHASE_BINS)
-            brackets = np.stack([self._brackets(w @ columns) for w in self._weights(edges)])
-            self.guide = _guide_cells(
-                np.minimum(brackets[:-1, :-1], brackets[1:, :-1]),
-                np.maximum(brackets[:-1, 1:], brackets[1:, 1:]),
-            )
+            self.positions = np.stack([self._positions(w @ columns) for w in self._weights(edges)])
 
     def _weights(self, phi: np.ndarray) -> np.ndarray:
-        """Sample-major rows [1, cos(d phi)..., sin(d phi)...] over the bands d."""
-        cos, sin = {1: np.cos(phi)}, {1: np.sin(phi)}
-        for d in range(2, self.bands[-1] + 1):
-            cos[d] = cos[d - 1] * cos[1] - sin[d - 1] * sin[1]
-            sin[d] = sin[d - 1] * cos[1] + cos[d - 1] * sin[1]
-        weights = np.empty((phi.size, self.table.shape[1]))
-        weights[:, 0] = 1.0
-        for j, d in enumerate(self.bands, start=1):
-            weights[:, j] = cos[d]
-            weights[:, j + len(self.bands)] = sin[d]
-        return weights
+        """Sample-major rows [1, cos(d phi)..., sin(d phi)...] over the bands d.
 
-    def _brackets(self, cdf: np.ndarray) -> np.ndarray:
-        """Lower bracketing node of each guide level edge in a CDF over the grid, capped at nodes - 2."""
-        return np.minimum(np.searchsorted(cdf, self._levels, side="right") - 1, self.xgrid.size - 2)
+        The angle-addition recurrence runs over whole rows of a band-major
+        array; one transposing copy gives the layout the CDF's einsum reads.
+        """
+        top = self.bands[-1]
+        trig = np.empty((1 + 2 * top, phi.size))  # rows 1, cos(d phi) for d = 1..top, sin(d phi)
+        cos, sin = trig[1 : top + 1], trig[top + 1 :]
+        trig[0] = 1.0
+        cos1, sin1 = np.cos(phi, out=cos[0]), np.sin(phi, out=sin[0])
+        term = np.empty(phi.size)
+        for cos_prev, sin_prev, cos_d, sin_d in zip(cos, sin, cos[1:], sin[1:]):
+            np.multiply(cos_prev, cos1, out=cos_d)
+            np.subtract(cos_d, np.multiply(sin_prev, sin1, out=term), out=cos_d)
+            np.multiply(sin_prev, cos1, out=sin_d)
+            np.add(sin_d, np.multiply(cos_prev, sin1, out=term), out=sin_d)
+        if len(self.bands) < top:  # a band of rho is zero: keep the rows of the others
+            trig = trig[[0, *self.bands, *(top + d for d in self.bands)]]
+        return np.ascontiguousarray(trig.T)
 
-    def _level(self, target: np.ndarray) -> np.ndarray:
-        """Guide level of each target; out-of-range targets land in an end level."""
-        return np.clip(target * (GUIDE_LEVELS / self.mass), 0, GUIDE_LEVELS - 1).astype(np.intp)
+    def _positions(self, cdf: np.ndarray) -> np.ndarray:
+        """Fractional node at which a CDF over the grid reaches each level edge, linear between nodes."""
+        return np.interp(self._levels, cdf, np.arange(cdf.size, dtype=float))
+
+    def _level(self, target: np.ndarray):
+        """Level cell of each target and its fraction within it; out-of-range targets land in an end cell."""
+        level = np.clip(target * (GUIDE_LEVELS / self.mass), 0.0, GUIDE_LEVELS)
+        cell = np.minimum(level.astype(np.intp), GUIDE_LEVELS - 1)
+        return cell, level - cell
+
+    def _node(self, position: np.ndarray) -> np.ndarray:
+        """Lower node of each fractional position, within [0, nodes - 2]; NaN reads as nodes - 2."""
+        return np.fmax(np.fmin(position, self.xgrid.size - 2), 0.0).astype(np.intp)
 
     def _interpolate(self, target, lo, flo, fhi) -> np.ndarray:
         t = np.clip((target - flo) / np.maximum(fhi - flo, 1e-300), 0.0, 1.0)
-        left = self.xgrid[lo]
-        return left + t * (self.xgrid[lo + 1] - left)
+        left = np.take(self.xgrid, lo)
+        return left + t * (np.take(self.xgrid, lo + 1) - left)
 
     def _cdf(self, weights: np.ndarray):
-        """CDF at nodes idx, one per sample, for sample-major weights."""
-        return lambda idx: np.einsum("sk,sk->s", np.take(self.table, idx, axis=0), weights)
+        """CDF at nodes idx of the samples rows (default all), for sample-major weights."""
+        return lambda idx, rows=slice(None): np.einsum(
+            "sk,sk->s", np.take(self.table, idx, axis=0), weights[rows]
+        )
+
+    def _guess(self, phi: np.ndarray, target: np.ndarray) -> np.ndarray:
+        """Lower node of each target at its phase, read off the position table bilinearly."""
+        # A phase outside [0, pi) lands in an end bin and at worst misses its bracket.
+        phase = np.clip(phi * (GUIDE_PHASE_BINS / math.pi), 0.0, GUIDE_PHASE_BINS)
+        row = np.minimum(phase.astype(np.intp), GUIDE_PHASE_BINS - 1)
+        cell, frac = self._level(target)
+        cell += row * (GUIDE_LEVELS + 1)  # flat index into the (phase edge, level edge) table
+        below = _between(self.positions, cell, frac)
+        above = _between(self.positions, cell + (GUIDE_LEVELS + 1), frac)
+        return self._node(below + (phase - row) * (above - below))
+
+    def _settle_slice(self, phi: np.ndarray, target: np.ndarray, found) -> np.ndarray:
+        """Bracket one slice of samples into the slices found; returns those not bracketed.
+
+        A function of its own, so that the slice's temporaries are freed before
+        the next slice starts.
+        """
+        guess = self._guess(phi, target)
+        values, missed = _settle(self._cdf(self._weights(phi)), guess, target, self.xgrid.size - 2, self._top_cell)
+        for out, value in zip(found, values):
+            out[...] = value
+        return missed
 
     def _search(self, phi: np.ndarray, target: np.ndarray):
         """Lower bracketing node of each target at its phase, with the CDF there and one node up.
 
-        The guided search runs slice by slice, small enough that the gathered
-        rows and weights stay in cache; the samples it misses take one full
+        The checked guesses run slice by slice, small enough that the gathered
+        rows and weights stay in cache; the samples they miss take one full
         search at the end.
         """
-        last = self.xgrid.size - 2
         found = (np.empty(target.size, dtype=np.intp), np.empty(target.size), np.empty(target.size))
         missed = [np.empty(0, dtype=np.intp)]
         for first in range(0, target.size, SEARCH_SLICE):
             part = slice(first, first + SEARCH_SLICE)
-            # A phase outside [0, pi) lands in an end bin and at worst misses its window.
-            phase_bin = np.clip(phi[part] * (GUIDE_PHASE_BINS / math.pi), 0, GUIDE_PHASE_BINS - 1)
-            cell = phase_bin.astype(np.intp) * GUIDE_LEVELS + self._level(target[part])
-            start = np.take(self.guide, cell)  # flat index into the (bin, level) table
-            values, miss = _guided(self._cdf(self._weights(phi[part])), start, target[part], last)
-            for out, value in zip(found, values):
-                out[part] = value
-            missed.append(first + miss)
+            missed.append(first + self._settle_slice(phi[part], target[part], [out[part] for out in found]))
         missed = np.concatenate(missed)
         if missed.size:
             lo = np.zeros(missed.size, dtype=np.intp)
             cdf = self._cdf(self._weights(phi[missed]))
-            full = _descend(cdf, lo, target[missed], self._top_step, last)
+            full = _descend(cdf, lo, target[missed], self._top_step, self.xgrid.size - 2)
             for out, values in zip(found, full):
                 out[missed] = values
         return found
@@ -365,10 +402,8 @@ class QuadratureGridSampler:
         """As _search, for targets that all share the phase phi."""
         last = self.xgrid.size - 2
         cdf = self.table[: self.xgrid.size] @ self._weights(np.array([float(phi)]))[0]
-        brackets = self._brackets(cdf)
-        start = _guide_cells(brackets[:-1], brackets[1:])[self._level(target)]
-        padded = np.concatenate((cdf, np.full(1 << GUIDE_STEPS, np.inf)))
-        found, missed = _guided(lambda idx: np.take(padded, idx), start, target, last)
+        guess = self._node(_between(self._positions(cdf), *self._level(target)))
+        found, missed = _settle(lambda idx, rows: np.take(cdf, idx), guess, target, last, self._top_cell)
         if missed.size:
             lo = np.minimum(np.searchsorted(cdf, target[missed], side="right") - 1, last)
             for out, values in zip(found, (lo, cdf[lo], cdf[lo + 1])):
@@ -443,6 +478,7 @@ def sample_fixed_phase(
     is returned.
     """
     n = sample_count(state, eta, n)
+    phi = _check_phase(phi)
     invert = None if isinstance(state, Coherent) else QuadratureGridSampler(state).sample_fixed_phase
 
     def draw(rng, count):

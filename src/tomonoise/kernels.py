@@ -16,7 +16,7 @@ from typing import Mapping, Union
 
 import numpy as np
 
-from .errors import NumericRangeError, ValidationError, integer
+from .errors import NumericRangeError, ValidationError, integer, is_complex
 from .states import _check_eta, _complex_from_json
 
 #: Hard cap on n + m for monomial kernels (double-precision recurrence guard).
@@ -63,12 +63,12 @@ class Polynomial:
     terms: tuple[tuple[int, int, complex], ...]
 
     def __post_init__(self):
-        for n, m, _ in self.terms:
-            _check_orders(n, m)
+        terms = tuple((*_check_orders(n, m), _coefficient(c)) for n, m, c in self.terms)
+        object.__setattr__(self, "terms", terms)
 
     @classmethod
     def from_coeffs(cls, coeffs: Mapping[tuple[int, int], complex]) -> "Polynomial":
-        terms = {_check_orders(n, m): complex(c) for (n, m), c in coeffs.items()}
+        terms = {_check_orders(n, m): c for (n, m), c in coeffs.items()}
         return cls(tuple((n, m, c) for (n, m), c in sorted(terms.items())))
 
     @property
@@ -86,6 +86,13 @@ def _check_orders(n: int, m: int) -> tuple[int, int]:
             f"monomial order n + m = {n + m} exceeds the supported cap {MAX_KERNEL_ORDER}"
         )
     return n, m
+
+
+def _coefficient(c) -> complex:
+    """A polynomial coefficient as a complex number, if it is one; else a ValidationError."""
+    if not is_complex(c):
+        raise ValidationError(f"polynomial coefficient must be a number, got {c!r}")
+    return complex(c)
 
 
 def hermite(s: int, y):
@@ -123,7 +130,7 @@ def kernel_polynomial(coeffs: Mapping[tuple[int, int], complex], eta: float, x, 
     phi = np.asarray(phi, dtype=float)
     total = np.zeros(np.broadcast(x, phi).shape, dtype=complex)
     for (n, m), c in coeffs.items():
-        total = total + complex(c) * kernel_monomial(n, m, eta, x, phi)
+        total = total + _coefficient(c) * kernel_monomial(n, m, eta, x, phi)
     return total if total.ndim else complex(total)
 
 

@@ -19,7 +19,7 @@ from typing import Union
 
 import numpy as np
 
-from .errors import NumericRangeError, ValidationError, integer, is_real
+from .errors import NumericRangeError, ValidationError, integer, is_complex, is_real
 
 #: Vacuum variance of x = (a + a^dag)/2.
 VACUUM_QUADRATURE_VARIANCE = 0.25
@@ -51,6 +51,17 @@ def _check_eta(eta: float) -> None:
         raise ValidationError(f"quantum efficiency must satisfy 0 < eta <= 1, got {eta}")
 
 
+def _check_phase(phi) -> float:
+    """phi as a float, if it is a number that is finite as a float; else a ValidationError."""
+    try:
+        finite = is_real(phi) and math.isfinite(phi)
+    except OverflowError:  # an int beyond the float range
+        finite = False
+    if not finite:
+        raise ValidationError(f"phase must be a finite number, got {phi!r}")
+    return float(phi)
+
+
 @dataclass(frozen=True)
 class Coherent:
     """Coherent state with complex amplitude beta; mean photon number |beta|^2."""
@@ -58,7 +69,7 @@ class Coherent:
     beta: complex
 
     def __post_init__(self):
-        if not (is_real(self.beta) or isinstance(self.beta, (complex, np.complexfloating))):
+        if not is_complex(self.beta):
             raise ValidationError(f"coherent amplitude must be a number, got {self.beta!r}")
         b = complex(self.beta)
         if not (math.isfinite(b.real) and math.isfinite(b.imag)):
@@ -90,6 +101,9 @@ class Mixed:
     rho: np.ndarray
 
     def __post_init__(self):
+        kind = np.asarray(self.rho).dtype.kind
+        if kind not in "iufc":  # complex() alone would read bools and numeric strings as numbers
+            raise ValidationError(f"rho entries must be numbers, got an array of dtype kind {kind!r}")
         rho = np.asarray(self.rho, dtype=complex)
         if rho.ndim != 2 or rho.shape[0] != rho.shape[1] or rho.shape[0] < 1:
             raise ValidationError("mixed-state rho must be a square matrix")
@@ -341,8 +355,8 @@ def quadrature_pdf(state: StateSpec, phi: float, eta: float, x) -> np.ndarray | 
     """
     _check_eta(eta)
     validate_state(state)
+    phi = _check_phase(phi)
     xs = np.atleast_1d(np.asarray(x, dtype=float))
-    phi = float(phi)
     if isinstance(state, Coherent):
         var = VACUUM_QUADRATURE_VARIANCE / eta
         z = xs - coherent_mean(state.beta, phi)

@@ -9,21 +9,26 @@ import numpy as np
 import pytest
 
 from tomonoise import (
+    Coherent,
     Dataset,
     Fock,
+    Mixed,
     Monomial,
+    Polynomial,
     RealField,
     ValidationError,
     cli,
     noise_ratio_coherent,
+    quadrature_pdf,
+    sample_fixed_phase,
     state_from_json,
     sweep,
 )
 from tomonoise.cli import main
-from tomonoise.errors import integer, is_integral, is_real
+from tomonoise.errors import integer, is_complex, is_integral, is_real
 from tomonoise.estimators import phase_kernel_distribution
 from tomonoise.homodyne import block_generator, dataset_from_json, sample_count, sample_homodyne
-from tomonoise.kernels import _check_orders, hermite
+from tomonoise.kernels import _check_orders, hermite, kernel_polynomial, observable_to_json
 from tomonoise.states import normal_moment, photon_distribution, smearing_variance
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "tomonoise"
@@ -126,6 +131,61 @@ def test_sweep_grids_of_any_number_type(nbar, eta):
     assert sweep([RealField()], [nbar], [eta])[0].nbar == nbar
 
 
+#: Phases that no phase entry point reads: not numbers, or not finite as floats.
+REFUSED_PHASES = [True, np.True_, "0.5", None, math.nan, math.inf, 10**400]
+#: Entry point that reads a phase -> call with a value.
+PHASE_ENTRY_POINTS = {
+    "sample_fixed_phase coherent": lambda v: sample_fixed_phase(Coherent(1.0), 1.0, 3, 1, phi=v),
+    "sample_fixed_phase grid": lambda v: sample_fixed_phase(Mixed([[0.5, 0.5], [0.5, 0.5]]), 1.0, 3, 1, phi=v),
+    "quadrature_pdf": lambda v: quadrature_pdf(Fock(1), v, 1.0, 0.1),
+}
+
+
+@pytest.mark.parametrize("value", REFUSED_PHASES, ids=repr)
+@pytest.mark.parametrize("site", list(PHASE_ENTRY_POINTS))
+def test_every_phase_entry_point_refuses(site, value):
+    with pytest.raises(ValidationError, match="phase must be a finite number"):
+        PHASE_ENTRY_POINTS[site](value)
+
+
+@pytest.mark.parametrize("site", list(PHASE_ENTRY_POINTS))
+def test_every_phase_entry_point_reads_any_number_type(site):
+    reference = PHASE_ENTRY_POINTS[site](0.5)
+    for value in (np.float64(0.5), np.float32(0.5)):
+        np.testing.assert_array_equal(PHASE_ENTRY_POINTS[site](value), reference)
+    np.testing.assert_array_equal(PHASE_ENTRY_POINTS[site](1), PHASE_ENTRY_POINTS[site](1.0))
+
+
+@pytest.mark.parametrize(
+    "rho",
+    [[["1"]], np.array([[True]]), np.array([[1.0]], dtype=object), [[None]]],
+    ids=["str", "bool", "object", "None"],
+)
+def test_mixed_refuses_entries_that_are_not_numbers(rho):
+    with pytest.raises(ValidationError, match="rho entries must be numbers"):
+        Mixed(rho)
+
+
+class TestPolynomial:
+    def test_orders_are_stored_as_ints(self):
+        poly = Polynomial(terms=((1.0, np.int64(1), 1),))
+        assert [type(v) for v in poly.terms[0]] == [int, int, complex]
+        assert observable_to_json(poly)["terms"] == [{"n": 1, "m": 1, "c": [1.0, 0.0]}]
+
+    @pytest.mark.parametrize("c", ["2", True, np.True_, None, [1.0]], ids=repr)
+    def test_coefficients_must_be_numbers(self, c):
+        with pytest.raises(ValidationError, match="polynomial coefficient must be a number"):
+            Polynomial.from_coeffs({(1, 1): c})
+        with pytest.raises(ValidationError, match="polynomial coefficient must be a number"):
+            Polynomial(terms=((1, 1, c),))
+        with pytest.raises(ValidationError, match="polynomial coefficient must be a number"):
+            kernel_polynomial({(1, 1): c}, 1.0, 0.5, 1.0)
+
+    @pytest.mark.parametrize("c", [2, 2.0, 2 + 0j, np.float32(2.0), np.complex64(2.0)], ids=repr)
+    def test_coefficients_of_any_number_type(self, c):
+        assert Polynomial.from_coeffs({(1, 1): c}).terms == ((1, 1, 2 + 0j),)
+
+
 class TestPredicates:
     @pytest.mark.parametrize("value", [0, -2, 0.5, math.nan, math.inf, np.float32(0.5), np.uint64(7), np.int8(-1)],
                              ids=repr)
@@ -135,6 +195,14 @@ class TestPredicates:
     @pytest.mark.parametrize("value", [True, False, np.True_, "0.5", None, 1j, [1], np.array([1.0])], ids=repr)
     def test_not_real(self, value):
         assert not is_real(value)
+
+    @pytest.mark.parametrize("value", [0, 0.5, 1j, np.complex64(1j), np.float32(0.5), np.uint64(7)], ids=repr)
+    def test_complex(self, value):
+        assert is_complex(value)
+
+    @pytest.mark.parametrize("value", [True, np.True_, "1j", None, [1j], np.array([1j])], ids=repr)
+    def test_not_complex(self, value):
+        assert not is_complex(value)
 
     @pytest.mark.parametrize(
         "value", [0, 20.0, -3, np.float64(7.0), np.uint64(2**64 - 1), np.int8(-128), 1e300], ids=repr

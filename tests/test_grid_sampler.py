@@ -10,6 +10,7 @@ import hashlib
 import math
 import resource
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -191,15 +192,26 @@ def sha256(*arrays):
     return digest.hexdigest()
 
 
-def guided(monkeypatch, cells):
-    """Sampler for mixed6(8) whose guide tables, phase-scanned and fixed-phase, go through cells."""
-    build = homodyne._guide_cells
-    monkeypatch.setattr(homodyne, "_guide_cells", lambda low, high: cells(build(low, high)))
+def perturbed(monkeypatch, change):
+    """Sampler for mixed6(8) whose position tables, phase-scanned and fixed-phase, go through change.
+
+    The patch holds for every sampler until the test ends, so a reference
+    sampler must have drawn its outcomes before this is called.
+    """
+    build = QuadratureGridSampler._positions
+    monkeypatch.setattr(QuadratureGridSampler, "_positions", lambda self, cdf: change(build(self, cdf)))
     return QuadratureGridSampler(mixed6(8))
 
 
+def full_search(sampler, phi, target):
+    """The branchless search from node 0 alone: lo, cdf(lo) and cdf(lo + 1), and the CDF it read."""
+    cdf = sampler._cdf(sampler._weights(phi))
+    lo = np.zeros(target.size, dtype=np.intp)
+    return homodyne._descend(cdf, lo, target, sampler._top_step, sampler.xgrid.size - 2), cdf
+
+
 class TestGuideTable:
-    """The guide only chooses where a search starts; outcomes never depend on it."""
+    """The position table only chooses where a search starts; outcomes never depend on it."""
 
     # Recorded before the guide table existed, from the plain power-of-two search.
     def test_sample_homodyne_bytes(self):
@@ -210,46 +222,81 @@ class TestGuideTable:
         x = sample_fixed_phase(mixed6(1), 0.8, BLOCK_SIZE + 123, 29, phi=1.1)
         assert sha256(x) == "8be1bbcfc977c2d5b2fe42a3a88fd870fbcc514dcd53d233cd066175a28e29ec"
 
-    def test_guide_is_mostly_narrow(self):
-        guide = QuadratureGridSampler(mixed6(8)).guide
-        assert guide.shape == (homodyne.GUIDE_PHASE_BINS, homodyne.GUIDE_LEVELS)
-        assert guide.dtype == np.int32 and (guide < 0).mean() < 0.01
+    def test_guess_is_mostly_exact(self):
+        # 89.8 % of the guesses are the bracket itself for this state, and the
+        # move of one node leaves 0.6 % (the top level cell among them) to the full search.
+        sampler = QuadratureGridSampler(mixed6(8))
+        assert sampler.positions.shape == (homodyne.GUIDE_PHASE_BINS + 1, homodyne.GUIDE_LEVELS + 1)
+        phi, u = deviates(11, 1 << 16)
+        target = u * sampler.mass
+        guess = sampler._guess(phi, target)
+        assert (guess == sampler._search(phi, target)[0]).mean() >= 0.85
+        cdf = sampler._cdf(sampler._weights(phi))
+        _, missed = homodyne._settle(cdf, guess, target, sampler.xgrid.size - 2, sampler._top_cell)
+        assert missed.size <= 0.01 * target.size
 
     @pytest.mark.parametrize(
-        "cells",
+        "change",
         [
-            lambda cells: np.full_like(cells, -1),
-            lambda cells: cells + 3,
-            lambda cells: np.maximum(cells - 7, 0),
-            lambda cells: np.where(cells >= 0, cells + 40, -1),
-            lambda cells: np.random.default_rng(0).integers(0, GRID_NODES, cells.shape, dtype=np.int32),
+            lambda positions: positions + 3,
+            lambda positions: positions - 7,
+            lambda positions: positions + 40,
+            lambda positions: np.random.default_rng(0).uniform(-10.0, GRID_NODES + 10.0, positions.shape),
+            lambda positions: np.full_like(positions, np.nan),
         ],
-        ids=["all-wide", "up-3", "down-7", "up-40", "random"],
+        ids=["up-3", "down-7", "up-40", "random", "nan"],
     )
-    def test_wrong_guide_changes_no_outcome(self, monkeypatch, cells):
+    def test_wrong_guide_changes_no_outcome(self, monkeypatch, change):
         phi, u = deviates(9, 1 << 15)
         expected = QuadratureGridSampler(mixed6(8))
-        sampler = guided(monkeypatch, cells)
-        np.testing.assert_array_equal(sampler.sample(phi, u), expected.sample(phi, u))
-        for fixed in (0.0, 1.1, 2.9):
-            np.testing.assert_array_equal(
-                sampler.sample_fixed_phase(fixed, u), expected.sample_fixed_phase(fixed, u)
-            )
+        fixed = (0.0, 1.1, 2.9)
+        scanned, at_fixed = expected.sample(phi, u), [expected.sample_fixed_phase(f, u) for f in fixed]
+        sampler = perturbed(monkeypatch, change)
+        np.testing.assert_array_equal(sampler.sample(phi, u), scanned)
+        for f, x in zip(fixed, at_fixed):
+            np.testing.assert_array_equal(sampler.sample_fixed_phase(f, u), x)
 
-    @pytest.mark.parametrize("phase", [-0.5, 3.5, 7.0, None])
-    def test_phase_outside_the_bins(self, monkeypatch, phase):
-        # None: phases across [0, pi) at the extreme deviates of both tails
-        if phase is None:
-            u = np.repeat([0.0, 1e-300, 1e-12, 1 - 1e-12, 1 - 1e-15, 1 - 2**-53], 512)
-            phi = np.tile(np.linspace(0.0, np.nextafter(math.pi, 0.0), 512), 6)
+    @pytest.mark.parametrize(
+        "phase",
+        [-0.5, 3.5, 7.0, None, (-1.0, 8.0)],
+        ids=["-0.5", "3.5", "7.0", "None", "wide"],
+    )
+    def test_phase_outside_the_bins(self, phase):
+        # None: phases across [0, pi) at the extreme deviates of both tails; a
+        # pair: phases across that range, where the top tail's CDF is flat to
+        # rounding and reaches a target at more than one node.
+        if phase is None or isinstance(phase, tuple):
+            u = np.repeat([0.0, 1e-300, 1e-12, 1 - 1e-12, 1 - 1e-15, 1 - 2**-52, 1 - 2**-53], 1024)
+            low, high = (0.0, np.nextafter(math.pi, 0.0)) if phase is None else phase
+            phi = np.tile(np.linspace(low, high, 1024), 7)
         else:
             _, u = deviates(10, 1 << 14)
             phi = np.full(u.size, phase)
-        target = u * QuadratureGridSampler(mixed6(8)).mass
-        found = QuadratureGridSampler(mixed6(8))._search(phi, target)
-        full = guided(monkeypatch, lambda cells: np.full_like(cells, -1))._search(phi, target)
-        for a, b in zip(found, full):
+        sampler = QuadratureGridSampler(mixed6(8))
+        target = u * sampler.mass
+        full, _ = full_search(sampler, phi, target)
+        for a, b in zip(sampler._search(phi, target), full):
             np.testing.assert_array_equal(a, b)
+
+    @given(small_density_matrices(), st.integers(0, 2**31 - 1))
+    def test_search_matches_full_search(self, rho, seed):
+        assume(np.max(np.abs(np.triu(rho, 1))) > 1e-6)
+        sampler = QuadratureGridSampler(Mixed(rho))
+        phi, u = deviates(seed, 4096)
+        target = u * sampler.mass
+        (lo, _, _), cdf = full_search(sampler, phi, target)
+        # strictly increasing CDF over the nodes around the full search's bracket
+        nodes = sampler.xgrid.size
+        around = [cdf(np.clip(lo + k, 0, nodes - 1)) for k in (-1, 0, 1, 2)]
+        rising = np.all(np.diff(around, axis=0) > 0.0, axis=0)
+        assert rising.mean() > 0.99
+        np.testing.assert_array_equal(sampler._search(phi, target)[0][rising], lo[rising])
+        # At one phase: the fixed-phase lookup against searchsorted over the same CDF.
+        at = sampler.table[:nodes] @ sampler._weights(phi[:1])[0]
+        lo = np.minimum(np.searchsorted(at, target, side="right") - 1, nodes - 2)
+        around = [at[np.clip(lo + k, 0, nodes - 1)] for k in (-1, 0, 1, 2)]
+        rising = np.all(np.diff(around, axis=0) > 0.0, axis=0)
+        np.testing.assert_array_equal(sampler._lookup(phi[0], target)[0][rising], lo[rising])
 
     def test_no_samples(self):
         sampler = QuadratureGridSampler(mixed6(8))
@@ -268,3 +315,18 @@ class TestGuideTable:
         before = cpu()
         time.sleep(0.3)
         assert cpu() - before < 0.05
+
+    def test_sample_memory(self):
+        # One block's sample peaks at 5.5 MB of traced allocations; the guided
+        # search this replaced took 5.9-6.2 MB. Slice temporaries that outlive
+        # their slice, or both weight layouts held at once, lift it past 8 MB.
+        sampler = QuadratureGridSampler(mixed6(1))
+        phi, u = deviates(12, BLOCK_SIZE)
+        sampler.sample(phi, u)
+        tracemalloc.start()
+        try:
+            sampler.sample(phi, u)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 5.94e6
