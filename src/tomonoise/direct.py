@@ -1,9 +1,10 @@
 """Direct-detection simulators: the detectors the tomographic estimators are compared with.
 
-Photon counting (Bernoulli-thinned number statistics) and heterodyne detection
-of coherent states, each returning its outcome array (int64 counts, complex128
-alphas) or streaming it block by block into a reduce callable, and the phase
-variance of heterodyne outcomes. Fixed-phase homodyne is
+Photon counting (a coherent state stays coherent under loss, so its counts are
+Poisson(eta |beta|^2); other states' number statistics are thinned binomially)
+and heterodyne detection of coherent states, each returning its outcome array
+(int64 counts, complex128 alphas) or streaming it block by block into a reduce
+callable, and the phase variance of heterodyne outcomes. Fixed-phase homodyne is
 homodyne.sample_fixed_phase. The closed-form direct-detection variances live
 with the tomographic ones in noise.py.
 """
@@ -35,15 +36,19 @@ POISSON_LAM_MAX = 9.223372006484771e18
 def simulate_photocount(
     state: StateSpec, eta: float, n: int, seed: int, reduce=None
 ) -> np.ndarray | None:
-    """The int64 counts of n detections: true photon numbers, each thinned binomially by eta.
+    """The int64 counts of n detections with efficiency eta.
 
-    With reduce, each block goes to reduce(counts) instead (see
-    homodyne.generate), and None is returned.
+    A coherent state stays coherent under loss, so its counts are one
+    Poisson(eta |beta|^2) draw each. A Fock or mixed state draws its true
+    photon number, then thins it binomially by eta when eta < 1. With reduce,
+    each block goes to reduce(counts) instead (see homodyne.generate), and
+    None is returned.
     """
     n = sample_count(state, eta, n)
     if isinstance(state, Mixed):
         probs, _ = photon_distribution(state, state.dim)
-        cdf = np.cumsum(probs / probs.sum())
+        # level k takes u in [cdf[k-1], cdf[k]); the top level also takes u past a total rounded below 1
+        cdf = np.cumsum(probs / probs.sum())[:-1]
     if isinstance(state, Coherent) and abs(state.beta) ** 2 > POISSON_LAM_MAX:
         raise NumericRangeError(
             f"photon counts of |beta|^2 = {abs(state.beta) ** 2!r} exceed the largest Poisson mean "
@@ -52,11 +57,11 @@ def simulate_photocount(
 
     def draw(rng, k):
         if isinstance(state, Coherent):
-            true = rng.poisson(abs(state.beta) ** 2, k)
-        elif isinstance(state, Fock):
+            return (rng.poisson(eta * abs(state.beta) ** 2, k),)  # |beta|^2 itself at eta = 1
+        if isinstance(state, Fock):
             true = np.full(k, state.n, dtype=np.int64)
         else:
-            true = np.searchsorted(cdf, rng.random(k)).astype(np.int64)
+            true = np.searchsorted(cdf, rng.random(k), side="right").astype(np.int64)
         return (true if eta == 1.0 else rng.binomial(true, eta),)
 
     columns = generate(n, seed, PURPOSE_PHOTOCOUNT, draw, reduce, (np.int64,))

@@ -1,9 +1,11 @@
 """Synthetic phase-scanned homodyne records with reproducible counter-based seeding.
 
-Sampling model: phi ~ Uniform[0, pi), then x from the ideal (eta = 1)
-quadrature density at that phase, then additive Gaussian noise of variance
-(1 - eta)/(4 eta) when eta < 1. Every generator checks its arguments with
-`sample_count` and hands `generate` a draw(rng, count) function, which gets
+Sampling model: phi ~ Uniform[0, pi), then x at that phase. A coherent state
+stays coherent under loss, so its x is one Gaussian draw of mean
+Re(beta e^(-i phi)) and variance 1/(4 eta). Number-basis states draw x from
+the ideal (eta = 1) quadrature density on a grid, then add Gaussian noise of
+variance (1 - eta)/(4 eta) when eta < 1. Every generator checks its arguments
+with `sample_count` and hands `generate` a draw(rng, count) function, which gets
 one Philox stream per block keyed by (seed, purpose, block index). Blocks run
 on a small thread pool (numpy's generators and ufuncs release the interpreter
 lock), each block writes only its own slice, so the output is the same for
@@ -26,6 +28,7 @@ from .errors import NumericRangeError, ValidationError, integer, is_real
 from .states import (
     GRID_MASS_TOL,
     HERMITE_REACH,
+    VACUUM_QUADRATURE_VARIANCE,
     Coherent,
     StateSpec,
     _check_eta,
@@ -432,15 +435,17 @@ class QuadratureGridSampler:
 
 
 def _outcomes(state: StateSpec, eta: float, rng, phi, count: int, invert) -> np.ndarray:
-    """count outcomes at phase(s) phi: the ideal quadrature, then the efficiency smear.
+    """count outcomes at phase(s) phi, rescaled by 1/sqrt(eta).
 
-    A coherent state's ideal outcome is coherent_mean plus N(0, 1/4); any
-    other state's is invert(phi, u), a grid sampler method, at uniform u.
+    A coherent state stays coherent under loss, so its outcome is coherent_mean
+    plus one N(0, 1/(4 eta)) draw. Any other state's is invert(phi, u), a grid
+    sampler method, at uniform u (the ideal quadrature), then the efficiency
+    smear N(0, (1 - eta)/(4 eta)) when eta < 1.
     """
     if isinstance(state, Coherent):
-        x = coherent_mean(state.beta, phi) + rng.normal(0.0, 0.5, count)
-    else:
-        x = invert(phi, rng.random(count))
+        sigma = math.sqrt(VACUUM_QUADRATURE_VARIANCE / eta)  # exactly 0.5 at eta = 1
+        return coherent_mean(state.beta, phi) + rng.normal(0.0, sigma, count)
+    x = invert(phi, rng.random(count))
     if eta < 1.0:
         x = x + rng.normal(0.0, math.sqrt(smearing_variance(eta)), count)
     return x

@@ -56,7 +56,16 @@ from .kernels import (
     RealField,
     observable_name,
 )
-from .states import Coherent, StateSpec, _check_eta, mean_photon, normal_moment, smearing_variance, state_tag
+from .states import (
+    VACUUM_QUADRATURE_VARIANCE,
+    Coherent,
+    StateSpec,
+    _check_eta,
+    mean_photon,
+    normal_moment,
+    smearing_variance,
+    state_tag,
+)
 
 #: Mean photon number above which the analytic phase formulas are trusted.
 PHASE_ASYMPTOTIC_NBAR = 10.0
@@ -149,18 +158,26 @@ def _analytic(obs: Observable, state: StateSpec, eta: float) -> tuple[float, flo
     """
     _check_eta(eta)
     nbar = mean_photon(state)
+    # A coherent state's central moments are constants: <dn^2> = nbar, <dx^2> = 1/4,
+    # |<a>|^2 = nbar. Taking them as such cancels no digits at bright nbar.
+    coherent = isinstance(state, Coherent)
     if isinstance(obs, Intensity):
         n2 = nbar + normal_moment(state, 2, 2).real
-        dn2 = n2 - nbar * nbar
+        dn2 = nbar if coherent else n2 - nbar * nbar
         tomo = dn2 + 0.5 * n2 + nbar * (2.0 / eta - 1.5) + 1.0 / (2.0 * eta * eta)
         added = 0.5 * (n2 + nbar * (2.0 / eta - 1.0) + 1.0 / (eta * eta))
         return tomo, dn2 + nbar * (1.0 / eta - 1.0), added
     if isinstance(obs, RealField):
-        x2 = (2.0 * normal_moment(state, 0, 2).real + 2.0 * nbar + 1.0) / 4.0
-        dx2 = x2 - normal_moment(state, 0, 1).real ** 2
+        if coherent:
+            dx2 = VACUUM_QUADRATURE_VARIANCE
+        else:
+            x2 = (2.0 * normal_moment(state, 0, 2).real + 2.0 * nbar + 1.0) / 4.0
+            dx2 = x2 - normal_moment(state, 0, 1).real ** 2
         tomo = dx2 + 0.5 * nbar + (2.0 - eta) / (4.0 * eta)
         return tomo, dx2 + smearing_variance(eta), 0.5 * (nbar + 1.0 / (2.0 * eta))
     if isinstance(obs, ComplexAmplitude):
+        if coherent:
+            return 0.5 * (1.0 / eta + nbar), 0.5 / eta, 0.5 * nbar
         a1_sq = abs(normal_moment(state, 0, 1)) ** 2
         return 0.5 * (1.0 / eta + 2.0 * nbar - a1_sq), 0.5 * (nbar + 1.0 / eta - a1_sq), 0.5 * nbar
     if isinstance(obs, Phase):
@@ -204,10 +221,13 @@ def quadrature_variance_direct(state: StateSpec, eta: float) -> float:
 def amplitude_noise_direct(state: StateSpec, eta: float) -> tuple[float, float]:
     """Covariance eigenvalues of ideal two-quadrature detection.
 
-    (1/2) [nbar + 1/eta - |<a>|^2 +/- |<a^2> - <a>^2|], largest first.
+    (1/2) [nbar + 1/eta - |<a>|^2 +/- |<a^2> - <a>^2|], largest first; for a
+    coherent state both are 1/(2 eta), taken without the subtraction.
     """
     _check_eta(eta)
-    nbar = mean_photon(state)
+    nbar = mean_photon(state)  # also refuses a state out of the float range
+    if isinstance(state, Coherent):
+        return 0.5 / eta, 0.5 / eta
     a1 = normal_moment(state, 0, 1)
     a2 = normal_moment(state, 0, 2)
     base = nbar + 1.0 / eta - abs(a1) ** 2

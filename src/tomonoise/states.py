@@ -4,8 +4,11 @@ Quadrature convention used throughout the package: x = (a + a^dag)/2, so the
 vacuum quadrature distribution is a zero-mean Gaussian of variance 1/4.
 Detector quantum efficiency eta < 1 has two equivalent exact forms: additive
 zero-mean Gaussian noise of variance (1 - eta)/(4 eta) on the ideal quadrature
-outcome, which the samplers add, and a loss channel of transmission eta on the
-state, which quadrature_pdf applies to number-basis states.
+outcome, which the number-basis samplers add, and a loss channel of
+transmission eta on the state, which quadrature_pdf applies to number-basis
+states. A coherent state stays coherent under loss (beta -> sqrt(eta) beta), so
+its rescaled outcome is one Gaussian of variance 1/(4 eta) and its photocount
+one Poisson(eta |beta|^2) draw; the samplers draw those closed forms directly.
 """
 
 from __future__ import annotations

@@ -17,6 +17,7 @@ from tomonoise import (
     simulate_heterodyne,
     simulate_photocount,
 )
+from tomonoise import homodyne
 from tomonoise.direct import POISSON_LAM_MAX
 from tomonoise.errors import NumericRangeError
 
@@ -66,6 +67,22 @@ class TestPhotocounting:
         tv = 0.5 * np.abs(counts / rec.size - pmf).sum()
         assert tv < 0.005
 
+    @pytest.mark.parametrize("eta", [0.3, 0.8])
+    def test_coherent_counts_are_poisson(self, eta):
+        # thinning keeps a Poisson count Poisson: mean and variance lam, pmf by chi-squared at 5 sigma
+        from scipy.stats import chi2, poisson
+
+        n, beta = 200_000, 1.2 - 1.7j
+        lam = eta * abs(beta) ** 2
+        rec = simulate_photocount(Coherent(beta), eta, n, 76)
+        assert abs(rec.mean() - lam) < 5.0 * math.sqrt(lam / n)
+        assert abs(rec.var() - lam) < 5.0 * math.sqrt((lam + 2.0 * lam * lam) / n)
+        top = int(poisson.isf(50.0 / n, lam))  # every bin expects at least 50 counts
+        observed = np.bincount(np.minimum(rec, top), minlength=top + 1)
+        expected = n * np.append(poisson.pmf(np.arange(top), lam), poisson.sf(top - 1, lam))
+        statistic = ((observed - expected) ** 2 / expected).sum()
+        assert chi2.sf(statistic, top) > 5.7e-7  # the two-sided 5 sigma tail
+
     def test_moment_closure(self):
         rec = simulate_photocount(Mixed(np.diag([0.2, 0.5, 0.3])), 0.8, 4 * 10**5, 75)
         scaled = rec / 0.8
@@ -89,6 +106,13 @@ class TestAnalyticVariances:
         assert amplitude_noise_direct(Coherent(1 + 1j), 1.0) == pytest.approx((0.5, 0.5))
         assert amplitude_noise_direct(Coherent(1 + 1j), 0.25) == pytest.approx((2.0, 2.0))
         assert amplitude_noise_direct(Fock(2), 1.0) == pytest.approx((1.5, 1.5))
+
+    def test_bright_coherent_values_exact(self):
+        # coherent states take <dn^2> = nbar and no excess amplitude noise, with no subtraction to cancel
+        assert intensity_variance_direct(Coherent(1e6), 0.5) == 2e12
+        assert amplitude_noise_direct(Coherent(1e3 + 7j), 1.0) == (0.5, 0.5)
+        assert amplitude_noise_direct(Coherent(1e3 + 7j), 0.9) == (5 / 9, 5 / 9)
+        assert quadrature_variance_direct(Coherent(math.sqrt(1e17)), 1.0) == 0.25
 
     def test_amplitude_noise_ordering(self):
         plus, minus = amplitude_noise_direct(Mixed(np.diag([0.6, 0.1, 0.3])), 0.9)
@@ -163,3 +187,27 @@ def test_photocount_mean_up_to_numpy_poisson_limit():
         simulate_photocount(Coherent(above), 0.5, 10, 1)
     with pytest.raises(NumericRangeError, match="Poisson"):
         simulate_photocount(Coherent(complex(3.1e9, 0.0)), 1.0, 10, 1, reduce=lambda counts: None)
+
+
+class TestMixedPhotonNumbers:
+    """A mixed state's photon number is the level k whose CDF interval [cdf[k-1], cdf[k]) holds u."""
+
+    @staticmethod
+    def counts_at(monkeypatch, state, u):
+        class Stub:
+            def random(self, count):
+                return np.full(count, u)
+
+        monkeypatch.setattr(homodyne, "block_generator", lambda seed, purpose, block: Stub())
+        return simulate_photocount(state, 1.0, 5, 1)
+
+    def test_top_deviate_stays_below_dim(self, monkeypatch):
+        state = Mixed(np.diag([0.1, 0.2, 0.3, 0.1, 0.2, 0.1]))
+        probs, _ = photon_distribution(state, state.dim)
+        u = 1.0 - 2.0**-53  # the largest deviate below 1
+        assert np.cumsum(probs / probs.sum())[-1] < u  # the normalised CDF ends below it
+        assert (self.counts_at(monkeypatch, state, u) == state.dim - 1).all()
+
+    def test_zero_deviate_skips_an_empty_level(self, monkeypatch):
+        state = Mixed(np.diag([0.0, 0.0, 0.4, 0.6]))
+        assert (self.counts_at(monkeypatch, state, 0.0) == 2).all()

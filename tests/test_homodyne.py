@@ -32,13 +32,15 @@ from tomonoise import homodyne
 from tomonoise.errors import CapabilityError, NumericRangeError
 from tomonoise.homodyne import (
     BLOCK_SIZE,
+    PURPOSE_FIXED_PHASE,
     PURPOSE_HOMODYNE,
+    PURPOSE_PHOTOCOUNT,
     QuadratureGridSampler,
     block_generator,
     run_blocks,
     worker_count,
 )
-from tomonoise.states import GRID_MASS_TOL
+from tomonoise.states import GRID_MASS_TOL, coherent_mean
 
 
 def plus_state():
@@ -337,11 +339,16 @@ def file_sha256(path):
 
 
 class TestPinnedBytes:
-    """Phase-independent and closed-form paths keep the bytes recorded before the table search.
+    """Phase-independent and closed-form paths keep their pinned bytes.
 
     These are the inputs of the Fock dataset runs and the coherent comparisons.
-    The direct simulators and the CSV writers keep the bytes recorded before the
-    thread pool of run_blocks and the joined-row writer replaced their loops and np.savetxt.
+    The number-basis cases, the eta = 1 photocount and heterodyne keep the bytes
+    recorded before the table search, the thread pool of run_blocks and the
+    joined-row writer replaced their loops and np.savetxt. The coherent eta = 0.8
+    cases (sample_homodyne, sample_fixed_phase, simulate_photocount and the CSV
+    file) were re-recorded when coherent states began to draw the lossy closed
+    form, one normal of variance 1/(4 eta) and one Poisson(eta |beta|^2) draw,
+    in place of the ideal draw plus a smear or binomial thinning.
     Hashes were recorded with numpy 2.4 on x86-64.
     """
 
@@ -355,7 +362,7 @@ class TestPinnedBytes:
                 Mixed(np.diag([0.5, 0.3, 0.2])),
                 "855dd1f07268179df7d14c7184be7223149f3a8d808abcdb121a4432f651cecd",
             ),
-            (Coherent(1.5 + 0.5j), "4215278172de7a458051b710bfac04455d3128161f890fe5df6dcafd79aeacc9"),
+            (Coherent(1.5 + 0.5j), "2c92a5d2e28902f9322225728f891f23e0a7fec18fee2db210b8974a12482a91"),
         ],
         ids=["fock3", "diagonal", "coherent"],
     )
@@ -367,7 +374,7 @@ class TestPinnedBytes:
         "state, digest",
         [
             (Fock(3), "a80ffab7c8e59a53076ceba1d8b18c2547afca43b0d7848a9771f4791679ff0e"),
-            (Coherent(1.5 + 0.5j), "c37d211c0f009456f551626570c658c269ae362e86e8c69a62e46fe00b6c971f"),
+            (Coherent(1.5 + 0.5j), "c4e30116b342b44e165df70679cf0b26512c616268d55567f5624b918ff58f37"),
         ],
         ids=["fock3", "coherent"],
     )
@@ -377,7 +384,7 @@ class TestPinnedBytes:
     @pytest.mark.parametrize(
         "state, eta, digest",
         [
-            (Coherent(1.5 + 0.5j), 0.8, "217170c475fab9184c6c70e8fd059504c35cd5e58765b3b14f2979da58bb9d19"),
+            (Coherent(1.5 + 0.5j), 0.8, "a767bfb944b0adb889c65fb33cf2e4f17478196a22481195bf330b21ec82637c"),
             (Coherent(1.5 + 0.5j), 1.0, "511e88821962fe43ebe144c4dbeefbbf2773b599c16ae5cd15d1bde697d62a45"),
             (Fock(3), 0.8, "43f65b8c56f1338c9eec409020f5002b6bb6ac029f5656f642befba8dfe63908"),
             (
@@ -399,7 +406,7 @@ class TestPinnedBytes:
     def test_csv_files(self, tmp_path):
         state, path = Coherent(1.5 + 0.5j), tmp_path / "r.csv"
         save_dataset_csv(sample_homodyne(state, 0.8, 20_000, 17), path)
-        assert file_sha256(path) == "09e69a420e0a17e0fbfdbd8101a6091b394b314d794b3e86b6aa8935eac01217"
+        assert file_sha256(path) == "73736dc11752424d3205d2a29fb45cca9c1f69e3bdc31b79c612a96bab3a4e74"
 
 
 class TestJsonPins:
@@ -407,16 +414,18 @@ class TestJsonPins:
 
     Recorded before save_dataset_json wrote its rows slice by slice, with numpy
     2.4 on x86-64. The sizes cross the 4096-row slice edge and the block edge.
+    The coherent files were re-recorded, with the same writer, when coherent
+    states began to draw their lossy outcomes as one normal of variance 1/(4 eta).
     """
 
     @pytest.mark.parametrize(
         "state, n, digest",
         [
             (Fock(3), 10**5, "4ae28ae24151ebf1cd999c0d0da679d87b31b36361af9f98826e1bdf146f41fe"),
-            (Coherent(1.5 + 0.5j), 70001, "6f13c9fddb18439c414548e5a3e01feee4879f1576975751fb6babac6be2f0d8"),
-            (Coherent(1.5 + 0.5j), 1, "bfe06b44661710a1982e09ec9d0e046b889fc49a22f5a1b0075dec2f7141c625"),
-            (Coherent(1.5 + 0.5j), 4096, "8a1077235f878218b5ca4ce986807ac383ce7c19d7727d1a4b325c79aef4b09d"),
-            (Coherent(1.5 + 0.5j), 4097, "1fbdae06b65084f1e96286445bf02a03128b56ce532e29c50170d0cd0097af98"),
+            (Coherent(1.5 + 0.5j), 70001, "1848ab8574c2bb757d58a989974985c1376345fe3085baeec54f13d990f1d73a"),
+            (Coherent(1.5 + 0.5j), 1, "d3dc8829ed2d766e79336d219137d4b9e049a8b664902103b0b7b724513a3bee"),
+            (Coherent(1.5 + 0.5j), 4096, "ea246d0c1b8fa3d49f156126a3d016bde04a578b2bb07e21129c36f6acd3afae"),
+            (Coherent(1.5 + 0.5j), 4097, "b84f4e531c8b78a554da7f1bd8a95ee56249f26dca6220bee2b0f6d573afbfb4"),
         ],
         ids=["fock3", "coherent", "n1", "n4096", "n4097"],
     )
@@ -437,10 +446,12 @@ class TestJsonPins:
 
 
 class TestRealAmplitudePins:
-    """Coherent states with a real amplitude keep their bytes now that their mean takes np.cos.
+    """Coherent states with a real amplitude, whose mean takes np.cos, keep their bytes.
 
-    Recorded before coherent_mean dropped the complex exponential for a real
-    amplitude, with numpy 2.4 on x86-64.
+    First recorded before coherent_mean dropped the complex exponential for a
+    real amplitude, which kept them; re-recorded when coherent states began to
+    draw their lossy outcomes as one normal of variance 1/(4 eta), with numpy
+    2.4 on x86-64.
     """
 
     N = BLOCK_SIZE + 123
@@ -448,9 +459,10 @@ class TestRealAmplitudePins:
     @pytest.mark.parametrize(
         "beta, digest",
         [
-            (2.0, "da668d9d55a8031e0141bec20a245bf96d49d43235fa36b15dda7b9bb74d81a8"),
-            (-1.3, "d9e7eef54f8e24d20dc69e084ceb1993f2945b01f535a307b8fc68548feed321"),
+            (2.0, "95c1b97db426d868813edfe18daeff4e36b379487b3dd80730dad180d84b8c62"),
+            (-1.3, "dfaf4c0e949fd8014e6f20ed1006fe42d56a47f42c97317cc2f99b5379830e0c"),
         ],
+        ids=["2.0", "-1.3"],
     )
     def test_sample_homodyne(self, beta, digest):
         ds = sample_homodyne(Coherent(beta), 0.8, self.N, 17)
@@ -459,12 +471,89 @@ class TestRealAmplitudePins:
     @pytest.mark.parametrize(
         "beta, digest",
         [
-            (2.0, "0dcf9cdd336399844f7604a7fa06c2a8f9e37fef922ad011f7aa5dcc274cf786"),
-            (-1.3, "0d8d382e1fa1611ad2c9f2d62a8d4ce6e3fbc06921886395d315d936e6ecacb6"),
+            (2.0, "d1b40010a3e8c2b4f2c1c990b37b4bf1de6a4ee4d2265ca8123f269f1f19e152"),
+            (-1.3, "eaf5dad64dfb0356612d49e3a61a93ecc6fcdfd22c0c2f29f7baceb6824696cc"),
         ],
+        ids=["2.0", "-1.3"],
     )
     def test_sample_fixed_phase(self, beta, digest):
         assert sha256(sample_fixed_phase(Coherent(beta), 0.8, self.N, 17, phi=0.7)) == digest
+
+
+class TestLossyCoherentStreams:
+    """Coherent states draw the lossy closed form: a coherent state stays coherent under loss.
+
+    One normal of variance 1/(4 eta) per homodyne outcome and one
+    Poisson(eta |beta|^2) per photocount, with no smear and no thinning.
+    """
+
+    BETA, ETA, N, SEED = 1.5 + 0.5j, 0.6, BLOCK_SIZE + 123, 17
+
+    def _by_hand(self, purpose, draw):
+        """draw(rng, count) for each block's own generator, concatenated per column."""
+        blocks = []
+        for block, start in enumerate(range(0, self.N, BLOCK_SIZE)):
+            rng = block_generator(self.SEED, purpose, block)
+            blocks.append(draw(rng, min(BLOCK_SIZE, self.N - start)))
+        return [np.concatenate(column) for column in zip(*blocks)]
+
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    def test_streams_rebuilt_by_hand(self, monkeypatch, workers):
+        monkeypatch.setenv("TOMONOISE_MAX_WORKERS", workers)
+        beta, eta, sigma = self.BETA, self.ETA, math.sqrt(0.25 / self.ETA)
+
+        def scanned(rng, count):
+            phi = rng.uniform(0.0, math.pi, count)
+            return coherent_mean(beta, phi) + rng.normal(0.0, sigma, count), phi
+
+        x, phi = self._by_hand(PURPOSE_HOMODYNE, scanned)
+        ds = sample_homodyne(Coherent(beta), eta, self.N, self.SEED)
+        assert np.array_equal(ds.x, x) and np.array_equal(ds.phi, phi)
+
+        (fixed,) = self._by_hand(
+            PURPOSE_FIXED_PHASE, lambda rng, count: (coherent_mean(beta, 0.7) + rng.normal(0.0, sigma, count),)
+        )
+        assert np.array_equal(sample_fixed_phase(Coherent(beta), eta, self.N, self.SEED, phi=0.7), fixed)
+
+        (counts,) = self._by_hand(PURPOSE_PHOTOCOUNT, lambda rng, count: (rng.poisson(eta * abs(beta) ** 2, count),))
+        assert np.array_equal(simulate_photocount(Coherent(beta), eta, self.N, self.SEED), counts)
+
+    @pytest.mark.parametrize("eta", [0.3, 0.8])
+    @pytest.mark.parametrize("fixed", [False, True], ids=["scanned", "fixed"])
+    def test_standardized_residual_is_standard_normal(self, eta, fixed):
+        # z = 2 sqrt(eta) (x - mean) is N(0, 1): E z = 0, E z^2 = 1 (Var z^2 = 2), E z^4 = 3 (Var z^4 = 96)
+        n, beta = 200_000, -0.8 + 1.7j
+        if fixed:
+            phi = 1.1
+            x = sample_fixed_phase(Coherent(beta), eta, n, 31, phi=phi)
+        else:
+            ds = sample_homodyne(Coherent(beta), eta, n, 31)
+            x, phi = ds.x, ds.phi
+        z = 2.0 * math.sqrt(eta) * (x - coherent_mean(beta, phi))
+        for power, want, var in [(1, 0.0, 1.0), (2, 1.0, 2.0), (4, 3.0, 96.0)]:
+            assert abs(np.mean(z**power) - want) < 5.0 * math.sqrt(var / n), power
+
+    @pytest.mark.parametrize(
+        "beta, scanned, fixed",
+        [
+            (
+                1.5 + 0.5j,
+                "6267360a47d06e2fcb0a027ceb3fb44e1ecbd6fb1c0e85cd617514aa1f93cd64",
+                "b7f0ccd953f4f1bef03e625e9662fba31619ddfdbd74c1c7110f41b9f16e0118",
+            ),
+            (
+                2.0,
+                "f725e45b5fb317e736f7d36332778edc4e40f5fb7a4ed7cef5a932e50abffc03",
+                "58d22a40e3b2d65a66eb4d95a2ab131b50e2cdfc9e0ba81bd1a862df1b638c3a",
+            ),
+        ],
+        ids=["complex", "real"],
+    )
+    def test_unit_efficiency_bytes(self, beta, scanned, fixed):
+        # recorded with the two-draw sampler, whose eta = 1 draw is the closed form's; numpy 2.4 on x86-64
+        ds = sample_homodyne(Coherent(beta), 1.0, self.N, 17)
+        assert sha256(ds.x, ds.phi) == scanned
+        assert sha256(sample_fixed_phase(Coherent(beta), 1.0, self.N, 17, phi=0.7)) == fixed
 
 
 def _generator_digests():
