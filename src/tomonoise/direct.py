@@ -58,10 +58,9 @@ def simulate_photocount(
     def draw(rng, k):
         if isinstance(state, Coherent):
             return (rng.poisson(eta * abs(state.beta) ** 2, k),)  # |beta|^2 itself at eta = 1
-        if isinstance(state, Fock):
-            true = np.full(k, state.n, dtype=np.int64)
-        else:
-            true = np.searchsorted(cdf, rng.random(k), side="right").astype(np.int64)
+        if isinstance(state, Fock):  # one binomial setup for the one n, not one per sample
+            return (np.full(k, state.n, dtype=np.int64) if eta == 1.0 else rng.binomial(state.n, eta, k),)
+        true = np.searchsorted(cdf, rng.random(k), side="right").astype(np.int64)
         return (true if eta == 1.0 else rng.binomial(true, eta),)
 
     columns = generate(n, seed, PURPOSE_PHOTOCOUNT, draw, reduce, (np.int64,))

@@ -44,7 +44,9 @@ from .states import (
 )
 
 BLOCK_SIZE = 1 << 16
+# A power of two, so that the full search's steps GRID_NODES/2, ..., 1 end on the top node.
 GRID_NODES = 4096
+LAST_LOWER = GRID_NODES - 2  # the highest lower node of a bracket
 # Position table of the coherence-bearing sampler: phase bins over [0, pi] and
 # target levels over [0, mass]; samples are bracketed in slices of SEARCH_SLICE.
 GUIDE_PHASE_BINS = 64
@@ -192,38 +194,42 @@ class Dataset:
         return self.n
 
 
-def _descend(cdf, lo, target, step: int, last: int):
-    """Branchless search up from nodes lo by steps step, step/2, ..., 1.
+def _descend(cdf, target):
+    """Branchless search from node 0 by steps GRID_NODES/2, GRID_NODES/4, ..., 1.
 
-    A step is taken where cdf at its end is still <= target; lo is then capped
-    at last. Returns lo, cdf(lo) and cdf(lo + 1).
+    A step is taken where cdf at its end is still <= target; as GRID_NODES is
+    a power of two, the steps reach the top node and no node past it. lo is
+    then capped at the last lower node. Returns lo, cdf(lo) and cdf(lo + 1).
     """
+    lo = np.zeros(target.size, dtype=np.intp)
+    step = GRID_NODES // 2
     while step:
         lo = lo + step * (cdf(lo + step) <= target)  # a select, without np.where's branches
         step >>= 1
-    lo = np.minimum(lo, last)
+    lo = np.minimum(lo, LAST_LOWER)
     return lo, cdf(lo), cdf(lo + 1)
 
 
-def _settle(cdf, lo, target, last: int, top_cell: float):
-    """Check guessed lower nodes lo, in [0, last], and move each failing one a node up or down.
+def _settle(cdf, lo, target, top_cell: float):
+    """Check guessed lower nodes lo, in [0, LAST_LOWER], and move each failing one a node up or down.
 
     cdf(idx, rows) is the CDF at nodes idx of the samples rows. A bracket holds
-    where cdf(lo) <= target < cdf(lo + 1), the upper bound waived at lo = last
-    as in the full search; a sample that does not move holds one, since the
-    CDF is 0 at node 0 and no target lies below it. Near the mass the CDF
-    flattens into rounding noise and may reach a target at several nodes, so
-    targets at or above top_cell are left to the full search and get its answer.
-    Returns lo, cdf(lo) and cdf(lo + 1), and the samples still not bracketed.
+    where cdf(lo) <= target < cdf(lo + 1), the upper bound waived at
+    lo = LAST_LOWER as in the full search; a sample that does not move holds
+    one, since the CDF is 0 at node 0 and no target lies below it. Near the
+    mass the CDF flattens into rounding noise and may reach a target at
+    several nodes, so targets at or above top_cell are left to the full search
+    and get its answer. Returns lo, cdf(lo) and cdf(lo + 1), and the samples
+    still not bracketed.
     """
     every = slice(None)
     flo, fhi = cdf(lo, every), cdf(lo + 1, every)
     missed = target >= top_cell
-    up = np.flatnonzero((fhi <= target) & (lo < last))
+    up = np.flatnonzero((fhi <= target) & (lo < LAST_LOWER))
     lo[up] += 1
     flo[up] = fhi[up]
     fhi[up] = cdf(lo[up] + 1, up)
-    missed[up[(fhi[up] <= target[up]) & (lo[up] != last)]] = True
+    missed[up[(fhi[up] <= target[up]) & (lo[up] != LAST_LOWER)]] = True
     down = np.flatnonzero((flo > target) & (lo > 0))
     lo[down] -= 1
     fhi[down] = flo[down]
@@ -260,16 +266,15 @@ class QuadratureGridSampler:
     one node up or down. The few still not bracketed, and every target in
     the top level cell, where the CDF flattens into rounding noise, take a
     branchless search from node 0 with power-of-two steps, one row gather and
-    one select per step; the table is padded with +inf rows so that no step
-    leaves it. A bracket is accepted only where
+    one select per step. A bracket is accepted only where
     cdf(lo) <= target < cdf(lo + 1), so the table changes where a search
     starts, never the bracket it finds where the CDF rises through the
     target. Linear interpolation between the bracketing nodes gives x. At one
-    fixed phase the bands are combined into a single CDF, inverted the same
-    way from its own positions, and searchsorted for the samples it misses.
+    fixed phase the bands are combined into a single CDF with positions of its
+    own; its guesses are settled and its misses searched by the same rule.
     """
 
-    def __init__(self, state: StateSpec, nodes: int = GRID_NODES):
+    def __init__(self, state: StateSpec):
         validate_state(state)
         if isinstance(state, Coherent):
             raise ValidationError("coherent states are sampled in closed form, not on a grid")
@@ -284,7 +289,7 @@ class QuadratureGridSampler:
                 f"twice the |x| <= {HERMITE_REACH:.2f} that the number-basis recurrence resolves"
             )
         self.halfwidth = 3.0 + 2.0 * math.sqrt(dim)
-        self.xgrid = np.linspace(-self.halfwidth, self.halfwidth, nodes)
+        self.xgrid = np.linspace(-self.halfwidth, self.halfwidth, GRID_NODES)
         dx = self.xgrid[1] - self.xgrid[0]
         g = band_densities(bands, hermite_functions(dim - 1, self.xgrid))
         cdfs = np.cumsum(np.pad(0.5 * (g[:, 1:] + g[:, :-1]) * dx, ((0, 0), (1, 0))), axis=1)
@@ -297,12 +302,8 @@ class QuadratureGridSampler:
         check_reach(bands[0][1])
         self.bands = [d for d, _ in bands[1:]]
         self.phase_dependent = bool(self.bands)
-        # Steps top, top/2, ..., 1 reach every lower node 0..nodes-2; candidates run up to 2 top - 1.
-        self._top_step = 1 << (max(nodes - 2, 1).bit_length() - 1)
         columns = np.concatenate((cdfs[:1].real, 2.0 * cdfs[1:].real, -2.0 * cdfs[1:].imag))
-        self.table = np.zeros((max(nodes, 2 * self._top_step), columns.shape[0]))
-        self.table[:nodes] = columns.T
-        self.table[nodes:, 0] = np.inf
+        self.table = np.ascontiguousarray(columns.T)
         if self.phase_dependent:
             self._levels = np.arange(GUIDE_LEVELS + 1) * (self.mass / GUIDE_LEVELS)
             self._top_cell = self._levels[-2]  # the top level cell takes the full search
@@ -343,13 +344,13 @@ class QuadratureGridSampler:
         return cell, level - cell
 
     def _node(self, position: np.ndarray) -> np.ndarray:
-        """Lower node of each fractional position, within [0, nodes - 2]; NaN reads as nodes - 2."""
-        return np.fmax(np.fmin(position, self.xgrid.size - 2), 0.0).astype(np.intp)
+        """Lower node of each fractional position, within [0, LAST_LOWER]; NaN reads as LAST_LOWER."""
+        return np.fmax(np.fmin(position, LAST_LOWER), 0.0).astype(np.intp)
 
-    def _interpolate(self, target, lo, flo, fhi) -> np.ndarray:
+    def _interpolate(self, target, lo, flo, fhi, out=None) -> np.ndarray:
         t = np.clip((target - flo) / np.maximum(fhi - flo, 1e-300), 0.0, 1.0)
         left = np.take(self.xgrid, lo)
-        return left + t * (np.take(self.xgrid, lo + 1) - left)
+        return np.add(left, t * (np.take(self.xgrid, lo + 1) - left), out=out)
 
     def _cdf(self, weights: np.ndarray):
         """CDF at nodes idx of the samples rows (default all), for sample-major weights."""
@@ -368,70 +369,44 @@ class QuadratureGridSampler:
         above = _between(self.positions, cell + (GUIDE_LEVELS + 1), frac)
         return self._node(below + (phase - row) * (above - below))
 
-    def _settle_slice(self, phi: np.ndarray, target: np.ndarray, found) -> np.ndarray:
-        """Bracket one slice of samples into the slices found; returns those not bracketed.
-
-        A function of its own, so that the slice's temporaries are freed before
-        the next slice starts.
-        """
-        guess = self._guess(phi, target)
-        values, missed = _settle(self._cdf(self._weights(phi)), guess, target, self.xgrid.size - 2, self._top_cell)
-        for out, value in zip(found, values):
-            out[...] = value
-        return missed
-
-    def _search(self, phi: np.ndarray, target: np.ndarray):
-        """Lower bracketing node of each target at its phase, with the CDF there and one node up.
-
-        The checked guesses run slice by slice, small enough that the gathered
-        rows and weights stay in cache; the samples they miss take one full
-        search at the end.
-        """
-        found = (np.empty(target.size, dtype=np.intp), np.empty(target.size), np.empty(target.size))
-        missed = [np.empty(0, dtype=np.intp)]
-        for first in range(0, target.size, SEARCH_SLICE):
-            part = slice(first, first + SEARCH_SLICE)
-            missed.append(first + self._settle_slice(phi[part], target[part], [out[part] for out in found]))
-        missed = np.concatenate(missed)
+    def _fall_back(self, x: np.ndarray, missed: np.ndarray, cdf, target: np.ndarray) -> np.ndarray:
+        """Overwrite x at the samples missed with the full search's outcome; cdf(idx) reads the missed rows."""
         if missed.size:
-            lo = np.zeros(missed.size, dtype=np.intp)
-            cdf = self._cdf(self._weights(phi[missed]))
-            full = _descend(cdf, lo, target[missed], self._top_step, self.xgrid.size - 2)
-            for out, values in zip(found, full):
-                out[missed] = values
-        return found
-
-    def _lookup(self, phi: float, target: np.ndarray):
-        """As _search, for targets that all share the phase phi."""
-        last = self.xgrid.size - 2
-        cdf = self.table[: self.xgrid.size] @ self._weights(np.array([float(phi)]))[0]
-        guess = self._node(_between(self._positions(cdf), *self._level(target)))
-        found, missed = _settle(lambda idx, rows: np.take(cdf, idx), guess, target, last, self._top_cell)
-        if missed.size:
-            lo = np.minimum(np.searchsorted(cdf, target[missed], side="right") - 1, last)
-            for out, values in zip(found, (lo, cdf[lo], cdf[lo + 1])):
-                out[missed] = values
-        return found
+            target = target[missed]
+            x[missed] = self._interpolate(target, *_descend(cdf, target))
+        return x
 
     def sample(self, phi: np.ndarray, u: np.ndarray) -> np.ndarray:
         """Outcomes x at phases phi for uniform deviates u in [0, 1)."""
         target = u * self.mass
         if not self.phase_dependent:
-            return np.interp(target, self.table[: self.xgrid.size, 0], self.xgrid)
-        found = self._search(phi, target)
+            return np.interp(target, self.table[:, 0], self.xgrid)
         x = np.empty(target.size)
-        # In the search's slices, so that the temporaries stay in cache.
+        missed = [np.empty(0, dtype=np.intp)]
+        # Slices small enough that the gathered rows and weights stay in cache. A
+        # slice's weights are made after its guesses and bound to no name, so they
+        # are freed before x is interpolated, and its brackets before the next
+        # slice starts: arrays kept longer cost both time and peak memory.
         for first in range(0, target.size, SEARCH_SLICE):
             part = slice(first, first + SEARCH_SLICE)
-            x[part] = self._interpolate(target[part], *(column[part] for column in found))
-        return x
+            guess = self._guess(phi[part], target[part])
+            found, cut = _settle(self._cdf(self._weights(phi[part])), guess, target[part], self._top_cell)
+            self._interpolate(target[part], *found, out=x[part])
+            missed.append(first + cut)
+            del guess, found
+        missed = np.concatenate(missed)
+        return self._fall_back(x, missed, self._cdf(self._weights(phi[missed])), target)
 
     def sample_fixed_phase(self, phi: float, u: np.ndarray) -> np.ndarray:
         """Outcomes x at the single phase phi for uniform deviates u in [0, 1)."""
         target = u * self.mass
         if not self.phase_dependent:
-            return np.interp(target, self.table[: self.xgrid.size, 0], self.xgrid)
-        return self._interpolate(target, *self._lookup(phi, target))
+            return np.interp(target, self.table[:, 0], self.xgrid)
+        combined = self.table @ self._weights(np.array([float(phi)]))[0]
+        guess = self._node(_between(self._positions(combined), *self._level(target)))
+        cdf = lambda idx, rows=None: np.take(combined, idx)
+        found, missed = _settle(cdf, guess, target, self._top_cell)
+        return self._fall_back(self._interpolate(target, *found), missed, cdf, target)
 
 
 def _outcomes(state: StateSpec, eta: float, rng, phi, count: int, invert) -> np.ndarray:
@@ -484,6 +459,14 @@ def sample_fixed_phase(
     """
     n = sample_count(state, eta, n)
     phi = _check_phase(phi)
+    if isinstance(state, Coherent):
+        with np.errstate(over="ignore", invalid="ignore"):
+            finite = np.isfinite(coherent_mean(state.beta, phi))
+        if not finite:
+            raise NumericRangeError(
+                f"the quadrature mean Re(beta e^(-i phi)) of beta = {state.beta!r} at phi = {phi!r} "
+                "leaves the float range"
+            )
     invert = None if isinstance(state, Coherent) else QuadratureGridSampler(state).sample_fixed_phase
 
     def draw(rng, count):

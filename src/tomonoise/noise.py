@@ -70,19 +70,20 @@ from .states import (
 #: Mean photon number above which the analytic phase formulas are trusted.
 PHASE_ASYMPTOTIC_NBAR = 10.0
 
-SWEEP_COLUMNS = (
-    "observable",
-    "eta",
-    "nbar",
-    "tomo_var",
-    "direct_var",
-    "added_noise",
-    "ratio_linear",
-    "ratio_db",
-    "source",
-    "n",
-    "seed",
-)
+#: Each column of the sweep CSV, in order, and the NoiseComparison field it holds.
+SWEEP_COLUMNS = {
+    "observable": "observable",
+    "eta": "eta",
+    "nbar": "nbar",
+    "tomo_var": "tomographic_variance",
+    "direct_var": "direct_variance",
+    "added_noise": "added_noise",
+    "ratio_linear": "ratio_linear",
+    "ratio_db": "ratio_db",
+    "source": "source",
+    "n": "n",
+    "seed": "seed",
+}
 
 
 @dataclass
@@ -375,26 +376,17 @@ def sweep(
     return rows
 
 
+def _cell(value) -> str:
+    """A sweep CSV cell: empty for None, '%.17g' for a float, str of anything else."""
+    if value is None:
+        return ""
+    return f"{value:.17g}" if isinstance(value, float) else str(value)
+
+
 def sweep_rows_to_csv(rows: Iterable[NoiseComparison]) -> str:
     lines = [",".join(SWEEP_COLUMNS)]
     for r in rows:
-        lines.append(
-            ",".join(
-                [
-                    r.observable,
-                    f"{r.eta:.17g}",
-                    "" if r.nbar is None else f"{r.nbar:.17g}",
-                    f"{r.tomographic_variance:.17g}",
-                    f"{r.direct_variance:.17g}",
-                    f"{r.added_noise:.17g}",
-                    f"{r.ratio_linear:.17g}",
-                    f"{r.ratio_db:.17g}",
-                    r.source,
-                    "" if r.n is None else str(r.n),
-                    "" if r.seed is None else str(r.seed),
-                ]
-            )
-        )
+        lines.append(",".join(_cell(getattr(r, field)) for field in SWEEP_COLUMNS.values()))
     return "\n".join(lines) + "\n"
 
 

@@ -2,8 +2,10 @@
 
 BisectionSampler is the earlier QuadratureGridSampler for states with
 coherences, its arithmetic unchanged; its weights and its bisection loop sit
-in methods of their own so tests can read the bracketing node. The table search must pick the same bracket wherever the CDF is
-strictly increasing and land within 1e-9 of the bisection everywhere.
+in methods of their own so tests can read the bracketing node. The sampler's
+outcomes must equal those of its own full search from node 0 wherever the CDF
+is strictly increasing, that search must pick the bisection's bracket there,
+and every outcome must land within 1e-9 of the bisection.
 """
 
 import hashlib
@@ -32,10 +34,10 @@ X_TOL = 1e-9
 class BisectionSampler:
     """Reference: per-sample bisection over complex band CDFs, combined by einsum."""
 
-    def __init__(self, state, nodes=GRID_NODES):
+    def __init__(self, state):
         dim = state.dim
         self.halfwidth = 3.0 + 2.0 * math.sqrt(dim)
-        self.xgrid = np.linspace(-self.halfwidth, self.halfwidth, nodes)
+        self.xgrid = np.linspace(-self.halfwidth, self.halfwidth, GRID_NODES)
         dx = self.xgrid[1] - self.xgrid[0]
         psi = hermite_functions(dim - 1, self.xgrid)
         rho = state.rho
@@ -82,29 +84,50 @@ class BisectionSampler:
         return self.xgrid[lo] + t * (self.xgrid[hi] - self.xgrid[lo])
 
 
-def assert_matches_bisection(state, phi, u, nodes=GRID_NODES, fixed=None):
-    """Compare brackets and outcomes; `fixed` is a shared phase for the fixed-phase path.
+def full_search(sampler, phi, target, fixed=None):
+    """The branchless search from node 0 alone, on the CDF the sampler reads.
+
+    That is the per-sample CDF at phases phi, or with `fixed` the combined CDF
+    of sample_fixed_phase at that phase. Returns the interpolated outcomes, the
+    bracket (lo, cdf(lo), cdf(lo + 1)) and the CDF as cdf(idx, rows).
+    """
+    if fixed is None:
+        cdf = sampler._cdf(sampler._weights(phi))
+    else:
+        combined = sampler.table @ sampler._weights(np.array([float(fixed)]))[0]
+        cdf = lambda idx, rows=None: np.take(combined, idx)
+    found = homodyne._descend(cdf, target)
+    return sampler._interpolate(target, *found), found, cdf
+
+
+def rising_around(cdf, lo):
+    """Where cdf rises strictly over the nodes lo - 1 .. lo + 2 around each bracket."""
+    around = [cdf(np.clip(lo + k, 0, GRID_NODES - 1)) for k in (-1, 0, 1, 2)]
+    return np.all(np.diff(around, axis=0) > 0.0, axis=0)
+
+
+def assert_matches_bisection(state, phi, u, fixed=None):
+    """Compare outcomes with the full search and brackets with the bisection; `fixed` is a shared phase.
 
     Returns the fraction of samples whose bracket lies where the CDF rises strictly.
     """
-    new = QuadratureGridSampler(state, nodes=nodes)
-    ref = BisectionSampler(state, nodes=nodes)
+    new = QuadratureGridSampler(state)
+    ref = BisectionSampler(state)
     assert new.phase_dependent
     target = u * new.mass
     if fixed is None:
-        lo_new = new._search(phi, target)[0]
         x_new = new.sample(phi, u)
     else:
         phi = np.full(u.size, fixed)
-        lo_new = new._lookup(fixed, target)[0]
         x_new = new.sample_fixed_phase(fixed, u)
+    x_full, (lo_full, _, _), _ = full_search(new, phi, target, fixed)
     lo_ref, hi_ref = ref.bracket(phi, target)
     assert np.array_equal(hi_ref, lo_ref + 1)
     # strictly increasing CDF over the nodes around the reference bracket
     weights = ref._weights(phi)
-    around = [ref._cdf_at(np.clip(lo_ref + k, 0, nodes - 1), weights) for k in (-1, 0, 1, 2)]
-    rising = np.all(np.diff(around, axis=0) > 0.0, axis=0)
-    np.testing.assert_array_equal(lo_new[rising], lo_ref[rising])
+    rising = rising_around(lambda idx: ref._cdf_at(idx, weights), lo_ref)
+    np.testing.assert_array_equal(x_new[rising], x_full[rising])
+    np.testing.assert_array_equal(lo_full[rising], lo_ref[rising])
     np.testing.assert_allclose(x_new, ref.sample(phi, u), rtol=0.0, atol=X_TOL)
     return rising.mean()
 
@@ -132,10 +155,6 @@ class TestAgainstBisection:
     @pytest.mark.parametrize("seed", [1, 2, 3])
     def test_dim6_family(self, seed):
         assert assert_matches_bisection(mixed6(seed), *deviates(seed, 1 << 17)) > 0.99
-
-    @pytest.mark.parametrize("nodes", [3000, 4097])
-    def test_grid_size_not_a_power_of_two(self, nodes):
-        assert assert_matches_bisection(mixed6(4), *deviates(nodes, 1 << 15), nodes=nodes) > 0.99
 
     @pytest.mark.parametrize("phi", [0.0, 1.1, np.nextafter(math.pi, 0.0)])
     def test_fixed_phase(self, phi):
@@ -203,13 +222,6 @@ def perturbed(monkeypatch, change):
     return QuadratureGridSampler(mixed6(8))
 
 
-def full_search(sampler, phi, target):
-    """The branchless search from node 0 alone: lo, cdf(lo) and cdf(lo + 1), and the CDF it read."""
-    cdf = sampler._cdf(sampler._weights(phi))
-    lo = np.zeros(target.size, dtype=np.intp)
-    return homodyne._descend(cdf, lo, target, sampler._top_step, sampler.xgrid.size - 2), cdf
-
-
 class TestGuideTable:
     """The position table only chooses where a search starts; outcomes never depend on it."""
 
@@ -223,17 +235,23 @@ class TestGuideTable:
         assert sha256(x) == "8be1bbcfc977c2d5b2fe42a3a88fd870fbcc514dcd53d233cd066175a28e29ec"
 
     def test_guess_is_mostly_exact(self):
-        # 89.8 % of the guesses are the bracket itself for this state, and the
+        # 89.8 % of the guesses are the full search's bracket for this state, and the
         # move of one node leaves 0.6 % (the top level cell among them) to the full search.
         sampler = QuadratureGridSampler(mixed6(8))
         assert sampler.positions.shape == (homodyne.GUIDE_PHASE_BINS + 1, homodyne.GUIDE_LEVELS + 1)
         phi, u = deviates(11, 1 << 16)
         target = u * sampler.mass
         guess = sampler._guess(phi, target)
-        assert (guess == sampler._search(phi, target)[0]).mean() >= 0.85
-        cdf = sampler._cdf(sampler._weights(phi))
-        _, missed = homodyne._settle(cdf, guess, target, sampler.xgrid.size - 2, sampler._top_cell)
+        _, (lo, _, _), cdf = full_search(sampler, phi, target)
+        assert (guess == lo).mean() >= 0.85
+        _, missed = homodyne._settle(cdf, guess, target, sampler._top_cell)
         assert missed.size <= 0.01 * target.size
+
+    def test_grid_nodes_a_power_of_two(self):
+        # The full search's steps GRID_NODES/2, ..., 1 end on the top node, and
+        # on no node past the table, only for a power of two.
+        assert GRID_NODES >= 4 and GRID_NODES & (GRID_NODES - 1) == 0
+        assert QuadratureGridSampler(mixed6(8)).table.shape[0] == GRID_NODES
 
     @pytest.mark.parametrize(
         "change",
@@ -257,26 +275,30 @@ class TestGuideTable:
             np.testing.assert_array_equal(sampler.sample_fixed_phase(f, u), x)
 
     @pytest.mark.parametrize(
-        "phase",
-        [-0.5, 3.5, 7.0, None, (-1.0, 8.0)],
+        "phase, fixed",
+        [(-0.5, [-0.5]), (3.5, [3.5]), (7.0, [7.0]), (None, [0.0, 0.7, 1.1, 2.9]), ((-1.0, 8.0), [-1.0, 8.0])],
         ids=["-0.5", "3.5", "7.0", "None", "wide"],
     )
-    def test_phase_outside_the_bins(self, phase):
+    def test_phase_outside_the_bins(self, phase, fixed):
         # None: phases across [0, pi) at the extreme deviates of both tails; a
         # pair: phases across that range, where the top tail's CDF is flat to
-        # rounding and reaches a target at more than one node.
+        # rounding and reaches a target at more than one node. The fixed phases
+        # take the extreme deviates; at u = 1 - 2**-52 the flat CDF of mixed6(4)
+        # is reached at several nodes for phases 0.7 and 7.0.
+        extreme = np.repeat([0.0, 1e-300, 1e-12, 1 - 1e-12, 1 - 1e-15, 1 - 2**-52, 1 - 2**-53], 1024)
         if phase is None or isinstance(phase, tuple):
-            u = np.repeat([0.0, 1e-300, 1e-12, 1 - 1e-12, 1 - 1e-15, 1 - 2**-52, 1 - 2**-53], 1024)
+            u = extreme
             low, high = (0.0, np.nextafter(math.pi, 0.0)) if phase is None else phase
             phi = np.tile(np.linspace(low, high, 1024), 7)
         else:
             _, u = deviates(10, 1 << 14)
             phi = np.full(u.size, phase)
-        sampler = QuadratureGridSampler(mixed6(8))
-        target = u * sampler.mass
-        full, _ = full_search(sampler, phi, target)
-        for a, b in zip(sampler._search(phi, target), full):
-            np.testing.assert_array_equal(a, b)
+        for seed in (4, 8):
+            sampler = QuadratureGridSampler(mixed6(seed))
+            np.testing.assert_array_equal(sampler.sample(phi, u), full_search(sampler, phi, u * sampler.mass)[0])
+            for at in fixed:
+                x, _, _ = full_search(sampler, None, extreme * sampler.mass, fixed=at)
+                np.testing.assert_array_equal(sampler.sample_fixed_phase(at, extreme), x)
 
     @given(small_density_matrices(), st.integers(0, 2**31 - 1))
     def test_search_matches_full_search(self, rho, seed):
@@ -284,19 +306,13 @@ class TestGuideTable:
         sampler = QuadratureGridSampler(Mixed(rho))
         phi, u = deviates(seed, 4096)
         target = u * sampler.mass
-        (lo, _, _), cdf = full_search(sampler, phi, target)
-        # strictly increasing CDF over the nodes around the full search's bracket
-        nodes = sampler.xgrid.size
-        around = [cdf(np.clip(lo + k, 0, nodes - 1)) for k in (-1, 0, 1, 2)]
-        rising = np.all(np.diff(around, axis=0) > 0.0, axis=0)
-        assert rising.mean() > 0.99
-        np.testing.assert_array_equal(sampler._search(phi, target)[0][rising], lo[rising])
-        # At one phase: the fixed-phase lookup against searchsorted over the same CDF.
-        at = sampler.table[:nodes] @ sampler._weights(phi[:1])[0]
-        lo = np.minimum(np.searchsorted(at, target, side="right") - 1, nodes - 2)
-        around = [at[np.clip(lo + k, 0, nodes - 1)] for k in (-1, 0, 1, 2)]
-        rising = np.all(np.diff(around, axis=0) > 0.0, axis=0)
-        np.testing.assert_array_equal(sampler._lookup(phi[0], target)[0][rising], lo[rising])
+        # Scanned, then at one phase: outcomes equal the full search's wherever the
+        # CDF rises strictly over the nodes around its bracket.
+        for fixed, x in ((None, sampler.sample(phi, u)), (phi[0], sampler.sample_fixed_phase(phi[0], u))):
+            x_full, (lo, _, _), cdf = full_search(sampler, phi, target, fixed)
+            rising = rising_around(cdf, lo)
+            assert rising.mean() > 0.99
+            np.testing.assert_array_equal(x[rising], x_full[rising])
 
     def test_no_samples(self):
         sampler = QuadratureGridSampler(mixed6(8))
@@ -317,9 +333,10 @@ class TestGuideTable:
         assert cpu() - before < 0.05
 
     def test_sample_memory(self):
-        # One block's sample peaks at 5.5 MB of traced allocations; the guided
-        # search this replaced took 5.9-6.2 MB. Slice temporaries that outlive
-        # their slice, or both weight layouts held at once, lift it past 8 MB.
+        # One block's sample peaks at 4.5 MB of traced allocations. Per-sample
+        # bracket arrays held for the whole block lift it to 5.5 MB; slice
+        # temporaries that outlive their slice, or both weight layouts held at
+        # once, past 8 MB.
         sampler = QuadratureGridSampler(mixed6(1))
         phi, u = deviates(12, BLOCK_SIZE)
         sampler.sample(phi, u)
@@ -329,4 +346,4 @@ class TestGuideTable:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 5.94e6
+        assert peak <= 5.0e6

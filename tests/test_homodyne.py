@@ -239,6 +239,18 @@ class TestGeneratorArguments:
         with pytest.raises(expected):
             self.GENERATORS[name](Fock(5000), 0.8, 0, 1)
 
+    def test_fixed_phase_mean_out_of_float_range(self, monkeypatch):
+        # Re(beta e^(-i phi)) overflows at phi = 0.7: refused, as sample_homodyne refuses
+        # the state, before any block is drawn and without a numpy warning.
+        state = Coherent(1.7e308 + 1e308j)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert np.all(sample_fixed_phase(state, 1.0, 5, 0, phi=0.0) == 1.7e308)  # Re(beta) fits
+            monkeypatch.setattr(homodyne, "block_generator", None)
+            for draw in (sample_homodyne, lambda *args: sample_fixed_phase(*args, phi=0.7)):
+                with pytest.raises(NumericRangeError, match="float range"):
+                    draw(state, 1.0, 5, 0)
+
     def test_heterodyne_capability_after_state_and_eta(self):
         with pytest.raises(CapabilityError, match="coherent states only"):
             simulate_heterodyne(Fock(1), 0.8, 0, -1)  # before n and the seed
@@ -348,7 +360,9 @@ class TestPinnedBytes:
     cases (sample_homodyne, sample_fixed_phase, simulate_photocount and the CSV
     file) were re-recorded when coherent states began to draw the lossy closed
     form, one normal of variance 1/(4 eta) and one Poisson(eta |beta|^2) draw,
-    in place of the ideal draw plus a smear or binomial thinning.
+    in place of the ideal draw plus a smear or binomial thinning. The Fock(200)
+    photocount was recorded while Fock counts were thinned with an array of
+    equal n, before they were thinned with the scalar n.
     Hashes were recorded with numpy 2.4 on x86-64.
     """
 
@@ -387,13 +401,15 @@ class TestPinnedBytes:
             (Coherent(1.5 + 0.5j), 0.8, "a767bfb944b0adb889c65fb33cf2e4f17478196a22481195bf330b21ec82637c"),
             (Coherent(1.5 + 0.5j), 1.0, "511e88821962fe43ebe144c4dbeefbbf2773b599c16ae5cd15d1bde697d62a45"),
             (Fock(3), 0.8, "43f65b8c56f1338c9eec409020f5002b6bb6ac029f5656f642befba8dfe63908"),
+            # n (1 - eta) = 40 takes numpy's BTPE binomial, where Fock(3) takes inversion
+            (Fock(200), 0.8, "8b5e682f0166edeb98ff6614eea25b12dabebffab2e449491b07d9f5d8d4a9b2"),
             (
                 Mixed(np.diag([0.5, 0.3, 0.2])),
                 0.8,
                 "e8f7613c9ed68a57e72e0d93785af4549660710533f4d06ccb839d60c3545572",
             ),
         ],
-        ids=["coherent", "coherent-eta1", "fock3", "diagonal"],
+        ids=["coherent", "coherent-eta1", "fock3", "fock200", "diagonal"],
     )
     def test_simulate_photocount(self, state, eta, digest):
         assert sha256(simulate_photocount(state, eta, self.N, 17), dtype="<i8") == digest
