@@ -1,29 +1,28 @@
 """Direct-detection simulators: the detectors the tomographic estimators are compared with.
 
-Photon counting (a coherent state stays coherent under loss, so its counts are
-Poisson(eta |beta|^2); other states' number statistics are thinned binomially)
-and heterodyne detection of coherent states, each returning its outcome array
-(int64 counts, complex128 alphas) or streaming it block by block into a reduce
-callable, and the phase variance of heterodyne outcomes. Fixed-phase homodyne is
-homodyne.sample_fixed_phase. The closed-form direct-detection variances live
-with the tomographic ones in noise.py.
+Photon counting through a loss channel of transmission eta (Poisson(eta |beta|^2)
+counts for a coherent state, Binomial(n, eta) for Fock(n), one draw of the lossy
+photon number for a mixed state) and heterodyne detection of coherent states, each
+returning its outcome array (int64 counts, complex128 alphas) or streaming it block
+by block into a reduce callable, and the phase variance of heterodyne outcomes.
+Fixed-phase homodyne is homodyne.sample_fixed_phase. The closed-form
+direct-detection variances live with the tomographic ones in noise.py.
 """
 
 from __future__ import annotations
-
-import math
 
 import numpy as np
 
 from .errors import CapabilityError, NumericRangeError, ValidationError
 from .estimators import StreamingMoments, accumulate
-from .homodyne import PURPOSE_HETERODYNE, PURPOSE_PHOTOCOUNT, generate, sample_count
+from .homodyne import PURPOSE_HETERODYNE, PURPOSE_PHOTOCOUNT, generate, noise_sigma, sample_count
 from .states import (
     Coherent,
     Fock,
     Mixed,
     StateSpec,
     _check_eta,
+    _lossy_band,
     photon_distribution,
     validate_state,
 )
@@ -39,14 +38,15 @@ def simulate_photocount(
     """The int64 counts of n detections with efficiency eta.
 
     A coherent state stays coherent under loss, so its counts are one
-    Poisson(eta |beta|^2) draw each. A Fock or mixed state draws its true
-    photon number, then thins it binomially by eta when eta < 1. With reduce,
+    Poisson(eta |beta|^2) draw each, and a Fock state's one Binomial(n, eta)
+    draw, the closed forms of the loss channel. A mixed state's are one draw
+    from its photon-number probabilities after that channel. With reduce,
     each block goes to reduce(counts) instead (see homodyne.generate), and
     None is returned.
     """
     n = sample_count(state, eta, n)
     if isinstance(state, Mixed):
-        probs, _ = photon_distribution(state, state.dim)
+        probs = _lossy_band(0, photon_distribution(state, state.dim)[0], eta)
         # level k takes u in [cdf[k-1], cdf[k]); the top level also takes u past a total rounded below 1
         cdf = np.cumsum(probs / probs.sum())[:-1]
     if isinstance(state, Coherent) and abs(state.beta) ** 2 > POISSON_LAM_MAX:
@@ -60,8 +60,7 @@ def simulate_photocount(
             return (rng.poisson(eta * abs(state.beta) ** 2, k),)  # |beta|^2 itself at eta = 1
         if isinstance(state, Fock):  # one binomial setup for the one n, not one per sample
             return (np.full(k, state.n, dtype=np.int64) if eta == 1.0 else rng.binomial(state.n, eta, k),)
-        true = np.searchsorted(cdf, rng.random(k), side="right").astype(np.int64)
-        return (true if eta == 1.0 else rng.binomial(true, eta),)
+        return (np.searchsorted(cdf, rng.random(k), side="right").astype(np.int64),)
 
     columns = generate(n, seed, PURPOSE_PHOTOCOUNT, draw, reduce, (np.int64,))
     return None if columns is None else columns[0]
@@ -88,7 +87,7 @@ def simulate_heterodyne(
             "and amplitude_noise_direct the direct noise pair"
         )
     n = sample_count(state, eta, n)
-    sigma = math.sqrt(1.0 / (2.0 * eta))
+    sigma = noise_sigma(0.5, eta)
 
     def draw(rng, k):
         return (state.beta + rng.normal(0.0, sigma, k) + 1j * rng.normal(0.0, sigma, k),)

@@ -1,10 +1,10 @@
 """Synthetic phase-scanned homodyne records with reproducible counter-based seeding.
 
-Sampling model: phi ~ Uniform[0, pi), then x at that phase. A coherent state
-stays coherent under loss, so its x is one Gaussian draw of mean
-Re(beta e^(-i phi)) and variance 1/(4 eta). Number-basis states draw x from
-the ideal (eta = 1) quadrature density on a grid, then add Gaussian noise of
-variance (1 - eta)/(4 eta) when eta < 1. Every generator checks its arguments
+Sampling model: phi ~ Uniform[0, pi), then x at that phase, efficiency eta a
+loss channel on the state and x rescaled by 1/sqrt(eta). A coherent state stays
+coherent under loss, so its x is one Gaussian draw of mean Re(beta e^(-i phi))
+and variance 1/(4 eta). Number-basis states draw x from the density of the
+state after loss (states.lossy_bands) on a grid. Every generator checks its arguments
 with `sample_count` and hands `generate` a draw(rng, count) function, which gets
 one Philox stream per block keyed by (seed, purpose, block index). Blocks run
 on a small thread pool (numpy's generators and ufuncs release the interpreter
@@ -37,8 +37,7 @@ from .states import (
     check_reach,
     coherent_mean,
     hermite_functions,
-    number_bands,
-    smearing_variance,
+    lossy_bands,
     state_tag,
     validate_state,
 )
@@ -245,15 +244,16 @@ def _between(table: np.ndarray, cell: np.ndarray, frac: np.ndarray) -> np.ndarra
 
 
 class QuadratureGridSampler:
-    """Inverse-CDF sampler for number-basis states on a fixed x grid.
+    """Inverse-CDF sampler for number-basis states after a loss channel of transmission eta, on a fixed x grid.
 
-    The CDF at phase phi is Re sum_d w_d C_d(x) with w_0 = 1 and
-    w_d = 2 exp(i d phi), one Fourier band C_d per non-zero off-diagonal d of
-    rho. The bands live in a node-major real table with columns Re C_0,
-    2 Re C_d and -2 Im C_d for each band d > 0 (scaling by 2 is exact), so the
-    CDF at one node is that node's row dotted with the weights
-    [1, cos(d phi), sin(d phi)], built by angle addition from one
-    cos(phi), sin(phi) pair.
+    Its bands are lossy_bands(state, eta), its outcomes unrescaled, and its reach
+    refusals judge that lossy state, as quadrature_pdf does. The CDF at phase phi
+    is Re sum_d w_d C_d(x) with w_0 = 1 and w_d = 2 exp(i d phi), one Fourier band
+    C_d per non-zero off-diagonal d of rho. The bands live in a node-major real
+    table with columns Re C_0, 2 Re C_d and -2 Im C_d for each band d > 0 (scaling
+    by 2 is exact), so the CDF at one node is that node's row dotted with the
+    weights [1, cos(d phi), sin(d phi)], built by angle addition from one cos(phi),
+    sin(phi) pair.
 
     Fock and diagonal mixed states have C_0 only and take one
     phase-independent lookup. Coherence-bearing states invert the CDF per
@@ -274,11 +274,12 @@ class QuadratureGridSampler:
     own; its guesses are settled and its misses searched by the same rule.
     """
 
-    def __init__(self, state: StateSpec):
+    def __init__(self, state: StateSpec, eta: float = 1.0):
         validate_state(state)
+        _check_eta(eta)
         if isinstance(state, Coherent):
             raise ValidationError("coherent states are sampled in closed form, not on a grid")
-        bands = number_bands(state)
+        bands = lossy_bands(state, eta)
         dim = bands[0][1].size
         # The highest populated level, checked before the dim x nodes Hermite table is allocated.
         top = np.flatnonzero(bands[0][1].real > 0)[-1]
@@ -409,21 +410,35 @@ class QuadratureGridSampler:
         return self._fall_back(self._interpolate(target, *found), missed, cdf, target)
 
 
-def _outcomes(state: StateSpec, eta: float, rng, phi, count: int, invert) -> np.ndarray:
-    """count outcomes at phase(s) phi, rescaled by 1/sqrt(eta).
+def noise_sigma(variance: float, eta: float) -> float:
+    """sqrt(variance / eta), the spread of a lossy coherent outcome; NumericRangeError where a subnormal eta overflows it."""
+    sigma = math.sqrt(variance / eta)
+    if math.isinf(sigma):
+        raise NumericRangeError(f"at eta = {eta!r} the outcome spread sqrt({variance!r} / eta) leaves the float range")
+    return sigma
 
-    A coherent state stays coherent under loss, so its outcome is coherent_mean
-    plus one N(0, 1/(4 eta)) draw. Any other state's is invert(phi, u), a grid
-    sampler method, at uniform u (the ideal quadrature), then the efficiency
-    smear N(0, (1 - eta)/(4 eta)) when eta < 1.
+
+def _outcomes(state: StateSpec, eta: float, phi: float | None):
+    """outcomes(rng, phi, count): outcomes at phase(s) phi, rescaled by 1/sqrt(eta); made before any block is drawn.
+
+    phi is the one phase, or None for scanned phases. A coherent state stays coherent under loss: its outcome is
+    coherent_mean plus one N(0, 1/(4 eta)) draw, refused where the mean or the spread leaves the float range. Any
+    other state's is invert(phi, u) / sqrt(eta) at uniform u, invert the grid sampler of the state after loss.
     """
     if isinstance(state, Coherent):
-        sigma = math.sqrt(VACUUM_QUADRATURE_VARIANCE / eta)  # exactly 0.5 at eta = 1
-        return coherent_mean(state.beta, phi) + rng.normal(0.0, sigma, count)
-    x = invert(phi, rng.random(count))
-    if eta < 1.0:
-        x = x + rng.normal(0.0, math.sqrt(smearing_variance(eta)), count)
-    return x
+        with np.errstate(over="ignore", invalid="ignore"):
+            # over [0, pi) Re(beta e^(-i phi)) reaches +-|beta|: the means fit in a double exactly when |beta| does
+            mean = math.hypot(state.beta.real, state.beta.imag) if phi is None else coherent_mean(state.beta, phi)
+        if not np.isfinite(mean):
+            where = "phases in [0, pi), where they reach |beta|," if phi is None else f"phi = {phi!r}"
+            raise NumericRangeError(
+                f"the quadrature means Re(beta e^(-i phi)) of beta = {state.beta!r} at {where} leave the float range"
+            )
+        sigma = noise_sigma(VACUUM_QUADRATURE_VARIANCE, eta)  # exactly 0.5 at eta = 1
+        return lambda rng, phi, count: coherent_mean(state.beta, phi) + rng.normal(0.0, sigma, count)
+    sampler = QuadratureGridSampler(state, eta)
+    invert = sampler.sample if phi is None else sampler.sample_fixed_phase
+    return lambda rng, phi, count: invert(phi, rng.random(count)) / math.sqrt(eta)
 
 
 def sample_homodyne(state: StateSpec, eta: float, n: int, seed: int, reduce=None) -> Dataset | None:
@@ -433,17 +448,11 @@ def sample_homodyne(state: StateSpec, eta: float, n: int, seed: int, reduce=None
     None is returned.
     """
     n = sample_count(state, eta, n)
-    # Re(beta e^(-i phi)) reaches +-|beta| over [0, pi): the means fit in a double exactly when |beta| does
-    if isinstance(state, Coherent) and math.isinf(math.hypot(state.beta.real, state.beta.imag)):
-        raise NumericRangeError(
-            f"|beta| of beta = {state.beta!r} exceeds the largest double, so the quadrature means "
-            "Re(beta e^(-i phi)) leave the float range"
-        )
-    invert = None if isinstance(state, Coherent) else QuadratureGridSampler(state).sample
+    outcomes = _outcomes(state, eta, None)
 
     def draw(rng, count):
         phi = rng.uniform(0.0, math.pi, count)
-        return _outcomes(state, eta, rng, phi, count, invert), phi
+        return outcomes(rng, phi, count), phi
 
     columns = generate(n, seed, PURPOSE_HOMODYNE, draw, reduce, (float, float))
     return None if columns is None else Dataset(*columns, eta, state_tag(state), seed)
@@ -459,18 +468,10 @@ def sample_fixed_phase(
     """
     n = sample_count(state, eta, n)
     phi = _check_phase(phi)
-    if isinstance(state, Coherent):
-        with np.errstate(over="ignore", invalid="ignore"):
-            finite = np.isfinite(coherent_mean(state.beta, phi))
-        if not finite:
-            raise NumericRangeError(
-                f"the quadrature mean Re(beta e^(-i phi)) of beta = {state.beta!r} at phi = {phi!r} "
-                "leaves the float range"
-            )
-    invert = None if isinstance(state, Coherent) else QuadratureGridSampler(state).sample_fixed_phase
+    outcomes = _outcomes(state, eta, phi)
 
     def draw(rng, count):
-        return (_outcomes(state, eta, rng, phi, count, invert),)
+        return (outcomes(rng, phi, count),)
 
     columns = generate(n, seed, PURPOSE_FIXED_PHASE, draw, reduce, (float,))
     return None if columns is None else columns[0]

@@ -63,7 +63,6 @@ from .states import (
     _check_eta,
     mean_photon,
     normal_moment,
-    smearing_variance,
     state_tag,
 )
 
@@ -175,7 +174,7 @@ def _analytic(obs: Observable, state: StateSpec, eta: float) -> tuple[float, flo
             x2 = (2.0 * normal_moment(state, 0, 2).real + 2.0 * nbar + 1.0) / 4.0
             dx2 = x2 - normal_moment(state, 0, 1).real ** 2
         tomo = dx2 + 0.5 * nbar + (2.0 - eta) / (4.0 * eta)
-        return tomo, dx2 + smearing_variance(eta), 0.5 * (nbar + 1.0 / (2.0 * eta))
+        return tomo, dx2 + (1.0 - eta) / (4.0 * eta), 0.5 * (nbar + 1.0 / (2.0 * eta))
     if isinstance(obs, ComplexAmplitude):
         if coherent:
             return 0.5 * (1.0 / eta + nbar), 0.5 / eta, 0.5 * nbar

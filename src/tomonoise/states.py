@@ -2,13 +2,13 @@
 
 Quadrature convention used throughout the package: x = (a + a^dag)/2, so the
 vacuum quadrature distribution is a zero-mean Gaussian of variance 1/4.
-Detector quantum efficiency eta < 1 has two equivalent exact forms: additive
-zero-mean Gaussian noise of variance (1 - eta)/(4 eta) on the ideal quadrature
-outcome, which the number-basis samplers add, and a loss channel of
-transmission eta on the state, which quadrature_pdf applies to number-basis
-states. A coherent state stays coherent under loss (beta -> sqrt(eta) beta), so
-its rescaled outcome is one Gaussian of variance 1/(4 eta) and its photocount
-one Poisson(eta |beta|^2) draw; the samplers draw those closed forms directly.
+Detector quantum efficiency eta < 1 is modelled one way: a loss channel of
+transmission eta on the state, whose outcome x is rescaled by 1/sqrt(eta).
+lossy_bands gives a number-basis state's bands after that channel, and
+quadrature_pdf and the grid sampler both read them. A coherent state stays
+coherent under loss (beta -> sqrt(eta) beta), so its rescaled outcome is one
+Gaussian of variance 1/(4 eta) and its photocount one Poisson(eta |beta|^2)
+draw; the samplers draw those closed forms directly.
 """
 
 from __future__ import annotations
@@ -41,12 +41,6 @@ REACH_LEVEL = math.floor(HERMITE_REACH**2 - 0.5)
 GRID_MASS_TOL = 1e-6
 #: Points per Hermite table in quadrature_pdf: 4096 keep Fock(750)'s 751-row table at 25 MB.
 PDF_POINTS = 1 << 12
-
-
-def smearing_variance(eta: float) -> float:
-    """Variance of the Gaussian noise modelling quantum efficiency eta."""
-    _check_eta(eta)
-    return (1.0 - eta) / (4.0 * eta)
 
 
 def _check_eta(eta: float) -> None:
@@ -294,12 +288,16 @@ def coherent_mean(beta: complex, phi):
     return (beta * np.exp(-1j * phi)).real
 
 
-def number_bands(state: Fock | Mixed) -> list[tuple[int, np.ndarray]]:
-    """Each non-zero band (d, rho[n, n + d] over n), d = 0 first; a Fock state's one band is one-hot."""
+def lossy_bands(state: Fock | Mixed, eta: float) -> list[tuple[int, np.ndarray]]:
+    """Band (d, rho'[n, n + d] over n) of the state after a loss channel of transmission eta, d = 0 first.
+
+    One per band d that is non-zero in rho; at eta = 1 they are rho's own, a Fock state's one band one-hot.
+    """
     if isinstance(state, Fock):
-        return [(0, np.eye(1, state.n + 1, state.n, dtype=complex)[0])]
-    bands = ((d, np.diagonal(state.rho, offset=d)) for d in range(state.dim))
-    return [(d, band) for d, band in bands if np.max(np.abs(band)) > 0.0]
+        bands = [(0, np.eye(1, state.n + 1, state.n, dtype=complex)[0])]
+    else:
+        bands = ((d, np.diagonal(state.rho, offset=d)) for d in range(state.dim))
+    return [(d, _lossy_band(d, band, eta)) for d, band in bands if np.max(np.abs(band)) > 0.0]
 
 
 def band_densities(bands, psi: np.ndarray) -> np.ndarray:
@@ -320,8 +318,10 @@ def _lossy_band(d: int, band: np.ndarray, eta: float) -> np.ndarray:
     """Band d of the state after a loss channel of transmission eta, in log space.
 
     rho'[n, n + d] = sum_k A(n, k) A(n + d, k) rho[n + k, n + d + k],
-    A(n, k)^2 = C(n + k, k) eta^n (1 - eta)^k, summed over the non-zero entries j = n + k only.
+    A(n, k)^2 = C(n + k, k) eta^n (1 - eta)^k, summed over the non-zero entries j = n + k only; band itself at eta = 1.
     """
+    if eta == 1.0:
+        return band
     n = np.arange(band.size)[:, None]
     j = np.flatnonzero(band)
     k = np.maximum(j - n, 0)
@@ -365,7 +365,7 @@ def quadrature_pdf(state: StateSpec, phi: float, eta: float, x) -> np.ndarray | 
         z = xs - coherent_mean(state.beta, phi)
         p = np.exp(-0.5 * z * z / var) / math.sqrt(2.0 * math.pi * var)
     else:
-        bands = [(d, _lossy_band(d, band, eta) if eta < 1.0 else band) for d, band in number_bands(state)]
+        bands = lossy_bands(state, eta)
         check_reach(bands[0][1])
         weights = np.array([(2.0 if d else 1.0) * np.exp(1j * d * phi) for d, _ in bands])
         scaled = math.sqrt(eta) * xs

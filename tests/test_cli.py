@@ -659,6 +659,19 @@ class TestErrorContract:
         assert "|beta|" in json.loads(lines[0])["message"]
         assert not (tmp_path / "r.csv").exists()
 
+    def test_subnormal_eta(self, tmp_path, capsys):
+        # sqrt(0.25 / eta) overflows for a coherent state: refused with exit 4 before any block is
+        # drawn. A Fock state draws after loss and rescales by 1/sqrt(eta): finite outcomes.
+        argv = ["simulate", "--eta", "1e-320", "--n", "10", "--out"]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(argv + [str(tmp_path / "c.csv"), "--state", '{"type":"coherent","beta":[1,0]}']) == 4
+            lines = capsys.readouterr().err.strip().splitlines()
+            assert len(lines) == 1 and json.loads(lines[0])["error"] == "numeric-range"
+            assert not (tmp_path / "c.csv").exists()
+            assert main(argv + [str(tmp_path / "f.csv"), "--state", '{"type":"fock","n":1}']) == 0
+        assert tomonoise.load_dataset_csv(tmp_path / "f.csv").n == 10
+
     def test_largest_coherent_mean_is_simulated(self, tmp_path):
         # |beta| equal to the largest double still fits: its means reach it, never beyond
         path = tmp_path / "r.csv"

@@ -32,6 +32,14 @@ def bernoulli_convolved_pmf(state, eta, dim):
     return out
 
 
+def mixed6(seed):
+    """A dim-6 pure state mixed with the identity: every band of rho is non-zero."""
+    rng = np.random.default_rng(seed)
+    v = rng.normal(size=6) + 1j * rng.normal(size=6)
+    v /= np.linalg.norm(v)
+    return Mixed(0.7 * np.outer(v, v.conj()) + 0.3 * np.eye(6) / 6.0)
+
+
 def oracle_heterodyne_phase_variance(beta, eta, nodes=150):
     # exact Var(arg(beta + g)) for isotropic Gaussian g, by 2-D Gauss-Hermite;
     # theta^2 is continuous across the branch cut, so the quadrature converges
@@ -58,7 +66,7 @@ class TestPhotocounting:
         assert rec.mean() == pytest.approx(2.8, rel=0.01)
         assert rec.var() == pytest.approx(2.8, rel=0.01)
 
-    @pytest.mark.parametrize("state,dim", [(Coherent(math.sqrt(6.0)), 40), (Fock(5), 6)])
+    @pytest.mark.parametrize("state,dim", [(Coherent(math.sqrt(6.0)), 40), (Fock(5), 6), (mixed6(6), 6)])
     def test_total_variation_against_convolution_oracle(self, state, dim):
         eta = 0.6
         rec = simulate_photocount(state, eta, 10**6, 74)

@@ -29,7 +29,7 @@ from tomonoise.errors import integer, is_complex, is_integral, is_real
 from tomonoise.estimators import phase_kernel_distribution
 from tomonoise.homodyne import block_generator, dataset_from_json, sample_count, sample_homodyne
 from tomonoise.kernels import _check_orders, hermite, kernel_polynomial, observable_to_json
-from tomonoise.states import normal_moment, photon_distribution, smearing_variance
+from tomonoise.states import _check_eta, normal_moment, photon_distribution
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "tomonoise"
 
@@ -69,7 +69,7 @@ ENTRY_POINTS = {
     "hermite": (lambda v: hermite(v, 0.5), None),
     "phase_kernel_distribution bins": (lambda v: phase_kernel_distribution(_DATA, v), lambda v: v * 4),
     "dataset_from_json eta": (lambda v: _dataset_json("eta", v), _thirds),
-    "_check_eta": (smearing_variance, _thirds),
+    "_check_eta": (_check_eta, _thirds),
     "sample_homodyne eta": (lambda v: sample_homodyne(Fock(1), v, 10, 1), _thirds),
     "Dataset eta": (lambda v: Dataset([0.5], [1.0], v, "t", 0), _thirds),
 }

@@ -250,14 +250,15 @@ class TestAccumulators:
 
 
 def test_estimates_pinned():
-    # recorded before the chunk loops moved into accumulate, with numpy 2.4 on x86-64
+    # recorded before the chunk loops moved into accumulate, with numpy 2.4 on x86-64; re-recorded
+    # when Fock states began to draw from the state after a loss channel in place of a Gaussian smear
     ds = sample_homodyne(Fock(3), 0.8, CHUNK + 123, 17)
     est = estimate_mean(ds, Intensity())
-    assert (est.value.hex(), est.stderr.hex()) == ("0x1.7f95713b2976cp+1", "0x1.703aab8eb57fap-7")
+    assert (est.value.hex(), est.stderr.hex()) == ("0x1.800c6dc8ea612p+1", "0x1.6f91a776541a2p-7")
     amp = estimate_complex(ds)
     assert [v.hex() for v in (amp.value.real, amp.value.imag, amp.noise_plus, amp.noise_minus)] == [
-        "0x1.0bd758ef1f032p-8",
-        "-0x1.1c01403ddbf7ap-6",
-        "0x1.d1005e0723402p+1",
-        "0x1.ce201fbb87026p+1",
+        "0x1.0841141996172p-8",
+        "-0x1.1158f2896efa7p-6",
+        "0x1.d1d19f56b85e9p+1",
+        "0x1.ce3d94e155dd9p+1",
     ]

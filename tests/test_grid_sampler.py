@@ -19,10 +19,19 @@ import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 from scipy.integrate import cumulative_trapezoid
+from scipy.signal import fftconvolve
 from scipy.stats import kstest
 
 from conftest import small_density_matrices
-from tomonoise import Mixed, normal_moment, quadrature_pdf, sample_fixed_phase, sample_homodyne
+from tomonoise import (
+    Fock,
+    Mixed,
+    normal_moment,
+    quadrature_pdf,
+    sample_fixed_phase,
+    sample_homodyne,
+    simulate_photocount,
+)
 from tomonoise import homodyne
 from tomonoise.homodyne import BLOCK_SIZE, GRID_NODES, QuadratureGridSampler
 from tomonoise.kernels import kernel_monomial
@@ -203,6 +212,42 @@ class TestEveryBand:
         cdf = cumulative_trapezoid(quadrature_pdf(self.state, phi, 1.0, grid), grid, initial=0.0)
         assert kstest(xs, lambda x: np.interp(x, grid, cdf)).pvalue > 1e-3
 
+    @pytest.mark.parametrize(
+        "eta, phi, seed",
+        [(0.3, 0.0, 40), (0.3, 1.1, 41), (0.3, None, 42), (0.6, 0.0, 43), (0.6, 1.1, 44), (0.6, None, 45)],
+        ids=["0.3-0.0", "0.3-1.1", "0.3-scanned", "0.6-0.0", "0.6-1.1", "0.6-scanned"],
+    )
+    def test_lossy_ks(self, eta, phi, seed):
+        # A loss channel followed by the 1/sqrt(eta) rescaling is, in law, the ideal outcome plus
+        # N(0, (1 - eta)/(4 eta)): the oracle convolves the eta = 1 density, summed from rho, with it
+        if phi is None:
+            x = sample_homodyne(self.state, eta, 200_000, seed).x
+        else:
+            x = sample_fixed_phase(self.state, eta, 200_000, seed, phi=phi)
+        grid = np.linspace(-12.0, 12.0, 24_001)
+        cdf = cumulative_trapezoid(smeared_density(self.state, phi, eta, grid), grid, initial=0.0)
+        assert kstest(x, lambda v: np.interp(v, grid, cdf)).pvalue > 1e-3
+
+
+def smeared_density(state, phi, eta, grid):
+    """The eta = 1 density of x on the uniform grid, at phase phi or averaged over [0, pi) (None), smeared.
+
+    p(x) = Re sum_{n,m} rho_nm c_{m - n} psi_n(x) psi_m(x), with c_d = exp(i d phi), or
+    its mean over the scanned phases, convolved with N(0, (1 - eta)/(4 eta)).
+    """
+    d = np.subtract.outer(np.arange(state.dim), np.arange(state.dim)).T  # d[n, m] = m - n
+    if phi is None:
+        with np.errstate(invalid="ignore", divide="ignore"):
+            c = np.where(d == 0, 1.0, (np.exp(1j * math.pi * d) - 1.0) / (1j * math.pi * d))
+    else:
+        c = np.exp(1j * d * phi)
+    psi = hermite_functions(state.dim - 1, grid)
+    ideal = np.einsum("nm,nx,mx->x", state.rho * c, psi, psi).real
+    step, sigma = grid[1] - grid[0], math.sqrt((1.0 - eta) / (4.0 * eta))
+    offsets = np.arange(-round(8.0 * sigma / step), round(8.0 * sigma / step) + 1) * step
+    kernel = np.exp(-0.5 * (offsets / sigma) ** 2) * step / (math.sqrt(2.0 * math.pi) * sigma)
+    return fftconvolve(ideal, kernel, mode="same")
+
 
 def sha256(*arrays):
     digest = hashlib.sha256()
@@ -222,17 +267,51 @@ def perturbed(monkeypatch, change):
     return QuadratureGridSampler(mixed6(8))
 
 
+class TestUnitEfficiencyPins:
+    """At eta = 1 the loss channel is the identity, so number-basis streams keep their bytes.
+
+    Recorded while number-basis states still drew the ideal outcome and smeared
+    it (a no-op at eta = 1), and mixed photocounts were thinned binomially
+    (skipped at eta = 1), with numpy 2.4 on x86-64.
+    """
+
+    N = BLOCK_SIZE + 123
+
+    @pytest.mark.parametrize(
+        "state, digest",
+        [
+            (Fock(3), "5019f15765ccfef47d946260a8164de61341b6e4d8fadacad47e206db81e8a6e"),
+            (mixed6(1), "e6edcd08095577963fd8208beb60c4ed46ef8c790ba65e636a1d0017aff52d18"),
+        ],
+        ids=["fock3", "mixed6"],
+    )
+    def test_sample_homodyne(self, state, digest):
+        ds = sample_homodyne(state, 1.0, self.N, 29)
+        assert sha256(ds.x, ds.phi) == digest
+
+    def test_sample_fixed_phase(self):
+        x = sample_fixed_phase(mixed6(1), 1.0, self.N, 29, phi=1.1)
+        assert sha256(x) == "6e2a4ca47854123f465ffd6bafdef8f3329cd70f8a1be82bcda0fbb418b6a9f0"
+
+    def test_simulate_photocount(self):
+        counts = simulate_photocount(Mixed(np.diag([0.5, 0.3, 0.2])), 1.0, self.N, 29)
+        digest = hashlib.sha256(np.ascontiguousarray(counts, dtype="<i8").tobytes()).hexdigest()
+        assert digest == "568d33c11c8ff38dd834b3ac8d7ba9872f0e0b4d4911f88ee85b4f342c916f50"
+
+
 class TestGuideTable:
     """The position table only chooses where a search starts; outcomes never depend on it."""
 
-    # Recorded before the guide table existed, from the plain power-of-two search.
+    # First recorded before the guide table existed, from the plain power-of-two search;
+    # re-recorded when number-basis states began to draw the density of the state after
+    # loss in place of the ideal draw plus a Gaussian smear.
     def test_sample_homodyne_bytes(self):
         ds = sample_homodyne(mixed6(1), 0.8, BLOCK_SIZE + 123, 29)
-        assert sha256(ds.x, ds.phi) == "c502e9fbbe3f42ded6fc6c5d378dcc9c2b14dbfbca51bcad904dd0a564b1db1d"
+        assert sha256(ds.x, ds.phi) == "789b3f0baa7cb563f7d4518849a3f6df260a2e26a4616f9b4a388407940a3e5a"
 
     def test_sample_fixed_phase_bytes(self):
         x = sample_fixed_phase(mixed6(1), 0.8, BLOCK_SIZE + 123, 29, phi=1.1)
-        assert sha256(x) == "8be1bbcfc977c2d5b2fe42a3a88fd870fbcc514dcd53d233cd066175a28e29ec"
+        assert sha256(x) == "bd0a96c84e0c7a3f4350ae7e4c4ce47891b8835cb8f0f1253fcf95195962597b"
 
     def test_guess_is_mostly_exact(self):
         # 89.8 % of the guesses are the full search's bracket for this state, and the

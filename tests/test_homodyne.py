@@ -150,6 +150,21 @@ class TestDistributions:
     def test_highest_level_within_reach_builds(self):
         assert QuadratureGridSampler(Fock(707)).mass == pytest.approx(1.0, abs=GRID_MASS_TOL)
 
+    def test_reach_judges_the_state_after_loss(self):
+        # Fock(720) lies past level 707, but after a loss channel of 0.5 its weight sits near
+        # level 360: the sampler and the density both take it, and both refuse it at eta = 1
+        grid = np.linspace(-60.0, 60.0, 24_001)
+        assert trapezoid(quadrature_pdf(Fock(720), 0.3, 0.5, grid), grid) == pytest.approx(1.0, abs=1e-9)
+        x2 = sample_homodyne(Fock(720), 0.5, 400_000, 7).x ** 2
+        # <x^2> of the rescaled outcome is (2 eta n + 1)/(4 eta) = 360.5
+        assert abs(x2.mean() - 360.5) < 5.0 * x2.std() / math.sqrt(x2.size)
+        messages = []
+        for refuse in (lambda: sample_homodyne(Fock(720), 1.0, 10, 1), lambda: quadrature_pdf(Fock(720), 0.3, 1.0, 0.0)):
+            with pytest.raises(NumericRangeError, match="above 707") as info:
+                refuse()
+            messages.append(str(info.value))
+        assert messages[0] == messages[1]
+
     @pytest.mark.parametrize("n", [2834, 10**6])
     def test_huge_fock_level_refused_before_allocating(self, n):
         # Fock(10**6) would need a 33 GB Hermite table
@@ -184,6 +199,33 @@ class TestDatasetContainer:
             sample_homodyne(Fock(0), 0.0, 10, 1)
         with pytest.raises(ValidationError):
             sample_homodyne(Fock(0), 1.0, 0, 1)
+
+
+class TestSubnormalEfficiency:
+    """Below eta = 0.25 / DBL_MAX a coherent state's outcome spread sqrt(0.25 / eta) overflows.
+
+    A number state's outcome is its draw after loss over sqrt(eta), which stays finite.
+    """
+
+    @pytest.mark.parametrize("eta", [1e-320, 5e-324])
+    @pytest.mark.parametrize("name", ["sample_homodyne", "sample_fixed_phase", "simulate_heterodyne"])
+    def test_coherent_refused_before_any_block(self, monkeypatch, name, eta):
+        monkeypatch.setattr(homodyne, "block_generator", None)
+        with pytest.raises(NumericRangeError, match="spread"):
+            TestGeneratorArguments.GENERATORS[name](Coherent(1.0), eta, 10, 1)
+
+    def test_subnormal_eta_whose_spread_fits_is_sampled(self):
+        ds = sample_homodyne(Coherent(1.0), 1e-308, 1000, 1)
+        assert np.isfinite(ds.x).all()
+        assert np.isfinite(simulate_heterodyne(Coherent(1.0), 1e-308, 1000, 1)).all()
+
+    @pytest.mark.parametrize("state", [Fock(1), Mixed(np.diag([0.5, 0.3, 0.2])), plus_state()], ids=["fock", "diagonal", "plus"])
+    def test_number_states_sampled(self, state):
+        # after almost total loss the state is the vacuum: x sqrt(eta) has spread 1/2
+        eta = 1e-320
+        for x in (sample_homodyne(state, eta, 4000, 1).x, sample_fixed_phase(state, eta, 4000, 1, phi=0.7)):
+            assert np.isfinite(x).all()
+            assert np.std(x * math.sqrt(eta)) == pytest.approx(0.5, rel=0.1)
 
 
 class TestGeneratorArguments:
@@ -362,7 +404,11 @@ class TestPinnedBytes:
     form, one normal of variance 1/(4 eta) and one Poisson(eta |beta|^2) draw,
     in place of the ideal draw plus a smear or binomial thinning. The Fock(200)
     photocount was recorded while Fock counts were thinned with an array of
-    equal n, before they were thinned with the scalar n.
+    equal n, before they were thinned with the scalar n. The number-basis
+    eta = 0.8 outcomes (Fock(3) and diagonal sample_homodyne, Fock(3)
+    sample_fixed_phase) and the diagonal photocount were re-recorded when
+    those states began to draw from the state after a loss channel, in place
+    of the ideal draw plus a smear or binomial thinning.
     Hashes were recorded with numpy 2.4 on x86-64.
     """
 
@@ -371,10 +417,10 @@ class TestPinnedBytes:
     @pytest.mark.parametrize(
         "state, digest",
         [
-            (Fock(3), "01c789d5ab2d914b05deeac16fbb43430bf44d5a8bd09cd7805f56847e4ac44f"),
+            (Fock(3), "b4862aa92bc182e32630a9f6e73651ff77308329ea8d869940bf0c7346a108c7"),
             (
                 Mixed(np.diag([0.5, 0.3, 0.2])),
-                "855dd1f07268179df7d14c7184be7223149f3a8d808abcdb121a4432f651cecd",
+                "f195784ad0efa5243bdc85c689c212e106337cda852742df564a367877552149",
             ),
             (Coherent(1.5 + 0.5j), "2c92a5d2e28902f9322225728f891f23e0a7fec18fee2db210b8974a12482a91"),
         ],
@@ -387,7 +433,7 @@ class TestPinnedBytes:
     @pytest.mark.parametrize(
         "state, digest",
         [
-            (Fock(3), "a80ffab7c8e59a53076ceba1d8b18c2547afca43b0d7848a9771f4791679ff0e"),
+            (Fock(3), "4ccbdf7692f3c32b3796a879e3f74f9ec63952bb8bd8c077b29ed456e6cc3371"),
             (Coherent(1.5 + 0.5j), "c4e30116b342b44e165df70679cf0b26512c616268d55567f5624b918ff58f37"),
         ],
         ids=["fock3", "coherent"],
@@ -406,7 +452,7 @@ class TestPinnedBytes:
             (
                 Mixed(np.diag([0.5, 0.3, 0.2])),
                 0.8,
-                "e8f7613c9ed68a57e72e0d93785af4549660710533f4d06ccb839d60c3545572",
+                "4d647d36b26b7f5c57bff973b2729ad7016b39fd5a89804af7691b92a7843ca9",
             ),
         ],
         ids=["coherent", "coherent-eta1", "fock3", "fock200", "diagonal"],
@@ -431,13 +477,15 @@ class TestJsonPins:
     Recorded before save_dataset_json wrote its rows slice by slice, with numpy
     2.4 on x86-64. The sizes cross the 4096-row slice edge and the block edge.
     The coherent files were re-recorded, with the same writer, when coherent
-    states began to draw their lossy outcomes as one normal of variance 1/(4 eta).
+    states began to draw their lossy outcomes as one normal of variance 1/(4 eta),
+    and the Fock(3) file when number-basis states began to draw from the state
+    after a loss channel.
     """
 
     @pytest.mark.parametrize(
         "state, n, digest",
         [
-            (Fock(3), 10**5, "4ae28ae24151ebf1cd999c0d0da679d87b31b36361af9f98826e1bdf146f41fe"),
+            (Fock(3), 10**5, "b5481de7c5bb0bb673b2ca07905ef1884ebc3f93dd5a17e6baa0e9c74ba5e194"),
             (Coherent(1.5 + 0.5j), 70001, "1848ab8574c2bb757d58a989974985c1376345fe3085baeec54f13d990f1d73a"),
             (Coherent(1.5 + 0.5j), 1, "d3dc8829ed2d766e79336d219137d4b9e049a8b664902103b0b7b724513a3bee"),
             (Coherent(1.5 + 0.5j), 4096, "ea246d0c1b8fa3d49f156126a3d016bde04a578b2bb07e21129c36f6acd3afae"),

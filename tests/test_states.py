@@ -23,7 +23,7 @@ from tomonoise import (
     state_to_json,
 )
 from tomonoise.errors import NumericRangeError
-from tomonoise.states import band_densities, coherent_mean, hermite_functions, number_bands
+from tomonoise.states import band_densities, coherent_mean, hermite_functions, lossy_bands
 
 
 def ladder_matrix(dim):
@@ -321,7 +321,7 @@ class TestQuadraturePdf:
 )
 def test_band_densities_equal_the_complex_sum(state):
     # the complex einsum that band_densities replaced, kept as the reference: equal to the last bit
-    bands = number_bands(state)
+    bands = lossy_bands(state, 1.0)
     psi = hermite_functions(bands[0][1].size - 1, np.linspace(-9.0, 9.0, 4001))
     dim = psi.shape[0]
     complex_sum = np.stack([np.einsum("n,nx,nx->x", band, psi[: dim - d], psi[d:dim]) for d, band in bands])
