@@ -2,7 +2,10 @@
 
 All accumulation is streaming and mergeable (Welford/Chan updates), so partial
 results over disjoint sample ranges combine associatively to the sequential
-answer; this keeps very long runs numerically stable.
+answer; this keeps very long runs numerically stable. There is one
+accumulator, StreamingMoments, over a stream of real d-vectors with one merge:
+a real stream is d = 1, and ComplexStreamingMoments is a complex stream taken
+as its (Re, Im) pairs, d = 2.
 """
 
 from __future__ import annotations
@@ -29,20 +32,40 @@ CHUNK = BLOCK_SIZE
 
 @dataclass
 class StreamingMoments:
-    """Mergeable single-pass mean/variance accumulator for a real stream."""
+    """Mergeable single-pass moments of a stream of real d-vectors.
+
+    m2 holds the centred product sums sum (v_i - mean_i)(v_j - mean_j). A real
+    stream is d = 1, where mean and m2 are floats; otherwise mean is a
+    d-vector and m2 the d x d matrix.
+    """
 
     count: int = 0
-    mean: float = 0.0
-    m2: float = 0.0
+    mean: float | np.ndarray = 0.0
+    m2: float | np.ndarray = 0.0
 
     def update(self, values: np.ndarray) -> None:
-        values = np.asarray(values, dtype=float)
-        if values.size == 0:
+        """Merge one block: a length-k array of reals, or a (d, k) array of k d-vectors."""
+        self._add(np.asarray(values, dtype=float))
+
+    def _add(self, values: np.ndarray):
+        """update's body, which the complex update calls without going through a wrapped update."""
+        if values.shape[-1] == 0:
             return
-        mean = values.mean()
-        self.merge(StreamingMoments(values.size, float(mean), float(((values - mean) ** 2).sum())))
+        if values.ndim == 1:
+            mean = values.mean()
+            return self.merge(StreamingMoments(values.size, float(mean), float(((values - mean) ** 2).sum())))
+        # one pairwise .sum() per product of rows; each row is squared in place once its cross sums are taken
+        means = [row.mean() for row in values]
+        centred = [row - mean for row, mean in zip(values, means)]
+        m2 = np.empty((len(values), len(values)))
+        for i in reversed(range(len(values))):
+            for j in range(i):
+                m2[i, j] = m2[j, i] = (centred[i] * centred[j]).sum()
+            m2[i, i] = np.square(centred[i], out=centred[i]).sum()
+        self.merge(StreamingMoments(values.shape[1], np.array(means), m2))
 
     def merge(self, other: "StreamingMoments") -> "StreamingMoments":
+        """Chan et al.'s merge of other's moments into these; other is not changed."""
         if other.count == 0:
             return self
         if self.count == 0:
@@ -50,8 +73,9 @@ class StreamingMoments:
             return self
         total = self.count + other.count
         delta = other.mean - self.mean
-        self.mean += delta * other.count / total
-        self.m2 += other.m2 + delta * delta * self.count * other.count / total
+        outer = np.outer(delta, delta) if isinstance(delta, np.ndarray) else delta * delta
+        self.mean = self.mean + delta * other.count / total
+        self.m2 = self.m2 + (other.m2 + outer * self.count * other.count / total)
         self.count = total
         return self
 
@@ -67,49 +91,24 @@ class StreamingMoments:
         return math.sqrt(self.m2 / (self.count - 1)) / math.sqrt(self.count)
 
 
-@dataclass
-class ComplexStreamingMoments:
-    """Mergeable accumulator for a complex stream: mean, |.|^2 spread, pseudo-spread."""
+class ComplexStreamingMoments(StreamingMoments):
+    """A complex stream as the d = 2 stream of its (Re, Im) pairs."""
 
-    count: int = 0
-    mean: complex = 0.0 + 0.0j
-    m2: float = 0.0
-    c2: complex = 0.0 + 0.0j
-
+    # Its own update, not an inherited one: perfbench/tracing.py wraps StreamingMoments.update, then
+    # this, and restores them in reverse order, which would leave an inherited one wrapped.
     def update(self, values: np.ndarray) -> None:
-        values = np.asarray(values, dtype=complex)
-        if values.size == 0:
-            return
-        vmean = complex(values.mean())
-        delta = values - vmean
-        part = ComplexStreamingMoments(
-            values.size, vmean, float((delta.real**2 + delta.imag**2).sum()), complex((delta**2).sum())
-        )
-        self.merge(part)
-
-    def merge(self, other: "ComplexStreamingMoments") -> "ComplexStreamingMoments":
-        if other.count == 0:
-            return self
-        if self.count == 0:
-            self.count, self.mean, self.m2, self.c2 = other.count, other.mean, other.m2, other.c2
-            return self
-        total = self.count + other.count
-        delta = other.mean - self.mean
-        w = self.count * other.count / total
-        self.mean += delta * other.count / total
-        self.m2 += other.m2 + abs(delta) ** 2 * w
-        self.c2 += other.c2 + delta * delta * w
-        self.count = total
-        return self
+        # the (Re, Im) rows as a strided (2, k) view, not a copy: the centred rows are the only copies
+        self._add(np.ascontiguousarray(values, dtype=complex).view(float).reshape(-1, 2).T)
 
     @property
     def covariance_eigenvalues(self) -> tuple[float, float]:
-        """Largest and smallest eigenvalue of the 2x2 covariance of (Re, Im)."""
+        """Largest and smallest eigenvalue of the 2x2 covariance of (Re, Im), in closed form."""
         if self.count == 0:
             return 0.0, 0.0
-        spread = self.m2 / self.count
-        pseudo = abs(self.c2) / self.count
-        return 0.5 * (spread + pseudo), max(0.5 * (spread - pseudo), 0.0)
+        (cxx, cxy), (_, cyy) = self.m2
+        # hypot: the sums hold squares already, and squaring them again overflows from about 1e154
+        trace, root = cxx + cyy, math.hypot(cxx - cyy, 2.0 * cxy)
+        return float(0.5 * (trace + root) / self.count), max(float(0.5 * (trace - root) / self.count), 0.0)
 
 
 @dataclass
@@ -153,12 +152,12 @@ def accumulate(update, n: int, values) -> None:
 def kernel_reducer(acc, obs: Observable, eta: float):
     """reduce(x, phi): update the moments acc with obs's kernel on one block of samples.
 
-    A StreamingMoments gets the real part of the kernel, a
-    ComplexStreamingMoments the complex values.
+    A ComplexStreamingMoments gets the complex values, any other
+    StreamingMoments the real part of the kernel.
     """
-    if isinstance(acc, StreamingMoments):
-        return lambda x, phi: acc.update(np.asarray(kernel_observable(obs, eta, x, phi)).real)
-    return lambda x, phi: acc.update(kernel_observable(obs, eta, x, phi))
+    if isinstance(acc, ComplexStreamingMoments):
+        return lambda x, phi: acc.update(kernel_observable(obs, eta, x, phi))
+    return lambda x, phi: acc.update(np.asarray(kernel_observable(obs, eta, x, phi)).real)
 
 
 def _kernel_moments(data: Dataset, obs: Observable, acc):
@@ -193,7 +192,7 @@ def estimate_complex(data: Dataset, obs: Observable = ComplexAmplitude()) -> Com
     """
     acc = _kernel_moments(data, obs, ComplexStreamingMoments())
     plus, minus = acc.covariance_eigenvalues
-    return ComplexEstimate(acc.mean, plus, minus, acc.count)
+    return ComplexEstimate(complex(*acc.mean), plus, minus, acc.count)
 
 
 def empirical_kernel_variance(data: Dataset, obs: Observable) -> float:

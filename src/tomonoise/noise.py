@@ -22,7 +22,9 @@ analytic or empirical, is built by _row, and every row is finite or refused.
 A direct variance of zero (the intensity of a Fock state at eta = 1, or any
 empirical comparison with n = 1) raises CapabilityError naming it; variances,
 a ratio or a mean photon number out of the float range, or a ratio that
-underflows to 0, raise NumericRangeError. Strict JSON cannot carry inf.
+underflows to 0, raise NumericRangeError; a variance out of the float range
+is refused so even when the direct variance is zero. Strict JSON cannot
+carry inf.
 """
 
 from __future__ import annotations
@@ -124,7 +126,10 @@ def _row(
     """
     if nbar is None:
         nbar = mean_photon(state)
-    if direct <= 0.0:  # zero, or below it by rounding
+    # a variance out of the float range (a kernel's 1/eta^2 terms at tiny eta) is refused as
+    # such, even when the direct variance is zero too
+    in_range = math.isfinite(tomo) and math.isfinite(direct)
+    if in_range and direct <= 0.0:  # zero, or below it by rounding
         # inf ratios would not survive strict JSON, so there is no row to write
         raise CapabilityError(
             f"the direct variance is zero ({direct:.3g}), so the noise ratios are undefined "
@@ -132,7 +137,7 @@ def _row(
         )
     closed_form = ratio is not None
     if not closed_form:
-        ratio = math.sqrt(tomo / direct)
+        ratio = math.sqrt(tomo / direct) if in_range else math.nan
     if not (all(map(math.isfinite, (tomo, direct, ratio, nbar))) and ratio > 0.0):
         raise NumericRangeError(
             f"the {observable_name(obs)} comparison leaves the float range: tomographic variance "

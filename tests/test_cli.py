@@ -921,10 +921,12 @@ def cli_argv(draw, data_dir, out):
             argv += ["--observable", draw(st.sampled_from(FUZZ_OBSERVABLES[:4]))]
         return argv, 0
     if family == "float-range":
-        # a kernel variance beyond the float range, and a photon count beyond numpy's Poisson mean
-        state, obs = draw(st.sampled_from([('{"type":"coherent","beta":[1e154,0]}', "real_field"),
-                                           ('{"type":"coherent","beta":[3.1e9,0]}', "intensity")]))
-        return ["compare", "--state", state, "--observable", obs, "--n", "1000", "--out", out], 4
+        # a kernel variance beyond the float range, a photon count beyond numpy's Poisson mean, and
+        # an intensity kernel whose 1/eta^2 terms overflow where the direct variance is zero
+        state, obs, *eta = draw(st.sampled_from([('{"type":"coherent","beta":[1e154,0]}', "real_field"),
+                                                 ('{"type":"coherent","beta":[3.1e9,0]}', "intensity"),
+                                                 ('{"type":"fock","n":2}', "intensity", "--eta", "1e-200")]))
+        return ["compare", "--state", state, "--observable", obs, *eta, "--n", "1000", "--out", out], 4
     if family == "oversized":
         # 8 EiB and 64 EiB records, which no x86-64 address space holds
         state = draw(st.sampled_from(FUZZ_STATES[:2]))

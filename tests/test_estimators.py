@@ -208,32 +208,71 @@ class TestPhaseDistribution:
             phase_kernel_distribution(ds, 4)
 
 
+def splits(values, rng, pieces):
+    """values cut into equal parts, and at random cuts with empty parts at both ends and inside."""
+    cuts = np.sort(rng.integers(0, values.size, pieces - 1))
+    cuts = np.concatenate([[0, 0], cuts, cuts[-1:], [values.size] * 2])
+    return [np.array_split(values, pieces), [values[lo:hi] for lo, hi in zip(cuts[:-1], cuts[1:])]]
+
+
 class TestAccumulators:
     def test_real_merge_matches_sequential(self, rng):
         values = rng.normal(3.0, 2.0, 100_001)
         seq = StreamingMoments()
         seq.update(values)
-        merged = StreamingMoments()
-        for chunk in np.array_split(values, 7):
-            part = StreamingMoments()
-            part.update(chunk)
-            merged.merge(part)
-        assert merged.count == seq.count
-        assert merged.mean == pytest.approx(seq.mean, rel=1e-12)
-        assert merged.m2 == pytest.approx(seq.m2, rel=1e-12)
+        for chunks in splits(values, rng, 7):
+            merged = StreamingMoments()
+            for chunk in chunks:
+                part = StreamingMoments()
+                part.update(chunk)
+                merged.merge(part)
+            assert merged.count == seq.count
+            assert merged.mean == pytest.approx(seq.mean, rel=1e-12)
+            assert merged.m2 == pytest.approx(seq.m2, rel=1e-12)
 
     def test_complex_merge_matches_sequential(self, rng):
         values = rng.normal(size=50_001) + 1j * rng.normal(size=50_001) + (2 - 1j)
+        values += 0.5 * values.real  # correlated Re and Im: a sizable cross sum
         seq = ComplexStreamingMoments()
         seq.update(values)
-        merged = ComplexStreamingMoments()
-        for chunk in np.array_split(values, 5):
-            part = ComplexStreamingMoments()
-            part.update(chunk)
-            merged.merge(part)
-        assert merged.mean == pytest.approx(seq.mean, rel=1e-12)
-        assert merged.m2 == pytest.approx(seq.m2, rel=1e-12)
-        assert abs(merged.c2 - seq.c2) < 1e-12 * abs(seq.c2) + 1e-12
+        for chunks in splits(values, rng, 5):
+            merged = ComplexStreamingMoments()
+            for chunk in chunks:
+                part = ComplexStreamingMoments()
+                part.update(chunk)
+                merged.merge(part)
+            assert merged.count == seq.count
+            np.testing.assert_allclose(merged.mean, seq.mean, rtol=1e-12)
+            # the 2 x 2 sums of (Re, Im): their trace is the |.|^2 sum, Cxx - Cyy + 2i Cxy the pseudo-sum
+            np.testing.assert_allclose(merged.m2, seq.m2, rtol=1e-12)
+
+    def test_complex_stream_with_zero_imaginary_part_is_the_real_stream(self, rng):
+        values = rng.normal(3.0, 2.0, 2 * CHUNK + 17)
+        real, pair = StreamingMoments(), ComplexStreamingMoments()
+        accumulate(real.update, values.size, lambda sl: values[sl])
+        accumulate(pair.update, values.size, lambda sl: values[sl] + 0j)
+        assert (pair.count, pair.mean[0]) == (real.count, real.mean)
+        assert float(pair.m2[0, 0]).hex() == real.m2.hex()
+        assert pair.m2[0, 1] == pair.m2[1, 1] == 0.0
+
+    @pytest.mark.parametrize("cov", [[[2.0, 0.7], [0.7, 0.5]], [[0.5, -0.3], [-0.3, 1.5]], [[1.0, 0.0], [0.0, 1.0]]])
+    def test_covariance_eigenvalues_in_closed_form(self, rng, cov):
+        pairs = rng.multivariate_normal([1.0, -2.0], cov, size=50_001).T
+        acc = ComplexStreamingMoments()
+        acc.update(pairs[0] + 1j * pairs[1])
+        expected = np.linalg.eigvalsh(np.cov(pairs, bias=True))[::-1]  # largest first
+        np.testing.assert_allclose(acc.covariance_eigenvalues, expected, rtol=1e-12)
+
+    def test_covariance_eigenvalues_of_huge_values_stay_finite(self, rng):
+        # sums near 1e163: squaring them again would overflow, the |.|^2 and pseudo-sum split does not
+        values = 1e80 * (rng.normal(1.0, 2.0, 1000) + 1j * rng.normal(0.0, 1.0, 1000))
+        acc = ComplexStreamingMoments()
+        with np.errstate(all="raise"):
+            acc.update(values)
+            plus, minus = acc.covariance_eigenvalues
+        delta = values - values.mean()
+        spread, pseudo = np.sum(np.abs(delta) ** 2) / values.size, abs(np.sum(delta**2)) / values.size
+        np.testing.assert_allclose([plus, minus], [0.5 * (spread + pseudo), 0.5 * (spread - pseudo)], rtol=1e-12)
 
     def test_update_keeps_two_pass_chunk_moments(self, rng):
         # the chunk formula before the mean was computed once per chunk
@@ -251,7 +290,8 @@ class TestAccumulators:
 
 def test_estimates_pinned():
     # recorded before the chunk loops moved into accumulate, with numpy 2.4 on x86-64; re-recorded
-    # when Fock states began to draw from the state after a loss channel in place of a Gaussian smear
+    # when Fock states began to draw from the state after a loss channel in place of a Gaussian smear;
+    # amp re-recorded when the complex moments became the 2 x 2 sums of (Re, Im)
     ds = sample_homodyne(Fock(3), 0.8, CHUNK + 123, 17)
     est = estimate_mean(ds, Intensity())
     assert (est.value.hex(), est.stderr.hex()) == ("0x1.800c6dc8ea612p+1", "0x1.6f91a776541a2p-7")
@@ -259,6 +299,6 @@ def test_estimates_pinned():
     assert [v.hex() for v in (amp.value.real, amp.value.imag, amp.noise_plus, amp.noise_minus)] == [
         "0x1.0841141996172p-8",
         "-0x1.1158f2896efa7p-6",
-        "0x1.d1d19f56b85e9p+1",
+        "0x1.d1d19f56b85eap+1",
         "0x1.ce3d94e155dd9p+1",
     ]

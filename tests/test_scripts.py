@@ -48,6 +48,32 @@ def test_traced_cli_parses_each_input_once(monkeypatch, tmp_path):
     assert names["estimate"] == ["homodyne.load_dataset_csv", "estimators.estimate_mean.intensity"]
 
 
+def test_traced_compare_keeps_the_span_contract(monkeypatch, tmp_path):
+    # compare spans the kernel, the complex accumulator and both samplers, its self times add up,
+    # and instrument puts each class's own update back (the complex class defines its own)
+    tracing = _tracing(monkeypatch)
+    from tomonoise.cli import main
+    from tomonoise.estimators import ComplexStreamingMoments, StreamingMoments
+    from tomonoise.homodyne import BLOCK_SIZE
+
+    monkeypatch.setenv("TOMONOISE_MAX_WORKERS", "2")
+    real_update, complex_update = StreamingMoments.update, ComplexStreamingMoments.update
+    argv = ["compare", "--state", '{"type":"coherent","beta":[1.5,0.5]}', "--observable", "complex_amplitude",
+            "--eta", "0.8", "--n", str(3 * BLOCK_SIZE + 5), "--out", str(tmp_path / "c.json")]
+    tracer = tracing.Tracer()
+    with tracing.instrument(tracer):
+        assert main(argv) == 0
+    assert {span.name for span in tracer.spans} >= {
+        "kernels.kernel_observable.complex_amplitude", "estimators.ComplexStreamingMoments.update",
+        "direct.simulate_heterodyne", "homodyne.sample_homodyne",
+    }
+    assert tracer.finish() <= 1e-9
+    assert StreamingMoments.update is real_update
+    assert ComplexStreamingMoments.update is complex_update
+    # an inherited update would be left holding the first wrapper, whichever test traced first
+    assert not any(hasattr(cls.update, "__wrapped__") for cls in (StreamingMoments, ComplexStreamingMoments))
+
+
 def test_benchmark_imports_only_package_names_that_exist():
     # the benchmark's layer rows and output checks import package names that only a traced or
     # benchmark run would reach, so one renamed or deleted fails here too
