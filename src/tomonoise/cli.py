@@ -28,6 +28,12 @@ On glibc, main() first sets the allocator policy of the process: arrays up
 to a few blocks come from the heap, and freed heap is kept rather than handed
 back to the kernel, so blocks reuse memory instead of faulting it in again
 (MMAP_THRESHOLD, TRIM_THRESHOLD). Importing the package does not do this.
+
+The process entry, entry(), which `python -m tomonoise.cli` and the tomonoise
+script run, freezes the heap left by the imports (gc.freeze) before main(), so
+that the collections of the run and the last one at exit skip numpy's and the
+package's objects. main() does not freeze: tests and in-process callers run it
+in their own heap, whose cyclic garbage a freeze would keep.
 """
 
 from __future__ import annotations
@@ -35,6 +41,7 @@ from __future__ import annotations
 import argparse
 import ctypes
 import datetime
+import gc
 import json
 import math
 import sys
@@ -365,5 +372,11 @@ def main(argv=None) -> int:
     return 0
 
 
+def entry() -> int:
+    """Run main() as a process of its own: the imports' heap is frozen first (gc.freeze)."""
+    gc.freeze()
+    return main()
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(entry())

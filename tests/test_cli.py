@@ -405,11 +405,13 @@ def test_cli_start_up_leaves_scipy_out(tmp_path):
     # formula needs it, and imports it when called. Coherent comparisons do not reach it.
     # The squared-kernel coefficients divide exact ints, so fractions (and decimal) stay out too.
     # The dataset codec is imported by the dataset readers and writers that use it: compiling
-    # it costs about 8 ms of every command run without a bytecode cache.
+    # it costs about 8 ms of every command run without a bytecode cache. run_blocks imports the
+    # thread pool when a run has more than one block: about 10 ms of a pooled command.
     env = dict(os.environ, PYTHONPATH=str(Path(tomonoise.__file__).parents[1]))
     code = (
         "import sys, tomonoise.cli\n"
         "assert 'scipy' not in sys.modules, 'import'\n"
+        "assert 'concurrent.futures' not in sys.modules, 'concurrent.futures'\n"
         "assert 'fractions' not in sys.modules, 'fractions'\n"
         "assert 'tomonoise.floattext' not in sys.modules, 'floattext'\n"
         "for obs in ('intensity', 'real_field', 'complex_amplitude', 'phase'):\n"
@@ -420,6 +422,46 @@ def test_cli_start_up_leaves_scipy_out(tmp_path):
     run = subprocess.run([sys.executable, "-c", code, str(tmp_path / "c.json")], env=env,
                          capture_output=True, text=True)
     assert run.returncode == 0, run.stderr
+
+
+class TestProcessEntry:
+    """python -m tomonoise.cli runs entry(): main() in its own process, the imports' heap frozen first."""
+
+    @staticmethod
+    def run_module(*argv, cwd):
+        env = dict(os.environ, PYTHONPATH=str(Path(tomonoise.__file__).parents[1]))
+        return subprocess.run([sys.executable, "-m", "tomonoise.cli", *argv], cwd=cwd, env=env,
+                              capture_output=True, text=True, timeout=120)
+
+    def test_compare_writes_the_bytes_of_main(self, tmp_path):
+        argv = ["compare", "--state", '{"type":"coherent","beta":[1.5,0.5]}', "--observable", "intensity",
+                "--eta", "0.8", "--n", str(BLOCK_SIZE + 7), "--seed", "5"]
+        run = self.run_module(*argv, "--out", "process.json", cwd=tmp_path)
+        assert run.returncode == 0 and run.stderr == "", run.stderr
+        assert main([*argv, "--out", str(tmp_path / "main.json")]) == 0
+        assert (tmp_path / "process.json").read_bytes() == (tmp_path / "main.json").read_bytes()
+
+    def test_bad_input_exits_2_with_one_json_line(self, tmp_path):
+        run = self.run_module("compare", "--state", '{"type":"fock","n":1}', "--observable", "intensity",
+                              "--eta", "1.5", "--out", "c.json", cwd=tmp_path)
+        assert run.returncode == 2 and run.stdout == ""
+        (line,) = run.stderr.splitlines()
+        assert json.loads(line)["error"] == "config"
+        assert not (tmp_path / "c.json").exists()
+
+    def test_override_warning_reaches_stderr(self, tmp_path):
+        (tmp_path / "run.json").write_text(json.dumps({"eta": 0.9}))
+        run = self.run_module("simulate", "--state", '{"type":"fock","n":1}', "--eta", "0.5", "--n", "50",
+                              "--out", "d.csv", "--config", "run.json", cwd=tmp_path)
+        assert run.returncode == 0
+        assert run.stderr.splitlines() == ["warning: --eta overridden by config file value"]
+
+    def test_entry_freezes_the_heap_before_main(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(cli.gc, "freeze", lambda: calls.append("freeze"))
+        monkeypatch.setattr(cli, "main", lambda argv=None: calls.append("main") or 3)
+        assert cli.entry() == 3
+        assert calls == ["freeze", "main"]
 
 
 class TestErrorContract:

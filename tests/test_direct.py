@@ -18,7 +18,7 @@ from tomonoise import (
     simulate_photocount,
 )
 from tomonoise import homodyne
-from tomonoise.direct import POISSON_LAM_MAX
+from tomonoise.direct import GUIDE_CELLS, POISSON_LAM_MAX, _inverse_cdf, _poisson_cdf
 from tomonoise.errors import NumericRangeError
 
 
@@ -30,6 +30,32 @@ def bernoulli_convolved_pmf(state, eta, dim):
         for n in range(m, dim):
             out[m] += probs[n] * math.comb(n, m) * eta**m * (1 - eta) ** (n - m)
     return out
+
+
+def table_bound():
+    """Means (below, above) 1e-9 apart around the largest whose Poisson window fits a CDF table."""
+    below, above = 1.0, 1e6
+    while above - below > 1e-9 * above:
+        mid = 0.5 * (below + above)
+        below, above = (mid, above) if _poisson_cdf(mid) is not None else (below, mid)
+    return below, above
+
+
+def poisson_chi2_sf(counts, lam, least=50.0):
+    """chi2.sf of Poisson(lam) counts over runs of consecutive values that each expect at least least counts."""
+    from scipy.stats import chi2, poisson
+
+    n = counts.size
+    top = int(poisson.isf(least / n, lam))  # so the counts above the last run, top - 1 on, expect more than least
+    uppers, run = [], 0.0
+    for k, expect in enumerate(n * poisson.pmf(np.arange(top), lam)):
+        run += expect
+        if run >= least:
+            uppers.append(k)
+            run = 0.0
+    observed = np.bincount(np.searchsorted(uppers, counts), minlength=len(uppers) + 1)
+    expected = n * np.diff(np.concatenate(([0.0], poisson.cdf(uppers, lam), [1.0])))
+    return chi2.sf(((observed - expected) ** 2 / expected).sum(), len(uppers))
 
 
 def mixed6(seed):
@@ -75,21 +101,67 @@ class TestPhotocounting:
         tv = 0.5 * np.abs(counts / rec.size - pmf).sum()
         assert tv < 0.005
 
-    @pytest.mark.parametrize("eta", [0.3, 0.8])
-    def test_coherent_counts_are_poisson(self, eta):
+    @pytest.mark.parametrize(
+        "eta, mean",
+        [(0.3, None), (0.8, None), (1.0, 1e-3), (1.0, 47.5), (1.0, "bound")],
+        ids=["0.3", "0.8", "lam=1e-3", "lam=47.5", "lam-below-table-bound"],
+    )
+    def test_coherent_counts_are_poisson(self, eta, mean):
         # thinning keeps a Poisson count Poisson: mean and variance lam, pmf by chi-squared at 5 sigma
-        from scipy.stats import chi2, poisson
-
-        n, beta = 200_000, 1.2 - 1.7j
+        n = 200_000
+        if mean == "bound":
+            mean = table_bound()[0] * (1.0 - 1e-6)
+        beta = 1.2 - 1.7j if mean is None else math.sqrt(mean)
         lam = eta * abs(beta) ** 2
+        assert _poisson_cdf(lam) is not None  # the table, not numpy's rng.poisson
         rec = simulate_photocount(Coherent(beta), eta, n, 76)
         assert abs(rec.mean() - lam) < 5.0 * math.sqrt(lam / n)
         assert abs(rec.var() - lam) < 5.0 * math.sqrt((lam + 2.0 * lam * lam) / n)
-        top = int(poisson.isf(50.0 / n, lam))  # every bin expects at least 50 counts
-        observed = np.bincount(np.minimum(rec, top), minlength=top + 1)
-        expected = n * np.append(poisson.pmf(np.arange(top), lam), poisson.sf(top - 1, lam))
-        statistic = ((observed - expected) ** 2 / expected).sum()
-        assert chi2.sf(statistic, top) > 5.7e-7  # the two-sided 5 sigma tail
+        assert poisson_chi2_sf(rec, lam) > 5.7e-7  # the two-sided 5 sigma tail
+
+    @pytest.mark.parametrize("lam", [1e-3, 0.5, 1.0, 3.2, 47.5, 1000.0, 3e4])
+    def test_table_leaves_out_at_most_2_to_the_minus_64(self, lam):
+        from scipy.stats import poisson
+
+        lo, cdf = _poisson_cdf(lam)
+        top = lo + cdf.size - 1
+        assert poisson.cdf(lo - 1, lam) + poisson.sf(top, lam) <= 2.0**-64
+        assert np.abs(cdf - poisson.cdf(np.arange(lo, top + 1), lam)).max() < 1e-13
+
+    def test_mean_above_the_table_bound_draws_numpy_poisson(self):
+        below, above = table_bound()
+        assert 4e4 < below and _poisson_cdf(above) is None and _poisson_cdf(1e6) is None
+        n, seed = homodyne.BLOCK_SIZE + 5, 77
+        for lam in (above * (1.0 + 1e-6), 1e6):
+            beta = math.sqrt(lam)
+            by_hand = [
+                homodyne.block_generator(seed, homodyne.PURPOSE_PHOTOCOUNT, block).poisson(beta * beta, count)
+                for block, count in enumerate((homodyne.BLOCK_SIZE, 5))
+            ]
+            assert np.array_equal(simulate_photocount(Coherent(beta), 1.0, n, seed), np.concatenate(by_hand))
+
+    def test_vacuum_counts_nothing(self):
+        assert not simulate_photocount(Coherent(0.0), 0.7, homodyne.BLOCK_SIZE + 9, 78).any()
+
+    def test_inversion_matches_searchsorted(self):
+        # the guide table only chooses where a search starts: at every u, boundaries included,
+        # the index is np.searchsorted's over all but the last CDF entry
+        class Stub:
+            def random(self, count):
+                return u
+
+        rng = np.random.default_rng(79)
+        cells = np.arange(GUIDE_CELLS) / GUIDE_CELLS
+        for trial in range(200):
+            probs = rng.random(rng.integers(1, 60)) ** rng.choice([1, 8])  # some levels far below the rest
+            probs[rng.random(probs.size) < 0.2] = 0.0
+            probs[-1] += probs.sum() == 0.0
+            cdf = np.cumsum(probs / probs.sum())
+            u = np.concatenate((rng.random(500), cells, cdf, np.nextafter(cdf, 0.0), np.nextafter(cdf, 1.0)))
+            u = np.append(u[u < 1.0], 1.0 - 2.0**-53)
+            want = np.searchsorted(cdf[:-1], u, side="right")
+            (got,) = _inverse_cdf(cdf)(Stub(), u.size)
+            assert got.dtype == np.int64 and np.array_equal(got, want), trial
 
     def test_moment_closure(self):
         rec = simulate_photocount(Mixed(np.diag([0.2, 0.5, 0.3])), 0.8, 4 * 10**5, 75)
@@ -162,6 +234,17 @@ class TestHeterodyne:
     def test_phase_variance_vacuum_is_uniform(self):
         rec = simulate_heterodyne(Coherent(0), 1.0, 10**6, 86)
         assert heterodyne_phase_variance(rec) == pytest.approx(math.pi**2 / 3.0, rel=0.02)
+
+    @pytest.mark.parametrize("beta", [2.0, 1.5 + 0.5j, -1.3])
+    def test_outcomes_have_the_bits_of_the_summed_draws(self, beta):
+        # written in place, each outcome keeps the bits of beta + g_re + 1j g_im from the block's generator
+        n, seed, sigma = homodyne.BLOCK_SIZE + 5, 88, math.sqrt(0.5 / 0.8)
+        by_hand = []
+        for block, count in enumerate((homodyne.BLOCK_SIZE, 5)):
+            rng = homodyne.block_generator(seed, homodyne.PURPOSE_HETERODYNE, block)
+            by_hand.append(beta + rng.normal(0.0, sigma, count) + 1j * rng.normal(0.0, sigma, count))
+        alphas = simulate_heterodyne(Coherent(beta), 0.8, n, seed)
+        assert alphas.tobytes() == np.concatenate(by_hand).tobytes()
 
     def test_non_coherent_state_rejected(self):
         with pytest.raises(CapabilityError, match="amplitude_noise_direct"):
