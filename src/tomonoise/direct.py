@@ -5,9 +5,9 @@ counts for a coherent state, Binomial(n, eta) for Fock(n), one draw of the lossy
 photon number for a mixed state) and heterodyne detection of coherent states, each
 returning its outcome array (int64 counts, complex128 alphas) or streaming it block
 by block into a reduce callable, and the phase variance of heterodyne outcomes.
-Coherent and mixed counts invert a CDF table with one uniform per count (guide
-tables, Chen and Asau 1974); a Poisson mean whose table would pass
-PHOTOCOUNT_TABLE_SIZE entries is drawn by numpy's generator instead.
+Mixed counts, and coherent counts of Poisson mean below POISSON_TABLE_MEAN = 10,
+invert a CDF table with one uniform per count; larger means are drawn by
+numpy's generator, whose PTRS sampler needs about one uniform pair per count there.
 Fixed-phase homodyne is homodyne.sample_fixed_phase. The closed-form
 direct-detection variances live with the tomographic ones in noise.py.
 """
@@ -34,65 +34,18 @@ from .states import (
 
 #: The largest mean numpy's Generator.poisson accepts (its POISSON_LAM_MAX).
 POISSON_LAM_MAX = 9.223372006484771e18
-#: Most entries of a Poisson CDF table; a mean whose window needs more is drawn by rng.poisson.
-PHOTOCOUNT_TABLE_SIZE = 1 << 12
-#: Cells of a guide table: cell j holds the first candidate count of every u in [j, j + 1) / GUIDE_CELLS.
-GUIDE_CELLS = 1 << 10
+#: Poisson means below this invert a CDF table with one uniform a count; numpy's rng.poisson
+#: multiplies about lam + 1 uniforms a count there, and switches to its PTRS sampler at 10.
+POISSON_TABLE_MEAN = 10.0
+#: Entries of that table, counts 0 to 63: below mean 10 the counts past it hold under 2**-64 of the mass.
+POISSON_TABLE_SIZE = 64
 
 
-def _poisson_cdf(lam: float) -> tuple[int, np.ndarray] | None:
-    """(lo, cdf): the CDF of Poisson(lam) at lo, lo + 1, ... over the window around the mode
-    that leaves out at most 2**-64 of the mass, or None where that window would pass
-    PHOTOCOUNT_TABLE_SIZE entries.
-
-    The weights p(k) / p(mode) are products of the ratios p(k + 1) / p(k) = lam / (k + 1)
-    taken outward from the mode, so none underflows at large lam, and they are normalised
-    by their sum. The ratios shrink away from the mode, so the weights from one of ratio r
-    outward sum to at most its weight / (1 - r); each side ends where that falls to
-    2**-65 of the sum.
-    """
-    mode = math.floor(lam)
-    steps = np.arange(1.0, PHOTOCOUNT_TABLE_SIZE)
-    ratios = (
-        lam / (mode + steps),  # p(mode + i) / p(mode + i - 1)
-        # p(mode - i) / p(mode - i + 1), 0 past k = 0; below lam = 1 every numerator is 0
-        np.maximum(mode + 1.0 - steps, 0.0) / max(lam, 1.0),
-    )
-    weights = [np.cumprod(r) for r in ratios]
-    floor = 2.0**-65 * (1.0 + weights[0].sum() + weights[1].sum())
-    with np.errstate(divide="ignore"):  # a ratio of 1 bounds nothing
-        ends = [np.flatnonzero(w / (1.0 - r) <= floor) for w, r in zip(weights, ratios)]
-    if not (ends[0].size and ends[1].size) or ends[0][0] + ends[1][0] >= PHOTOCOUNT_TABLE_SIZE:
-        return None
-    up, down = (w[: e[0]] for w, e in zip(weights, ends))
-    window = np.concatenate((down[::-1], [1.0], up))
-    return mode - down.size, np.cumsum(window / window.sum())
-
-
-def _inverse_cdf(cdf: np.ndarray, lo: int = 0):
-    """draw(rng, k) for homodyne.generate: lo + the index of cdf that each u of rng.random(k) falls in.
-
-    Index i takes u in [cdf[i - 1], cdf[i]), and the last index also takes u past a
-    total rounded below 1: the smallest i with cdf[i] > u, as np.searchsorted(cdf[:-1],
-    u, side="right") gives it. A guide table holds the smallest candidate of each cell
-    of u, so a count costs one uniform, two lookups and a comparison; only the u that
-    share their cell with a CDF boundary step up from there.
-    """
-    cdf = np.append(cdf[:-1], np.inf)
-    guide = np.searchsorted(cdf, np.arange(GUIDE_CELLS) / GUIDE_CELLS, side="right").astype(np.int64)
-
-    def draw(rng, k):
-        u = rng.random(k)
-        counts = guide[(u * GUIDE_CELLS).astype(np.intp)]
-        step = np.flatnonzero(cdf[counts] <= u)
-        while step.size:
-            counts[step] += 1
-            step = step[cdf[counts[step]] <= u[step]]
-        if lo:
-            counts += lo
-        return (counts,)
-
-    return draw
+def _categorical(probs: np.ndarray):
+    """draw(rng, k) for homodyne.generate: k indices drawn from probs, one rng.random uniform each."""
+    # index i takes u in [cdf[i-1], cdf[i]); the last index also takes u past a total rounded below 1
+    cdf = np.cumsum(probs / probs.sum())[:-1]
+    return lambda rng, k: (np.searchsorted(cdf, rng.random(k), side="right").astype(np.int64),)
 
 
 def simulate_photocount(
@@ -103,11 +56,11 @@ def simulate_photocount(
     A coherent state stays coherent under loss, so its counts are one
     Poisson(eta |beta|^2) draw each, and a Fock state's one Binomial(n, eta)
     draw, the closed forms of the loss channel. A mixed state's are one draw
-    from its photon-number probabilities after that channel. Coherent and
-    mixed counts invert their CDF with one uniform each (_inverse_cdf); a
-    Poisson mean whose table would pass PHOTOCOUNT_TABLE_SIZE entries, about
-    5.0e4, takes numpy's rng.poisson instead. With reduce, each block goes to
-    reduce(counts) instead (see homodyne.generate), and None is returned.
+    from its photon-number probabilities after that channel. Mixed counts, and
+    Poisson counts of mean below POISSON_TABLE_MEAN, invert their CDF with one
+    uniform each; larger means take numpy's rng.poisson. With reduce, each
+    block goes to reduce(counts) instead (see homodyne.generate), and None is
+    returned.
     """
     n = sample_count(state, eta, n)
     if isinstance(state, Coherent):
@@ -117,16 +70,20 @@ def simulate_photocount(
                 f"numpy draws, {POISSON_LAM_MAX!r}"
             )
         lam = eta * abs(state.beta) ** 2  # |beta|^2 itself at eta = 1
-        table = _poisson_cdf(lam)
-        draw = (lambda rng, k: (rng.poisson(lam, k),)) if table is None else _inverse_cdf(table[1], table[0])
+        if lam < POISSON_TABLE_MEAN:  # p(k) = p(k - 1) lam / k from p(0) = exp(-lam)
+            draw = _categorical(np.cumprod(np.append(math.exp(-lam), lam / np.arange(1.0, POISSON_TABLE_SIZE))))
+        else:
+
+            def draw(rng, k):
+                return (rng.poisson(lam, k),)
+
     elif isinstance(state, Fock):
 
         def draw(rng, k):  # one binomial setup for the one n, not one per sample
             return (np.full(k, state.n, dtype=np.int64) if eta == 1.0 else rng.binomial(state.n, eta, k),)
 
     else:
-        probs = _lossy_band(0, photon_distribution(state, state.dim)[0], eta)
-        draw = _inverse_cdf(np.cumsum(probs / probs.sum()))
+        draw = _categorical(_lossy_band(0, photon_distribution(state, state.dim)[0], eta))
 
     columns = generate(n, seed, PURPOSE_PHOTOCOUNT, draw, reduce, (np.int64,))
     return None if columns is None else columns[0]

@@ -18,7 +18,7 @@ from tomonoise import (
     simulate_photocount,
 )
 from tomonoise import homodyne
-from tomonoise.direct import GUIDE_CELLS, POISSON_LAM_MAX, _inverse_cdf, _poisson_cdf
+from tomonoise.direct import POISSON_LAM_MAX, POISSON_TABLE_MEAN, POISSON_TABLE_SIZE
 from tomonoise.errors import NumericRangeError
 
 
@@ -30,15 +30,6 @@ def bernoulli_convolved_pmf(state, eta, dim):
         for n in range(m, dim):
             out[m] += probs[n] * math.comb(n, m) * eta**m * (1 - eta) ** (n - m)
     return out
-
-
-def table_bound():
-    """Means (below, above) 1e-9 apart around the largest whose Poisson window fits a CDF table."""
-    below, above = 1.0, 1e6
-    while above - below > 1e-9 * above:
-        mid = 0.5 * (below + above)
-        below, above = (mid, above) if _poisson_cdf(mid) is not None else (below, mid)
-    return below, above
 
 
 def poisson_chi2_sf(counts, lam, least=50.0):
@@ -103,65 +94,56 @@ class TestPhotocounting:
 
     @pytest.mark.parametrize(
         "eta, mean",
-        [(0.3, None), (0.8, None), (1.0, 1e-3), (1.0, 47.5), (1.0, "bound")],
+        [(0.3, None), (0.8, None), (1.0, 1e-3), (1.0, 47.5), (1.0, POISSON_TABLE_MEAN * (1.0 - 1e-9))],
         ids=["0.3", "0.8", "lam=1e-3", "lam=47.5", "lam-below-table-bound"],
     )
     def test_coherent_counts_are_poisson(self, eta, mean):
-        # thinning keeps a Poisson count Poisson: mean and variance lam, pmf by chi-squared at 5 sigma
+        # thinning keeps a Poisson count Poisson: mean and variance lam, pmf by chi-squared at 5 sigma;
+        # lam = 47.5 takes numpy's rng.poisson, the others the CDF table
         n = 200_000
-        if mean == "bound":
-            mean = table_bound()[0] * (1.0 - 1e-6)
         beta = 1.2 - 1.7j if mean is None else math.sqrt(mean)
         lam = eta * abs(beta) ** 2
-        assert _poisson_cdf(lam) is not None  # the table, not numpy's rng.poisson
         rec = simulate_photocount(Coherent(beta), eta, n, 76)
         assert abs(rec.mean() - lam) < 5.0 * math.sqrt(lam / n)
         assert abs(rec.var() - lam) < 5.0 * math.sqrt((lam + 2.0 * lam * lam) / n)
         assert poisson_chi2_sf(rec, lam) > 5.7e-7  # the two-sided 5 sigma tail
 
-    @pytest.mark.parametrize("lam", [1e-3, 0.5, 1.0, 3.2, 47.5, 1000.0, 3e4])
-    def test_table_leaves_out_at_most_2_to_the_minus_64(self, lam):
+    def test_table_leaves_out_at_most_2_to_the_minus_64(self):
         from scipy.stats import poisson
 
-        lo, cdf = _poisson_cdf(lam)
-        top = lo + cdf.size - 1
-        assert poisson.cdf(lo - 1, lam) + poisson.sf(top, lam) <= 2.0**-64
-        assert np.abs(cdf - poisson.cdf(np.arange(lo, top + 1), lam)).max() < 1e-13
+        # the mass past the table's last count grows with the mean, so the bound's is the largest
+        assert poisson.sf(POISSON_TABLE_SIZE - 1, POISSON_TABLE_MEAN) <= 2.0**-64
 
-    def test_mean_above_the_table_bound_draws_numpy_poisson(self):
-        below, above = table_bound()
-        assert 4e4 < below and _poisson_cdf(above) is None and _poisson_cdf(1e6) is None
-        n, seed = homodyne.BLOCK_SIZE + 5, 77
-        for lam in (above * (1.0 + 1e-6), 1e6):
-            beta = math.sqrt(lam)
-            by_hand = [
-                homodyne.block_generator(seed, homodyne.PURPOSE_PHOTOCOUNT, block).poisson(beta * beta, count)
+    @staticmethod
+    def by_block(seed, draw):
+        """The counts of draw(block's generator, count) over a full block and a 5-count one."""
+        return np.concatenate(
+            [
+                draw(homodyne.block_generator(seed, homodyne.PURPOSE_PHOTOCOUNT, block), count)
                 for block, count in enumerate((homodyne.BLOCK_SIZE, 5))
             ]
-            assert np.array_equal(simulate_photocount(Coherent(beta), 1.0, n, seed), np.concatenate(by_hand))
+        )
+
+    @pytest.mark.parametrize("mean", [1e-3, 3.2, POISSON_TABLE_MEAN * (1.0 - 1e-9)])
+    def test_mean_below_the_table_bound_inverts_the_poisson_cdf(self, mean):
+        from scipy.stats import poisson
+
+        beta = math.sqrt(mean)
+        lam = abs(beta) ** 2
+        assert lam < POISSON_TABLE_MEAN
+        by_hand = self.by_block(78, lambda rng, count: poisson.ppf(rng.random(count), lam))
+        assert np.array_equal(simulate_photocount(Coherent(beta), 1.0, homodyne.BLOCK_SIZE + 5, 78), by_hand)
+
+    # 0.625 * 4**2 is the bound itself, exactly
+    @pytest.mark.parametrize("beta, eta", [(4.0, 0.625), (math.sqrt(47.5), 1.0), (1e3, 1.0)])
+    def test_mean_from_the_table_bound_draws_numpy_poisson(self, beta, eta):
+        lam = eta * abs(beta) ** 2
+        assert lam >= POISSON_TABLE_MEAN
+        by_hand = self.by_block(77, lambda rng, count: rng.poisson(lam, count))
+        assert np.array_equal(simulate_photocount(Coherent(beta), eta, homodyne.BLOCK_SIZE + 5, 77), by_hand)
 
     def test_vacuum_counts_nothing(self):
         assert not simulate_photocount(Coherent(0.0), 0.7, homodyne.BLOCK_SIZE + 9, 78).any()
-
-    def test_inversion_matches_searchsorted(self):
-        # the guide table only chooses where a search starts: at every u, boundaries included,
-        # the index is np.searchsorted's over all but the last CDF entry
-        class Stub:
-            def random(self, count):
-                return u
-
-        rng = np.random.default_rng(79)
-        cells = np.arange(GUIDE_CELLS) / GUIDE_CELLS
-        for trial in range(200):
-            probs = rng.random(rng.integers(1, 60)) ** rng.choice([1, 8])  # some levels far below the rest
-            probs[rng.random(probs.size) < 0.2] = 0.0
-            probs[-1] += probs.sum() == 0.0
-            cdf = np.cumsum(probs / probs.sum())
-            u = np.concatenate((rng.random(500), cells, cdf, np.nextafter(cdf, 0.0), np.nextafter(cdf, 1.0)))
-            u = np.append(u[u < 1.0], 1.0 - 2.0**-53)
-            want = np.searchsorted(cdf[:-1], u, side="right")
-            (got,) = _inverse_cdf(cdf)(Stub(), u.size)
-            assert got.dtype == np.int64 and np.array_equal(got, want), trial
 
     def test_moment_closure(self):
         rec = simulate_photocount(Mixed(np.diag([0.2, 0.5, 0.3])), 0.8, 4 * 10**5, 75)
