@@ -1,12 +1,14 @@
-"""Synthetic phase-scanned homodyne records with reproducible counter-based seeding.
+"""Synthetic phase-scanned homodyne records with reproducible per-block seeding.
 
 Sampling model: phi ~ Uniform[0, pi), then x at that phase, efficiency eta a
 loss channel on the state and x rescaled by 1/sqrt(eta). A coherent state stays
 coherent under loss, so its x is one Gaussian draw of mean Re(beta e^(-i phi))
 and variance 1/(4 eta). Number-basis states draw x from the density of the
-state after loss (states.lossy_bands) on a grid. Every generator checks its arguments
+state after loss (states.lossy_bands) on a grid. Scanned phases take their cos
+and sin from states.phase_trig. Every generator checks its arguments
 with `sample_count` and hands `generate` a draw(rng, count) function, which gets
-one Philox stream per block keyed by (seed, purpose, block index). Blocks run
+one SFC64 stream per block, seeded by SeedSequence(seed, spawn_key=(purpose,
+block index)) in block_generator. Blocks run
 on a small thread pool (numpy's generators and ufuncs release the interpreter
 lock), each block writes only its own slice, so the output is the same for
 any thread count. Given a `reduce` callable, a generator hands each block to
@@ -38,6 +40,7 @@ from .states import (
     coherent_mean,
     hermite_functions,
     lossy_bands,
+    phase_trig,
     state_tag,
     validate_state,
 )
@@ -63,12 +66,17 @@ PURPOSE_FIXED_PHASE = 4
 
 
 def block_generator(seed: int, purpose: int, block: int) -> np.random.Generator:
-    """Philox generator for one sample block; key = (seed, purpose << 48 | block)."""
+    """SFC64 generator for one sample block, seeded by SeedSequence(seed, spawn_key=(purpose, block)).
+
+    SeedSequence pads a seed's words to its pool size before it appends the
+    spawn key, so distinct (seed, purpose, block) give distinct inputs to its
+    hash. The list form SeedSequence([seed, purpose, block]) does not: seed
+    2**32 + 5, purpose 3, block 0 gives the words of seed 5, purpose 1, block 3.
+    """
     seed = integer(seed, "seed")
     if not 0 <= seed < 1 << 64:
         raise ValidationError(f"seed must lie in [0, 2**64), got {seed}")
-    key = np.array([np.uint64(seed), np.uint64((purpose << 48) | block)], dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=key))
+    return np.random.Generator(np.random.SFC64(np.random.SeedSequence(seed, spawn_key=(purpose, block))))
 
 
 def worker_count() -> int:
@@ -323,7 +331,7 @@ class QuadratureGridSampler:
         trig = np.empty((1 + 2 * top, phi.size))  # rows 1, cos(d phi) for d = 1..top, sin(d phi)
         cos, sin = trig[1 : top + 1], trig[top + 1 :]
         trig[0] = 1.0
-        cos1, sin1 = np.cos(phi, out=cos[0]), np.sin(phi, out=sin[0])
+        cos1, sin1 = phase_trig(np.cos, phi, out=cos[0]), phase_trig(np.sin, phi, out=sin[0])
         term = np.empty(phi.size)
         for cos_prev, sin_prev, cos_d, sin_d in zip(cos, sin, cos[1:], sin[1:]):
             np.multiply(cos_prev, cos1, out=cos_d)

@@ -17,7 +17,7 @@ from typing import Mapping, Union
 import numpy as np
 
 from .errors import NumericRangeError, ValidationError, integer, is_complex
-from .states import _check_eta, _complex_from_json
+from .states import _check_eta, _complex_from_json, phase_trig
 
 #: Hard cap on n + m for monomial kernels (double-precision recurrence guard).
 MAX_KERNEL_ORDER = 40
@@ -118,7 +118,18 @@ def kernel_monomial(n: int, m: int, eta: float, x, phi):
     phi = np.asarray(phi, dtype=float)
     s = n + m
     scale = math.sqrt((2.0 * eta) ** s) * math.comb(s, n)
-    vals = np.exp(1j * (m - n) * phi) * hermite(s, math.sqrt(2.0 * eta) * x) / scale
+    h = hermite(s, math.sqrt(2.0 * eta) * x)
+    if n == m and scale > 0.0 and np.isfinite(phi).all():
+        # The bits of exp(0j phi) * h / scale without the complex exp. At a finite phi the factor
+        # is 1 + 0j and the product h + zero j, zero = 0 h + 0: +0, or NaN where h is not finite.
+        # numpy divides by scale + 0j as (h + zero 0, zero - h 0) * (1 / scale), which is this.
+        zero = np.multiply(h, 0.0)
+        zero += 0.0
+        vals = np.empty(np.broadcast(x, phi).shape, dtype=complex)
+        np.multiply(np.add(h, zero), 1.0 / scale, out=vals.real)
+        np.multiply(zero, 1.0 / scale, out=vals.imag)
+    else:
+        vals = np.exp(1j * (m - n) * phi) * h / scale
     return vals if vals.ndim else complex(vals)
 
 
@@ -146,16 +157,17 @@ def kernel_observable(obs: Observable, eta: float, x, phi):
     if isinstance(obs, Intensity):
         vals = 2.0 * x * x - 1.0 / (2.0 * eta) + 0.0 * phi
     elif isinstance(obs, RealField):
-        vals = 2.0 * x * np.cos(phi)
+        vals = 2.0 * x * phase_trig(np.cos, phi)
     elif isinstance(obs, ComplexAmplitude):
-        # 2.0 * x * exp(1j phi) up to the sign of a zero, without a complex exp
+        # 2.0 * x * exp(1j phi) without a complex exp, its cos and sin from phase_trig
         two_x = 2.0 * x
         vals = np.empty(np.broadcast(x, phi).shape, dtype=complex)
-        np.multiply(two_x, np.cos(phi), out=vals.real)
-        np.multiply(two_x, np.sin(phi), out=vals.imag)
+        np.multiply(two_x, phase_trig(np.cos, phi), out=vals.real)
+        np.multiply(two_x, phase_trig(np.sin, phi), out=vals.imag)
     elif isinstance(obs, Phase):
-        vals = np.where(x >= 0.0, phi, phi - math.pi)
-        vals = np.where(vals <= -math.pi, vals + 2.0 * math.pi, vals)
+        # phi less pi times the mask of x >= 0 failing (x < 0 or NaN), then wrapped into (-pi, pi]
+        vals = np.asarray(phi - np.multiply(~(x >= 0.0), math.pi, dtype=float))
+        np.add(vals, 2.0 * math.pi, out=vals, where=vals <= -math.pi)
     elif isinstance(obs, Monomial):
         vals = kernel_monomial(obs.n, obs.m, eta, x, phi)
     elif isinstance(obs, Polynomial):

@@ -279,13 +279,58 @@ def mean_photon(state: StateSpec) -> float:
     return normal_moment(state, 1, 1).real
 
 
+#: pi/4 - fl(pi/4), the part of pi/4 that the double math.pi / 4 leaves out.
+_QUARTER_PI_LO = 3.061616997868383e-17
+
+
+def phase_trig(func, phi, out=None):
+    """func(phi), func np.cos or np.sin, through numpy's vectorised tangent for a float64 array in [0, pi].
+
+    Every scanned, dataset and guide-edge phase lies in [0, pi]. There
+    cos phi = 2u / (1 + u^2) with u = tan((pi/4 - phi/2) + _QUARTER_PI_LO),
+    which keeps its relative accuracy where cos phi nears 0 at pi/2, and
+    sin phi = 2t / (1 + t^2) with t = tan(phi/2), which keeps it where sin phi
+    nears 0 at 0 and pi; both stay within 4 ulp of the exact value there.
+    numpy's float64 tan is vectorised where its SIMD dispatch provides it
+    (X86_V4, as on AVX-512 CPUs), about 2 ns a value against 16-19 ns for its
+    scalar-libm cos and sin. Elsewhere these forms stay as accurate, but can
+    be slower than func and differ from it in the last bits. Outside [0, pi],
+    at NaN, for an empty or non-float64 array and for a scalar the identities
+    lose accuracy or gain nothing, and func(phi) itself is returned (a 0-d
+    array counts as a scalar). The arithmetic runs in out (a new array if None).
+    """
+    if not (
+        isinstance(phi, np.ndarray) and phi.dtype == np.float64 and phi.ndim and phi.size
+        and 0.0 <= phi.min() and phi.max() <= math.pi  # min and max propagate NaN
+    ):
+        return func(phi, out=out)
+    if func is np.cos:  # fl(pi/4) - phi/2 is exact from phi = pi/4 on, where u nears 0
+        t = np.multiply(phi, -0.5, out=out)
+        t += math.pi / 4
+        t += _QUARTER_PI_LO
+    else:
+        t = np.multiply(phi, 0.5, out=out)
+    np.tan(t, out=t)
+    denominator = np.multiply(t, t)
+    denominator += 1.0
+    t += t
+    t /= denominator
+    return t
+
+
 def coherent_mean(beta: complex, phi):
-    """Mean Re(beta exp(-i phi)) of a coherent state's quadrature at phase phi."""
-    if beta.imag == 0.0:
-        # equal to the complex form below (up to the sign of a zero), without its complex exp
-        return beta.real * np.cos(phi)
-    # numpy's complex product does not round like the split form b.r cos + b.i sin
-    return (beta * np.exp(-1j * phi)).real
+    """Mean Re(beta exp(-i phi)) of a coherent state's quadrature at phase phi.
+
+    It is the split form beta.real cos(phi) + beta.imag sin(phi), its cos and
+    sin from phase_trig and its sine term only where beta.imag != 0. At a
+    scalar phase phase_trig is np.cos and np.sin, and the split form has the
+    bits of numpy's scalar complex product (beta * np.exp(-1j * phi)).real.
+    """
+    mean = phase_trig(np.cos, phi)
+    mean *= beta.real
+    if beta.imag != 0.0:
+        mean += beta.imag * phase_trig(np.sin, phi)
+    return mean
 
 
 def lossy_bands(state: Fock | Mixed, eta: float) -> list[tuple[int, np.ndarray]]:

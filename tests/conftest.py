@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
@@ -43,3 +45,11 @@ def small_density_matrices(draw, max_dim=5):
 @pytest.fixture(scope="session")
 def rng():
     return np.random.default_rng(20260811)
+
+
+def sha256(*arrays, dtype="<f8"):
+    """Hex sha256 of the arrays' bytes as dtype, one after another: the form of every sampled-stream pin."""
+    digest = hashlib.sha256()
+    for a in arrays:
+        digest.update(np.ascontiguousarray(a, dtype=dtype).tobytes())
+    return digest.hexdigest()

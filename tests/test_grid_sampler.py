@@ -8,7 +8,6 @@ is strictly increasing, that search must pick the bisection's bracket there,
 and every outcome must land within 1e-9 of the bisection.
 """
 
-import hashlib
 import math
 import resource
 import time
@@ -22,7 +21,7 @@ from scipy.integrate import cumulative_trapezoid
 from scipy.signal import fftconvolve
 from scipy.stats import kstest
 
-from conftest import small_density_matrices
+from conftest import sha256, small_density_matrices
 from tomonoise import (
     Fock,
     Mixed,
@@ -249,13 +248,6 @@ def smeared_density(state, phi, eta, grid):
     return fftconvolve(ideal, kernel, mode="same")
 
 
-def sha256(*arrays):
-    digest = hashlib.sha256()
-    for a in arrays:
-        digest.update(np.ascontiguousarray(a, dtype="<f8").tobytes())
-    return digest.hexdigest()
-
-
 def perturbed(monkeypatch, change):
     """Sampler for mixed6(8) whose position tables, phase-scanned and fixed-phase, go through change.
 
@@ -268,11 +260,12 @@ def perturbed(monkeypatch, change):
 
 
 class TestUnitEfficiencyPins:
-    """At eta = 1 the loss channel is the identity, so number-basis streams keep their bytes.
+    """At eta = 1 the loss channel is the identity, so number-basis streams kept their bytes through it.
 
     Recorded while number-basis states still drew the ideal outcome and smeared
     it (a no-op at eta = 1), and mixed photocounts were thinned binomially
-    (skipped at eta = 1), with numpy 2.4 on x86-64.
+    (skipped at eta = 1), with numpy 2.4 on x86-64; re-recorded when the block streams moved from Philox to SFC64,
+    and the phase weights of mixed6 to phase_trig's tangent forms.
     """
 
     N = BLOCK_SIZE + 123
@@ -280,8 +273,8 @@ class TestUnitEfficiencyPins:
     @pytest.mark.parametrize(
         "state, digest",
         [
-            (Fock(3), "5019f15765ccfef47d946260a8164de61341b6e4d8fadacad47e206db81e8a6e"),
-            (mixed6(1), "e6edcd08095577963fd8208beb60c4ed46ef8c790ba65e636a1d0017aff52d18"),
+            (Fock(3), "6bee2ebad84eba002c2c05075e352908691c747acbf793119ea02349957071b1"),
+            (mixed6(1), "133503c915403c29f8c778d344d6e042f8fc270bae684db3f7b4329b411259c2"),
         ],
         ids=["fock3", "mixed6"],
     )
@@ -291,12 +284,11 @@ class TestUnitEfficiencyPins:
 
     def test_sample_fixed_phase(self):
         x = sample_fixed_phase(mixed6(1), 1.0, self.N, 29, phi=1.1)
-        assert sha256(x) == "6e2a4ca47854123f465ffd6bafdef8f3329cd70f8a1be82bcda0fbb418b6a9f0"
+        assert sha256(x) == "beb638b5f290814598ad1513f8085f878af71fd3c5e1fa1432ee2a05869a8e3a"
 
     def test_simulate_photocount(self):
         counts = simulate_photocount(Mixed(np.diag([0.5, 0.3, 0.2])), 1.0, self.N, 29)
-        digest = hashlib.sha256(np.ascontiguousarray(counts, dtype="<i8").tobytes()).hexdigest()
-        assert digest == "568d33c11c8ff38dd834b3ac8d7ba9872f0e0b4d4911f88ee85b4f342c916f50"
+        assert sha256(counts, dtype="<i8") == "10198f4e55aeced8964243c1b7a44f7e6e9cae2187f7e412a888b2698c80210c"
 
 
 class TestGuideTable:
@@ -304,14 +296,15 @@ class TestGuideTable:
 
     # First recorded before the guide table existed, from the plain power-of-two search;
     # re-recorded when number-basis states began to draw the density of the state after
-    # loss in place of the ideal draw plus a Gaussian smear.
+    # loss in place of the ideal draw plus a Gaussian smear; re-recorded when the block streams
+    # moved from Philox to SFC64 and the phase weights to phase_trig's tangent forms.
     def test_sample_homodyne_bytes(self):
         ds = sample_homodyne(mixed6(1), 0.8, BLOCK_SIZE + 123, 29)
-        assert sha256(ds.x, ds.phi) == "789b3f0baa7cb563f7d4518849a3f6df260a2e26a4616f9b4a388407940a3e5a"
+        assert sha256(ds.x, ds.phi) == "3b5117d031ae03f1e2323e8fd88dd7990cff7cd908db6a5c6e1cbb5f88edc1d5"
 
     def test_sample_fixed_phase_bytes(self):
         x = sample_fixed_phase(mixed6(1), 0.8, BLOCK_SIZE + 123, 29, phi=1.1)
-        assert sha256(x) == "bd0a96c84e0c7a3f4350ae7e4c4ce47891b8835cb8f0f1253fcf95195962597b"
+        assert sha256(x) == "e023126c958424fb2e5b440cc983070b492fb6640f63fea5e66225e207a983f6"
 
     def test_guess_is_mostly_exact(self):
         # 89.8 % of the guesses are the full search's bracket for this state, and the

@@ -12,6 +12,7 @@ import pytest
 from scipy.integrate import trapezoid
 from scipy.stats import kstest
 
+from conftest import sha256
 from tomonoise import (
     Coherent,
     Dataset,
@@ -66,6 +67,29 @@ class TestDeterminism:
         # block 1 draws its phases first from its own key (seed, purpose, block)
         rng = block_generator(5, PURPOSE_HOMODYNE, 1)
         assert np.array_equal(phi1, rng.uniform(0.0, math.pi, n - BLOCK_SIZE))
+
+    def test_block_generator_is_sfc64_keyed_by_a_spawn_key(self):
+        rng = block_generator(7, PURPOSE_HOMODYNE, 2)
+        assert isinstance(rng.bit_generator, np.random.SFC64)
+        key = np.random.SeedSequence(7, spawn_key=(PURPOSE_HOMODYNE, 2))
+        assert np.array_equal(rng.random(16), np.random.Generator(np.random.SFC64(key)).random(16))
+
+    def test_block_keys_do_not_collide(self):
+        # SeedSequence's list form reads [2**32 + 5, 3, 0] and [5, 1, 3] as the same words;
+        # a spawn key follows the seed's words padded to the pool size, so its keys stay apart
+        def words(entropy):
+            return np.random.SeedSequence(entropy).generate_state(4)
+
+        assert np.array_equal(words([2**32 + 5, 3, 0]), words([5, 1, 3]))
+        assert not np.array_equal(block_generator(2**32 + 5, 3, 0).random(8), block_generator(5, 1, 3).random(8))
+        assert not np.array_equal(block_generator(5, 1, 0).random(8), block_generator(5, 2, 0).random(8))
+
+    @pytest.mark.parametrize("seed", [-1, 2**64, 2**70])
+    def test_block_generator_seed_range(self, seed):
+        with pytest.raises(ValidationError, match=r"seed must lie in \[0, 2\*\*64\), got"):
+            block_generator(seed, PURPOSE_HOMODYNE, 0)
+        for edge in (0, 2**64 - 1):
+            block_generator(edge, PURPOSE_HOMODYNE, 0).random(1)
 
     def test_seed_changes_output(self):
         a = sample_homodyne(Fock(0), 1.0, 1000, 1)
@@ -381,13 +405,6 @@ class TestIo:
         assert peak < 2 * 2**20
 
 
-def sha256(*arrays, dtype="<f8"):
-    digest = hashlib.sha256()
-    for a in arrays:
-        digest.update(np.ascontiguousarray(a, dtype=dtype).tobytes())
-    return digest.hexdigest()
-
-
 def file_sha256(path):
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
@@ -411,7 +428,9 @@ class TestPinnedBytes:
     of the ideal draw plus a smear or binomial thinning. The two coherent
     photocount cases were re-recorded when Poisson counts began to invert
     their CDF table with one uniform each, in place of numpy's rng.poisson.
-    Hashes were recorded with numpy 2.4 on x86-64.
+    Every case was re-recorded when the block streams moved from Philox to SFC64, and the coherent
+    means to phase_trig's tangent forms. Hashes were recorded with numpy 2.4
+    on x86-64.
     """
 
     N = BLOCK_SIZE + 123
@@ -419,12 +438,12 @@ class TestPinnedBytes:
     @pytest.mark.parametrize(
         "state, digest",
         [
-            (Fock(3), "b4862aa92bc182e32630a9f6e73651ff77308329ea8d869940bf0c7346a108c7"),
+            (Fock(3), "c78d6d5a288e4840ed8267954f3bf6d7d7a6b91d7c60bcc36c01afa5816b4f12"),
             (
                 Mixed(np.diag([0.5, 0.3, 0.2])),
-                "f195784ad0efa5243bdc85c689c212e106337cda852742df564a367877552149",
+                "7b18e9ce0eeb7c7447bd7508772d60d99daa35f4e94f33832b1d23ac22dcbd5e",
             ),
-            (Coherent(1.5 + 0.5j), "2c92a5d2e28902f9322225728f891f23e0a7fec18fee2db210b8974a12482a91"),
+            (Coherent(1.5 + 0.5j), "f436163e914b5c344c02c7ceccfc005674f7524aa14d89cedc5515ad528f45ad"),
         ],
         ids=["fock3", "diagonal", "coherent"],
     )
@@ -435,8 +454,8 @@ class TestPinnedBytes:
     @pytest.mark.parametrize(
         "state, digest",
         [
-            (Fock(3), "4ccbdf7692f3c32b3796a879e3f74f9ec63952bb8bd8c077b29ed456e6cc3371"),
-            (Coherent(1.5 + 0.5j), "c4e30116b342b44e165df70679cf0b26512c616268d55567f5624b918ff58f37"),
+            (Fock(3), "2287d89590dd7a4e74377983ed831abbdaac2db23274c65b2919878d9c0e2949"),
+            (Coherent(1.5 + 0.5j), "4a66ee6cada6c478a253f25d105ab2f297a6d0cb28005e307c551d8eb0233e65"),
         ],
         ids=["fock3", "coherent"],
     )
@@ -446,15 +465,15 @@ class TestPinnedBytes:
     @pytest.mark.parametrize(
         "state, eta, digest",
         [
-            (Coherent(1.5 + 0.5j), 0.8, "e8e01f07b80acad1200afae9ac6073ed0d3f903c414cf76213f60864cfb2aec3"),
-            (Coherent(1.5 + 0.5j), 1.0, "a8bb3275fd2bd4a2866e26174ef364f5094e4a852d0ffb6012e295954b74cbce"),
-            (Fock(3), 0.8, "43f65b8c56f1338c9eec409020f5002b6bb6ac029f5656f642befba8dfe63908"),
+            (Coherent(1.5 + 0.5j), 0.8, "aa1b553588cfc467cf659985456890c27ffe8956ff9f772754f3cd80acd60f7a"),
+            (Coherent(1.5 + 0.5j), 1.0, "79a377f4da9092f07eca6db535f2d780f7e31f5b17fca3894056c43f443d03b4"),
+            (Fock(3), 0.8, "aae11a3db8798a9836caffbd69ae92ad3ec13e09f90cb0d57d90d013a308e72b"),
             # n (1 - eta) = 40 takes numpy's BTPE binomial, where Fock(3) takes inversion
-            (Fock(200), 0.8, "8b5e682f0166edeb98ff6614eea25b12dabebffab2e449491b07d9f5d8d4a9b2"),
+            (Fock(200), 0.8, "7bc301ee862f6aa14449cc7f8fef41da7f505dc77c79732cb94ba1bde26c6ce2"),
             (
                 Mixed(np.diag([0.5, 0.3, 0.2])),
                 0.8,
-                "4d647d36b26b7f5c57bff973b2729ad7016b39fd5a89804af7691b92a7843ca9",
+                "aa552288b6a300e6e4d0826731534b84603978b8735fcb0bc0ba47a24459353f",
             ),
         ],
         ids=["coherent", "coherent-eta1", "fock3", "fock200", "diagonal"],
@@ -464,13 +483,13 @@ class TestPinnedBytes:
 
     def test_simulate_heterodyne(self):
         alphas = simulate_heterodyne(Coherent(1.5 + 0.5j), 0.8, self.N, 17)
-        digest = "334914e931d96a7fbe252aba02702c496994cd3fd8c50f56b113f1ef9862b4ad"
+        digest = "f98e7d2b07e0be9bacdb225fe4c5cbd1a7098c6cfc33e457568a8091c99fea3a"
         assert sha256(alphas, dtype="<c16") == digest
 
     def test_csv_files(self, tmp_path):
         state, path = Coherent(1.5 + 0.5j), tmp_path / "r.csv"
         save_dataset_csv(sample_homodyne(state, 0.8, 20_000, 17), path)
-        assert file_sha256(path) == "73736dc11752424d3205d2a29fb45cca9c1f69e3bdc31b79c612a96bab3a4e74"
+        assert file_sha256(path) == "3ed4a4db13b8369e9b6b6cd0f8db9d61c74d0883a6598c85160cbd5f3f7f7db5"
 
 
 class TestJsonPins:
@@ -481,17 +500,17 @@ class TestJsonPins:
     The coherent files were re-recorded, with the same writer, when coherent
     states began to draw their lossy outcomes as one normal of variance 1/(4 eta),
     and the Fock(3) file when number-basis states began to draw from the state
-    after a loss channel.
+    after a loss channel. All were re-recorded when the block streams moved from Philox to SFC64.
     """
 
     @pytest.mark.parametrize(
         "state, n, digest",
         [
-            (Fock(3), 10**5, "b5481de7c5bb0bb673b2ca07905ef1884ebc3f93dd5a17e6baa0e9c74ba5e194"),
-            (Coherent(1.5 + 0.5j), 70001, "1848ab8574c2bb757d58a989974985c1376345fe3085baeec54f13d990f1d73a"),
-            (Coherent(1.5 + 0.5j), 1, "d3dc8829ed2d766e79336d219137d4b9e049a8b664902103b0b7b724513a3bee"),
-            (Coherent(1.5 + 0.5j), 4096, "ea246d0c1b8fa3d49f156126a3d016bde04a578b2bb07e21129c36f6acd3afae"),
-            (Coherent(1.5 + 0.5j), 4097, "b84f4e531c8b78a554da7f1bd8a95ee56249f26dca6220bee2b0f6d573afbfb4"),
+            (Fock(3), 10**5, "7cbb22a7b38cf0f0cd0d01c84311cb7409b5af2379b0f1986e6b6b524622dfab"),
+            (Coherent(1.5 + 0.5j), 70001, "3003cd26e30d4b5599c2e147c11609757289f76ae31c2d1f04696b8891e4657a"),
+            (Coherent(1.5 + 0.5j), 1, "e0a57149ca6b1c6e7c1ea3f1f4aae493f653d9e75ee1f2c0431b444db5483fb4"),
+            (Coherent(1.5 + 0.5j), 4096, "b284e53a6eb7217ff61f218704a8d0dc21ea9de6fb6b8ac288df8cb7ae215c0a"),
+            (Coherent(1.5 + 0.5j), 4097, "94933b6045fcb74764744c5b576a03ec6163b8306de690d50bbad91e4808d64a"),
         ],
         ids=["fock3", "coherent", "n1", "n4096", "n4097"],
     )
@@ -516,8 +535,9 @@ class TestRealAmplitudePins:
 
     First recorded before coherent_mean dropped the complex exponential for a
     real amplitude, which kept them; re-recorded when coherent states began to
-    draw their lossy outcomes as one normal of variance 1/(4 eta), with numpy
-    2.4 on x86-64.
+    draw their lossy outcomes as one normal of variance 1/(4 eta), and when the
+    block streams moved from Philox to SFC64 and the scanned means to
+    phase_trig's tangent form, with numpy 2.4 on x86-64.
     """
 
     N = BLOCK_SIZE + 123
@@ -525,8 +545,8 @@ class TestRealAmplitudePins:
     @pytest.mark.parametrize(
         "beta, digest",
         [
-            (2.0, "95c1b97db426d868813edfe18daeff4e36b379487b3dd80730dad180d84b8c62"),
-            (-1.3, "dfaf4c0e949fd8014e6f20ed1006fe42d56a47f42c97317cc2f99b5379830e0c"),
+            (2.0, "ea49dc688eb155ae818e159e729b5c7de57502e9d6f12ca7d3887a0d6336dae2"),
+            (-1.3, "9859c9cdd69c2a9198e7a230f0f7bc3bccaa1b7a6af5068546caf485f88a94ad"),
         ],
         ids=["2.0", "-1.3"],
     )
@@ -537,8 +557,8 @@ class TestRealAmplitudePins:
     @pytest.mark.parametrize(
         "beta, digest",
         [
-            (2.0, "d1b40010a3e8c2b4f2c1c990b37b4bf1de6a4ee4d2265ca8123f269f1f19e152"),
-            (-1.3, "eaf5dad64dfb0356612d49e3a61a93ecc6fcdfd22c0c2f29f7baceb6824696cc"),
+            (2.0, "e7d0c664d958824963dbaddb81aa3516b798b573263b6f71907e6b292728cdac"),
+            (-1.3, "846daa349bac2a649d170df1b74a5f02833deb3936e913cca88ee9bbcc52c226"),
         ],
         ids=["2.0", "-1.3"],
     )
@@ -608,19 +628,21 @@ class TestLossyCoherentStreams:
         [
             (
                 1.5 + 0.5j,
-                "6267360a47d06e2fcb0a027ceb3fb44e1ecbd6fb1c0e85cd617514aa1f93cd64",
-                "b7f0ccd953f4f1bef03e625e9662fba31619ddfdbd74c1c7110f41b9f16e0118",
+                "f4fb0677b4f72d0fa585c84f81dd0cbb6a99cb1a91b909bbc7b4f5a94a5e2d14",
+                "776cf3116b39050e525659ae24cd713124c15d7f27d755c0d78f6eb90dfe6592",
             ),
             (
                 2.0,
-                "f725e45b5fb317e736f7d36332778edc4e40f5fb7a4ed7cef5a932e50abffc03",
-                "58d22a40e3b2d65a66eb4d95a2ab131b50e2cdfc9e0ba81bd1a862df1b638c3a",
+                "b359d0e91cec127ac804412ba6049c4ff834598c0a3af2cc7f01e45a09499dbe",
+                "6f78583870598162a1c37332d9453e771e14e1764ebfe72555761040e698fc01",
             ),
         ],
         ids=["complex", "real"],
     )
     def test_unit_efficiency_bytes(self, beta, scanned, fixed):
-        # recorded with the two-draw sampler, whose eta = 1 draw is the closed form's; numpy 2.4 on x86-64
+        # recorded with the two-draw sampler, whose eta = 1 draw is the closed form's; re-recorded when
+        # the block streams moved from Philox to SFC64 and the scanned means to phase_trig's tangent
+        # forms; numpy 2.4 on x86-64
         ds = sample_homodyne(Coherent(beta), 1.0, self.N, 17)
         assert sha256(ds.x, ds.phi) == scanned
         assert sha256(sample_fixed_phase(Coherent(beta), 1.0, self.N, 17, phi=0.7)) == fixed

@@ -95,14 +95,77 @@ class TestObservableKernels:
         assert got == pytest.approx(1.6 * np.exp(1.1j))
 
     def test_complex_amplitude_equals_complex_exponential_form(self):
-        # the expression the real cos/sin form replaced, kept verbatim
+        # Phases in [0, pi] take phase_trig, within 4 ulp of the exact cos and sin, so each part of
+        # 2 x exp(i phi) lies within |2 x| times 4 of those ulps, plus half an ulp for the product,
+        # of the complex exponential form taken in long double.
         rng = np.random.default_rng(8)
         x = rng.normal(0.0, 2.0, 1 << 20)
-        phi = rng.uniform(-2.0 * math.pi, 2.0 * math.pi, 1 << 20)
+        phi = rng.uniform(0.0, math.pi, 1 << 20)
         x[:3], phi[1:4] = 0.0, 0.0
         got = kernel_observable(ComplexAmplitude(), 0.8, x, phi)
-        assert got.dtype == complex and np.array_equal(got, 2.0 * x * np.exp(1j * phi))
+        assert got.dtype == complex
+        wide = phi.astype(np.longdouble)
+        exact = 2.0 * x.astype(np.longdouble) * np.exp(1j * wide)
+        for part, want, trig in ((got.real, exact.real, np.cos(wide)), (got.imag, exact.imag, np.sin(wide))):
+            tol = 4.0 * np.abs(2.0 * x) * np.spacing(np.abs(trig.astype(float)))
+            tol += 0.5 * np.spacing(np.abs(want.astype(float)))
+            assert np.all(np.abs(part - want) <= tol)
+        # outside [0, pi] the bits of the complex exponential form, which the cos/sin form replaced, hold
+        outside = rng.uniform(-2.0 * math.pi, 2.0 * math.pi, 1 << 16)
+        got = kernel_observable(ComplexAmplitude(), 0.8, x[: 1 << 16], outside)
+        assert np.array_equal(got, 2.0 * x[: 1 << 16] * np.exp(1j * outside))
         assert kernel_observable(ComplexAmplitude(), 0.8, 0.0, 0.0) == 0.0
+
+    def test_real_field_within_ulps_of_the_exact_value(self):
+        rng = np.random.default_rng(9)
+        x, phi = rng.normal(0.0, 2.0, 1 << 16), rng.uniform(0.0, math.pi, 1 << 16)
+        wide = phi.astype(np.longdouble)
+        cos = np.cos(wide)
+        want = 2.0 * x.astype(np.longdouble) * cos
+        tol = 4.0 * np.abs(2.0 * x) * np.spacing(np.abs(cos.astype(float)))
+        tol += 0.5 * np.spacing(np.abs(want.astype(float)))
+        assert np.all(np.abs(kernel_observable(RealField(), 0.8, x, phi) - want) <= tol)
+
+    @pytest.mark.parametrize("order", [0, 1, 2, 3, 7, 20])
+    def test_diagonal_monomial_keeps_the_complex_exponential_bits(self, order):
+        # n == m skips exp(0j phi); the expression it replaced, kept verbatim, at x = +-0, signs of
+        # zero in h, huge x whose h overflows, NaN x, and a phi outside [0, pi]
+        def reference(x, phi, eta):
+            s = 2 * order
+            scale = math.sqrt((2.0 * eta) ** s) * math.comb(s, order)
+            return np.exp(1j * (order - order) * phi) * hermite(s, math.sqrt(2.0 * eta) * x) / scale
+
+        rng = np.random.default_rng(10)
+        x = np.concatenate([[0.0, -0.0, 1e300, -1e300, 1e8, math.nan, 5e-324], rng.normal(0.0, 2.0, 4096)])
+        phi = np.concatenate([[0.0, -0.0, 1.0, 2.0, -3.0, 0.5, 7.0], rng.uniform(0.0, math.pi, 4096)])
+        with np.errstate(all="ignore"):
+            for eta in (1.0, 0.8, 1e-300):
+                got, want = kernel_monomial(order, order, eta, x, phi), reference(x, phi, eta)
+                assert got.dtype == want.dtype == complex
+                assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), eta
+                for xs, ps in ((-0.0, 0.3), (1.5, phi[:9]), (x[:9], 0.3)):
+                    got, want = kernel_monomial(order, order, eta, xs, ps), reference(xs, ps, eta)
+                    assert np.array_equal(np.atleast_1d(got).view(np.uint64), np.atleast_1d(want).view(np.uint64))
+            # a non-finite phi makes the factor NaN: the complex exponential path keeps it
+            got = kernel_monomial(order, order, 0.8, 1.0, np.array([math.nan, math.inf]))
+            assert np.isnan(got).all()
+
+    def test_phase_keeps_the_two_where_bits(self):
+        # one subtraction of pi times the mask; the two np.where passes it replaced, kept verbatim,
+        # at x = +-0, NaN and infinite x, phi = 0 and +-0, tiny phi and phi outside [0, pi]
+        def reference(x, phi):
+            vals = np.where(x >= 0.0, phi, phi - math.pi)
+            return np.where(vals <= -math.pi, vals + 2.0 * math.pi, vals)
+
+        rng = np.random.default_rng(11)
+        x = np.concatenate([[0.0, -0.0, math.nan, -1.0, 1.0, -math.inf, -0.0, -2.0, -1.0], rng.normal(size=4096)])
+        phi = np.concatenate([[0.0, 0.0, 0.0, 0.0, -0.0, 0.0, 1e-17, 2e-16, -4.0], rng.uniform(-8.0, 8.0, 4096)])
+        got = kernel_observable(Phase(), 1.0, x, phi)
+        assert np.array_equal(got.view(np.uint64), reference(x, phi).view(np.uint64))
+        for xs, ps in ((0.0, 0.0), (-0.0, 0.0), (math.nan, 0.0), (-1.0, 0.0), (-1.0, phi[:9]), (x[:9], 0.0)):
+            got, want = kernel_observable(Phase(), 1.0, xs, ps), reference(np.asarray(xs), np.asarray(ps))
+            assert np.array_equal(np.atleast_1d(got).view(np.uint64), np.atleast_1d(want).view(np.uint64))
+            assert np.ndim(got) == np.ndim(want)
 
 
 class TestPolynomialKernel:

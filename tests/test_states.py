@@ -23,7 +23,14 @@ from tomonoise import (
     state_to_json,
 )
 from tomonoise.errors import NumericRangeError
-from tomonoise.states import band_densities, coherent_mean, hermite_functions, lossy_bands
+from tomonoise.states import (
+    _QUARTER_PI_LO,
+    band_densities,
+    coherent_mean,
+    hermite_functions,
+    lossy_bands,
+    phase_trig,
+)
 
 
 def ladder_matrix(dim):
@@ -307,13 +314,96 @@ class TestQuadraturePdf:
         with pytest.raises(ValidationError):
             quadrature_pdf(Fock(0), 0.0, 1.2, 0.0)
 
-    @pytest.mark.parametrize("beta", [0.0, 2.0, -1.3, 1.5 + 0.5j])
+    @pytest.mark.parametrize("beta", [0.0, 2.0, -1.3, 1.5 + 0.5j, -0.8 + 1.7j, 3e-5j])
     def test_coherent_mean_equals_complex_exponential_form(self, beta):
-        # the expression the real-amplitude np.cos form replaced, kept verbatim
-        phi = np.random.default_rng(3).uniform(-2.0 * math.pi, 2.0 * math.pi, 1 << 20)
-        phi[0] = 0.0
+        # Phases in [0, pi] take phase_trig, within 4 ulp of the exact cos and sin (TestPhaseTrig), so
+        # beta.real cos + beta.imag sin lies within 4 of those ulps times each coefficient, plus 1.5 ulp
+        # of each term for the two products and the sum, of the complex form taken in long double.
+        phi = np.random.default_rng(3).uniform(0.0, math.pi, 1 << 20)
+        phi[:3] = 0.0, math.pi / 2, math.pi
         beta = complex(beta)
-        assert np.array_equal(coherent_mean(beta, phi), (beta * np.exp(-1j * phi)).real)
+        wide = phi.astype(np.longdouble)
+        exact = (np.clongdouble(beta) * np.exp(-1j * wide)).real
+        cos, sin = np.cos(wide).astype(float), np.sin(wide).astype(float)
+        tol = 4.0 * (abs(beta.real) * np.spacing(np.abs(cos)) + abs(beta.imag) * np.spacing(np.abs(sin)))
+        tol += 1.5 * (np.spacing(np.abs(beta.real * cos)) + np.spacing(np.abs(beta.imag * sin)))
+        assert np.all(np.abs(coherent_mean(beta, phi) - exact) <= tol)
+        # Outside [0, pi] a real amplitude keeps the bits of beta.real np.cos(phi), and a
+        # scalar phase those of the form it had before phase_trig: fixed-phase means hold.
+        outside = np.random.default_rng(4).uniform(-2.0 * math.pi, 2.0 * math.pi, 1 << 12)
+        outside[0] = -0.0
+        if beta.imag == 0.0:
+            want = beta.real * np.cos(outside)
+            assert np.array_equal(coherent_mean(beta, outside).view(np.uint64), want.view(np.uint64))
+        for scalar in (0.0, 0.7, 1.1, math.pi / 2, -4.0, 9.5):
+            want = beta.real * np.cos(scalar) if beta.imag == 0.0 else (beta * np.exp(-1j * scalar)).real
+            assert float(coherent_mean(beta, scalar)).hex() == float(want).hex()
+
+
+def ulps(got, func, phi):
+    """|got - func(phi)| in ulps of the float64 nearest func(phi), func taken in long double."""
+    exact = func(np.asarray(phi, dtype=np.longdouble))
+    return np.abs(got - exact) / np.spacing(np.abs(exact.astype(float)))
+
+
+class TestPhaseTrig:
+    HALF = math.pi / 2
+    EDGES = np.concatenate(
+        [
+            [0.0, 5e-324, 1e-300, 2.2e-16, math.pi / 4, math.pi, np.nextafter(math.pi, 0.0)],
+            HALF + np.arange(-40, 41) * np.spacing(HALF),
+            math.pi - np.arange(1, 20) * np.spacing(math.pi),
+        ]
+    )
+
+    @pytest.mark.parametrize("func", [np.cos, np.sin], ids=["cos", "sin"])
+    def test_within_4_ulp_over_0_to_pi(self, func):
+        phi = np.random.default_rng(12).uniform(0.0, math.pi, 10**6)
+        assert ulps(phase_trig(func, phi), func, phi).max() <= 4.0
+        assert ulps(phase_trig(func, self.EDGES), func, self.EDGES).max() <= 4.0
+
+    def test_exact_values(self):
+        got = phase_trig(np.cos, np.array([0.0, math.pi])), phase_trig(np.sin, np.array([0.0, self.HALF]))
+        assert got[0].tolist() == [1.0, -1.0] and got[1].tolist() == [0.0, 1.0]
+
+    def test_quarter_pi_low_part(self):
+        from fractions import Fraction
+
+        quarter_pi = Fraction("3.14159265358979323846264338327950288419716939937510") / 4
+        assert _QUARTER_PI_LO == float(quarter_pi - Fraction(math.pi / 4))
+
+    @pytest.mark.parametrize(
+        "phi",
+        [
+            np.array([0.5, -1e-300]),
+            np.array([0.5, np.nextafter(math.pi, 4.0)]),
+            np.array([0.5, math.nan]),
+            np.random.default_rng(1).uniform(-7.0, 7.0, 4096),
+            np.array([0.5, 1.0], dtype=np.float32),
+            np.array([1, 2]),
+            np.empty(0),
+            np.array(0.7),
+            0.7,
+            math.pi / 2,
+            -0.0,
+            [0.1, 0.2],
+        ],
+        ids=[
+            "below", "above", "nan", "wide", "float32", "int", "empty", "0-d", "float", "half-pi", "minus-zero", "list"
+        ],
+    )
+    @pytest.mark.parametrize("func", [np.cos, np.sin], ids=["cos", "sin"])
+    def test_falls_back_bit_for_bit(self, func, phi):
+        got, want = phase_trig(func, phi), func(phi)
+        assert type(got) is type(want) and np.asarray(got).dtype == np.asarray(want).dtype
+        assert np.array_equal(np.atleast_1d(got).view(np.uint8), np.atleast_1d(want).view(np.uint8))
+
+    @pytest.mark.parametrize("func", [np.cos, np.sin], ids=["cos", "sin"])
+    def test_writes_into_out(self, func):
+        phi = np.linspace(0.0, math.pi, 7)
+        out = np.full(7, 5.0)
+        assert phase_trig(func, phi, out=out) is out
+        assert np.array_equal(out, phase_trig(func, phi)) and phi[-1] == math.pi
 
 
 @pytest.mark.parametrize(
