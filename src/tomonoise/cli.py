@@ -20,9 +20,10 @@ replayed as --config reproduces its run. A record too large to allocate, and
 any other MemoryError, is a numeric-range error, and so is a comparison or
 an estimate that is not finite; numpy's floating-point warnings are off
 during a run, sampling threads included, so that such a refusal stays one
-line. Sample blocks are generated on as many threads as the process has
-CPUs; TOMONOISE_MAX_WORKERS (a positive integer) lowers that count, and the
-count used is recorded in the resolved config as max_workers.
+line. Sample blocks are drawn on as many threads as the process has CPUs,
+the calling thread and helpers (homodyne.run_blocks); TOMONOISE_MAX_WORKERS
+(a positive integer) lowers that count, and the count used is recorded in the
+resolved config as max_workers.
 
 On glibc, main() first sets the allocator policy of the process: arrays up
 to a few blocks come from the heap, and freed heap is kept rather than handed
@@ -70,10 +71,11 @@ from .noise import empirical_comparison, sweep, write_sweep_csv
 from .states import state_from_json, state_to_json
 
 # glibc allocator policy of a CLI run (see _keep_block_memory). The largest per-block array is a
-# complex block, 16 B x BLOCK_SIZE = 1 MiB, and each worker has at most two blocks in flight.
+# complex block, 16 B x BLOCK_SIZE = 1 MiB, and at most two blocks per drawing thread are drawn
+# but not yet consumed.
 #: Arrays below this size come from the heap, not from their own mmap: four complex blocks.
 MMAP_THRESHOLD = 4 * 16 * BLOCK_SIZE
-#: Free heap memory kept, not handed back to the kernel: room for every worker's blocks.
+#: Free heap memory kept, not handed back to the kernel: room for every drawing thread's blocks.
 TRIM_THRESHOLD = 8 * MMAP_THRESHOLD
 _M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3  # mallopt parameters in glibc's malloc.h
 

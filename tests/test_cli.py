@@ -405,19 +405,23 @@ def test_cli_start_up_leaves_scipy_out(tmp_path):
     # formula needs it, and imports it when called. Coherent comparisons do not reach it.
     # The squared-kernel coefficients divide exact ints, so fractions (and decimal) stay out too.
     # The dataset codec is imported by the dataset readers and writers that use it: compiling
-    # it costs about 8 ms of every command run without a bytecode cache. run_blocks imports the
-    # thread pool when a run has more than one block: about 10 ms of a pooled command.
+    # it costs about 8 ms of every command run without a bytecode cache. run_blocks draws blocks
+    # on plain threads, so a multi-block run imports neither concurrent.futures nor the logging
+    # it pulls in (about 7 ms of a fresh command).
     env = dict(os.environ, PYTHONPATH=str(Path(tomonoise.__file__).parents[1]))
     code = (
         "import sys, tomonoise.cli\n"
         "assert 'scipy' not in sys.modules, 'import'\n"
-        "assert 'concurrent.futures' not in sys.modules, 'concurrent.futures'\n"
         "assert 'fractions' not in sys.modules, 'fractions'\n"
         "assert 'tomonoise.floattext' not in sys.modules, 'floattext'\n"
         "for obs in ('intensity', 'real_field', 'complex_amplitude', 'phase'):\n"
         "    assert tomonoise.cli.main(['compare', '--state', '{\"type\":\"coherent\",\"beta\":[1,0]}',\n"
         "        '--observable', obs, '--n', '100', '--seed', '1', '--out', sys.argv[1]]) == 0\n"
         "    assert 'scipy' not in sys.modules, obs\n"
+        f"assert tomonoise.cli.main(['compare', '--state', '{{\"type\":\"coherent\",\"beta\":[1,0]}}',\n"
+        f"    '--observable', 'intensity', '--n', '{3 * BLOCK_SIZE + 5}', '--seed', '1', '--out', sys.argv[1]]) == 0\n"
+        "for module in ('concurrent.futures', 'logging'):\n"
+        "    assert module not in sys.modules, module\n"
     )
     run = subprocess.run([sys.executable, "-c", code, str(tmp_path / "c.json")], env=env,
                          capture_output=True, text=True)

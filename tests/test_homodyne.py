@@ -2,10 +2,14 @@ import hashlib
 import json
 import math
 import os
+import subprocess
 import sys
+import textwrap
 import threading
+import time
 import tracemalloc
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -735,6 +739,173 @@ class TestRunBlocks:
         with warnings.catch_warnings(), np.errstate(all="ignore"):
             warnings.simplefilter("error")
             run_blocks(4 * BLOCK_SIZE, draw, lambda result: None)
+
+    @pytest.mark.parametrize("slow", ["consume", "helper draws"])
+    def test_output_independent_of_who_draws(self, monkeypatch, slow):
+        # A slow consume lets helpers run ahead; slow helper draws leave most blocks to the caller.
+        original, drawers = homodyne.run_blocks, []
+
+        def paced(n, draw, consume):
+            def draw_paced(block, count):
+                caller = threading.current_thread() is threading.main_thread()
+                drawers.append(caller)
+                if slow == "helper draws" and not caller:
+                    time.sleep(0.02)
+                return draw(block, count)
+
+            def consume_paced(result):
+                if slow == "consume":
+                    time.sleep(0.005)
+                consume(result)
+
+            original(n, draw_paced, consume_paced)
+
+        monkeypatch.setattr(homodyne, "run_blocks", paced)
+        digests = {}
+        for workers in (1, 2, 3):
+            monkeypatch.setattr(homodyne, "worker_count", lambda: workers)
+            drawers.clear()
+            digests[workers] = _generator_digests()
+            assert set(drawers) == ({True} if workers == 1 else {True, False})  # caller, helpers
+        assert digests[2] == digests[1] and digests[3] == digests[1]
+
+    @staticmethod
+    def _watched(draw):
+        """draw wrapped to count the draws in progress and log every start and end."""
+        lock, log = threading.Lock(), []
+        running = [0]
+
+        def watched(block, count):
+            with lock:
+                running[0] += 1
+                log.append(("start", block))
+            try:
+                return draw(block, count)
+            finally:
+                with lock:
+                    running[0] -= 1
+                    log.append(("end", block))
+
+        return watched, running, log
+
+    @pytest.mark.parametrize("failing", ["helper draw", "caller draw", "consume"])
+    def test_no_draw_outlives_a_failed_run(self, monkeypatch, failing):
+        # The paces leave a helper drawing a later block when the failure is reached.
+        monkeypatch.setattr(homodyne, "worker_count", lambda: 3)
+        failed, late = [], threading.Event()
+
+        def draw(block, count):
+            caller = threading.current_thread() is threading.main_thread()
+            if failing.endswith("draw") and not failed and block > 0 and caller == (failing == "caller draw"):
+                failed.append(block)
+                late.set()
+                time.sleep(0.03)
+                raise NumericRangeError(f"block {block}")
+            if caller:
+                time.sleep(0.002)
+            elif failing == "consume" and block == 1:
+                time.sleep(0.02)
+            else:
+                time.sleep(0.1 if late.is_set() or failing != "caller draw" else 0.01)
+            return block
+
+        def consume(block):
+            if failing == "consume" and block == 1:
+                raise NumericRangeError("consume 1")
+
+        watched, running, log = self._watched(draw)
+        with pytest.raises(NumericRangeError) as info:
+            run_blocks(40 * BLOCK_SIZE, watched, consume)
+        assert running[0] == 0
+        seen = len(log)
+        time.sleep(0.1)
+        assert len(log) == seen  # nothing started or finished after the call
+        assert str(info.value) == (f"block {failed[0]}" if failed else "consume 1")
+        assert seen < 2 * 40  # the run stopped claiming blocks
+
+    def test_first_failure_in_block_order_is_raised(self, monkeypatch):
+        monkeypatch.setattr(homodyne, "worker_count", lambda: 3)
+
+        def draw(block, count):
+            if block == 1:
+                time.sleep(0.05)  # fails after block 4 has
+            if block in (1, 4):
+                raise NumericRangeError(f"block {block}")
+            return block
+
+        watched, running, _ = self._watched(draw)
+        with pytest.raises(NumericRangeError, match="block 1"):
+            run_blocks(8 * BLOCK_SIZE, watched, lambda result: None)
+        assert running[0] == 0
+
+    def test_helpers_are_kept_and_capped_per_run(self, monkeypatch):
+        def drawers(workers):
+            monkeypatch.setattr(homodyne, "worker_count", lambda: workers)
+            threads = set()
+
+            def draw(block, count):
+                threads.add(threading.current_thread())
+                time.sleep(0.002)
+
+            watched, running, _ = self._watched(draw)
+            run_blocks(12 * BLOCK_SIZE, watched, lambda result: time.sleep(0.002))
+            assert running[0] == 0
+            return threads - {threading.current_thread()}
+
+        assert len(drawers(4)) <= 3
+        before = set(threading.enumerate())
+        assert len(drawers(4)) <= 3
+        assert len(drawers(2)) <= 1  # fewer helpers than the process has started
+        assert set(threading.enumerate()) == before
+
+    def test_lowering_max_workers_between_runs_leaves_draws_to_the_caller(self, monkeypatch):
+        threads = set()
+
+        def draw(block, count):
+            threads.add(threading.current_thread())
+
+        monkeypatch.setenv("TOMONOISE_MAX_WORKERS", "2")
+        run_blocks(6 * BLOCK_SIZE, draw, lambda result: None)
+        threads.clear()
+        monkeypatch.setenv("TOMONOISE_MAX_WORKERS", "1")
+        run_blocks(6 * BLOCK_SIZE, draw, lambda result: time.sleep(0.002))
+        assert threads == {threading.current_thread()}
+
+    def test_forked_child_starts_its_own_helpers(self):
+        # The parent's helpers do not exist in a forked child; the child must start its own.
+        code = textwrap.dedent(
+            """
+            import json, os, threading
+            from tomonoise import Coherent, homodyne, sample_homodyne
+
+            homodyne.worker_count = lambda: 3
+
+            def record():
+                ds = sample_homodyne(Coherent(1.0 - 0.5j), 0.8, 3 * homodyne.BLOCK_SIZE + 5, 23)
+                return ds.x.tobytes().hex() + ds.phi.tobytes().hex()
+
+            parent = record()
+            read, write = os.pipe()
+            pid = os.fork()
+            if pid == 0:
+                try:
+                    helpers = [t.name for t in threading.enumerate() if t.name.startswith("tomonoise-")]
+                    child = record()
+                    alive = [t.name for t in threading.enumerate() if t.name.startswith("tomonoise-")]
+                    os.write(write, json.dumps([helpers, alive, child == parent]).encode())
+                finally:
+                    os._exit(0)
+            os.close(write)
+            with os.fdopen(read) as pipe:
+                print(pipe.read())
+            os.waitpid(pid, 0)
+            """
+        )
+        env = dict(os.environ, PYTHONPATH=str(Path(homodyne.__file__).parents[1]))
+        run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
+        assert run.returncode == 0, run.stderr
+        inherited, alive, same_bytes = json.loads(run.stdout)
+        assert inherited == [] and len(alive) == 2 and same_bytes
 
     def test_worker_count(self, monkeypatch):
         cpus = len(os.sched_getaffinity(0))
