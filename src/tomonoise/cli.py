@@ -66,7 +66,7 @@ from .homodyne import (
     save_dataset_json,
     worker_count,
 )
-from .kernels import NAMED_OBSERVABLES, is_real_observable, observable_from_json, observable_to_json
+from .kernels import NAMED_OBSERVABLES, observable_from_json, observable_to_json
 from .noise import empirical_comparison, sweep, write_sweep_csv
 from .states import state_from_json, state_to_json
 
@@ -319,7 +319,7 @@ def run(cfg: dict) -> None:
             raise ValidationError("estimate needs --data and --observable")
         loader = load_dataset_json if cfg["data"].endswith(".json") else load_dataset_csv
         ds = loader(cfg["data"])
-        if is_real_observable(obs):
+        if obs.real:
             payload = estimate_to_json(estimate_mean(ds, obs))
         else:
             payload = complex_estimate_to_json(estimate_complex(ds, obs))

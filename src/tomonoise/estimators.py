@@ -21,7 +21,6 @@ from .kernels import (
     ComplexAmplitude,
     Observable,
     Phase,
-    is_real_observable,
     kernel_observable,
 )
 
@@ -170,7 +169,7 @@ def _kernel_moments(data: Dataset, obs: Observable, acc):
 
 
 def _require_real(obs: Observable) -> None:
-    if not is_real_observable(obs):
+    if not obs.real:
         raise TypeError(
             f"observable {obs!r} has a complex-valued kernel; use estimate_complex"
         )

@@ -7,17 +7,22 @@ complex amplitude both variances are the mean covariance eigenvalue of the
 outcome cloud, which makes the added noise exactly nbar/2 for every state and
 efficiency.
 
-Every closed form lives here. _analytic is the one analytic dispatch: for
-each observable it gives the exact (tomographic, direct) pair from the state's
-moments (analytic_variances) and the closed form of their difference
-(added_noise_analytic). The direct variances of photon counting and
-fixed-phase homodyne, intensity_variance_direct and quadrature_variance_direct,
-are views of it; amplitude_noise_direct gives the two covariance eigenvalues
-of heterodyne detection, whose mean is the complex amplitude's direct side.
-_analytic's phase branch uses the bright-state limits, variance pi^2/12 for
-tomography and 1/(2 eta nbar) for heterodyne (_bright_phase), for coherent
-states of mean photon number at least PHASE_ASYMPTOTIC_NBAR; the analytic
-sweep also writes them below it, marked asymptotic. Every comparison row,
+Each named observable class in kernels.py carries its own closed forms:
+noise(state, eta, nbar, coherent) gives the exact (tomographic, direct, added)
+noise from the state's moments, and coherent_ratio(eta nbar) the linear noise
+ratio of a coherent state. _analytic checks eta and refuses an observable
+without them; analytic_variances, added_noise_analytic and the direct
+variances of photon counting and fixed-phase homodyne
+(intensity_variance_direct, quadrature_variance_direct) are views of it.
+amplitude_noise_direct gives the two covariance eigenvalues of heterodyne
+detection, whose mean is the complex amplitude's direct side. Phase has the
+bright-state limits only, variance pi^2/12 for tomography and 1/(2 eta nbar)
+for heterodyne (Phase.bright), for coherent states of mean photon number at
+least Phase.PHASE_ASYMPTOTIC_NBAR; the analytic sweep also writes them below
+it, marked asymptotic. Empirically, both routes stream through one _variance:
+the tomographic route samples the kernel under phase-scanned homodyne
+detection, and the direct route is looked up by observable type in
+empirical_comparison, a simulator and a reducer each. Every comparison row,
 analytic or empirical, is built by _row, and every row is finite or refused.
 A direct variance of zero (the intensity of a Fock state at eta = 1, or any
 empirical comparison with n = 1) raises CapabilityError naming it; variances,
@@ -56,10 +61,8 @@ from .kernels import (
     Observable,
     Phase,
     RealField,
-    observable_name,
 )
 from .states import (
-    VACUUM_QUADRATURE_VARIANCE,
     Coherent,
     StateSpec,
     _check_eta,
@@ -67,9 +70,6 @@ from .states import (
     normal_moment,
     state_tag,
 )
-
-#: Mean photon number above which the analytic phase formulas are trusted.
-PHASE_ASYMPTOTIC_NBAR = 10.0
 
 #: Each column of the sweep CSV, in order, and the NoiseComparison field it holds.
 SWEEP_COLUMNS = {
@@ -140,65 +140,29 @@ def _row(
         ratio = math.sqrt(tomo / direct) if in_range else math.nan
     if not (all(map(math.isfinite, (tomo, direct, ratio, nbar))) and ratio > 0.0):
         raise NumericRangeError(
-            f"the {observable_name(obs)} comparison leaves the float range: tomographic variance "
+            f"the {obs.name} comparison leaves the float range: tomographic variance "
             f"{tomo:.3g}, direct variance {direct:.3g}, noise ratio {ratio:.3g}, mean photon number {nbar:.3g}"
         )
     db = 20.0 * math.log10(ratio) if closed_form else 10.0 * math.log10(tomo / direct)
     return NoiseComparison(
-        observable_name(obs), state_tag(state), eta, tomo, direct, tomo - direct, ratio, db, source,
+        obs.name, state_tag(state), eta, tomo, direct, tomo - direct, ratio, db, source,
         nbar=nbar, **run,
     )
-
-
-def _bright_phase(nbar: float, eta: float) -> tuple[float, float]:
-    """Bright-state limits of the (tomographic, heterodyne) phase variances."""
-    return math.pi**2 / 12.0, 0.5 / (eta * nbar)  # not 1/(2 eta nbar): 2 eta nbar overflows first
 
 
 def _analytic(obs: Observable, state: StateSpec, eta: float) -> tuple[float, float, float]:
     """Exact (tomographic, direct, added) noise of one observable, from the state's moments.
 
     The added noise is the closed form of tomographic - direct, which keeps the
-    digits that subtracting the two variances would cancel.
+    digits that subtracting the two variances would cancel. A coherent state's
+    central moments are constants: <dn^2> = nbar, <dx^2> = 1/4, |<a>|^2 = nbar;
+    the closed forms take them as such, which cancels no digits at bright nbar.
     """
     _check_eta(eta)
     nbar = mean_photon(state)
-    # A coherent state's central moments are constants: <dn^2> = nbar, <dx^2> = 1/4,
-    # |<a>|^2 = nbar. Taking them as such cancels no digits at bright nbar.
-    coherent = isinstance(state, Coherent)
-    if isinstance(obs, Intensity):
-        n2 = nbar + normal_moment(state, 2, 2).real
-        dn2 = nbar if coherent else n2 - nbar * nbar
-        tomo = dn2 + 0.5 * n2 + nbar * (2.0 / eta - 1.5) + 1.0 / (2.0 * eta * eta)
-        added = 0.5 * (n2 + nbar * (2.0 / eta - 1.0) + 1.0 / (eta * eta))
-        return tomo, dn2 + nbar * (1.0 / eta - 1.0), added
-    if isinstance(obs, RealField):
-        if coherent:
-            dx2 = VACUUM_QUADRATURE_VARIANCE
-        else:
-            x2 = (2.0 * normal_moment(state, 0, 2).real + 2.0 * nbar + 1.0) / 4.0
-            dx2 = x2 - normal_moment(state, 0, 1).real ** 2
-        tomo = dx2 + 0.5 * nbar + (2.0 - eta) / (4.0 * eta)
-        return tomo, dx2 + (1.0 - eta) / (4.0 * eta), 0.5 * (nbar + 1.0 / (2.0 * eta))
-    if isinstance(obs, ComplexAmplitude):
-        if coherent:
-            return 0.5 * (1.0 / eta + nbar), 0.5 / eta, 0.5 * nbar
-        a1_sq = abs(normal_moment(state, 0, 1)) ** 2
-        return 0.5 * (1.0 / eta + 2.0 * nbar - a1_sq), 0.5 * (nbar + 1.0 / eta - a1_sq), 0.5 * nbar
-    if isinstance(obs, Phase):
-        if not isinstance(state, Coherent):
-            raise CapabilityError(
-                "analytic phase noise is available for bright coherent states only; "
-                "use empirical_comparison"
-            )
-        if nbar < PHASE_ASYMPTOTIC_NBAR:
-            raise CapabilityError(
-                f"analytic phase noise needs mean photon number >= {PHASE_ASYMPTOTIC_NBAR}; "
-                f"got {nbar:.3g}; use empirical_comparison"
-            )
-        tomo, direct = _bright_phase(nbar, eta)
-        return tomo, direct, tomo - direct
-    raise CapabilityError(f"no analytic kernel variance for observable {obs!r}")
+    if not hasattr(obs, "noise"):
+        raise CapabilityError(f"no analytic kernel variance for observable {obs!r}")
+    return obs.noise(state, eta, nbar, isinstance(state, Coherent))
 
 
 def analytic_variances(obs: Observable, state: StateSpec, eta: float) -> tuple[float, float]:
@@ -255,52 +219,23 @@ def noise_ratio_coherent(obs: Observable, nbar: float, eta: float) -> float:
     _check_eta(eta)
     if not (is_real(nbar) and nbar >= 0):
         raise ValidationError(f"mean photon number must be a nonnegative number, got {nbar!r}")
-    scaled = eta * nbar
-    if isinstance(obs, Intensity):
-        if scaled == 0:
-            raise NumericRangeError("intensity noise ratio diverges at eta * nbar = 0")
-        return math.sqrt(2.0 + 0.5 * (scaled + 1.0 / scaled))
-    if isinstance(obs, RealField):
-        return math.sqrt(2.0 * (1.0 + scaled))
-    if isinstance(obs, ComplexAmplitude):
-        return math.sqrt(1.0 + scaled)
-    if isinstance(obs, Phase):
-        if scaled == 0:
-            raise NumericRangeError("phase noise ratio is undefined at eta * nbar = 0")
-        return math.pi * math.sqrt(scaled / 6.0)
-    raise CapabilityError(f"no closed-form noise ratio for observable {obs!r}")
+    if not hasattr(obs, "coherent_ratio"):
+        raise CapabilityError(f"no closed-form noise ratio for observable {obs!r}")
+    return obs.coherent_ratio(eta * nbar)
 
 
-def _variance(acc) -> float:
-    """Population variance of a real stream; mean covariance eigenvalue of a complex one."""
-    if isinstance(acc, ComplexStreamingMoments):
-        plus, minus = acc.covariance_eigenvalues
-        return 0.5 * (plus + minus)
-    return acc.population_variance
+def _variance(obs: Observable, simulate, reducer, state: StateSpec, eta: float, n: int, seed: int) -> float:
+    """Variance of one route: simulate(state, eta, n, seed) streamed into reducer(moments).
 
-
-def _direct_variance(obs: Observable, state: StateSpec, eta: float, n: int, seed: int) -> float:
-    if isinstance(obs, Intensity):
-        acc = StreamingMoments()
-        simulate_photocount(state, eta, n, seed, reduce=lambda counts: acc.update(counts / eta))
-    elif isinstance(obs, RealField):
-        acc = StreamingMoments()
-        sample_fixed_phase(state, eta, n, seed, reduce=acc.update)
-    elif isinstance(obs, ComplexAmplitude):
-        acc = ComplexStreamingMoments()
-        simulate_heterodyne(state, eta, n, seed, reduce=acc.update)
-    elif isinstance(obs, Phase):
-        acc = StreamingMoments()
-        simulate_heterodyne(state, eta, n, seed, reduce=lambda alphas: acc.update(np.angle(alphas)))
-    else:
-        raise CapabilityError(f"no direct simulator for observable {obs!r}")
-    return _variance(acc)
-
-
-def _tomographic_variance(obs: Observable, state: StateSpec, eta: float, n: int, seed: int) -> float:
-    acc = ComplexStreamingMoments() if isinstance(obs, ComplexAmplitude) else StreamingMoments()
-    sample_homodyne(state, eta, n, seed, reduce=estimators.kernel_reducer(acc, obs, eta))
-    return _variance(acc)
+    A real observable's stream gives its population variance; a complex one's
+    the mean eigenvalue of its (Re, Im) covariance.
+    """
+    acc = StreamingMoments() if obs.real else ComplexStreamingMoments()
+    simulate(state, eta, n, seed, reduce=reducer(acc))
+    if obs.real:
+        return acc.population_variance
+    plus, minus = acc.covariance_eigenvalues
+    return 0.5 * (plus + minus)
 
 
 def empirical_comparison(
@@ -317,8 +252,18 @@ def empirical_comparison(
     # nbar first: a state out of the float range is refused before any sampling. The direct
     # side goes next: an observable or state it cannot simulate fails before any homodyne sampling.
     nbar = mean_photon(state)
-    direct = _direct_variance(obs, state, eta, n, seed)
-    tomo = _tomographic_variance(obs, state, eta, n, seed)
+    # Built per call, not at import, so that it holds the simulators this module holds now: the
+    # traced benchmark replay (perfbench/tracing.py) swaps wrappers onto them.
+    direct_routes = {
+        Intensity: (simulate_photocount, lambda acc: lambda counts: acc.update(counts / eta)),
+        RealField: (sample_fixed_phase, lambda acc: acc.update),
+        ComplexAmplitude: (simulate_heterodyne, lambda acc: acc.update),
+        Phase: (simulate_heterodyne, lambda acc: lambda alphas: acc.update(np.angle(alphas))),
+    }
+    if type(obs) not in direct_routes:
+        raise CapabilityError(f"no direct simulator for observable {obs!r}")
+    direct = _variance(obs, *direct_routes[type(obs)], state, eta, n, seed)
+    tomo = _variance(obs, sample_homodyne, lambda acc: estimators.kernel_reducer(acc, obs, eta), state, eta, n, seed)
     return _row(obs, state, eta, tomo, direct, "empirical", nbar=nbar, n=int(n), seed=int(seed))
 
 
@@ -333,8 +278,8 @@ def _analytic_coherent_row(obs: Observable, nbar: float, eta: float) -> NoiseCom
     ratio = noise_ratio_coherent(obs, nbar, eta)
     state = Coherent(math.sqrt(nbar))
     if isinstance(obs, Phase):
-        variances = _bright_phase(nbar, eta)
-        source = "analytic" if nbar >= PHASE_ASYMPTOTIC_NBAR else "analytic-asymptotic"
+        variances = obs.bright(nbar, eta)
+        source = "analytic" if nbar >= obs.PHASE_ASYMPTOTIC_NBAR else "analytic-asymptotic"
     else:
         variances, source = analytic_variances(obs, state, eta), "analytic"
     return _row(obs, state, eta, *variances, source, ratio=ratio, nbar=nbar)

@@ -151,6 +151,33 @@ class TestErrorsAndExitCodes:
                      "--n", "100", "--seed", "1", "--out", str(tmp_path / "x.json")])
         assert code == 3
 
+    @pytest.mark.parametrize(
+        "observable",
+        ['{"observable":"monomial","n":1,"m":1}',
+         '{"observable":"polynomial","terms":[{"n":0,"m":1,"c":[0.5,0]},{"n":1,"m":0,"c":[0.5,0]}]}'],
+        ids=["monomial", "polynomial"],
+    )
+    def test_observable_without_a_direct_detector(self, tmp_path, capsys, observable):
+        assert main(["compare", "--state", '{"type":"coherent","beta":[1,0]}', "--observable", observable,
+                     "--n", "100", "--out", str(tmp_path / "c.json")]) == 3
+        lines = capsys.readouterr().err.strip().splitlines()
+        assert len(lines) == 1
+        err = json.loads(lines[0])
+        assert err["error"] == "capability" and "no direct simulator for observable" in err["message"]
+        assert not (tmp_path / "c.json").exists()
+
+    def test_repeated_polynomial_term(self, tmp_path, capsys):
+        # both terms count, or neither: a repeated (n, m) is refused, not kept as its last term
+        data = tmp_path / "d.csv"
+        assert main(["simulate", "--state", '{"type":"fock","n":3}', "--n", "100", "--out", str(data)]) == 0
+        capsys.readouterr()
+        poly = '{"observable":"polynomial","terms":[{"n":1,"m":1,"c":[1,0]},{"n":1,"m":1,"c":[2,0]}]}'
+        out = tmp_path / "e.json"
+        assert main(["estimate", "--data", str(data), "--observable", poly, "--out", str(out)]) == 2
+        lines = capsys.readouterr().err.strip().splitlines()
+        assert len(lines) == 1 and "(n, m) = (1, 1) is repeated" in json.loads(lines[0])["message"]
+        assert not out.exists() and not (tmp_path / "e.json.config.json").exists()
+
     def test_numeric_range_error(self, tmp_path, coherent_state_file):
         data = tmp_path / "d.csv"
         main(["simulate", "--state-file", coherent_state_file, "--n", "100",

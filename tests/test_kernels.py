@@ -21,7 +21,6 @@ from tomonoise import (
     square_kernel_monomial,
 )
 from tomonoise.errors import NumericRangeError, ValidationError
-from tomonoise.kernels import is_real_observable
 
 
 class TestHermite:
@@ -246,14 +245,14 @@ class TestUnbiasedness:
 
 class TestRealness:
     def test_classification(self):
-        assert is_real_observable(Intensity())
-        assert is_real_observable(Phase())
-        assert is_real_observable(Monomial(2, 2))
-        assert not is_real_observable(Monomial(0, 1))
-        assert not is_real_observable(ComplexAmplitude())
+        assert Intensity().real
+        assert Phase().real
+        assert Monomial(2, 2).real
+        assert not Monomial(0, 1).real
+        assert not ComplexAmplitude().real
         herm = Polynomial.from_coeffs({(0, 1): 0.5 + 0.5j, (1, 0): 0.5 - 0.5j})
-        assert is_real_observable(herm)
-        assert not is_real_observable(Polynomial.from_coeffs({(0, 2): 1.0}))
+        assert herm.real
+        assert not Polynomial.from_coeffs({(0, 2): 1.0}).real
 
 
 class TestJson:
@@ -277,3 +276,29 @@ class TestJson:
     def test_unknown_rejected(self):
         with pytest.raises(ValidationError):
             observable_from_json("momentum")
+
+
+class TestRepeatedTerms:
+    # a repeated (n, m) was once kept as its last term only, so its other coefficients were lost
+
+    def test_constructor(self):
+        with pytest.raises(ValidationError, match=r"\(n, m\) = \(1, 1\) is repeated"):
+            Polynomial(((1, 1, 1.0), (0, 0, 1.0), (1, 1, 2.0)))
+
+    def test_constructor_after_normalising(self):
+        with pytest.raises(ValidationError, match="repeated"):
+            Polynomial(((1.0, 1, 1.0), (1, 1, 2.0)))
+
+    def test_from_coeffs_pairs_equal_once_normalised(self):
+        with pytest.raises(ValidationError, match=r"\(n, m\) = \(1, 1\) is repeated"):
+            Polynomial.from_coeffs([((1.0, 1), 1.0), ((1, 1), 2.0)])
+
+    def test_from_coeffs_sorts_pairs_like_a_map(self):
+        pairs = [((1, 1), 1j), ((0, 1), 0.5), ((1.0, 0), 0.5)]
+        assert Polynomial.from_coeffs(pairs) == Polynomial.from_coeffs(dict(pairs))
+        assert [term[:2] for term in Polynomial.from_coeffs(pairs).terms] == [(0, 1), (1, 0), (1, 1)]
+
+    def test_json(self):
+        text = '{"observable":"polynomial","terms":[{"n":1,"m":1,"c":[1,0]},{"n":1,"m":1,"c":[2,0]}]}'
+        with pytest.raises(ValidationError, match=r"\(n, m\) = \(1, 1\) is repeated"):
+            observable_from_json(text)

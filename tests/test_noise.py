@@ -2,6 +2,7 @@ import hashlib
 import importlib.util
 import json
 import math
+import re
 import sys
 import threading
 import tracemalloc
@@ -17,7 +18,9 @@ from tomonoise import (
     Fock,
     Intensity,
     Mixed,
+    Monomial,
     Phase,
+    Polynomial,
     RealField,
     added_noise_analytic,
     analytic_comparison,
@@ -548,3 +551,33 @@ class TestStreamingComparison:
             assert check() == serial
         finally:
             sys.setswitchinterval(interval)
+
+
+@pytest.mark.parametrize(
+    "obs", [Monomial(1, 1), Polynomial.from_coeffs({(0, 1): 0.5, (1, 0): 0.5})], ids=["monomial", "polynomial"]
+)
+class TestRefusedObservables:
+    # an observable with a kernel but no closed forms and no direct detector is refused by name
+
+    def test_analytic_comparison(self, obs):
+        with pytest.raises(CapabilityError, match=re.escape(f"no analytic kernel variance for observable {obs!r}")):
+            analytic_comparison(obs, Coherent(1.5), 0.8)
+
+    def test_noise_ratio_coherent(self, obs):
+        with pytest.raises(CapabilityError, match=re.escape(f"no closed-form noise ratio for observable {obs!r}")):
+            noise_ratio_coherent(obs, 2.0, 0.8)
+
+    def test_empirical_comparison_draws_no_block(self, obs, monkeypatch):
+        drawn = []
+        run_blocks = homodyne.run_blocks
+
+        def spy(n, draw, consume):
+            drawn.append(n)
+            run_blocks(n, draw, consume)
+
+        monkeypatch.setattr(homodyne, "run_blocks", spy)
+        with pytest.raises(CapabilityError, match=re.escape(f"no direct simulator for observable {obs!r}")):
+            empirical_comparison(obs, Coherent(1.5), 0.8, 1000, 1)
+        assert drawn == []
+        empirical_comparison(Intensity(), Coherent(1.5), 0.8, 1000, 1)  # the spy sees both routes' draws
+        assert drawn == [1000, 1000]

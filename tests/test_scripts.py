@@ -4,6 +4,8 @@ import importlib.util
 import sys
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parents[1]
 
 
@@ -48,9 +50,19 @@ def test_traced_cli_parses_each_input_once(monkeypatch, tmp_path):
     assert names["estimate"] == ["homodyne.load_dataset_csv", "estimators.estimate_mean.intensity"]
 
 
-def test_traced_compare_keeps_the_span_contract(monkeypatch, tmp_path):
-    # compare spans the kernel, the complex accumulator and both samplers, its self times add up,
-    # and instrument puts each class's own update back (the complex class defines its own)
+@pytest.mark.parametrize(
+    "observable, direct",
+    [
+        ("intensity", "direct.simulate_photocount"),
+        ("real_field", "homodyne.sample_fixed_phase"),
+        ("complex_amplitude", "direct.simulate_heterodyne"),
+        ("phase", "direct.simulate_heterodyne"),
+    ],
+)
+def test_traced_compare_keeps_the_span_contract(monkeypatch, tmp_path, observable, direct):
+    # compare spans the kernel, the accumulator and both samplers, its self times add up, and
+    # instrument puts each class's own update back (the complex class defines its own). The direct
+    # span shows that the direct route is looked up when compare runs, after instrument wrapped it.
     tracing = _tracing(monkeypatch)
     from tomonoise.cli import main
     from tomonoise.estimators import ComplexStreamingMoments, StreamingMoments
@@ -58,14 +70,14 @@ def test_traced_compare_keeps_the_span_contract(monkeypatch, tmp_path):
 
     monkeypatch.setenv("TOMONOISE_MAX_WORKERS", "2")
     real_update, complex_update = StreamingMoments.update, ComplexStreamingMoments.update
-    argv = ["compare", "--state", '{"type":"coherent","beta":[1.5,0.5]}', "--observable", "complex_amplitude",
+    argv = ["compare", "--state", '{"type":"coherent","beta":[1.5,0.5]}', "--observable", observable,
             "--eta", "0.8", "--n", str(3 * BLOCK_SIZE + 5), "--out", str(tmp_path / "c.json")]
     tracer = tracing.Tracer()
     with tracing.instrument(tracer):
         assert main(argv) == 0
+    update = "ComplexStreamingMoments" if observable == "complex_amplitude" else "StreamingMoments"
     assert {span.name for span in tracer.spans} >= {
-        "kernels.kernel_observable.complex_amplitude", "estimators.ComplexStreamingMoments.update",
-        "direct.simulate_heterodyne", "homodyne.sample_homodyne",
+        f"kernels.kernel_observable.{observable}", f"estimators.{update}.update", direct, "homodyne.sample_homodyne",
     }
     assert tracer.finish() <= 1e-9
     assert StreamingMoments.update is real_update
