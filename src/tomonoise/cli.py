@@ -21,9 +21,9 @@ any other MemoryError, is a numeric-range error, and so is a comparison or
 an estimate that is not finite; numpy's floating-point warnings are off
 during a run, sampling threads included, so that such a refusal stays one
 line. Sample blocks are drawn on as many threads as the process has CPUs,
-the calling thread and helpers (homodyne.run_blocks); TOMONOISE_MAX_WORKERS
-(a positive integer) lowers that count, and the count used is recorded in the
-resolved config as max_workers.
+the calling thread and helpers that each homodyne.run_blocks call starts and
+joins; TOMONOISE_MAX_WORKERS (a positive integer) lowers that count, and the
+count used is recorded in the resolved config as max_workers.
 
 On glibc, main() first sets the allocator policy of the process: arrays up
 to a few blocks come from the heap, and freed heap is kept rather than handed

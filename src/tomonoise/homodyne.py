@@ -8,8 +8,8 @@ state after loss (states.lossy_bands) on a grid. Scanned phases take their cos
 and sin from states.phase_trig. Every generator checks its arguments
 with `sample_count` and hands `generate` a draw(rng, count) function, which gets
 one SFC64 stream per block, seeded by SeedSequence(seed, spawn_key=(purpose,
-block index)) in block_generator. run_blocks draws
-blocks on the calling thread and on process-wide helper threads (numpy's
+block index)) in block_generator. run_blocks draws blocks on the calling
+thread and on helper threads that live only as long as that call (numpy's
 generators and ufuncs release the interpreter lock); each block writes only
 its own slice, so the output is the same for any thread count. Given a
 `reduce` callable, a generator hands each block to it on the calling thread,
@@ -97,114 +97,20 @@ def worker_count() -> int:
     return min(workers, cpus)
 
 
-class _Run:
-    """One multi-block run_blocks call: blocks claimed in order, and each drawn block's outcome."""
-
-    def __init__(self, n: int, draw, helpers: int, lock) -> None:
-        self.n, self.draw, self.helpers = n, draw, helpers
-        self.blocks = -(-n // BLOCK_SIZE)
-        self.cap = 2 * (helpers + 1)  # blocks claimed but not yet consumed
-        self.context = contextvars.copy_context()
-        self.claimed = self.consumed = self.drawing = 0
-        self.stopped = False  # set by a failed block and by the end of the run: claim no more
-        self.outcomes: dict = {}  # block -> (result, exception), until the block is consumed
-        self.drawn = threading.Condition(lock)
-
-    def claimable(self) -> bool:
-        return not self.stopped and self.claimed < self.blocks and self.claimed - self.consumed < self.cap
-
-    def claim(self) -> int:
-        """Claim the next unclaimed block, under the lock."""
-        self.claimed += 1
-        self.drawing += 1
-        return self.claimed - 1
-
-    def take(self, block: int):
-        """Block's result, drawing later unclaimed blocks on the calling thread while it is not ready."""
-        while True:
-            with self.drawn:
-                if block in self.outcomes:
-                    result, error = self.outcomes.pop(block)
-                    if error is not None:
-                        raise error
-                    return result
-                if not self.claimable():
-                    self.drawn.wait()
-                    continue
-                mine = self.claim()
-            self.draw_block(mine)
-
-    def draw_block(self, block: int) -> None:
-        """Draw a claimed block, outside the lock, in a copy of the run's context, and record its outcome."""
-        try:
-            count = min(BLOCK_SIZE, self.n - block * BLOCK_SIZE)
-            outcome = (self.context.copy().run(self.draw, block, count), None)
-        except BaseException as exc:  # re-raised on the calling thread when its block's turn comes
-            outcome = (None, exc)
-        with self.drawn:
-            self.outcomes[block] = outcome
-            self.stopped |= outcome[1] is not None  # the run fails at or before this block
-            self.drawing -= 1
-            self.drawn.notify()
-
-
-class _Helpers:
-    """The process's helper threads, started on first use, and the runs they may draw for.
-
-    Helper i draws only for a run that allows more than i helpers, so a run
-    uses at most worker_count() - 1 of them however many an earlier run started.
-    """
-
-    def __init__(self) -> None:
-        self.lock = threading.Lock()
-        self.work = threading.Condition(self.lock)  # a run started or a block was consumed
-        self.runs: list[_Run] = []
-        self.started = 0
-
-    def start(self, count: int) -> None:
-        """Have at least count helper threads, under the lock."""
-        while self.started < count:
-            name = f"tomonoise-blocks-{self.started}"
-            threading.Thread(target=self.serve, args=(self.started,), name=name, daemon=True).start()
-            self.started += 1
-
-    def serve(self, index: int) -> None:
-        while True:
-            with self.lock:
-                while (run := self.job(index)) is None:
-                    self.work.wait()
-                block = run.claim()
-            run.draw_block(block)
-
-    def job(self, index: int) -> _Run | None:
-        return next((run for run in self.runs if index < run.helpers and run.claimable()), None)
-
-
-def _reset_helpers() -> None:
-    """A forked child has none of its parent's threads, and maybe a lock one of them held: start afresh."""
-    global _helpers
-    _helpers = _Helpers()
-
-
-_helpers = _Helpers()
-if hasattr(os, "register_at_fork"):
-    os.register_at_fork(after_in_child=_reset_helpers)
-
-
 def run_blocks(n: int, draw, consume) -> None:
     """Call draw(block, count) once for every BLOCK_SIZE block of range(n), and consume its result.
 
     Blocks are drawn on up to worker_count() threads, the calling thread and
-    helpers from one process-wide set, in no fixed order, so draw must use only
-    its block's own generator and write only its own slice. Blocks are claimed
-    in order, at most 2 * worker_count() of them drawn but not yet consumed.
-    consume(result) runs on the calling thread once per block, in block order;
-    when the next block is not drawn yet, the calling thread draws the next
-    unclaimed block instead of waiting. Each draw runs in a copy of the
-    caller's context, so numpy's error state there holds for it too. The call
-    returns or raises only after every block it claimed has been drawn, and
-    raises the failure of the first block in order that failed, or consume's.
-    One worker or one block runs plain serial.
+    helpers that this call starts and joins, in no fixed order, so draw must
+    use only its block's own generator and write only its own slice. Blocks
+    are claimed in order, at most 2 * worker_count() of them drawn but not yet
+    consumed. consume(result) runs on the calling thread once per block, in
+    block order; when the next block is not drawn yet, the calling thread
+    draws the next unclaimed block instead of waiting. Each draw runs in a copy
+    of the caller's context, so numpy's error state there holds for it too.
+    The call returns or raises only after its helpers have ended, and raises
+    the failure of the first block in order that failed, or consume's. One
+    worker or one block runs plain serial.
     """
     blocks = -(-n // BLOCK_SIZE)
     workers = min(worker_count(), blocks)
@@ -212,25 +118,76 @@ def run_blocks(n: int, draw, consume) -> None:
         for block in range(blocks):
             consume(draw(block, min(BLOCK_SIZE, n - block * BLOCK_SIZE)))
         return
-    helpers = _helpers
-    run = _Run(n, draw, workers - 1, helpers.lock)
-    with helpers.lock:
-        helpers.start(run.helpers)
-        helpers.runs.append(run)
-        helpers.work.notify_all()
+    context = contextvars.copy_context()
+    # Block 0 is the caller's and helpers start at block 1: when a new helper won block 0, a
+    # mixed compare's own peak RSS read about 0.9 MB higher.
+    claimed, consumed = 1, 0
+    stopped = False  # set by a failed block and by the end of the run: claim no more
+    outcomes: dict = {}  # block -> (result, exception), until the block is consumed
+    changed = threading.Condition()  # a block was drawn or consumed, or the run stopped
+
+    def claim() -> int | None:
+        """The next unclaimed block, under the lock, or None while no block may be claimed."""
+        nonlocal claimed
+        if stopped or claimed == blocks or claimed - consumed == 2 * workers:
+            return None
+        claimed += 1
+        return claimed - 1
+
+    def draw_block(block: int) -> None:
+        """Draw a claimed block, outside the lock, in a copy of the caller's context, and record its outcome."""
+        nonlocal stopped
+        try:
+            outcome = (context.copy().run(draw, block, min(BLOCK_SIZE, n - block * BLOCK_SIZE)), None)
+        except BaseException as exc:  # re-raised on the calling thread when its block's turn comes
+            outcome = (None, exc)
+        with changed:
+            outcomes[block] = outcome
+            stopped |= outcome[1] is not None  # the run fails at or before this block
+            changed.notify_all()
+
+    def serve() -> None:
+        while True:
+            with changed:
+                while (block := claim()) is None:
+                    if stopped or claimed == blocks:
+                        return
+                    changed.wait()
+            draw_block(block)
+
+    def take(block: int):
+        """Block's result, drawing later unclaimed blocks on the calling thread while it is not ready."""
+        while True:
+            with changed:
+                if block in outcomes:
+                    result, error = outcomes.pop(block)
+                    if error is not None:
+                        raise error
+                    return result
+                if (mine := claim()) is None:
+                    changed.wait()
+                    continue
+            draw_block(mine)
+
+    helpers = []
     try:
+        for i in range(workers - 1):
+            helper = threading.Thread(target=serve, name=f"tomonoise-blocks-{i}", daemon=True)
+            helper.start()
+            helpers.append(helper)
+        draw_block(0)
         for block in range(blocks):
-            consume(run.take(block))
-            with helpers.lock:
-                run.consumed += 1
-                helpers.work.notify_all()
+            consume(take(block))
+            with changed:
+                consumed += 1
+                changed.notify_all()
     finally:
-        with helpers.lock:
-            run.stopped = True
-            helpers.runs.remove(run)
-            while run.drawing:
-                run.drawn.wait()
-            run.outcomes.clear()
+        with changed:
+            stopped = True
+            changed.notify_all()
+        for helper in helpers:
+            helper.join()
+        outcomes.clear()
 
 
 def sample_count(state: StateSpec, eta: float, n) -> int:
@@ -250,6 +207,9 @@ def generate(n: int, seed: int, purpose: int, draw, reduce, dtypes):
     reduce(*arrays) gets each block's arrays on the calling thread in block
     order, nothing of size n is allocated, and None is returned.
     """
+    # numpy imports its random module on first use: here, on the calling thread, so that its
+    # objects (about 0.6 MB) do not sit in a helper thread's malloc arena for the rest of the process.
+    import numpy.random  # noqa: F401
 
     def arrays(block, count):
         return draw(block_generator(seed, purpose, block), count)

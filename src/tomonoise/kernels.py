@@ -180,6 +180,8 @@ class Polynomial:
 
     def __post_init__(self):
         terms = tuple((*_check_orders(n, m), _coefficient(c)) for n, m, c in self.terms)
+        if not terms:
+            raise ValidationError("a polynomial needs at least one term")
         orders = [term[:2] for term in terms]
         for k, order in enumerate(orders):
             if order in orders[:k]:

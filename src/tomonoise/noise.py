@@ -171,7 +171,7 @@ def analytic_variances(obs: Observable, state: StateSpec, eta: float) -> tuple[f
     Tomography samples the kernel under phase-scanned homodyne detection;
     direct detection is photon counting (intensity), fixed-phase homodyne (real
     field) or heterodyne (complex amplitude, phase). Phase has the bright-state
-    limits only, for coherent states of nbar >= PHASE_ASYMPTOTIC_NBAR.
+    limits only, for coherent states of nbar >= Phase.PHASE_ASYMPTOTIC_NBAR.
     """
     tomo, direct, _ = _analytic(obs, state, eta)
     return tomo, direct

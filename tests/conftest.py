@@ -1,4 +1,5 @@
 import hashlib
+import threading
 
 import numpy as np
 import pytest
@@ -40,6 +41,15 @@ def small_density_matrices(draw, max_dim=5):
     rho = 0.5 * (rho + rho.conj().T)
     rho /= rho.trace().real
     return rho
+
+
+@pytest.fixture(autouse=True)
+def no_block_helper_outlives_the_test():
+    """Fail a test that leaves a run_blocks helper thread alive: helpers live only inside that call."""
+    yield
+    alive = [t.name for t in threading.enumerate() if t.name.startswith("tomonoise-blocks-")]
+    if alive:
+        pytest.fail(f"block helper threads left alive: {alive}")
 
 
 @pytest.fixture(scope="session")

@@ -178,6 +178,18 @@ class TestErrorsAndExitCodes:
         assert len(lines) == 1 and "(n, m) = (1, 1) is repeated" in json.loads(lines[0])["message"]
         assert not out.exists() and not (tmp_path / "e.json.config.json").exists()
 
+    @pytest.mark.parametrize("command", ["estimate", "compare"])
+    def test_empty_polynomial(self, tmp_path, capsys, command):
+        # refused as a config error before any work: estimate does not open --data, which is missing here
+        poly = '{"observable":"polynomial","terms":[]}'
+        out = tmp_path / "e.json"
+        source = ["--data", str(tmp_path / "missing.csv")] if command == "estimate" else [
+            "--state", '{"type":"coherent","beta":[1,0]}', "--n", "100"]
+        assert main([command, *source, "--observable", poly, "--out", str(out)]) == 2
+        lines = capsys.readouterr().err.strip().splitlines()
+        assert len(lines) == 1 and "at least one term" in json.loads(lines[0])["message"]
+        assert not out.exists() and not (tmp_path / "e.json.config.json").exists()
+
     def test_numeric_range_error(self, tmp_path, coherent_state_file):
         data = tmp_path / "d.csv"
         main(["simulate", "--state-file", coherent_state_file, "--n", "100",

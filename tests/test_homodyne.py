@@ -838,7 +838,7 @@ class TestRunBlocks:
             run_blocks(8 * BLOCK_SIZE, watched, lambda result: None)
         assert running[0] == 0
 
-    def test_helpers_are_kept_and_capped_per_run(self, monkeypatch):
+    def test_a_run_draws_on_at_most_workers_minus_one_helpers(self, monkeypatch):
         def drawers(workers):
             monkeypatch.setattr(homodyne, "worker_count", lambda: workers)
             threads = set()
@@ -852,10 +852,9 @@ class TestRunBlocks:
             assert running[0] == 0
             return threads - {threading.current_thread()}
 
-        assert len(drawers(4)) <= 3
         before = set(threading.enumerate())
         assert len(drawers(4)) <= 3
-        assert len(drawers(2)) <= 1  # fewer helpers than the process has started
+        assert len(drawers(2)) <= 1
         assert set(threading.enumerate()) == before
 
     def test_lowering_max_workers_between_runs_leaves_draws_to_the_caller(self, monkeypatch):
@@ -871,28 +870,42 @@ class TestRunBlocks:
         run_blocks(6 * BLOCK_SIZE, draw, lambda result: time.sleep(0.002))
         assert threads == {threading.current_thread()}
 
-    def test_forked_child_starts_its_own_helpers(self):
-        # The parent's helpers do not exist in a forked child; the child must start its own.
+    def test_forked_child_inherits_no_helpers(self):
+        # Helpers live only inside run_blocks: none is left in the parent to fork, and the
+        # child's run starts and ends its own.
         code = textwrap.dedent(
             """
-            import json, os, threading
+            import json, os, threading, time
             from tomonoise import Coherent, homodyne, sample_homodyne
 
             homodyne.worker_count = lambda: 3
+            block_generator = homodyne.block_generator
+
+            def helpers():
+                return [t.name for t in threading.enumerate() if t.name.startswith("tomonoise-blocks-")]
 
             def record():
-                ds = sample_homodyne(Coherent(1.0 - 0.5j), 0.8, 3 * homodyne.BLOCK_SIZE + 5, 23)
-                return ds.x.tobytes().hex() + ds.phi.tobytes().hex()
+                drawers = set()
 
-            parent = record()
+                def watched(seed, purpose, block):
+                    drawers.add(threading.current_thread().name)
+                    if threading.current_thread() is threading.main_thread():
+                        time.sleep(0.05)  # leave later blocks to the helpers
+                    return block_generator(seed, purpose, block)
+
+                homodyne.block_generator = watched
+                ds = sample_homodyne(Coherent(1.0 - 0.5j), 0.8, 3 * homodyne.BLOCK_SIZE + 5, 23)
+                return ds.x.tobytes().hex() + ds.phi.tobytes().hex(), sorted(drawers - {"MainThread"})
+
+            parent, _ = record()
+            after_parent = helpers()
             read, write = os.pipe()
             pid = os.fork()
             if pid == 0:
                 try:
-                    helpers = [t.name for t in threading.enumerate() if t.name.startswith("tomonoise-")]
-                    child = record()
-                    alive = [t.name for t in threading.enumerate() if t.name.startswith("tomonoise-")]
-                    os.write(write, json.dumps([helpers, alive, child == parent]).encode())
+                    inherited = helpers()
+                    child, drawers = record()
+                    os.write(write, json.dumps([after_parent, inherited, drawers, helpers(), child == parent]).encode())
                 finally:
                     os._exit(0)
             os.close(write)
@@ -904,8 +917,10 @@ class TestRunBlocks:
         env = dict(os.environ, PYTHONPATH=str(Path(homodyne.__file__).parents[1]))
         run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
         assert run.returncode == 0, run.stderr
-        inherited, alive, same_bytes = json.loads(run.stdout)
-        assert inherited == [] and len(alive) == 2 and same_bytes
+        after_parent, inherited, drawers, after_child, same_bytes = json.loads(run.stdout)
+        assert after_parent == [] and inherited == [] and after_child == []
+        assert drawers and all(name.startswith("tomonoise-blocks-") for name in drawers)
+        assert same_bytes
 
     def test_worker_count(self, monkeypatch):
         cpus = len(os.sched_getaffinity(0))

@@ -302,3 +302,20 @@ class TestRepeatedTerms:
         text = '{"observable":"polynomial","terms":[{"n":1,"m":1,"c":[1,0]},{"n":1,"m":1,"c":[2,0]}]}'
         with pytest.raises(ValidationError, match=r"\(n, m\) = \(1, 1\) is repeated"):
             observable_from_json(text)
+
+
+class TestEmptyPolynomial:
+    # an empty polynomial was once accepted and refused only by whatever used it
+
+    def test_constructor(self):
+        with pytest.raises(ValidationError, match="at least one term"):
+            Polynomial(())
+
+    def test_from_coeffs(self):
+        for coeffs in ({}, []):
+            with pytest.raises(ValidationError, match="at least one term"):
+                Polynomial.from_coeffs(coeffs)
+
+    def test_json(self):
+        with pytest.raises(ValidationError, match="at least one term"):
+            observable_from_json('{"observable":"polynomial","terms":[]}')
