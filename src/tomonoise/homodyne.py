@@ -31,14 +31,12 @@ import numpy as np
 from .errors import NumericRangeError, ValidationError, integer, is_real
 from .states import (
     GRID_MASS_TOL,
-    HERMITE_REACH,
     VACUUM_QUADRATURE_VARIANCE,
     Coherent,
     StateSpec,
     _check_eta,
     _check_phase,
     band_densities,
-    check_reach,
     coherent_mean,
     hermite_functions,
     lossy_bands,
@@ -320,8 +318,13 @@ def _between(table: np.ndarray, cell: np.ndarray, frac: np.ndarray) -> np.ndarra
 class QuadratureGridSampler:
     """Inverse-CDF sampler for number-basis states after a loss channel of transmission eta, on a fixed x grid.
 
-    Its bands are lossy_bands(state, eta), its outcomes unrescaled, and its reach
-    refusals judge that lossy state, as quadrature_pdf does. The CDF at phase phi
+    Its bands are lossy_bands(state, eta) and its outcomes unrescaled. Its grid
+    spans |x| <= 3 + 2 sqrt(dim) with GRID_NODES nodes. Before the Hermite
+    table is built it refuses (NumericRangeError) a lossy state that puts more
+    than GRID_MASS_TOL of its photon-number weight above the highest level
+    whose |psi_n|^2 the grid samples once per period at x = 0 (Fock(1549) and
+    up at eta = 1); after, one whose grid mass is off 1 by more than
+    GRID_MASS_TOL either way, as aliasing near that level gives. The CDF at phase phi
     is Re sum_d w_d C_d(x) with w_0 = 1 and w_d = 2 exp(i d phi), one Fourier band
     C_d per non-zero off-diagonal d of rho. The bands live in a node-major real
     table with columns Re C_0, 2 Re C_d and -2 Im C_d for each band d > 0 (scaling
@@ -355,26 +358,26 @@ class QuadratureGridSampler:
             raise ValidationError("coherent states are sampled in closed form, not on a grid")
         bands = lossy_bands(state, eta)
         dim = bands[0][1].size
-        # The highest populated level, checked before the dim x nodes Hermite table is allocated.
-        top = np.flatnonzero(bands[0][1].real > 0)[-1]
-        turning = math.sqrt((2 * top + 1) / 2)
-        if turning > 2.0 * HERMITE_REACH:
-            raise NumericRangeError(
-                f"photon number {top} has its turning point at |x| = {turning:.2f}, more than "
-                f"twice the |x| <= {HERMITE_REACH:.2f} that the number-basis recurrence resolves"
-            )
         self.halfwidth = 3.0 + 2.0 * math.sqrt(dim)
         self.xgrid = np.linspace(-self.halfwidth, self.halfwidth, GRID_NODES)
         dx = self.xgrid[1] - self.xgrid[0]
+        # |psi_L|^2 has wavenumber 2 sqrt(2 (2L + 1)) at x = 0: top is the highest level
+        # with a node per period there. Checked before the dim x nodes Hermite table is built.
+        top = math.floor(((math.pi / dx) ** 2 - 2.0) / 4.0)
+        beyond = float(np.sum(bands[0][1][top + 1 :].real))
+        if beyond > GRID_MASS_TOL:
+            raise NumericRangeError(
+                f"photon numbers above {top} hold weight {beyond:.3g}; the {GRID_NODES}-node quadrature "
+                f"grid over |x| <= {self.halfwidth:.2f} resolves no higher level"
+            )
         g = band_densities(bands, hermite_functions(dim - 1, self.xgrid))
         cdfs = np.cumsum(np.pad(0.5 * (g[:, 1:] + g[:, :-1]) * dx, ((0, 0), (1, 0))), axis=1)
         self.mass = float(cdfs[0][-1].real)
-        if self.mass < 1.0 - GRID_MASS_TOL:
+        if abs(self.mass - 1.0) > GRID_MASS_TOL:
             raise NumericRangeError(
-                f"quadrature grid |x| <= {self.halfwidth:.2f} holds only mass {self.mass:.9f}; "
-                f"the number-basis recurrence resolves only |x| <= {HERMITE_REACH:.1f}"
+                f"quadrature grid |x| <= {self.halfwidth:.2f} holds mass {self.mass:.9f}, "
+                f"not 1 within {GRID_MASS_TOL:g}"
             )
-        check_reach(bands[0][1])
         self.bands = [d for d, _ in bands[1:]]
         self.phase_dependent = bool(self.bands)
         columns = np.concatenate((cdfs[:1].real, 2.0 * cdfs[1:].real, -2.0 * cdfs[1:].imag))

@@ -257,17 +257,7 @@ def kernel_monomial(n: int, m: int, eta: float, x, phi):
     s = n + m
     scale = math.sqrt((2.0 * eta) ** s) * math.comb(s, n)
     h = hermite(s, math.sqrt(2.0 * eta) * x)
-    if n == m and scale > 0.0 and np.isfinite(phi).all():
-        # The bits of exp(0j phi) * h / scale without the complex exp. At a finite phi the factor
-        # is 1 + 0j and the product h + zero j, zero = 0 h + 0: +0, or NaN where h is not finite.
-        # numpy divides by scale + 0j as (h + zero 0, zero - h 0) * (1 / scale), which is this.
-        zero = np.multiply(h, 0.0)
-        zero += 0.0
-        vals = np.empty(np.broadcast(x, phi).shape, dtype=complex)
-        np.multiply(np.add(h, zero), 1.0 / scale, out=vals.real)
-        np.multiply(zero, 1.0 / scale, out=vals.imag)
-    else:
-        vals = np.exp(1j * (m - n) * phi) * h / scale
+    vals = np.exp(1j * (m - n) * phi) * h / scale
     return vals if vals.ndim else complex(vals)
 
 

@@ -16,7 +16,6 @@ from __future__ import annotations
 import cmath
 import json
 import math
-import sys
 from dataclasses import dataclass
 from typing import Union
 
@@ -32,15 +31,12 @@ TRACE_TOL = 1e-10
 DIAGONAL_FLOOR = -1e-12
 EIGENVALUE_FLOOR = -1e-10
 
-#: |x| beyond which exp(-x^2), the seed of the Hermite recurrence, leaves the
-#: normal floats (about 26.6); no number-basis density resolves more.
-HERMITE_REACH = math.sqrt(-math.log(sys.float_info.min))
-#: Highest photon number whose turning point sqrt((2n + 1)/2) lies within HERMITE_REACH (707).
-REACH_LEVEL = math.floor(HERMITE_REACH**2 - 0.5)
-#: Probability mass a number-basis density may leave unresolved: above REACH_LEVEL or off its grid.
+#: Probability mass by which the grid sampler's density may miss 1: weight on levels its grid
+#: cannot resolve, refused before the Hermite table is built, or grid mass off 1 either way.
 GRID_MASS_TOL = 1e-6
-#: Points per Hermite table in quadrature_pdf: 4096 keep Fock(750)'s 751-row table at 25 MB.
-PDF_POINTS = 1 << 12
+#: Entries of each Hermite table quadrature_pdf builds: it takes x in slices of PDF_TABLE // dim
+#: points, so the table stays near 25 MB at any dim.
+PDF_TABLE = 3 << 20
 
 
 def _check_eta(eta: float) -> None:
@@ -192,18 +188,45 @@ def hermite_functions(nmax: int, x) -> np.ndarray:
     """Oscillator eigenfunctions psi_0..psi_nmax of the variance-1/4 convention.
 
     psi_n are orthonormal on the real line and satisfy
-    psi_0(x) = (2/pi)^(1/4) exp(-x^2). Evaluated with the normalized
-    three-term recurrence from that seed, so only |x| <= HERMITE_REACH is
-    resolved, which reaches the support of psi_n up to n of a few hundred.
+    psi_0(x) = (2/pi)^(1/4) exp(-x^2); the normalized three-term recurrence
+    gives the rest. Where that seed is a normal float (|x| <= 26.6) the
+    recurrence runs on the values themselves. Past that the seed underflows,
+    so each such point carries a binary exponent e and the recurrence runs on
+    psi_n 2^-e: from 2^-970 (2^52 above the smallest normal float, so that a
+    subnormal rounding stays below the pair's last bit) up to at most 1,
+    rescaled by a power of two, which is exact, whenever a bound on its growth
+    from the largest such |x| could pass 1. A level is psi_n 2^-e times the
+    float 2^e: one rounding, as for any float, or 0 where 2^e underflows and
+    psi_n rounds to 0 too. So no level underflows before its value does.
     Returns an array of shape (nmax + 1, len(x)).
     """
     x = np.atleast_1d(np.asarray(x, dtype=float))
     out = np.empty((nmax + 1, x.size))
     out[0] = (2.0 / math.pi) ** 0.25 * np.exp(-x * x)
-    if nmax >= 1:
-        out[1] = 2.0 * x * out[0]
-    for k in range(1, nmax):
-        out[k + 1] = (2.0 / math.sqrt(k + 1.0)) * x * out[k] - math.sqrt(k / (k + 1.0)) * out[k - 1]
+    log2_seed = -math.log2(math.e) * (x * x)
+    # Past |x| = 1e154 log2_seed overflows, and the plain recurrence from the 0 seed gives 0 at every level.
+    far = (out[0] < 2.0**-1022) & (log2_seed > -np.inf)  # below the smallest normal float
+    low, growth, grown, start = -1022.0 + 52.0, 0.0, 0.0, 0  # low: 2^52 above it
+    if far.any():
+        exponent = np.where(far, np.ceil(log2_seed) - low, 0.0)
+        out[0, far] = (2.0 / math.pi) ** 0.25 * np.exp2(log2_seed[far] - exponent[far])
+        # |psi_{k+1}| <= (growth / sqrt(k + 1) + 1) max(|psi_k|, |psi_{k-1}|); grown sums the log2 of
+        # these bounds, and with no such point growth stays 0 and nothing is rescaled
+        growth = 2.0 * np.max(np.abs(x[far]))
+    prev, cur = 0.0, out[0]
+    for k in range(nmax):
+        step = math.log2(growth / math.sqrt(k + 1.0) + 1.0)
+        if grown + step > -low:  # rescale the pair to norm 2^low; levels start..k get their 2^e
+            shift = np.where(far, np.frexp(np.hypot(prev, cur))[1] - low, 0.0)
+            prev, cur = prev * np.exp2(-shift), cur * np.exp2(-shift)
+            out[start : k + 1] *= np.exp2(exponent)
+            exponent += shift
+            grown, start = 0.0, k + 1
+        grown += step
+        out[k + 1] = (2.0 / math.sqrt(k + 1.0)) * x * cur - math.sqrt(k / (k + 1.0)) * prev
+        prev, cur = cur, out[k + 1]
+    if far.any():
+        out[start:] *= np.exp2(exponent)
     return out
 
 
@@ -376,21 +399,6 @@ def _lossy_band(d: int, band: np.ndarray, eta: float) -> np.ndarray:
     return np.einsum("nj,j->n", np.exp(log_a) * (j >= n), band[j])
 
 
-def check_reach(diagonal: np.ndarray) -> None:
-    """Refuse photon-number weights (band d = 0) that put more than GRID_MASS_TOL above REACH_LEVEL.
-
-    The recurrence seeded with exp(-x^2) resolves psi_n only for |x| <= HERMITE_REACH;
-    past it the seed is subnormal and psi_n garbage, not zero, so the density of a
-    higher level is wrong however its mass comes out.
-    """
-    beyond = float(np.sum(diagonal[REACH_LEVEL + 1:].real))
-    if beyond > GRID_MASS_TOL:
-        raise NumericRangeError(
-            f"photon numbers above {REACH_LEVEL} hold weight {beyond:.3g}; the number-basis recurrence "
-            f"resolves only |x| <= {HERMITE_REACH:.1f}, the turning point of level {REACH_LEVEL}"
-        )
-
-
 def quadrature_pdf(state: StateSpec, phi: float, eta: float, x) -> np.ndarray | float:
     """Probability density of the homodyne outcome x at local-oscillator phase phi.
 
@@ -398,8 +406,9 @@ def quadrature_pdf(state: StateSpec, phi: float, eta: float, x) -> np.ndarray | 
     and variance 1/(4 eta), in closed form for any beta. For Fock and mixed
     states it is sum_{n,m} rho_nm exp(i (m - n) phi) psi_n(x) psi_m(x) at
     eta = 1, summed by band; below, exactly sqrt(eta) p'(sqrt(eta) x), p' that
-    density of the state after a loss channel of transmission eta. A state whose
-    weight after that channel reaches above REACH_LEVEL is refused (check_reach).
+    density of the state after a loss channel of transmission eta. Every level
+    is resolved (hermite_functions); x is taken in slices of PDF_TABLE // dim
+    points, so each slice's Hermite table stays near 25 MB.
     """
     _check_eta(eta)
     validate_state(state)
@@ -411,13 +420,13 @@ def quadrature_pdf(state: StateSpec, phi: float, eta: float, x) -> np.ndarray | 
         p = np.exp(-0.5 * z * z / var) / math.sqrt(2.0 * math.pi * var)
     else:
         bands = lossy_bands(state, eta)
-        check_reach(bands[0][1])
+        dim = bands[0][1].size
         weights = np.array([(2.0 if d else 1.0) * np.exp(1j * d * phi) for d, _ in bands])
         scaled = math.sqrt(eta) * xs
         p = np.empty(xs.size)
-        for start in range(0, xs.size, PDF_POINTS):
-            psi = hermite_functions(bands[0][1].size - 1, scaled[start : start + PDF_POINTS])
-            rows = band_densities(bands, psi)
-            p[start : start + PDF_POINTS] = math.sqrt(eta) * np.einsum("d,dx->x", weights, rows).real
+        points = max(1, PDF_TABLE // dim)
+        for start in range(0, xs.size, points):
+            rows = band_densities(bands, hermite_functions(dim - 1, scaled[start : start + points]))
+            p[start : start + points] = math.sqrt(eta) * np.einsum("d,dx->x", weights, rows).real
     p = np.clip(p, 0.0, None)
     return float(p[0]) if np.isscalar(x) or np.asarray(x).ndim == 0 else p

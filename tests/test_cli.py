@@ -11,6 +11,7 @@ import tempfile
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -136,6 +137,22 @@ class TestCompare:
                      "--n", "20000", "--seed", "5", "--out", str(out)]) == 0
         row = json.loads(out.read_text())
         assert row["nbar"] == 0.5 and row["source"] == "empirical"
+
+    def test_high_fock_level_matches_the_closed_form(self, tmp_path):
+        # each variance within 5 standard errors sqrt((m4 - var^2) / n), m4 from independent draws of its law
+        state, eta, n = tomonoise.Fock(1000), 0.8, 200_000
+        out = tmp_path / "cmp.json"
+        assert main(["compare", "--state", '{"type":"fock","n":1000}', "--observable", "real_field",
+                     "--eta", "0.8", "--n", str(n), "--seed", "3", "--out", str(out)]) == 0
+        row = json.loads(out.read_text())
+        exact = tomonoise.analytic_comparison(tomonoise.RealField(), state, eta)
+        ds = tomonoise.sample_homodyne(state, eta, n, 101)
+        draws = {"tomographic_variance": 2.0 * ds.x * np.cos(ds.phi),
+                 "direct_variance": tomonoise.sample_fixed_phase(state, eta, n, 102)}
+        for key, values in draws.items():
+            centred = values - values.mean()
+            se = math.sqrt((np.mean(centred**4) - np.mean(centred**2) ** 2) / n)
+            assert abs(row[key] - getattr(exact, key)) < 5.0 * se, key
 
 
 class TestErrorsAndExitCodes:
@@ -669,14 +686,18 @@ class TestErrorContract:
         meta, rows = read_result_rows(tmp_path / "d.csv")
         assert "# n=20" in meta and "# seed=3" in meta and len(rows) == 20
 
-    def test_fock_level_out_of_reach(self, tmp_path, capsys):
-        # psi_0 = exp(-x^2) underflows beyond |x| ~ 26.6, so no grid width holds Fock(800)
+    def test_fock_levels_simulate_up_to_the_grid_resolution(self, tmp_path, capsys):
+        # the grid over |x| <= 3 + 2 sqrt(1601) resolves levels up to 1500: Fock(1600) is refused
         assert main(["simulate", "--state", '{"type":"fock","n":800}', "--n", "10",
-                     "--out", str(tmp_path / "d.csv")]) == 4
+                     "--out", str(tmp_path / "a.csv")]) == 0
+        capsys.readouterr()
+        assert main(["simulate", "--state", '{"type":"fock","n":1600}', "--n", "10",
+                     "--out", str(tmp_path / "b.csv")]) == 4
         lines = capsys.readouterr().err.strip().splitlines()
         assert len(lines) == 1
-        message = json.loads(lines[0])["message"]
-        assert "26.6" in message and "required" not in message
+        err = json.loads(lines[0])
+        assert err["exit"] == 4 and "photon numbers above 1500" in err["message"]
+        assert not (tmp_path / "b.csv").exists()
 
     def test_rho_not_positive(self, tmp_path, capsys):
         # Hermitian, unit trace, nonnegative diagonal, but eigenvalues 1.1 and -0.1
@@ -915,6 +936,7 @@ FUZZ_STATES = [
     '{"type":"fock","n":-1}', '{"type":"coherent"}', "not json", '{"type":"squeezed"}',
     '{"type":"fock","n":1.5}', '{"type":"fock","n":1000000}',
 ]
+EMPTY_POLYNOMIAL = '{"observable":"polynomial","terms":[]}'
 FUZZ_OBSERVABLES = [
     "intensity", "real_field", "complex_amplitude", "phase", "bogus",
     '{"observable":"monomial","n":0,"m":1}', '{"observable":"monomial","n":2,"m":2}',
@@ -922,6 +944,7 @@ FUZZ_OBSERVABLES = [
     '{"observable":"monomial","n":1.5,"m":1}',
     '{"observable":"polynomial","terms":[{"n":1,"m":0,"c":[1,0]},{"n":0,"m":1,"c":[1,0]}]}',
     '{"observable":"polynomial","terms":[{"n":0,"m":1,"c":[0,1]}]}',
+    EMPTY_POLYNOMIAL,
 ]
 FUZZ_STATE_FILES = {
     "state-ok.json": '{"type":"fock","n":1}', "state-text.json": "not json",
@@ -994,7 +1017,7 @@ def cli_argv(draw, data_dir, out):
     if family == "free":
         return [*draw(st.lists(st.sampled_from(FUZZ_TOKENS), max_size=6)), "--out", out], None
     if family == "bright":
-        # |beta| from 26 to 100, where the number basis underflows: coherent states are closed form
+        # |beta| from 26 to 100, far past the number basis's grids: coherent states are closed form
         modulus, angle = draw(st.floats(26.0, 100.0)), draw(st.floats(0.0, 2.0 * math.pi))
         beta = [modulus * math.cos(angle), modulus * math.sin(angle)]
         argv = ["simulate" if command == "simulate" else "compare",
@@ -1042,8 +1065,10 @@ def cli_argv(draw, data_dir, out):
         ], None
     if command == "estimate":
         data = data_dir / draw(st.sampled_from(sorted(FUZZ_DATA)))
-        return ["estimate", "--data", str(data), "--observable", draw(st.sampled_from(FUZZ_OBSERVABLES)),
-                "--out", out], None
+        observable = draw(st.sampled_from(FUZZ_OBSERVABLES))
+        # an empty polynomial is refused before --data is opened
+        return ["estimate", "--data", str(data), "--observable", observable, "--out", out], \
+            2 if observable == EMPTY_POLYNOMIAL else None
     state = draw(st.sampled_from([["--state", text] for text in FUZZ_STATES]
                                  + [["--state-file", str(data_dir / name)] for name in sorted(FUZZ_STATE_FILES)]))
     argv = [command, *state,
@@ -1051,6 +1076,8 @@ def cli_argv(draw, data_dir, out):
             "--n", str(n), "--seed", str(seed), "--out", out]
     if command == "compare":
         argv += ["--observable", draw(st.sampled_from(FUZZ_OBSERVABLES))]
+        if argv[-1] == EMPTY_POLYNOMIAL:
+            return argv, 2
     return argv, None
 
 

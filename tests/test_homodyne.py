@@ -162,43 +162,48 @@ class TestDistributions:
         pdf = quadrature_pdf(state, phi, 0.4, centers)
         assert np.max(np.abs(counts / (xs.size * np.diff(edges)) - pdf)) < 0.02
 
-    @pytest.mark.parametrize("n", [1000, 2000])
-    def test_high_fock_levels_fail_the_mass_check(self, n):
-        # below the turning-point cut the verdict is still the grid's mass
-        with pytest.raises(NumericRangeError, match="holds only mass"):
-            QuadratureGridSampler(Fock(n))
-
-    @pytest.mark.parametrize("n", [714, 739])
-    def test_levels_beyond_reach_fail_even_when_the_mass_passes(self, n):
-        # psi_n seeded with a subnormal exp(-x^2) past |x| = 26.6 is garbage, not zero:
-        # Fock(739)'s grid mass exceeds 1 by 2.7e-3
-        with pytest.raises(NumericRangeError, match="above 707"):
-            QuadratureGridSampler(Fock(n))
+    @pytest.mark.parametrize("n", [800, 1000, 1500])
+    def test_high_fock_levels_build_with_unit_mass(self, n):
+        # the recurrence carries an exponent past |x| = 26.6, so no tail is lost to underflow
+        assert abs(QuadratureGridSampler(Fock(n)).mass - 1.0) <= 1e-12
 
     def test_highest_level_within_reach_builds(self):
         assert QuadratureGridSampler(Fock(707)).mass == pytest.approx(1.0, abs=GRID_MASS_TOL)
 
-    def test_reach_judges_the_state_after_loss(self):
-        # Fock(720) lies past level 707, but after a loss channel of 0.5 its weight sits near
-        # level 360: the sampler and the density both take it, and both refuse it at eta = 1
+    def test_fock_1000_second_moment(self):
+        # <x^2> = (2n + 1)/4 and <x^4> = 3 (2n^2 + 2n + 1)/16 at eta = 1: the standard error is exact
+        n, size = 1000, 400_000
+        x2 = sample_homodyne(Fock(n), 1.0, size, 11).x ** 2
+        var = 3.0 * (2 * n * n + 2 * n + 1) / 16.0 - ((2 * n + 1) / 4.0) ** 2
+        assert abs(x2.mean() - (2 * n + 1) / 4.0) < 5.0 * math.sqrt(var / size)
+
+    def test_fock_720_is_sampled_with_and_without_loss(self):
+        # <x^2> of the rescaled outcome is (2 eta n + 1)/(4 eta): 360.25 at eta = 1, 360.5 at eta = 0.5
         grid = np.linspace(-60.0, 60.0, 24_001)
         assert trapezoid(quadrature_pdf(Fock(720), 0.3, 0.5, grid), grid) == pytest.approx(1.0, abs=1e-9)
-        x2 = sample_homodyne(Fock(720), 0.5, 400_000, 7).x ** 2
-        # <x^2> of the rescaled outcome is (2 eta n + 1)/(4 eta) = 360.5
-        assert abs(x2.mean() - 360.5) < 5.0 * x2.std() / math.sqrt(x2.size)
-        messages = []
-        for refuse in (lambda: sample_homodyne(Fock(720), 1.0, 10, 1), lambda: quadrature_pdf(Fock(720), 0.3, 1.0, 0.0)):
-            with pytest.raises(NumericRangeError, match="above 707") as info:
-                refuse()
-            messages.append(str(info.value))
-        assert messages[0] == messages[1]
+        for eta in (1.0, 0.5):
+            x2 = sample_homodyne(Fock(720), eta, 400_000, 7).x ** 2
+            assert abs(x2.mean() - (1440 * eta + 1) / (4 * eta)) < 5.0 * x2.std() / math.sqrt(x2.size)
 
-    @pytest.mark.parametrize("n", [2834, 10**6])
-    def test_huge_fock_level_refused_before_allocating(self, n):
+    @pytest.mark.parametrize("n, mass", [(1527, "1.000002"), (1530, "0.99998"), (1547, "1.036")])
+    def test_grid_edge_levels_fail_the_two_sided_mass_check(self, n, mass):
+        # below the resolved level the grid already aliases, and its mass lands on either side of 1
+        with pytest.raises(NumericRangeError, match=rf"holds mass {mass}\d*, not 1 within 1e-06"):
+            QuadratureGridSampler(Fock(n))
+
+    def test_resolution_refusal_judges_the_state_after_loss(self):
+        # Fock(1600) lies past the grid's resolved level; after a loss channel of 0.5 its weight
+        # sits near level 800, so the grid over the same dim 1601 takes it
+        with pytest.raises(NumericRangeError, match="above 1500"):
+            QuadratureGridSampler(Fock(1600))
+        assert abs(QuadratureGridSampler(Fock(1600), 0.5).mass - 1.0) <= GRID_MASS_TOL
+
+    @pytest.mark.parametrize("n", [1600, 2834, 10**6])
+    def test_unresolved_fock_level_refused_before_allocating(self, n):
         # Fock(10**6) would need a 33 GB Hermite table
         tracemalloc.start()
         try:
-            with pytest.raises(NumericRangeError, match="turning point"):
+            with pytest.raises(NumericRangeError, match="resolves no higher level"):
                 sample_homodyne(Fock(n), 1.0, 10, 1)
             peak = tracemalloc.get_traced_memory()[1]
         finally:

@@ -1,6 +1,7 @@
 import ast
 import importlib
 import importlib.util
+import re
 import sys
 from pathlib import Path
 
@@ -96,4 +97,20 @@ def test_benchmark_imports_only_package_names_that_exist():
                 imported += [(path.name, node.module, alias.name) for alias in node.names]
     assert {name for _, _, name in imported} >= {"StreamingMoments", "QuadratureGridSampler", "analytic_comparison"}
     missing = [entry for entry in imported if not hasattr(importlib.import_module(entry[1]), entry[2])]
+    assert not missing
+
+
+#: The package's own modules, whose names the README cites as `<module>.<name>` or `tomonoise.<module>.<name>`.
+PACKAGE_MODULES = ("states", "homodyne", "kernels", "noise", "estimators", "direct", "floattext", "cli", "errors")
+
+
+def test_readme_names_resolve():
+    # a name the package deletes or renames must leave the README too; file names such as homodyne.py
+    # and dotted metric names such as layer.homodyne.sampler are not citations of a name
+    text = (ROOT / "README.md").read_text()
+    pattern = rf"(?<![\w./-])(?:tomonoise\.)?({'|'.join(PACKAGE_MODULES)})\.(?!py\b)([A-Za-z_]\w*)"
+    cited = sorted(set(re.findall(pattern, text)))
+    assert len(cited) >= 5, cited
+    missing = [f"{module}.{name}" for module, name in cited
+               if not hasattr(importlib.import_module(f"tomonoise.{module}"), name)]
     assert not missing

@@ -1,3 +1,4 @@
+import decimal
 import math
 import resource
 import time
@@ -263,32 +264,33 @@ class TestQuadraturePdf:
     @pytest.mark.parametrize("eta", [0.7, 1.0])
     @pytest.mark.parametrize("beta", [30, 100, 100 + 50j])
     def test_bright_coherent_normalization(self, beta, eta):
-        # beyond |x| ~ 26.6 a number-basis density underflows; the closed form does not
+        # the closed form holds at any beta, far past the number basis's grids
         xs = np.linspace(beta.real - 6, beta.real + 6, 2001)
         p = quadrature_pdf(Coherent(beta), 0.0, eta, xs)
         assert trapezoid(p, xs) == pytest.approx(1.0, abs=1e-9)
 
-    def test_weight_beyond_reach_refused_before_allocating(self):
-        # the loss channel leaves Fock(2000) nearly all its weight above level 707; a dense
-        # (n + 1)^2 loss matrix alone would peak at 126 MB
-        xs = np.linspace(-50.0, 50.0, 200001)
+    def test_lossy_fock_2000_density_integrates(self):
+        # after the loss channel Fock(2000) holds its weight near level 1400, whose density reaches
+        # |x| = 45 (scaled by sqrt(eta)), past where exp(-x^2) underflows; each slice's Hermite table
+        # holds at most PDF_TABLE entries, 25 MB
+        xs = np.linspace(-60.0, 60.0, 20001)
         tracemalloc.start()
         try:
-            with pytest.raises(NumericRangeError, match="26.6"):
-                quadrature_pdf(Fock(2000), 0.0, 0.7, xs)
+            p = quadrature_pdf(Fock(2000), 0.0, 0.7, xs)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 5 * 2**20
+        assert trapezoid(p, xs) == pytest.approx(1.0, abs=1e-9)
+        assert peak < 60 * 2**20
 
-    def test_level_beyond_reach_refused_at_unit_efficiency(self):
-        # its density would integrate to 0.9999979: short, not zero, past |x| = 26.6
-        with pytest.raises(NumericRangeError, match="above 707"):
-            quadrature_pdf(Fock(720), 0.0, 1.0, np.linspace(-50.0, 50.0, 20001))
+    def test_fock_720_density_integrates_at_unit_efficiency(self):
+        # 9 % of its mass lies past |x| = 26.6, where exp(-x^2) underflows
+        xs = np.linspace(-50.0, 50.0, 20001)
+        assert trapezoid(quadrature_pdf(Fock(720), 0.0, 1.0, xs), xs) == pytest.approx(1.0, abs=1e-9)
 
     def test_negligible_weight_beyond_reach_still_integrates(self):
-        # after the loss channel Fock(750) keeps 2e-157 of its weight above level 707;
-        # evaluated in slices, so that each 751-row Hermite table stays near 60 MB
+        # Fock(750) after a loss channel of 0.5, evaluated in slices, so that each 751-row
+        # Hermite table stays near 60 MB
         xs = np.linspace(-40.0, 40.0, 200001)
         p = np.concatenate([quadrature_pdf(Fock(750), 0.0, 0.5, part) for part in np.array_split(xs, 20)])
         assert trapezoid(p, xs) == pytest.approx(1.0, abs=1e-9)
@@ -424,6 +426,45 @@ class TestHermiteFunctions:
         psi = hermite_functions(12, xs)
         gram = trapezoid(psi[:, None, :] * psi[None, :, :], xs, axis=-1)
         assert np.max(np.abs(gram - np.eye(13))) < 1e-8
+
+    def test_bit_identical_to_the_plain_recurrence_where_the_seed_is_normal(self):
+        # the recurrence from (2/pi)^(1/4) exp(-x^2) alone, kept verbatim as the reference; the points
+        # past |x| = 26.6 appended to x must leave the other columns alone
+        def plain(nmax, x):
+            out = np.empty((nmax + 1, x.size))
+            out[0] = (2.0 / math.pi) ** 0.25 * np.exp(-x * x)
+            if nmax >= 1:
+                out[1] = 2.0 * x * out[0]
+            for k in range(1, nmax):
+                out[k + 1] = (2.0 / math.sqrt(k + 1.0)) * x * out[k] - math.sqrt(k / (k + 1.0)) * out[k - 1]
+            return out
+
+        xs = np.linspace(-26.5, 26.5, 2001)
+        got = hermite_functions(1500, np.concatenate([xs, [27.0, -40.0, 80.0]]))[:, : xs.size]
+        assert np.array_equal(got.view(np.uint64), plain(1500, xs).view(np.uint64))
+
+    @pytest.mark.parametrize("x", [27.0, 30.0, 40.0, -45.0])
+    def test_matches_a_decimal_reference_past_the_seed_underflow(self, x):
+        # the same recurrence in 60-digit decimal arithmetic at the float x. The error is judged
+        # against the larger of |psi_n| and |psi_{n-1}|, whose roundings it carries: 1e-12 of it
+        # covers the seed's condition number 2 x^2 (4e3 ulp at |x| = 45) and n ulp from the
+        # recurrence; a subnormal value may miss by a few hundred of its 5e-324 steps
+        nmax = 1500
+        with decimal.localcontext() as ctx:
+            ctx.prec = 60
+            big = decimal.Decimal(x)
+            pi = decimal.Decimal("3.141592653589793238462643383279502884197169399375105820974944592")
+            ref = [(2 / pi).sqrt().sqrt() * (-big * big).exp()]
+            ref.append(2 * big * ref[0])
+            for k in range(1, nmax):
+                ref.append(2 / decimal.Decimal(k + 1).sqrt() * big * ref[k]
+                           - (decimal.Decimal(k) / (k + 1)).sqrt() * ref[k - 1])
+            got = hermite_functions(nmax, x)[:, 0]
+            err = np.array([float(abs(decimal.Decimal(float(v)) - r)) for v, r in zip(got, ref)])
+        size = np.abs([float(r) for r in ref])
+        pair = np.maximum(size, np.concatenate(([0.0], size[:-1])))
+        assert (err <= 1e-12 * pair + 1e-12 * np.finfo(float).tiny).all()
+        assert np.count_nonzero(size >= np.finfo(float).tiny) > 600  # the reference resolves hundreds of levels
 
     def test_high_order_stays_finite(self):
         xs = np.linspace(-25, 25, 2001)
