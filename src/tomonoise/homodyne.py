@@ -48,6 +48,11 @@ from .states import (
 BLOCK_SIZE = 1 << 16
 # A power of two, so that the full search's steps GRID_NODES/2, ..., 1 end on the top node.
 GRID_NODES = 4096
+#: Nodes per period of |psi_n|^2 at x = 0 below which the grid sampler refuses level n. Its CDF is a
+#: cumulative trapezoid sum, linear between nodes; 4e5 samples of Fock(n) in 0.25-wide bins read a
+#: chi2 per degree of freedom against quadrature_pdf of at most 2.2 up to Fock(1050), 1.5 nodes
+#: per period (2.0 at Fock(700)), but 2.3-2.8 at Fock(1100)-(1200), 3.1 at (1233) and 100 at (1500).
+GRID_NODES_PER_PERIOD = 1.5
 LAST_LOWER = GRID_NODES - 2  # the highest lower node of a bracket
 # Position table of the coherence-bearing sampler: phase bins over [0, pi] and
 # target levels over [0, mass]; samples are bracketed in slices of SEARCH_SLICE.
@@ -322,9 +327,9 @@ class QuadratureGridSampler:
     spans |x| <= 3 + 2 sqrt(dim) with GRID_NODES nodes. Before the Hermite
     table is built it refuses (NumericRangeError) a lossy state that puts more
     than GRID_MASS_TOL of its photon-number weight above the highest level
-    whose |psi_n|^2 the grid samples once per period at x = 0 (Fock(1549) and
-    up at eta = 1); after, one whose grid mass is off 1 by more than
-    GRID_MASS_TOL either way, as aliasing near that level gives. The CDF at phase phi
+    whose |psi_n|^2 the grid samples GRID_NODES_PER_PERIOD times per period at
+    x = 0 (Fock(1024) and up at eta = 1); after, one whose grid mass is off 1
+    by more than GRID_MASS_TOL either way. The CDF at phase phi
     is Re sum_d w_d C_d(x) with w_0 = 1 and w_d = 2 exp(i d phi), one Fourier band
     C_d per non-zero off-diagonal d of rho. The bands live in a node-major real
     table with columns Re C_0, 2 Re C_d and -2 Im C_d for each band d > 0 (scaling
@@ -361,9 +366,9 @@ class QuadratureGridSampler:
         self.halfwidth = 3.0 + 2.0 * math.sqrt(dim)
         self.xgrid = np.linspace(-self.halfwidth, self.halfwidth, GRID_NODES)
         dx = self.xgrid[1] - self.xgrid[0]
-        # |psi_L|^2 has wavenumber 2 sqrt(2 (2L + 1)) at x = 0: top is the highest level
-        # with a node per period there. Checked before the dim x nodes Hermite table is built.
-        top = math.floor(((math.pi / dx) ** 2 - 2.0) / 4.0)
+        # |psi_L|^2 has wavenumber 2 sqrt(2 (2L + 1)) at x = 0: top is the highest level with
+        # GRID_NODES_PER_PERIOD nodes per period there. Checked before the dim x nodes table is built.
+        top = math.floor(((math.pi / (GRID_NODES_PER_PERIOD * dx)) ** 2 - 2.0) / 4.0)
         beyond = float(np.sum(bands[0][1][top + 1 :].real))
         if beyond > GRID_MASS_TOL:
             raise NumericRangeError(

@@ -34,9 +34,10 @@ EIGENVALUE_FLOOR = -1e-10
 #: Probability mass by which the grid sampler's density may miss 1: weight on levels its grid
 #: cannot resolve, refused before the Hermite table is built, or grid mass off 1 either way.
 GRID_MASS_TOL = 1e-6
-#: Entries of each Hermite table quadrature_pdf builds: it takes x in slices of PDF_TABLE // dim
-#: points, so the table stays near 25 MB at any dim.
-PDF_TABLE = 3 << 20
+#: Most points in each slice of x that quadrature_pdf takes, and most entries of each slice's
+#: Hermite table: slices of min(PDF_POINTS, PDF_TABLE // dim) points keep it near 25 MB at any dim.
+PDF_POINTS = 1 << 12
+PDF_TABLE = 768 * PDF_POINTS
 
 
 def _check_eta(eta: float) -> None:
@@ -407,8 +408,9 @@ def quadrature_pdf(state: StateSpec, phi: float, eta: float, x) -> np.ndarray | 
     states it is sum_{n,m} rho_nm exp(i (m - n) phi) psi_n(x) psi_m(x) at
     eta = 1, summed by band; below, exactly sqrt(eta) p'(sqrt(eta) x), p' that
     density of the state after a loss channel of transmission eta. Every level
-    is resolved (hermite_functions); x is taken in slices of PDF_TABLE // dim
-    points, so each slice's Hermite table stays near 25 MB.
+    is resolved (hermite_functions); x is taken in slices of at most PDF_POINTS
+    points and PDF_TABLE // dim points, so each slice's Hermite table stays
+    near 25 MB.
     """
     _check_eta(eta)
     validate_state(state)
@@ -424,7 +426,7 @@ def quadrature_pdf(state: StateSpec, phi: float, eta: float, x) -> np.ndarray | 
         weights = np.array([(2.0 if d else 1.0) * np.exp(1j * d * phi) for d, _ in bands])
         scaled = math.sqrt(eta) * xs
         p = np.empty(xs.size)
-        points = max(1, PDF_TABLE // dim)
+        points = max(1, min(PDF_POINTS, PDF_TABLE // dim))
         for start in range(0, xs.size, points):
             rows = band_densities(bands, hermite_functions(dim - 1, scaled[start : start + points]))
             p[start : start + points] = math.sqrt(eta) * np.einsum("d,dx->x", weights, rows).real

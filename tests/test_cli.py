@@ -687,7 +687,7 @@ class TestErrorContract:
         assert "# n=20" in meta and "# seed=3" in meta and len(rows) == 20
 
     def test_fock_levels_simulate_up_to_the_grid_resolution(self, tmp_path, capsys):
-        # the grid over |x| <= 3 + 2 sqrt(1601) resolves levels up to 1500: Fock(1600) is refused
+        # the grid over |x| <= 3 + 2 sqrt(1601) resolves levels up to 666: Fock(1600) is refused
         assert main(["simulate", "--state", '{"type":"fock","n":800}', "--n", "10",
                      "--out", str(tmp_path / "a.csv")]) == 0
         capsys.readouterr()
@@ -696,7 +696,7 @@ class TestErrorContract:
         lines = capsys.readouterr().err.strip().splitlines()
         assert len(lines) == 1
         err = json.loads(lines[0])
-        assert err["exit"] == 4 and "photon numbers above 1500" in err["message"]
+        assert err["exit"] == 4 and "photon numbers above 666" in err["message"]
         assert not (tmp_path / "b.csv").exists()
 
     def test_rho_not_positive(self, tmp_path, capsys):

@@ -283,12 +283,14 @@ class TestQuadraturePdf:
         assert trapezoid(p, xs) == pytest.approx(1.0, abs=1e-9)
         assert peak < 60 * 2**20
 
-    def test_fock_720_density_integrates_at_unit_efficiency(self):
-        # 9 % of its mass lies past |x| = 26.6, where exp(-x^2) underflows
+    @pytest.mark.parametrize("n", [720, 1500])
+    def test_high_fock_densities_integrate_at_unit_efficiency(self, n):
+        # 9 % of Fock(720)'s mass lies past |x| = 26.6, where exp(-x^2) underflows; Fock(1500) is
+        # past what the grid sampler takes, not past what the density resolves
         xs = np.linspace(-50.0, 50.0, 20001)
-        assert trapezoid(quadrature_pdf(Fock(720), 0.0, 1.0, xs), xs) == pytest.approx(1.0, abs=1e-9)
+        assert trapezoid(quadrature_pdf(Fock(n), 0.0, 1.0, xs), xs) == pytest.approx(1.0, abs=1e-9)
 
-    def test_negligible_weight_beyond_reach_still_integrates(self):
+    def test_lossy_fock_750_density_is_the_same_in_any_slices(self):
         # Fock(750) after a loss channel of 0.5, evaluated in slices, so that each 751-row
         # Hermite table stays near 60 MB
         xs = np.linspace(-40.0, 40.0, 200001)
@@ -303,6 +305,19 @@ class TestQuadraturePdf:
             tracemalloc.stop()
         assert np.array_equal(whole, p)
         assert peak < 150 * 2**20
+
+    def test_small_dim_slices_stay_narrow(self):
+        # slices of at most PDF_POINTS points: Fock(3) on 10**6 points holds about 23 MB, the
+        # input-sized arrays, not a 25 MB Hermite table and its temporaries on top
+        xs = np.linspace(-10.0, 10.0, 10**6)
+        tracemalloc.start()
+        try:
+            p = quadrature_pdf(Fock(3), 0.3, 0.8, xs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert trapezoid(p, xs) == pytest.approx(1.0, abs=1e-9)
+        assert peak < 30 * 2**20
 
     def test_fock_states_are_phase_invariant(self):
         xs = np.linspace(-4, 4, 501)
