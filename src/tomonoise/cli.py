@@ -50,7 +50,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import CapabilityError, NumericRangeError, ValidationError, is_integral, is_real
+from .errors import CapabilityError, NumericRangeError, ValidationError, is_integral, is_real, json_object
 from .estimators import (
     complex_estimate_to_json,
     estimate_complex,
@@ -66,7 +66,7 @@ from .homodyne import (
     save_dataset_json,
     worker_count,
 )
-from .kernels import NAMED_OBSERVABLES, observable_from_json, observable_to_json
+from .kernels import NAMED_OBSERVABLES, observable_from_json, observable_json, observable_to_json
 from .noise import empirical_comparison, sweep, write_sweep_csv
 from .states import state_from_json, state_to_json
 
@@ -217,24 +217,16 @@ def _read(key: str, value, reader):
         raise ValidationError(f"{key}: {exc}") from exc
 
 
-def _json_value(key: str, value):
-    """The JSON value of a state or observable given as text (an observable may be a bare name)."""
-    if not isinstance(value, str):
-        return value
-    text = value.strip()
-    if key == "observable" and not text.startswith("{"):
-        return {"observable": text}
-    return json.loads(text)
-
-
 def _same(key: str, flag, value) -> bool:
-    """Whether a flag and a config-file value give the same setting, without parsing a state."""
+    """Whether a flag and a config-file value give the same setting; states compare as JSON, never built."""
     try:
         if key in ("eta_list", "nbar_grid"):
             return _parse_grid(flag) == _parse_grid(value)
-        if key in ("state", "observable"):
-            return _json_value(key, flag) == _json_value(key, value)
-    except ValueError:  # json.JSONDecodeError too
+        if key == "state":
+            return json_object(flag, "state JSON") == json_object(value, "state JSON")
+        if key == "observable":
+            return observable_json(flag) == observable_json(value)
+    except (ValueError, ValidationError):
         return False
     return flag == value
 
@@ -249,12 +241,7 @@ def resolve_config(args: argparse.Namespace, overridden: list) -> dict:
     """
     file_cfg = {}
     if getattr(args, "config", None):
-        try:
-            file_cfg = json.loads(Path(args.config).read_text())
-        except json.JSONDecodeError as exc:
-            raise ValidationError(f"config file does not parse: {exc}") from exc
-        if not isinstance(file_cfg, dict):
-            raise ValidationError("config file must hold a JSON object")
+        file_cfg = json_object(Path(args.config).read_text(), "config file")
         # a key of another command is accepted and left unread, so that one file can serve several
         known = _OTHER_CONFIG_KEYS.union(*_COMMAND_KEYS.values())
         unknown = sorted(set(file_cfg) - known)

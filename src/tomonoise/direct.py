@@ -25,8 +25,8 @@ from .states import (
     Coherent,
     Fock,
     StateSpec,
-    _check_eta,
     _lossy_band,
+    check_eta,
     photon_distribution,
     validate_state,
 )
@@ -103,7 +103,7 @@ def simulate_heterodyne(
     """
     if not isinstance(state, Coherent):
         validate_state(state)  # a non-state or a bad eta is reported before the capability
-        _check_eta(eta)
+        check_eta(eta)
         raise CapabilityError(
             "heterodyne simulation supports coherent states only; for any state, "
             "analytic_comparison(ComplexAmplitude(), state, eta) gives the analytic comparison "

@@ -1,4 +1,4 @@
-"""Exception hierarchy shared across the package, and its one rule for numeric inputs.
+"""Exception hierarchy shared across the package, its one rule for numeric inputs and its one JSON front door.
 
 The three leaf classes map one-to-one onto the CLI exit codes:
 config/validation -> 2, capability -> 3, numeric range -> 4 (I/O errors
@@ -9,8 +9,16 @@ type, numpy scalars included, but never a bool, a string or None, which float()
 alone would read as numbers. An integer is a number that int() keeps: 20.0 is
 one; 2.7, which int() would truncate, and nan and inf are not. A complex number
 is a number or a complex number of any type, under the same exclusions.
+
+Every JSON input (a state, an observable, a config file, a JSON dataset) is
+read by json_object: text that does not parse, or a value that is not an
+object holding the input's one required field, is a ValidationError worded
+"<what> does not parse: ..." or "<what> must be an object holding '<field>'".
+A complex number in JSON is an [re, im] pair of numbers, read by
+complex_from_json.
 """
 
+import json
 import math
 import numbers
 
@@ -51,3 +59,26 @@ def integer(value, what: str, low: int | None = None) -> int:
     if not is_integral(value) or (low is not None and value < low):
         raise ValidationError(f"{what} must be an integer{'' if low is None else f' >= {low}'}, got {value!r}")
     return int(value)
+
+
+def complex_from_json(pair, what: str) -> complex:
+    """The complex number of a JSON [re, im] pair of numbers; else a ValidationError naming what."""
+    re, im = pair
+    if not (is_real(re) and is_real(im)):
+        raise ValidationError(f"{what} must be a [re, im] pair of numbers, got {pair!r}")
+    return complex(re, im)
+
+
+def json_object(value, what: str, field: str | None = None) -> dict:
+    """value as a JSON object: a dict as it is, text parsed; else a ValidationError naming what.
+
+    An object that lacks field, if one is given, is refused as a non-object is.
+    """
+    if isinstance(value, str):
+        try:
+            value = json.loads(value)
+        except json.JSONDecodeError as exc:
+            raise ValidationError(f"{what} does not parse: {exc}") from exc
+    if not isinstance(value, dict) or (field is not None and field not in value):
+        raise ValidationError(f"{what} must be an object" + ("" if field is None else f" holding {field!r}"))
+    return value

@@ -28,15 +28,15 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import NumericRangeError, ValidationError, integer, is_real
+from .errors import NumericRangeError, ValidationError, integer, is_real, json_object
 from .states import (
     GRID_MASS_TOL,
     VACUUM_QUADRATURE_VARIANCE,
     Coherent,
     StateSpec,
-    _check_eta,
     _check_phase,
     band_densities,
+    check_eta,
     coherent_mean,
     hermite_functions,
     lossy_bands,
@@ -196,7 +196,7 @@ def run_blocks(n: int, draw, consume) -> None:
 def sample_count(state: StateSpec, eta: float, n) -> int:
     """The checks every generator starts with: a state, an efficiency in (0, 1], and n as an int >= 1."""
     validate_state(state)
-    _check_eta(eta)
+    check_eta(eta)
     return integer(n, "sample count", 1)
 
 
@@ -252,7 +252,7 @@ class Dataset:
         self.phi = np.asarray(self.phi, dtype=float)
         if self.x.ndim != 1 or self.x.shape != self.phi.shape or self.x.size < 1:
             raise ValidationError("dataset needs matching 1-D x and phi arrays with n >= 1")
-        _check_eta(self.eta)
+        check_eta(self.eta)
         # numpy's repr would not reload from a CSV header; a Python int eta stays as given
         self.eta = self.eta.item() if isinstance(self.eta, np.generic) else self.eta
         self.seed = integer(self.seed, "seed")
@@ -358,7 +358,7 @@ class QuadratureGridSampler:
 
     def __init__(self, state: StateSpec, eta: float = 1.0):
         validate_state(state)
-        _check_eta(eta)
+        check_eta(eta)
         if isinstance(state, Coherent):
             raise ValidationError("coherent states are sampled in closed form, not on a grid")
         bands = lossy_bands(state, eta)
@@ -605,9 +605,8 @@ def load_dataset_csv(path) -> Dataset:
 
 
 def dataset_from_json(obj) -> Dataset:
+    obj = json_object(obj, "dataset JSON", "samples")
     try:
-        if isinstance(obj, str):
-            obj = json.loads(obj)
         samples = np.asarray(obj["samples"], dtype=float)
         if samples.size == 0:
             raise ValidationError("dataset JSON holds no samples")

@@ -17,15 +17,22 @@ linear noise ratio of a coherent state. A new observable is one class here
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Union, get_args
 
 import numpy as np
 
-from .errors import CapabilityError, NumericRangeError, ValidationError, integer, is_complex
-from .states import VACUUM_QUADRATURE_VARIANCE, _check_eta, _complex_from_json, normal_moment, phase_trig
+from .errors import (
+    CapabilityError,
+    NumericRangeError,
+    ValidationError,
+    complex_from_json,
+    integer,
+    is_complex,
+    json_object,
+)
+from .states import VACUUM_QUADRATURE_VARIANCE, check_eta, normal_moment, phase_trig
 
 #: Hard cap on n + m for monomial kernels (double-precision recurrence guard).
 MAX_KERNEL_ORDER = 40
@@ -251,7 +258,7 @@ def hermite(s: int, y):
 def kernel_monomial(n: int, m: int, eta: float, x, phi):
     """Kernel for a^dag^n a^m; averaging it over homodyne data gives <a^dag^n a^m>."""
     n, m = _check_orders(n, m)
-    _check_eta(eta)
+    check_eta(eta)
     x = np.asarray(x, dtype=float)
     phi = np.asarray(phi, dtype=float)
     s = n + m
@@ -279,7 +286,7 @@ def kernel_observable(obs: Observable, eta: float, x, phi):
     The phase kernel maps into (-pi, pi]. At the measure-zero event x = 0 the
     value phi is used; the caller holding x finds those samples as x == 0.
     """
-    _check_eta(eta)
+    check_eta(eta)
     x = np.asarray(x, dtype=float)
     phi = np.asarray(phi, dtype=float)
     if not isinstance(obs, get_args(Observable)):
@@ -301,7 +308,7 @@ def square_kernel_monomial(n: int, m: int, eta: float, x, phi):
         raise NumericRangeError(
             f"square-kernel order n + m = {n + m} exceeds the supported cap {MAX_SQUARE_ORDER}"
         )
-    _check_eta(eta)
+    check_eta(eta)
     x = np.asarray(x, dtype=float)
     phi = np.asarray(phi, dtype=float)
     s = n + m
@@ -334,18 +341,18 @@ def observable_to_json(obs: Observable) -> dict:
     return {"observable": obs.name}
 
 
+def observable_json(value) -> dict:
+    """The JSON object of an observable given as an object, as JSON text, or as a bare name.
+
+    Text is JSON if it starts with '{' or '[' (leading blanks aside); other text is a name.
+    """
+    if isinstance(value, str) and not value.lstrip().startswith(("{", "[")):
+        return {"observable": value.strip()}
+    return json_object(value, "observable JSON", "observable")
+
+
 def observable_from_json(obj) -> Observable:
-    if isinstance(obj, str):
-        stripped = obj.strip()
-        if stripped.startswith("{"):
-            try:
-                obj = json.loads(stripped)
-            except json.JSONDecodeError as exc:
-                raise ValidationError(f"observable JSON does not parse: {exc}") from exc
-        else:
-            obj = {"observable": stripped}
-    if not isinstance(obj, dict) or "observable" not in obj:
-        raise ValidationError("observable JSON must be an object with an 'observable' field")
+    obj = observable_json(obj)
     kind = obj["observable"]
     try:
         if kind in NAMED_OBSERVABLES:
@@ -353,7 +360,7 @@ def observable_from_json(obj) -> Observable:
         if kind == "monomial":
             return Monomial(obj["n"], obj["m"])
         if kind == "polynomial":
-            terms = [((t["n"], t["m"]), _complex_from_json(t["c"], "polynomial coefficient c")) for t in obj["terms"]]
+            terms = [((t["n"], t["m"]), complex_from_json(t["c"], "polynomial coefficient c")) for t in obj["terms"]]
             return Polynomial.from_coeffs(terms)
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ValidationError(f"malformed observable JSON: {exc}") from exc

@@ -65,7 +65,7 @@ from .kernels import (
 from .states import (
     Coherent,
     StateSpec,
-    _check_eta,
+    check_eta,
     mean_photon,
     normal_moment,
     state_tag,
@@ -158,7 +158,7 @@ def _analytic(obs: Observable, state: StateSpec, eta: float) -> tuple[float, flo
     central moments are constants: <dn^2> = nbar, <dx^2> = 1/4, |<a>|^2 = nbar;
     the closed forms take them as such, which cancels no digits at bright nbar.
     """
-    _check_eta(eta)
+    check_eta(eta)
     nbar = mean_photon(state)
     if not hasattr(obs, "noise"):
         raise CapabilityError(f"no analytic kernel variance for observable {obs!r}")
@@ -193,7 +193,7 @@ def amplitude_noise_direct(state: StateSpec, eta: float) -> tuple[float, float]:
     (1/2) [nbar + 1/eta - |<a>|^2 +/- |<a^2> - <a>^2|], largest first; for a
     coherent state both are 1/(2 eta), taken without the subtraction.
     """
-    _check_eta(eta)
+    check_eta(eta)
     nbar = mean_photon(state)  # also refuses a state out of the float range
     if isinstance(state, Coherent):
         return 0.5 / eta, 0.5 / eta
@@ -216,7 +216,7 @@ def added_noise_analytic(obs: Observable, state: StateSpec, eta: float) -> float
 
 def noise_ratio_coherent(obs: Observable, nbar: float, eta: float) -> float:
     """Closed-form linear noise ratio for a coherent state of mean photon number nbar."""
-    _check_eta(eta)
+    check_eta(eta)
     if not (is_real(nbar) and nbar >= 0):
         raise ValidationError(f"mean photon number must be a nonnegative number, got {nbar!r}")
     if not hasattr(obs, "coherent_ratio"):

@@ -14,14 +14,13 @@ draw; the samplers draw those closed forms directly.
 from __future__ import annotations
 
 import cmath
-import json
 import math
 from dataclasses import dataclass
 from typing import Union
 
 import numpy as np
 
-from .errors import NumericRangeError, ValidationError, integer, is_complex, is_real
+from .errors import NumericRangeError, ValidationError, complex_from_json, integer, is_complex, is_real, json_object
 
 #: Vacuum variance of x = (a + a^dag)/2.
 VACUUM_QUADRATURE_VARIANCE = 0.25
@@ -40,7 +39,8 @@ PDF_POINTS = 1 << 12
 PDF_TABLE = 768 * PDF_POINTS
 
 
-def _check_eta(eta: float) -> None:
+def check_eta(eta: float) -> None:
+    """Refuse an efficiency that is not a number in (0, 1]."""
     if not (is_real(eta) and 0.0 < eta <= 1.0):
         raise ValidationError(f"quantum efficiency must satisfy 0 < eta <= 1, got {eta}")
 
@@ -151,26 +151,12 @@ def state_to_json(state: StateSpec) -> dict:
     return {"type": "mixed", "dim": state.dim, "rho": rho}
 
 
-def _complex_from_json(pair, what: str) -> complex:
-    """The complex number of a JSON [re, im] pair of numbers; else a ValidationError naming what."""
-    re, im = pair
-    if not (is_real(re) and is_real(im)):
-        raise ValidationError(f"{what} must be a [re, im] pair of numbers, got {pair!r}")
-    return complex(re, im)
-
-
 def state_from_json(obj) -> StateSpec:
-    if isinstance(obj, str):
-        try:
-            obj = json.loads(obj)
-        except json.JSONDecodeError as exc:
-            raise ValidationError(f"state JSON does not parse: {exc}") from exc
-    if not isinstance(obj, dict) or "type" not in obj:
-        raise ValidationError("state JSON must be an object with a 'type' field")
+    obj = json_object(obj, "state JSON", "type")
     kind = obj["type"]
     try:
         if kind == "coherent":
-            return Coherent(_complex_from_json(obj["beta"], "coherent beta"))
+            return Coherent(complex_from_json(obj["beta"], "coherent beta"))
         if kind == "fock":
             return Fock(obj["n"])
         if kind == "mixed":
@@ -178,7 +164,7 @@ def state_from_json(obj) -> StateSpec:
             flat = obj["rho"]
             if len(flat) != dim * dim:
                 raise ValidationError(f"mixed rho must have dim^2 = {dim * dim} entries, got {len(flat)}")
-            rho = np.array([_complex_from_json(pair, "mixed rho entry") for pair in flat]).reshape(dim, dim)
+            rho = np.array([complex_from_json(pair, "mixed rho entry") for pair in flat]).reshape(dim, dim)
             return Mixed(rho)
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ValidationError(f"malformed state JSON: {exc}") from exc
@@ -199,14 +185,19 @@ def hermite_functions(nmax: int, x) -> np.ndarray:
     from the largest such |x| could pass 1. A level is psi_n 2^-e times the
     float 2^e: one rounding, as for any float, or 0 where 2^e underflows and
     psi_n rounds to 0 too. So no level underflows before its value does.
-    Returns an array of shape (nmax + 1, len(x)).
+    From |x| = 2^511 on, where x^2 log2(e) nears the top of the float range,
+    and at +-inf, every level is 0, which psi_n rounds to there for any n of
+    fewer than about x^2 levels; NaN stays NaN. Returns an array of shape
+    (nmax + 1, len(x)).
     """
     x = np.atleast_1d(np.asarray(x, dtype=float))
+    beyond = np.abs(x) >= 2.0**511  # computed at x = 0 and zeroed, so that no product overflows
+    if beyond.any():
+        x = np.where(beyond, 0.0, x)
     out = np.empty((nmax + 1, x.size))
     out[0] = (2.0 / math.pi) ** 0.25 * np.exp(-x * x)
     log2_seed = -math.log2(math.e) * (x * x)
-    # Past |x| = 1e154 log2_seed overflows, and the plain recurrence from the 0 seed gives 0 at every level.
-    far = (out[0] < 2.0**-1022) & (log2_seed > -np.inf)  # below the smallest normal float
+    far = out[0] < 2.0**-1022  # below the smallest normal float
     low, growth, grown, start = -1022.0 + 52.0, 0.0, 0.0, 0  # low: 2^52 above it
     if far.any():
         exponent = np.where(far, np.ceil(log2_seed) - low, 0.0)
@@ -228,6 +219,7 @@ def hermite_functions(nmax: int, x) -> np.ndarray:
         prev, cur = cur, out[k + 1]
     if far.any():
         out[start:] *= np.exp2(exponent)
+    out[:, beyond] = 0.0
     return out
 
 
@@ -246,7 +238,7 @@ def photon_distribution(state: StateSpec, dim: int) -> tuple[np.ndarray, float]:
     if isinstance(state, Coherent):
         from scipy.special import gammainc, gammaln  # deferred: costs ~0.3 s of start-up
 
-        lam = abs(state.beta) ** 2
+        lam = mean_photon(state)  # refuses a |beta|^2 beyond the float range
         if lam == 0.0:
             probs = np.zeros(dim)
             probs[0] = 1.0
@@ -412,14 +404,15 @@ def quadrature_pdf(state: StateSpec, phi: float, eta: float, x) -> np.ndarray | 
     points and PDF_TABLE // dim points, so each slice's Hermite table stays
     near 25 MB.
     """
-    _check_eta(eta)
+    check_eta(eta)
     validate_state(state)
     phi = _check_phase(phi)
     xs = np.atleast_1d(np.asarray(x, dtype=float))
     if isinstance(state, Coherent):
         var = VACUUM_QUADRATURE_VARIANCE / eta
         z = xs - coherent_mean(state.beta, phi)
-        p = np.exp(-0.5 * z * z / var) / math.sqrt(2.0 * math.pi * var)
+        with np.errstate(over="ignore"):  # where z * z overflows the exponent is -inf and p is 0
+            p = np.exp(-0.5 * z * z / var) / math.sqrt(2.0 * math.pi * var)
     else:
         bands = lossy_bands(state, eta)
         dim = bands[0][1].size

@@ -29,6 +29,25 @@ def coherent_state_file(tmp_path):
     return str(path)
 
 
+def _write(path, text):
+    path.write_text(text)
+    return str(path)
+
+
+#: Each JSON input: the name its messages start with, the field it must hold (the config file
+#: holds none), and argv(text, d), the arguments that give it text (a file input's file is written in d).
+JSON_INPUTS = {
+    "state": ("state JSON", "type", lambda text, d: ["simulate", "--state", text]),
+    "state-file": ("state JSON", "type", lambda text, d: ["simulate", "--state-file", _write(d / "s.json", text)]),
+    "observable": ("observable JSON", "observable",
+                   lambda text, d: ["compare", "--state", '{"type":"fock","n":1}', "--observable", text]),
+    "config": ("config file", None, lambda text, d: ["simulate", "--state", '{"type":"fock","n":1}',
+                                                     "--config", _write(d / "c.json", text)]),
+    "data": ("dataset JSON", "samples",
+             lambda text, d: ["estimate", "--observable", "intensity", "--data", _write(d / "d.json", text)]),
+}
+
+
 def read_result_rows(path):
     lines = path.read_text().splitlines()
     meta = [ln for ln in lines if ln.startswith("#")]
@@ -596,6 +615,23 @@ class TestErrorContract:
         assert main(["simulate", "--state-file", str(state), "--out", str(tmp_path / "d.csv")]) == 2
         lines = capsys.readouterr().err.strip().splitlines()
         assert len(lines) == 1 and "state JSON does not parse" in json.loads(lines[0])["message"]
+
+    @pytest.mark.parametrize(
+        "name, text",
+        [(name, text) for name in JSON_INPUTS for text in ("{not json", "[1]", '{"n": 1}')
+         if JSON_INPUTS[name][1] or text != '{"n": 1}'],
+    )
+    def test_json_inputs_refuse_in_one_form(self, tmp_path, capsys, name, text):
+        what, field, argv = JSON_INPUTS[name]
+        out = tmp_path / "out.json"
+        assert main([*argv(text, tmp_path), "--out", str(out)]) == 2
+        lines = capsys.readouterr().err.strip().splitlines()
+        error = json.loads(lines[0])
+        assert len(lines) == 1 and error["error"] == "config" and not out.exists()
+        if text == "{not json":
+            assert error["message"].startswith(f"{what} does not parse: ")
+        else:
+            assert error["message"] == f"{what} must be an object" + (f" holding {field!r}" if field else "")
 
     @pytest.mark.parametrize("flag", ["--state-file", "--config"])
     def test_input_file_not_utf8(self, tmp_path, capsys, flag):

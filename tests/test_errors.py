@@ -1,5 +1,6 @@
-"""The one rule for numeric inputs, at every entry point that reads a number or an integer."""
+"""The one rule for numeric inputs at every entry point that reads a number, and the one JSON front door."""
 
+import ast
 import json
 import math
 import re
@@ -14,10 +15,12 @@ from tomonoise import (
     Fock,
     Mixed,
     Monomial,
+    NumericRangeError,
     Polynomial,
     RealField,
     ValidationError,
     cli,
+    mean_photon,
     noise_ratio_coherent,
     quadrature_pdf,
     sample_fixed_phase,
@@ -25,11 +28,11 @@ from tomonoise import (
     sweep,
 )
 from tomonoise.cli import main
-from tomonoise.errors import integer, is_complex, is_integral, is_real
+from tomonoise.errors import complex_from_json, integer, is_complex, is_integral, is_real, json_object
 from tomonoise.estimators import phase_kernel_distribution
 from tomonoise.homodyne import block_generator, dataset_from_json, sample_count, sample_homodyne
-from tomonoise.kernels import _check_orders, hermite, kernel_polynomial, observable_to_json
-from tomonoise.states import _check_eta, normal_moment, photon_distribution
+from tomonoise.kernels import _check_orders, hermite, kernel_polynomial, observable_json, observable_to_json
+from tomonoise.states import check_eta, normal_moment, photon_distribution
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "tomonoise"
 
@@ -69,7 +72,7 @@ ENTRY_POINTS = {
     "hermite": (lambda v: hermite(v, 0.5), None),
     "phase_kernel_distribution bins": (lambda v: phase_kernel_distribution(_DATA, v), lambda v: v * 4),
     "dataset_from_json eta": (lambda v: _dataset_json("eta", v), _thirds),
-    "_check_eta": (_check_eta, _thirds),
+    "_check_eta": (check_eta, _thirds),
     "sample_homodyne eta": (lambda v: sample_homodyne(Fock(1), v, 10, 1), _thirds),
     "Dataset eta": (lambda v: Dataset([0.5], [1.0], v, "t", 0), _thirds),
 }
@@ -237,3 +240,67 @@ def test_only_errors_py_decides_what_a_number_is():
         if pattern.search(line)
     ]
     assert not found
+
+
+@pytest.mark.parametrize(
+    "call",
+    [lambda s: normal_moment(s, 1, 1), mean_photon, lambda s: photon_distribution(s, 5)],
+    ids=["normal_moment", "mean_photon", "photon_distribution"],
+)
+def test_a_photon_number_beyond_the_float_range_is_refused(call):
+    # |beta|^2 = 1e400: float ** would raise Python's own OverflowError
+    with pytest.raises(NumericRangeError, match="leaves the float range"):
+        call(Coherent(1e200))
+
+
+class TestJsonObject:
+    def test_an_object_passes_unchanged(self):
+        obj = {"type": "fock", "n": 1}
+        assert json_object(obj, "state JSON", "type") is obj
+        assert json_object(' {"type": "fock", "n": 1} ', "state JSON", "type") == obj
+        assert json_object("{}", "config file") == {}
+
+    def test_text_that_does_not_parse(self):
+        with pytest.raises(ValidationError, match=r"^state JSON does not parse: Expecting"):
+            json_object("{not json", "state JSON", "type")
+
+    @pytest.mark.parametrize("value", ["[1]", "3", "null", '"x"', [1], None, 3, '{"n": 1}', {"n": 1}], ids=repr)
+    def test_anything_but_an_object_holding_the_field(self, value):
+        with pytest.raises(ValidationError, match=r"^state JSON must be an object holding 'type'$"):
+            json_object(value, "state JSON", "type")
+
+    @pytest.mark.parametrize("value", ["[1]", [1], None], ids=repr)
+    def test_without_a_field_only_an_object_is_asked_for(self, value):
+        with pytest.raises(ValidationError, match=r"^config file must be an object$"):
+            json_object(value, "config file")
+
+    @pytest.mark.parametrize("text", ["phase", " phase ", '{"observable": "phase"}', {"observable": "phase"}],
+                             ids=repr)
+    def test_an_observable_is_a_name_or_an_object(self, text):
+        assert observable_json(text) == {"observable": "phase"}
+
+    @pytest.mark.parametrize("text", ["[1]", " {", '{"n": 1}'], ids=repr)
+    def test_observable_text_in_brackets_is_json(self, text):
+        with pytest.raises(ValidationError, match=r"^observable JSON (does not parse|must be an object holding)"):
+            observable_json(text)
+
+    def test_complex_pairs(self):
+        assert complex_from_json([1, -2.5], "beta") == 1 - 2.5j
+        with pytest.raises(ValidationError, match=r"^beta must be a \[re, im\] pair of numbers"):
+            complex_from_json([True, 0], "beta")
+
+
+def test_only_errors_py_parses_json():
+    # one front door: json.loads is called by errors.json_object and by the dataset reader's header probe
+    calls, handlers = set(), []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        for func in ast.walk(tree):
+            if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                for node in ast.walk(func):
+                    if isinstance(node, ast.Call) and ast.unparse(node.func) == "json.loads":
+                        calls.add((path.name, func.name))
+        if path.name != "errors.py" and "JSONDecodeError" in path.read_text():
+            handlers.append(path.name)
+    assert calls == {("errors.py", "json_object"), ("homodyne.py", "_json_head")}
+    assert not handlers

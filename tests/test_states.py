@@ -363,6 +363,23 @@ def ulps(got, func, phi):
     return np.abs(got - exact) / np.spacing(np.abs(exact.astype(float)))
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("eta", [1.0, 0.5])
+@pytest.mark.parametrize(
+    "state",
+    [Fock(1), Mixed([[0.5, 0.3 + 0.2j], [0.3 - 0.2j, 0.5]]), Coherent(1.0)],
+    ids=["fock1", "mixed2", "coherent1"],
+)
+def test_density_is_zero_at_the_edge_of_the_float_range(state, eta):
+    # no overflow warning, no NaN from inf * 0; NaN x stays NaN, and smaller x keep their bits
+    edge = [np.inf, -np.inf, 1e308, -1e308, 1e200, -1e200]
+    xs = np.linspace(-3.0, 3.0, 61)
+    p = quadrature_pdf(state, 0.4, eta, np.array([*edge, np.nan, *xs]))
+    assert (p[:6] == 0.0).all() and np.isnan(p[6])
+    assert np.array_equal(p[7:], quadrature_pdf(state, 0.4, eta, xs))
+    assert quadrature_pdf(state, 0.4, eta, np.inf) == 0.0
+
+
 class TestPhaseTrig:
     HALF = math.pi / 2
     EDGES = np.concatenate(
@@ -486,6 +503,15 @@ class TestHermiteFunctions:
         psi = hermite_functions(200, xs)
         assert np.isfinite(psi).all()
         assert np.max(np.abs(psi[200])) < 1.0
+
+    @pytest.mark.filterwarnings("error")
+    def test_every_level_is_zero_where_x_squared_overflows(self):
+        # from |x| = 2^511 on x^2 log2(e) nears the float range; 2x inf times the seed 0 would be NaN
+        edge = np.array([np.inf, -np.inf, 1e308, -1e308, 1e200, -1e200, 2.0**511, np.nan])
+        xs = np.linspace(-30.0, 30.0, 601)
+        psi = hermite_functions(40, np.concatenate([edge, xs]))
+        assert (psi[:, :7] == 0.0).all() and np.isnan(psi[:, 7]).all()
+        assert np.array_equal(psi[:, 8:].view(np.uint64), hermite_functions(40, xs).view(np.uint64))
 
 
 class TestJson:
