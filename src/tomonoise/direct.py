@@ -27,6 +27,7 @@ from .states import (
     StateSpec,
     _lossy_band,
     check_eta,
+    mean_photon,
     photon_distribution,
     validate_state,
 )
@@ -64,10 +65,10 @@ def simulate_photocount(
     """
     n = sample_count(state, eta, n)
     if isinstance(state, Coherent):
-        if abs(state.beta) ** 2 > POISSON_LAM_MAX:
+        mean = mean_photon(state)  # refuses a |beta|^2 beyond the float range
+        if mean > POISSON_LAM_MAX:
             raise NumericRangeError(
-                f"photon counts of |beta|^2 = {abs(state.beta) ** 2!r} exceed the largest Poisson mean "
-                f"numpy draws, {POISSON_LAM_MAX!r}"
+                f"photon counts of |beta|^2 = {mean!r} exceed the largest Poisson mean numpy draws, {POISSON_LAM_MAX!r}"
             )
         lam = eta * abs(state.beta) ** 2  # |beta|^2 itself at eta = 1
         if lam < POISSON_TABLE_MEAN:  # p(k) = p(k - 1) lam / k from p(0) = exp(-lam)

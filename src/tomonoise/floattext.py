@@ -1,17 +1,15 @@
-"""Exact, vectorized dataset text for float64 columns: CSV's '%.17g' and JSON's repr out, the same doubles back in.
+"""Exact, vectorized dataset text for float64 columns: '%.17g' digits out, the same doubles back in.
 
-Writing. The 17 significant digits of a double v are round-half-even of
-|v| 10^(16 - E), E its decimal exponent. For the fixed notation '%.17g' uses,
--4 <= E <= 16, the power 10^(16 - E) is an exact double, and Dekker's
-two-product (1971) gives the product exactly as p + e; p is then an even
-integer, so the digits are p plus e rounded half-even. repr, which json.dumps
-writes for a float, takes the shortest digits that read back as v (Steele &
-White 1990; Gay's dtoa mode 0): from the same exact p + e, the correctly
-rounded 16-, 15- and 14-digit candidates, kept while they stay within half a
-gap of v, in fixed notation for -4 <= E <= 15 with '.0' after an integral
-value. Values sorted by sign and E take a few slice copies per class to place
-the digits, the point and the leading zeros; trailing zeros are cut as '%g'
-and repr cut them.
+Writing. Both formats write a value as its '%.17g' text; JSON adds '.0'
+after an integer text, so that json.loads reads every number as a float and
+-0.0 keeps its sign. The 17 significant digits of a double v are
+round-half-even of |v| 10^(16 - E), E its decimal exponent. For the fixed
+notation '%.17g' uses, -4 <= E <= 16, the power 10^(16 - E) is an exact
+double, and Dekker's two-product (1971) gives the product exactly as p + e;
+p is then an even integer, so the digits are p plus e rounded half-even.
+Values sorted by sign and E take a few slice copies per class to place the
+digits, the point and the leading zeros; trailing zeros are cut as '%g' cuts
+them.
 
 Reading. A field -?digits[.digits] is m / 10^f with an integer m < 10^18 and
 f <= 22, where 10^f is exact; its digits are read eight to a uint64 word
@@ -23,18 +21,16 @@ dataset's samples are the same fields once each piece of its
 '[[x, phi], [x, phi]]' text is rewritten as lines.
 
 Everything this cannot certify goes through the converters it replaces, per
-value: '%.17g' % v or repr(v) for exponent notation (|v| < 1e-4, |v| >= 1e17
-or, for repr, 1e16) and non-finite values, repr(v) for powers of two, values
-whose shortest digits may be fewer than 15, and candidates within rounding of
-a tie or of the edge of v's rounding interval; float() for fields with an
-exponent or a '+', longer than 24 bytes, with m >= 10^18 or more than 22
-decimals, or with a residual within rounding of half a gap. A piece of a CSV
-file holding anything else (blank or comment lines, spaces, nan, another
-column count) sends the whole read back to np.loadtxt, and a JSON samples
-array holding anything but the writer's rows of JSON numbers (other spacing,
-NaN, another column count, trailing bytes) sends the whole file back to
-json.loads. So every byte written and every double read are those of
-'%.17g' % v, repr(v), np.loadtxt and json.loads.
+value: '%.17g' % v for exponent notation (|v| < 1e-4 or |v| >= 1e17) and
+non-finite values; float() for fields with an exponent or a '+', longer than
+24 bytes, with m >= 10^18 or more than 22 decimals, or with a residual within
+rounding of half a gap. A piece of a CSV file holding anything else (blank or
+comment lines, spaces, nan, another column count) sends the whole read back
+to np.loadtxt, and a JSON samples array holding anything but rows of JSON
+numbers (other spacing, NaN, another column count, trailing bytes) sends the
+whole file back to json.loads. So every byte written and every double read
+are those of '%.17g' % v, np.loadtxt and json.loads. The reader takes any
+JSON number, so files written as json.dumps writes them read the same.
 """
 
 from __future__ import annotations
@@ -49,7 +45,7 @@ import numpy as np
 READ_CHARS = 1 << 17
 #: Bytes before each piece of text read, so that every field has a full window of words before its end.
 PAD = 24
-#: Bytes of the longest text of a value: '%.17g' or repr of a double.
+#: Bytes of the longest text of a value: '%.17g' of a double.
 FIELD = 24
 #: Exact doubles 10^k, k = 0..22.
 POW10 = np.array([float(10**k) for k in range(23)])
@@ -57,7 +53,7 @@ POW10 = np.array([float(10**k) for k in range(23)])
 IPOW10 = 10 ** np.arange(18, dtype=np.int64)
 #: Veltkamp's constant 2^27 + 1, which splits a double into two 26-bit halves.
 SPLIT = 134217729.0
-#: Decimal exponents with fixed notation in '%.17g'; repr's stops at E_MAX - 1.
+#: Decimal exponents with fixed notation in '%.17g'.
 E_MIN, E_MAX = -4, 16
 #: A residual certifies a rounding when it is this much clear of the half-gap either way.
 MARGIN = 2.0**-30
@@ -110,10 +106,11 @@ def _significand(a: np.ndarray, e: np.ndarray):
     return p, err, above.astype(np.intp) - below
 
 
-def _scaled(v: np.ndarray):
-    """The decimal exponent E of each |v| and |v| 10^(16 - E) exactly as p + err, with masks of zeros and of values outside fixed notation.
+def _float_digits(v: np.ndarray):
+    """17-digit significand D and decimal exponent E of each |v|, and a mask of those outside fixed notation.
 
-    p, err and E of a zero or of a value outside fixed notation are arbitrary.
+    |v| rounded to 17 significant digits is D 10^(E - 16) with D in [10^16, 10^17),
+    or D = E = 0 for a zero. D and E of a value outside fixed notation are arbitrary.
     """
     a = np.abs(v)
     zero = a == 0.0
@@ -128,62 +125,11 @@ def _scaled(v: np.ndarray):
             break
         e[off] = np.clip(e[off] + shift[off], E_MIN - 1, E_MAX)
         p[off], err[off], shift[off] = _significand(safe[off], e[off])
-    return p, err, e, zero, ~(fixed | zero) | (shift != 0) | (e < E_MIN)
-
-
-def _float_digits(v: np.ndarray):
-    """17-digit significand D and decimal exponent E of each |v|, and a mask of those outside fixed notation.
-
-    |v| rounded to 17 significant digits is D 10^(E - 16) with D in [10^16, 10^17),
-    or D = E = 0 for a zero. D and E of a value outside fixed notation are arbitrary.
-    """
-    p, err, e, zero, outside = _scaled(v)
+    outside = ~(fixed | zero) | (shift != 0) | (e < E_MIN)
     d = p.astype(np.int64) + np.rint(err).astype(np.int64)
     carry = d == IPOW10[17]  # 17 nines rounded up: one digit more
     d[carry] = IPOW10[16]
     e[carry] += 1
-    d[zero] = 0
-    e[zero] = 0
-    return d, e, outside
-
-
-def _shortest_digits(v: np.ndarray):
-    """As _float_digits, for the shortest digits that read back as v: those of repr(v), padded with zeros to 17.
-
-    The shortest digits of a double are its correctly rounded k digits for the
-    least k at which they still read back as v (Steele & White 1990), since
-    its rounding interval is symmetric; and if k digits read back, so do k + 1.
-    The exact x = |v| 10^(16 - E) = p + err is the integer p + floor(err) plus
-    a fraction in [0, 1), both exact. With r the remainder of that integer by
-    u = 10^(17 - k), x / u rounds up where the fraction exceeds the exact
-    u/2 - r, and ties where it equals it. The candidate c u reads back as v
-    where |c u - x|, an exact integer less the fraction, is below half the gap
-    of v times 10^(16 - E), which is exact; a distance within MARGIN of it is
-    not certified. Candidates of 16, 15 and 14 digits are tried. A value is
-    left to repr when its shortest digits may be fewer than 15 (14 read back),
-    when it is a power of two (its gap below is half the gap above), when a
-    candidate ties or is not certified, and where repr takes exponent notation
-    (E < -4 or E > 15).
-    """
-    p, err, e, zero, outside = _scaled(v)
-    d = p.astype(np.int64) + np.rint(err).astype(np.int64)
-    whole = np.floor(err)
-    high, frac = p.astype(np.int64) + whole.astype(np.int64), err - whole
-    # half the gap of v, scaled as x; arbitrary for zeros and values outside
-    reach = np.spacing(np.where(outside, 1.0, np.abs(v))) * POW10[16 - e] * 0.5
-    outside |= (e > E_MAX - 1) | (d == IPOW10[17])
-    outside |= ~zero & (v.view(np.int64) & np.int64((1 << 52) - 1) == 0)
-    for k in (16, 15, 14):
-        unit = IPOW10[17 - k]
-        q = high // unit
-        half = (unit // 2 - (high - q * unit)).astype(float)  # u/2 - r
-        up = frac > half
-        dist = np.abs((up * unit - (high - q * unit)).astype(float) - frac)
-        back = dist < reach * (1.0 - MARGIN)
-        outside |= (frac == half) | (~back & (dist <= reach * (1.0 + MARGIN)))
-        if k == 14:
-            outside |= back
-        d = np.where(back, (q + up) * unit, d)
     d[zero] = 0
     e[zero] = 0
     return d, e, outside
@@ -204,31 +150,26 @@ def _digit_bytes(d: np.ndarray) -> np.ndarray:
     return out
 
 
-def _format_column(v: np.ndarray, out: np.ndarray, size: np.ndarray, shortest: bool) -> None:
+def _format_column(v: np.ndarray, out: np.ndarray, size: np.ndarray, point: int) -> None:
     """Write the text of each value of v into the start of its row of out and its length into size.
 
-    The text is '%.17g' or, if shortest, repr: shortest digits, and '.0'
-    after an integral value. Values are sorted by sign and exponent, so that
-    each such class lays out its digits with a few slice copies, and the rows
-    go back to their places at the end.
+    The text is '%.17g', with '.0' after an integral value if point is 2 and
+    none if it is 0. Values are sorted by sign and exponent, so that each such
+    class lays out its digits with a few slice copies, and the rows go back to
+    their places at the end.
     """
-    d, e, outside = (_shortest_digits if shortest else _float_digits)(v)
+    d, e, outside = _float_digits(v)
     cls = (np.signbit(v) * (E_MAX - E_MIN + 1) + (e - E_MIN)).astype(np.uint8)
     cls[outside] = 0
     order = np.argsort(cls, kind="stable")
-    d = d[order]
-    digits = _digit_bytes(d)
+    digits = _digit_bytes(d[order])
     # digits left after trailing zeros are stripped
-    if shortest:  # 17, 16 or 15 digits, the last not a zero (else one fewer reads back), or a zero
-        sig = np.where(d == 0, 0, 17 - (d % 10 == 0) - (d % 100 == 0))
-    else:
-        sig = np.full(v.size, 17)
-        ends_in_zero = np.flatnonzero(digits[:, 16] == _ORD["0"])
-        nonzero = digits[ends_in_zero, ::-1] != _ORD["0"]
-        sig[ends_in_zero] = np.where(nonzero.any(axis=1), 17 - nonzero.argmax(axis=1), 0)
-    # text past the digits before the point: '%g' drops the point of an integral value, repr keeps '.0'
-    point = 2 if shortest else 0
-    field = np.empty((v.size, out.shape[1]), dtype=np.uint8)
+    sig = np.full(v.size, 17)
+    ends_in_zero = np.flatnonzero(digits[:, 16] == _ORD["0"])
+    nonzero = digits[ends_in_zero, ::-1] != _ORD["0"]
+    sig[ends_in_zero] = np.where(nonzero.any(axis=1), 17 - nonzero.argmax(axis=1), 0)
+    # an integral value of 17 digits has its '.0' one byte past the digits
+    field = np.full((v.size, out.shape[1]), _ORD["0"], dtype=np.uint8)
     start = 0
     for c, count in enumerate(np.bincount(cls, minlength=256)):
         if not count:
@@ -252,23 +193,26 @@ def _format_column(v: np.ndarray, out: np.ndarray, size: np.ndarray, shortest: b
         start = stop
     out[order] = field
     size[order] = sig
-    text_of = repr if shortest else "%.17g".__mod__
     left = np.flatnonzero(outside)
     if left.size:
-        texts = [text_of(value).encode() for value in v[left].tolist()]
+        texts = ["%.17g" % value for value in v[left].tolist()]
+        texts = [(t + ".0" if point and t.lstrip("-").isdigit() else t).encode() for t in texts]
         padded = b"".join(text.ljust(FIELD) for text in texts)
         out[left, :FIELD] = np.frombuffer(padded, dtype=np.uint8).reshape(-1, FIELD)
         size[left] = [len(text) for text in texts]
 
 
-def _join(columns, delimiters, shortest: bool) -> np.ndarray:
-    """Text of the rows of the columns as a uint8 array, each value followed by its column's delimiter."""
+def _join(columns, delimiters, point: int) -> np.ndarray:
+    """Text of the rows of the columns as a uint8 array, each value followed by its column's delimiter.
+
+    point is 2 for a '.0' after an integral value, else 0.
+    """
     n, ncols = columns[0].size, len(columns)
     width = FIELD + max(map(len, delimiters))
     rows = np.empty((n, ncols, width), dtype=np.uint8)
     size = np.empty((n, ncols), dtype=np.uint8)
     for c, column in enumerate(columns):
-        _format_column(np.asarray(column), rows[:, c], size[:, c], shortest)
+        _format_column(np.asarray(column), rows[:, c], size[:, c], point)
     flat = rows.reshape(-1)
     ends = np.arange(0, n * ncols * width, width).reshape(n, ncols) + size
     for c, delimiter in enumerate(delimiters):
@@ -283,17 +227,18 @@ def format_rows(columns) -> np.ndarray:
 
     The bytes are those of (fmt + "," + ... + fmt + "\\n") % row for every row.
     """
-    return _join(columns, [b","] * (len(columns) - 1) + [b"\n"], False)
+    return _join(columns, [b","] * (len(columns) - 1) + [b"\n"], 0)
 
 
 def format_json_rows(columns) -> np.ndarray:
     """Text of the rows of float columns inside a JSON array of arrays, as a uint8 array.
 
-    The bytes are those of (repr + ", " + ... + repr + "], [") % row for every
-    row: with '[[' before them and their last three bytes cut, they are
-    json.dumps of the list of rows.
+    Each value is its '%.17g' text, with '.0' after an integer text, so that
+    json.loads reads every number back as the same float, -0.0 included. Each
+    row's texts are joined by ', ' and followed by '], [': with '[[' before the
+    rows and their last three bytes cut, they are a JSON array of the rows.
     """
-    return _join(columns, [b", "] * (len(columns) - 1) + [JSON_ROW_END], True)
+    return _join(columns, [b", "] * (len(columns) - 1) + [JSON_ROW_END], 2)
 
 
 # ---------------------------------------------------------------- reading

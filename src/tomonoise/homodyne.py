@@ -631,8 +631,9 @@ JSON_KEYS = ["state_tag", "eta", "seed", "n"]
 def save_dataset_json(dataset: Dataset, path) -> None:
     """One JSON object: state_tag, eta, seed, n, then samples as [x, phi] pairs, written row by row.
 
-    The bytes are those of json.dumps of the whole object. floattext.format_json_rows
-    makes the rows CSV_ROWS at a time.
+    The metadata is json.dumps's text, and each sample the CSV's '%.17g' text,
+    with '.0' after an integer text so that json.loads reads back the same
+    float. floattext.format_json_rows makes the rows CSV_ROWS at a time.
     """
     from .floattext import format_json_rows  # kept out of start-up
 

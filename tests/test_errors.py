@@ -24,6 +24,7 @@ from tomonoise import (
     noise_ratio_coherent,
     quadrature_pdf,
     sample_fixed_phase,
+    simulate_photocount,
     state_from_json,
     sweep,
 )
@@ -244,8 +245,13 @@ def test_only_errors_py_decides_what_a_number_is():
 
 @pytest.mark.parametrize(
     "call",
-    [lambda s: normal_moment(s, 1, 1), mean_photon, lambda s: photon_distribution(s, 5)],
-    ids=["normal_moment", "mean_photon", "photon_distribution"],
+    [
+        lambda s: normal_moment(s, 1, 1),
+        mean_photon,
+        lambda s: photon_distribution(s, 5),
+        lambda s: simulate_photocount(s, 1.0, 10, 1),
+    ],
+    ids=["normal_moment", "mean_photon", "photon_distribution", "simulate_photocount"],
 )
 def test_a_photon_number_beyond_the_float_range_is_refused(call):
     # |beta|^2 = 1e400: float ** would raise Python's own OverflowError

@@ -1,4 +1,4 @@
-"""The codec against the converters it replaces: '%.17g' % v, float() and np.loadtxt for CSV, json.dumps and json.loads for JSON."""
+"""The codec against the converters it replaces: '%.17g' % v, float() and np.loadtxt for CSV, '%.17g' % v and json.loads for JSON."""
 
 import io
 import json
@@ -267,9 +267,28 @@ def json_rows(columns) -> bytes:
     return b"[[" + format_json_rows(columns).tobytes()[:-3] + b"]"
 
 
+def json_text(v: float) -> str:
+    """The JSON writer's rule for one value: '%.17g', and '.0' after a text without a point, an exponent or an 'n'."""
+    text = "%.17g" % v
+    return text if any(c in text for c in ".en") else text + ".0"
+
+
+def reference_json_rows(columns) -> bytes:
+    """The writer's rule, one value at a time, as the text of the list of rows."""
+    rows = zip(*(c.tolist() for c in columns))
+    return ("[" + ", ".join("[" + ", ".join(map(json_text, row)) + "]" for row in rows) + "]").encode()
+
+
 def dumps_rows(columns) -> bytes:
-    """What the writer replaced: json.dumps of the list of rows."""
+    """What the writer wrote before it took the CSV's digits: json.dumps of the list of rows."""
     return json.dumps(np.stack(columns, axis=1).tolist()).encode()
+
+
+def assert_json_loads_round_trip(columns):
+    """json.loads of the writer's text gives back every double bit for bit, each as a float."""
+    rows = json.loads(json_rows(columns))
+    assert all(type(value) is float for row in rows for value in row)
+    assert np.array_equal(bits(rows), bits(np.stack(columns, axis=1)))
 
 
 def shortest_digit_values(rng) -> np.ndarray:
@@ -302,29 +321,43 @@ def binade_values(rng) -> np.ndarray:
     return (signs | exponents << 52 | mantissas).view(float)
 
 
+def json_family(name, rng) -> np.ndarray:
+    v = {"binades": binade_values, "shortest digits": shortest_digit_values}.get(name, lambda rng: None)(rng)
+    return json_edges() if name == "edges" else FAMILIES[name] if v is None else v
+
+
+JSON_FAMILIES = [*FAMILIES, "binades", "shortest digits", "edges"]
+
+
 class TestJsonFormat:
     @settings(max_examples=300, deadline=None)
     @given(st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1, max_size=50))
-    def test_equals_json_dumps(self, values):
+    def test_equals_percent_format_with_a_point(self, values):
         v = np.array(values)
-        assert json_rows([v, v[::-1]]) == dumps_rows([v, v[::-1]])
+        assert json_rows([v, v[::-1]]) == reference_json_rows([v, v[::-1]])
+        assert_json_loads_round_trip([v, v[::-1]])
 
-    @pytest.mark.parametrize("name", [*FAMILIES, "binades", "shortest digits", "edges"])
+    @pytest.mark.parametrize("name", JSON_FAMILIES)
     def test_families(self, name):
-        rng = np.random.default_rng(7)
-        v = {"binades": binade_values, "shortest digits": shortest_digit_values}.get(name, lambda rng: None)(rng)
-        v = json_edges() if name == "edges" else FAMILIES[name] if v is None else v
+        v = json_family(name, np.random.default_rng(7))
         if name == "binades":
             assert v.size >= 10**6
-        assert json_rows([v]) == dumps_rows([v])
+        assert json_rows([v]) == reference_json_rows([v])
 
-    def test_repr_of_each_value(self):
-        # one column, row by row: each field is repr(v)
-        v = json_edges()
+    @pytest.mark.parametrize("name", JSON_FAMILIES)
+    def test_json_loads_reads_back_each_double_as_a_float(self, name):
+        v = json_family(name, np.random.default_rng(7))
+        assert_json_loads_round_trip([v, v[::-1]])
+
+    def test_text_of_each_value(self):
+        # one column, row by row; integral values of up to 17 digits, the last one past the slice copies
+        ints = np.array([0.0, 3.0, 1e15, 1e16, 12345678901234568.0, 99999999999999984.0, 2.0**53 + 2])
+        v = np.concatenate([json_edges(), ints, -ints])
         fields = bytes(format_json_rows([v])).split(b"], [")[:-1]
-        assert fields == [repr(x).encode() for x in v.tolist()]
+        assert fields == [json_text(x).encode() for x in v.tolist()]
+        assert fields[-len(ints) :][:2] == [b"-0.0", b"-3.0"] and b"12345678901234568.0" in fields
 
-    def test_non_finite_values_take_repr(self):
+    def test_non_finite_values_take_the_percent_format(self):
         v = np.array([np.nan, np.inf, -np.inf, 1.5])
         assert format_json_rows([v]).tobytes() == b"nan], [inf], [-inf], [1.5], ["
 
@@ -342,17 +375,26 @@ def read_samples(path):
 
 
 class TestJsonRead:
-    @pytest.mark.parametrize("name", [*FAMILIES, "binades", "shortest digits", "edges"])
+    @pytest.mark.parametrize("name", JSON_FAMILIES)
     def test_doubles_equal_json_loads(self, tmp_path, name):
-        rng = np.random.default_rng(8)
-        v = {"binades": binade_values, "shortest digits": shortest_digit_values}.get(name, lambda rng: None)(rng)
-        v = json_edges() if name == "edges" else FAMILIES[name] if v is None else v
+        # the writer's text, and json.dumps's, which files written before the writer took '%.17g' hold
+        v = json_family(name, np.random.default_rng(8))
         v = v[: v.size // 2 * 2]
         path = tmp_path / "d.json"
-        write_samples(path, json_rows([v[::2], v[1::2]]))
-        want = np.array(json.loads(path.read_text())["samples"])
-        got = read_samples(path)
-        assert got.shape == want.shape and np.array_equal(bits(got), bits(want))
+        for write in (json_rows, dumps_rows):
+            write_samples(path, write([v[::2], v[1::2]]))
+            want = np.array(json.loads(path.read_text())["samples"])
+            got = read_samples(path)
+            assert got.shape == want.shape and np.array_equal(bits(got), bits(want)), write.__name__
+
+    @pytest.mark.parametrize("name", JSON_FAMILIES)
+    def test_load_dataset_json_reads_back_each_double(self, tmp_path, name):
+        x = json_family(name, np.random.default_rng(9))
+        ds = Dataset(x, np.resize(FAMILIES["phases"], x.size), 0.8, "t", 1)
+        path = tmp_path / "d.json"
+        save_dataset_json(ds, path)
+        back = load_dataset_json(path)
+        assert np.array_equal(bits(back.x), bits(ds.x)) and np.array_equal(bits(back.phi), bits(ds.phi))
 
     @settings(max_examples=200, deadline=None)
     @given(st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=2, max_size=30), st.integers(1, 17))
@@ -479,6 +521,7 @@ class TestJsonDatasets:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             format_json_rows([np.array([np.nan, np.inf, -np.inf]), FAMILIES["bit patterns"][:3]])
-            assert json_rows([FAMILIES["bit patterns"][:5000]]) == dumps_rows([FAMILIES["bit patterns"][:5000]])
+            v = FAMILIES["bit patterns"][:5000]
+            assert json_rows([v]) == reference_json_rows([v])
             save_dataset_json(Dataset(rng.normal(size=5000), rng.uniform(0.0, 3.0, 5000), 0.8, "t", 1), path)
             load_dataset_json(path)

@@ -228,6 +228,40 @@ class TestEveryBand:
         assert kstest(x, lambda v: np.interp(v, grid, cdf)).pvalue > 1e-3
 
 
+class TestZeroBand:
+    """psi = (|0> + i|2>)/sqrt(2), whose rho has bands 0 and 2 and a zero band 1, as a squeezed state's has.
+
+    The sampler keeps the weight rows of the bands present only; its outcomes
+    must still follow the state's law at fixed and scanned phases.
+    """
+
+    psi = np.array([1.0, 0.0, 1.0j]) / math.sqrt(2.0)
+    state = Mixed(np.outer(psi, psi.conj()))
+    N = 400_000
+
+    def test_band_one_is_left_out(self):
+        assert QuadratureGridSampler(self.state).bands == [2]
+
+    @pytest.mark.parametrize("phi", [0.0, 0.7, 1.3])
+    def test_fixed_phase_mean_and_variance(self, phi):
+        grid = np.linspace(-10.0, 10.0, 40_001)
+        pdf = quadrature_pdf(self.state, phi, 1.0, grid)
+        mean = np.trapezoid(grid * pdf, grid)
+        var = np.trapezoid((grid - mean) ** 2 * pdf, grid)
+        fourth = np.trapezoid((grid - mean) ** 4 * pdf, grid)
+        x = sample_fixed_phase(self.state, 1.0, self.N, 51, phi=phi)
+        assert abs(x.mean() - mean) < 5.0 * math.sqrt(var / self.N)
+        assert abs(x.var() - var) < 5.0 * math.sqrt((fourth - var**2) / self.N)
+
+    def test_scanned_phase_second_moments(self):
+        # x^2 = (a^2 e^{-2i phi} + h.c. + 2 a^dag a + 1) / 4, so E[x^2 e^{2i phi}] over phi in [0, pi) is <a^2> / 4
+        data = sample_homodyne(self.state, 1.0, self.N, 52)
+        exact = normal_moment(self.state, 0, 2) / 4.0
+        for trig, target in ((np.cos, exact.real), (np.sin, exact.imag)):
+            vals = data.x**2 * trig(2.0 * data.phi)
+            assert abs(vals.mean() - target) < 5.0 * vals.std() / math.sqrt(vals.size)
+
+
 def smeared_density(state, phi, eta, grid):
     """The eta = 1 density of x on the uniform grid, at phase phi or averaged over [0, pi) (None), smeared.
 

@@ -518,24 +518,27 @@ class TestPinnedBytes:
 
 
 class TestJsonPins:
-    """JSON dataset files keep the bytes of json.dumps over the whole document.
+    """JSON dataset files keep their bytes: json.dumps's metadata, and each sample as '%.17g' with '.0' after an integer.
 
-    Recorded before save_dataset_json wrote its rows slice by slice, with numpy
-    2.4 on x86-64. The sizes cross the 4096-row slice edge and the block edge.
-    The coherent files were re-recorded, with the same writer, when coherent
-    states began to draw their lossy outcomes as one normal of variance 1/(4 eta),
-    and the Fock(3) file when number-basis states began to draw from the state
-    after a loss channel. All were re-recorded when the block streams moved from Philox to SFC64.
+    Recorded with numpy 2.4 on x86-64. The sizes cross the 4096-row slice edge
+    and the block edge. The coherent files were re-recorded when coherent
+    states began to draw their lossy outcomes as one normal of variance
+    1/(4 eta), and the Fock(3) file when number-basis states began to draw
+    from the state after a loss channel; all were re-recorded when the block
+    streams moved from Philox to SFC64. Samples were once written as repr, the
+    bytes of json.dumps over the whole document; the pins were re-recorded
+    when they took the CSV's '%.17g' digits, except n = 1, whose two values
+    have the same text either way.
     """
 
     @pytest.mark.parametrize(
         "state, n, digest",
         [
-            (Fock(3), 10**5, "7cbb22a7b38cf0f0cd0d01c84311cb7409b5af2379b0f1986e6b6b524622dfab"),
-            (Coherent(1.5 + 0.5j), 70001, "3003cd26e30d4b5599c2e147c11609757289f76ae31c2d1f04696b8891e4657a"),
+            (Fock(3), 10**5, "992f45351a74f38912a26b81ed238657626004187596b7504ae6748e8730d276"),
+            (Coherent(1.5 + 0.5j), 70001, "a7ce8cf0246451c540236607370fa642a619d2ed82d5db01cc12bad18b55c0c9"),
             (Coherent(1.5 + 0.5j), 1, "e0a57149ca6b1c6e7c1ea3f1f4aae493f653d9e75ee1f2c0431b444db5483fb4"),
-            (Coherent(1.5 + 0.5j), 4096, "b284e53a6eb7217ff61f218704a8d0dc21ea9de6fb6b8ac288df8cb7ae215c0a"),
-            (Coherent(1.5 + 0.5j), 4097, "94933b6045fcb74764744c5b576a03ec6163b8306de690d50bbad91e4808d64a"),
+            (Coherent(1.5 + 0.5j), 4096, "416d5dd466c74907d6a0aeb69f0c8395df11cc381a2a672931382e5263669785"),
+            (Coherent(1.5 + 0.5j), 4097, "064240f40402e17be311d2e40e303e406414860d585408ef42b7dddee4843db3"),
         ],
         ids=["fock3", "coherent", "n1", "n4096", "n4097"],
     )

@@ -116,6 +116,22 @@ class TestPhotonDistribution:
         assert probs.sum() + tail == pytest.approx(1.0, abs=1e-12)
         assert tail > 0.1
 
+    def test_fock_level_past_dim_is_all_tail(self):
+        probs, tail = photon_distribution(Fock(3), 3)
+        assert np.array_equal(probs, [0, 0, 0])
+        assert tail == 1.0
+
+    def test_vacuum_coherent_state(self):
+        # lambda = 0 has no logarithm: the vacuum is written out
+        probs, tail = photon_distribution(Coherent(0), 4)
+        assert np.array_equal(probs, [1, 0, 0, 0])
+        assert tail == 0.0
+
+    def test_mixed_truncated_below_its_dim(self):
+        probs, tail = photon_distribution(Mixed(np.diag([0.25, 0.25, 0.5])), 2)
+        assert np.array_equal(probs, [0.25, 0.25])
+        assert tail == 0.5
+
 
 class TestNormalMoments:
     def test_coherent_closed_form(self):
