@@ -343,11 +343,7 @@ class TestJsonFormat:
         if name == "binades":
             assert v.size >= 10**6
         assert json_rows([v]) == reference_json_rows([v])
-
-    @pytest.mark.parametrize("name", JSON_FAMILIES)
-    def test_json_loads_reads_back_each_double_as_a_float(self, name):
-        v = json_family(name, np.random.default_rng(7))
-        assert_json_loads_round_trip([v, v[::-1]])
+        assert_json_loads_round_trip([v])
 
     def test_text_of_each_value(self):
         # one column, row by row; integral values of up to 17 digits, the last one past the slice copies
