@@ -4,7 +4,8 @@ Sampling model: phi ~ Uniform[0, pi), then x at that phase, efficiency eta a
 loss channel on the state and x rescaled by 1/sqrt(eta). A coherent state stays
 coherent under loss, so its x is one Gaussian draw of mean Re(beta e^(-i phi))
 and variance 1/(4 eta). Number-basis states draw x from the density of the
-state after loss (states.lossy_bands) on a grid. Scanned phases take their cos
+state after loss (states.lossy_bands) on a grid, every outcome bracketed and
+interpolated by one rule, scanned or fixed. Scanned phases take their cos
 and sin from states.phase_trig. Every generator checks its arguments
 with `sample_count` and hands `generate` a draw(rng, count) function, which gets
 one SFC64 stream per block, seeded by SeedSequence(seed, spawn_key=(purpose,
@@ -54,8 +55,8 @@ GRID_NODES = 4096
 #: per period (2.0 at Fock(700)), but 2.3-2.8 at Fock(1100)-(1200), 3.1 at (1233) and 100 at (1500).
 GRID_NODES_PER_PERIOD = 1.5
 LAST_LOWER = GRID_NODES - 2  # the highest lower node of a bracket
-# Position table of the coherence-bearing sampler: phase bins over [0, pi] and
-# target levels over [0, mass]; samples are bracketed in slices of SEARCH_SLICE.
+# Position tables of the grid sampler: phase bins over [0, pi] (states with coherences) and
+# target levels over [0, mass]; scanned samples are bracketed in slices of SEARCH_SLICE.
 GUIDE_PHASE_BINS = 64
 GUIDE_LEVELS = 512
 SEARCH_SLICE = 1 << 14
@@ -289,7 +290,7 @@ def _descend(cdf, target):
 def _settle(cdf, lo, target, top_cell: float):
     """Check guessed lower nodes lo, in [0, LAST_LOWER], and move each failing one a node up or down.
 
-    cdf(idx, rows) is the CDF at nodes idx of the samples rows. A bracket holds
+    cdf(idx, rows) is the CDF at nodes idx of the samples rows (default all). A bracket holds
     where cdf(lo) <= target < cdf(lo + 1), the upper bound waived at
     lo = LAST_LOWER as in the full search; a sample that does not move holds
     one, since the CDF is 0 at node 0 and no target lies below it. Near the
@@ -298,8 +299,7 @@ def _settle(cdf, lo, target, top_cell: float):
     and get its answer. Returns lo, cdf(lo) and cdf(lo + 1), and the samples
     still not bracketed.
     """
-    every = slice(None)
-    flo, fhi = cdf(lo, every), cdf(lo + 1, every)
+    flo, fhi = cdf(lo), cdf(lo + 1)
     missed = target >= top_cell
     up = np.flatnonzero((fhi <= target) & (lo < LAST_LOWER))
     lo[up] += 1
@@ -337,9 +337,9 @@ class QuadratureGridSampler:
     weights [1, cos(d phi), sin(d phi)], built by angle addition from one cos(phi),
     sin(phi) pair.
 
-    Fock and diagonal mixed states have C_0 only and take one
-    phase-independent lookup. Coherence-bearing states invert the CDF per
-    sample from a guess that is checked. A position table holds, at each of
+    Every outcome is bracketed and interpolated by one rule. At scanned
+    phases a state with coherences inverts its CDF per sample from a guess
+    that is checked. A position table holds, at each of
     GUIDE_PHASE_BINS + 1 phase edges over [0, pi] and GUIDE_LEVELS + 1 level
     edges over [0, mass], the fractional node at which that phase's CDF
     reaches that level. Interpolated bilinearly at a sample's phase and
@@ -354,6 +354,8 @@ class QuadratureGridSampler:
     target. Linear interpolation between the bracketing nodes gives x. At one
     fixed phase the bands are combined into a single CDF with positions of its
     own; its guesses are settled and its misses searched by the same rule.
+    Fock and diagonal mixed states have C_0 only, the same CDF at every phase,
+    so they take that fixed-phase path at scanned phases too.
     """
 
     def __init__(self, state: StateSpec, eta: float = 1.0):
@@ -387,9 +389,9 @@ class QuadratureGridSampler:
         self.phase_dependent = bool(self.bands)
         columns = np.concatenate((cdfs[:1].real, 2.0 * cdfs[1:].real, -2.0 * cdfs[1:].imag))
         self.table = np.ascontiguousarray(columns.T)
+        self._levels = np.arange(GUIDE_LEVELS + 1) * (self.mass / GUIDE_LEVELS)
+        self._top_cell = self._levels[-2]  # the top level cell takes the full search
         if self.phase_dependent:
-            self._levels = np.arange(GUIDE_LEVELS + 1) * (self.mass / GUIDE_LEVELS)
-            self._top_cell = self._levels[-2]  # the top level cell takes the full search
             # One matrix-vector product per phase edge on the band-major columns: a
             # matrix-matrix product would leave a BLAS thread spinning after it returns.
             edges = np.arange(GUIDE_PHASE_BINS + 1) * (math.pi / GUIDE_PHASE_BINS)
@@ -461,9 +463,9 @@ class QuadratureGridSampler:
 
     def sample(self, phi: np.ndarray, u: np.ndarray) -> np.ndarray:
         """Outcomes x at phases phi for uniform deviates u in [0, 1)."""
+        if not self.phase_dependent:  # the same CDF at every phase
+            return self.sample_fixed_phase(0.0, u)
         target = u * self.mass
-        if not self.phase_dependent:
-            return np.interp(target, self.table[:, 0], self.xgrid)
         x = np.empty(target.size)
         missed = [np.empty(0, dtype=np.intp)]
         # Slices small enough that the gathered rows and weights stay in cache. A
@@ -483,9 +485,7 @@ class QuadratureGridSampler:
     def sample_fixed_phase(self, phi: float, u: np.ndarray) -> np.ndarray:
         """Outcomes x at the single phase phi for uniform deviates u in [0, 1)."""
         target = u * self.mass
-        if not self.phase_dependent:
-            return np.interp(target, self.table[:, 0], self.xgrid)
-        combined = self.table @ self._weights(np.array([float(phi)]))[0]
+        combined = self.table @ self._weights(np.array([float(phi)]))[0] if self.phase_dependent else self.table[:, 0]
         guess = self._node(_between(self._positions(combined), *self._level(target)))
         cdf = lambda idx, rows=None: np.take(combined, idx)
         found, missed = _settle(cdf, guess, target, self._top_cell)
@@ -593,9 +593,7 @@ def load_dataset_csv(path) -> Dataset:
                 raise ValidationError(f"{path}: expected 'x,phi' header, got {line.strip()!r}")
             expect = meta.get("n", "")
             data = read_rows(fh, 2, int(expect) if expect.isdecimal() else 0)
-        if data.shape[0] == 0:
-            raise ValidationError(f"{path}: dataset CSV holds no samples")
-        x, phi = data[:, 0], data[:, 1]
+        x, phi = _pairs(data, f"{path}: dataset CSV")
         eta, seed = float(meta["eta"]), int(meta.get("seed", 0))
     except KeyError as exc:
         raise ValidationError(f"{path}: missing metadata line {exc}") from exc
@@ -604,13 +602,20 @@ def load_dataset_csv(path) -> Dataset:
     return Dataset(x, phi, eta, meta.get("state", "unknown"), seed)
 
 
+def _pairs(rows: np.ndarray, what: str):
+    """The x and phi columns of a dataset's samples; ValidationError unless they are one or more (x, phi) pairs."""
+    if rows.size == 0:
+        raise ValidationError(f"{what} holds no samples")
+    if rows.shape[1:] != (2,):
+        raise ValidationError(f"{what} rows must be (x, phi) pairs, got samples of shape {rows.shape}")
+    return rows[:, 0], rows[:, 1]
+
+
 def dataset_from_json(obj) -> Dataset:
     obj = json_object(obj, "dataset JSON", "samples")
     try:
         samples = np.asarray(obj["samples"], dtype=float)
-        if samples.size == 0:
-            raise ValidationError("dataset JSON holds no samples")
-        x, phi = samples[:, 0], samples[:, 1]
+        x, phi = _pairs(samples, "dataset JSON")
         eta, tag, seed = obj["eta"], obj["state_tag"], obj["seed"]
         if not is_real(eta):
             raise ValidationError(f"dataset JSON eta must be a number, got {eta!r}")

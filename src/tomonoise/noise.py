@@ -221,7 +221,13 @@ def noise_ratio_coherent(obs: Observable, nbar: float, eta: float) -> float:
         raise ValidationError(f"mean photon number must be a nonnegative number, got {nbar!r}")
     if not hasattr(obs, "coherent_ratio"):
         raise CapabilityError(f"no closed-form noise ratio for observable {obs!r}")
-    return obs.coherent_ratio(eta * nbar)
+    ratio = obs.coherent_ratio(eta * nbar)
+    if not math.isfinite(ratio):
+        raise NumericRangeError(
+            f"the {obs.name} comparison leaves the float range: closed-form noise ratio {ratio:.3g} "
+            f"at nbar = {nbar!r}, eta = {eta!r}"
+        )
+    return ratio
 
 
 def _variance(obs: Observable, simulate, reducer, state: StateSpec, eta: float, n: int, seed: int) -> float:
@@ -299,17 +305,17 @@ def sweep(
     simulations (n and seed required). Rows come back ordered by
     (observable, eta, nbar).
     """
-    observables = list(observables)
-    if not observables or len(list(nbar_grid)) == 0 or len(list(eta_list)) == 0:
+    observables, nbar_grid, eta_list = list(observables), list(nbar_grid), list(eta_list)
+    if not observables or not nbar_grid or not eta_list:
         raise ValidationError("sweep needs nonempty observable, nbar, and eta grids")
     if mode not in ("analytic", "empirical"):
         raise ValidationError(f"mode must be 'analytic' or 'empirical', got {mode!r}")
     if mode == "empirical" and (n is None or seed is None):
         raise ValidationError("empirical sweep needs n and seed")
     if not all(is_real(nbar) and nbar >= 0.0 for nbar in nbar_grid):
-        raise ValidationError(f"mean photon numbers must be nonnegative numbers, got {list(nbar_grid)}")
+        raise ValidationError(f"mean photon numbers must be nonnegative numbers, got {nbar_grid}")
     if not all(map(is_real, eta_list)):
-        raise ValidationError(f"efficiencies must be numbers, got {list(eta_list)}")
+        raise ValidationError(f"efficiencies must be numbers, got {eta_list}")
     rows = []
     for obs in observables:
         for eta in eta_list:

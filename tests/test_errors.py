@@ -11,11 +11,14 @@ import pytest
 
 from tomonoise import (
     Coherent,
+    ComplexAmplitude,
     Dataset,
     Fock,
+    Intensity,
     Mixed,
     Monomial,
     NumericRangeError,
+    Phase,
     Polynomial,
     RealField,
     ValidationError,
@@ -128,6 +131,20 @@ def test_sweep_grids_hold_numbers(nbar, eta):
 def test_closed_form_ratio_needs_a_nonnegative_number(nbar):
     with pytest.raises(ValidationError):
         noise_ratio_coherent(RealField(), nbar, 1.0)
+
+
+@pytest.mark.parametrize(
+    "obs, nbar",
+    [
+        *((obs, math.inf) for obs in (Intensity(), RealField(), ComplexAmplitude(), Phase())),
+        (RealField(), 1e308),  # 2 (1 + s) overflows
+        (Intensity(), 1e-320),  # 1 / s overflows
+    ],
+    ids=["intensity-inf", "real_field-inf", "complex_amplitude-inf", "phase-inf", "real_field-1e308", "intensity-1e-320"],
+)
+def test_closed_form_ratio_out_of_the_float_range_is_refused(obs, nbar):
+    with pytest.raises(NumericRangeError):
+        noise_ratio_coherent(obs, nbar, 1.0)
 
 
 @pytest.mark.parametrize("nbar, eta", [(2, 1), (np.int64(2), np.float32(0.5)), (2.5, 0.5)], ids=repr)

@@ -186,7 +186,8 @@ class TestReader:
         path.write_bytes(content if isinstance(content, bytes) else content.encode())
         try:
             data = old_load(path)
-            want = Dataset(data[:, 0], data[:, 1], 0.8, "x", 1)
+            # a dataset row is an (x, phi) pair: rows of any other width are refused, not cut to two
+            want = Dataset(data[:, 0], data[:, 1], 0.8, "x", 1) if data.shape[1] == 2 else None
         except (ValueError, IndexError, ValidationError):
             want = None
         if want is None:

@@ -5,7 +5,9 @@ coherences, its arithmetic unchanged; its weights and its bisection loop sit
 in methods of their own so tests can read the bracketing node. The sampler's
 outcomes must equal those of its own full search from node 0 wherever the CDF
 is strictly increasing, that search must pick the bisection's bracket there,
-and every outcome must land within 1e-9 of the bisection.
+and every outcome must land within 1e-9 of the bisection. States without
+bands (Fock, diagonal) take the same bracket rule on their one CDF, and are
+checked against np.interp on it.
 """
 
 import math
@@ -262,6 +264,37 @@ class TestZeroBand:
             assert abs(vals.mean() - target) < 5.0 * vals.std() / math.sqrt(vals.size)
 
 
+class TestWithoutBands:
+    """Fock and diagonal states: one CDF at every phase, inverted by the bracket rule of the states with coherences."""
+
+    @pytest.mark.parametrize("eta", [0.8, 1.0])
+    @pytest.mark.parametrize(
+        "state",
+        [Fock(0), Fock(3), Fock(50), Fock(720), Fock(1023), Mixed(np.diag([0.5, 0.3, 0.2]))],
+        ids=["fock0", "fock3", "fock50", "fock720", "fock1023", "diagonal"],
+    )
+    def test_matches_linear_interpolation(self, state, eta):
+        # np.interp on the same CDF brackets each target at the same node; the two
+        # interpolation formulas differ only by rounding, at most an ulp or so of the grid edge.
+        sampler = QuadratureGridSampler(state, eta)
+        assert not sampler.phase_dependent
+        phi, u = deviates(13, 1 << 20)
+        u = np.concatenate((u, [0.0, 511 / 512, 1 - 2**-40, 1 - 2**-53]))
+        phi = np.concatenate((phi, [0.0, 1.0, 2.0, 3.0]))
+        expected = np.interp(u * sampler.mass, sampler.table[:, 0], sampler.xgrid)
+        tol = 4.0 * np.finfo(float).eps * sampler.halfwidth
+        for x in (sampler.sample(phi, u), sampler.sample_fixed_phase(1.1, u)):
+            np.testing.assert_allclose(x, expected, rtol=0.0, atol=tol)
+
+    @pytest.mark.parametrize("state", [Fock(3), Mixed(np.diag([0.5, 0.3, 0.2]))], ids=["fock3", "diagonal"])
+    def test_every_phase_gives_the_same_bytes(self, state):
+        sampler = QuadratureGridSampler(state, 0.8)
+        phi, u = deviates(14, 1 << 16)
+        scanned = sampler.sample(phi, u)
+        for at in (0.0, 1.1, np.nextafter(math.pi, 0.0)):
+            np.testing.assert_array_equal(sampler.sample_fixed_phase(at, u), scanned)
+
+
 def smeared_density(state, phi, eta, grid):
     """The eta = 1 density of x on the uniform grid, at phase phi or averaged over [0, pi) (None), smeared.
 
@@ -299,7 +332,9 @@ class TestUnitEfficiencyPins:
     Recorded while number-basis states still drew the ideal outcome and smeared
     it (a no-op at eta = 1), and mixed photocounts were thinned binomially
     (skipped at eta = 1), with numpy 2.4 on x86-64; re-recorded when the block streams moved from Philox to SFC64,
-    and the phase weights of mixed6 to phase_trig's tangent forms.
+    and the phase weights of mixed6 to phase_trig's tangent forms. Fock(3) was re-recorded when states without
+    bands left np.interp for the bracket and interpolation of the states with coherences, which round the
+    last bits of some outcomes differently.
     """
 
     N = BLOCK_SIZE + 123
@@ -307,7 +342,7 @@ class TestUnitEfficiencyPins:
     @pytest.mark.parametrize(
         "state, digest",
         [
-            (Fock(3), "6bee2ebad84eba002c2c05075e352908691c747acbf793119ea02349957071b1"),
+            (Fock(3), "27770a20b9884bd3f9df1e89aac54d37c83c0437a5cbac9918b1dc8af807a17b"),
             (mixed6(1), "133503c915403c29f8c778d344d6e042f8fc270bae684db3f7b4329b411259c2"),
         ],
         ids=["fock3", "mixed6"],

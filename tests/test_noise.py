@@ -351,6 +351,12 @@ class TestSweep:
         assert rows[0].source == "analytic-asymptotic"
         assert rows[1].source == "analytic"
 
+    def test_grids_may_be_generators(self):
+        # each grid is read once, so a generator gives the rows its list gives
+        want = sweep([Intensity(), RealField()], [1.0, 2.0], [0.5, 1.0])
+        assert sweep((obs for obs in [Intensity(), RealField()]), (x for x in [1.0, 2.0]), [0.5, 1.0]) == want
+        assert sweep([Intensity(), RealField()], [1.0, 2.0], (e for e in [0.5, 1.0])) == want
+
     def test_empirical_mode_requires_n_and_seed(self):
         with pytest.raises(ValidationError):
             sweep([RealField()], [1.0], [1.0], "empirical")
