@@ -271,10 +271,8 @@ class TestErrorsAndExitCodes:
             ("cut.json", '{"state_tag": "x", "eta": 0.8, "seed": 1, "samples": [[0.1, 0.2]'),
             ("wide.csv", "# state=x\n# eta=0.8\n# seed=1\n# n=2\nx,phi\n1.0,0.5,7.0\n2.0,0.5,7.0\n"),
             ("wide.json", '{"state_tag": "x", "eta": 0.8, "seed": 1, "n": 2, "samples": [[1.0, 0.5, 7.0], [2.0, 0.5, 7.0]]}'),
-            ("narrow.csv", "# state=x\n# eta=0.8\n# seed=1\n# n=2\nx,phi\n1.0\n2.0\n"),
         ],
-        ids=["csv-bad-eta", "csv-nan-row", "json-truncated", "csv-three-columns", "json-three-columns",
-             "csv-one-column"],
+        ids=["csv-bad-eta", "csv-nan-row", "json-truncated", "csv-three-columns", "json-three-columns"],
     )
     def test_bad_dataset_file(self, tmp_path, capsys, name, text):
         data = tmp_path / name
